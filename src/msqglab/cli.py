@@ -349,7 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=float)
         p.add_argument("--beta", type=float)
         p.add_argument("--N", type=int, help="sine truncation order")
-        p.add_argument("--Ng", type=int, help="collocation grid size (>= 2N)")
+        p.add_argument("--Ng", type=int,
+                       help="diagnostic grid size (>= 2N): initial data, CFL step, "
+                            "grid maxima and snapshots; the RK4 tendency uses its "
+                            "own 3/2-rule grid derived from N")
         p.add_argument("--dt", type=float, help="fixed step; omit/0 for CFL policy")
         p.add_argument("--T", type=float, help="time horizon")
         p.add_argument("--out", help="output directory")

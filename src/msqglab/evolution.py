@@ -2,9 +2,13 @@
 
 d_t omega + (u . grad) omega = 0 with u = grad^perp (-Lap)^(-1+alpha) omega,
 advanced by classical RK4 on the sine coefficients.  The nonlinear term is
-formed pointwise on the n_grid collocation grid and truncated back to the
-N x N band; with n_grid >= 2N the retained band is alias-free.  The odd-odd
-symmetry class is exact by representation.
+formed pointwise on its own grid of M = dealias_grid(N) points per axis and
+truncated back to the N x N band.  Sine mode k aliases to 2M - k on that
+grid, so with M > 3N/2 (the 3/2 rule) the retained band is alias-free and
+equal to the tendency on any finer grid.  The configured n_grid (>= 2N) is
+the diagnostic grid: the CFL step, the grid maxima in diagnostics.csv and
+the snapshot headers use it.  The odd-odd symmetry class is exact by
+representation.
 
 No dissipation is applied by default (the equation is conservative); an
 optional high-order spectral filter exists for long runs and its use is
@@ -25,16 +29,18 @@ from __future__ import annotations
 import csv
 import json
 import time as _time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import __version__
-from .initial_data import InitialDataSpec, build_omega0, check_degeneracy, gradient_sup_norm
+from .initial_data import InitialDataSpec, build_omega0, check_degeneracy
 from .snapshots import write_snapshot
-from .spectral import (GridField, MixedParityField, SineField, forward_transform,
-                       hessian_sup_norm, l2_norm, velocity_coefficients, VelocityField)
+from .spectral import (SineField, VelocityField, dealias_grid, evaluate_grid, get_workers,
+                       grid_max_abs, hessian_sup_norm, l2_norm, spectral_derivative,
+                       velocity_coefficients, velocity_from_vorticity)
 from .trajectories import fit_gamma
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
@@ -61,7 +67,10 @@ class ExperimentConfig:
     seed: int = 0
     spectral_filter: bool = False
     preserve_degeneracy: bool = True
-    max_growth_per_step: float = 1.10   # ||omega||_inf blow-up heuristic
+    # halt when grid omega-max grows faster than this per step; a heuristic
+    # only, since the truncated scheme has no max principle and its Gibbs
+    # ripple can trip it
+    max_growth_per_step: float = 1.10
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -124,6 +133,11 @@ def _project_degeneracy(coeffs: np.ndarray) -> np.ndarray:
 class _Rhs:
     """Tendency evaluator bound to (alpha, N, n_grid).
 
+    n_grid is the grid of the pointwise product u . grad omega; above 3N/2
+    the truncated product is alias-free (step_rk4 uses dealias_grid(N)).
+    The product is formed on interior points only: the forward DST-I reads
+    nothing else.
+
     With preserve_degeneracy, each tendency is projected onto the subspace
     where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
     column).  The continuous transport law conserves that degeneracy
@@ -138,23 +152,23 @@ class _Rhs:
         self.n_modes = n_modes
         self.n_grid = n_grid
         self.preserve_degeneracy = preserve_degeneracy
-        m = np.arange(1, n_modes + 1, dtype=np.float64)
-        self.mcol = m[:, None]
-        self.nrow = m[None, :]
-        self.inv_eig = (self.mcol**2 + self.nrow**2) ** (alpha - 1.0)
-
-    def velocity_grids(self, coeffs: np.ndarray):
-        psi = coeffs * self.inv_eig
-        u1 = MixedParityField(-psi * self.nrow, ("sin", "cos")).evaluate(self.n_grid).values
-        u2 = MixedParityField(psi * self.mcol, ("cos", "sin")).evaluate(self.n_grid).values
-        return u1, u2
 
     def __call__(self, coeffs: np.ndarray):
-        u1, u2 = self.velocity_grids(coeffs)
-        w1 = MixedParityField(coeffs * self.mcol, ("cos", "sin")).evaluate(self.n_grid).values
-        w2 = MixedParityField(coeffs * self.nrow, ("sin", "cos")).evaluate(self.n_grid).values
-        adv = u1 * w1 + u2 * w2
-        tend = -forward_transform(GridField(adv), self.n_modes).coeffs
+        omega = SineField(coeffs)
+        u1, u2 = velocity_coefficients(omega, self.alpha)
+        w1 = spectral_derivative(omega, axis=1, order=1)
+        w2 = spectral_derivative(omega, axis=2, order=1)
+        m = self.n_grid
+        sc = evaluate_grid(np.stack([u1.coeffs, w2.coeffs]), ("sin", "cos"), m, interior=True)
+        cs = evaluate_grid(np.stack([u2.coeffs, w1.coeffs]), ("cos", "sin"), m, interior=True)
+        adv = sc[0] * cs[1]
+        adv += cs[0] * sc[1]
+        if not np.isfinite(adv).all():
+            bad = int(np.count_nonzero(~np.isfinite(adv)))
+            raise ValueError(f"advection product contains {bad} non-finite entries")
+        n = self.n_modes
+        band = sfft.dstn(adv, type=1, overwrite_x=True, workers=get_workers())[:n, :n]
+        tend = -band / m**2
         if self.preserve_degeneracy:
             tend = _project_degeneracy(tend)
         return tend
@@ -162,7 +176,13 @@ class _Rhs:
 
 def nonlinear_term(omega: SineField, alpha: float, n_grid: int,
                    preserve_degeneracy: bool = False) -> SineField:
-    """-(u . grad) omega, truncated to the field's mode band."""
+    """-(u . grad) omega formed on an n_grid grid, truncated to the field's band.
+
+    n_grid must exceed 3N/2, so that no product mode aliases into the band.
+    """
+    if 2 * n_grid <= 3 * omega.n_modes:
+        raise ValueError(f"n_grid={n_grid} <= 3N/2={1.5 * omega.n_modes:g}: "
+                         "the product aliases into the retained band")
     return SineField(_Rhs(alpha, omega.n_modes, n_grid, preserve_degeneracy)(omega.coeffs))
 
 
@@ -182,7 +202,8 @@ def step_rk4(state: SimState, dt: float) -> SimState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     cfg = state.config
-    rhs = _Rhs(cfg.alpha, state.omega.n_modes, cfg.n_grid, cfg.preserve_degeneracy)
+    n = state.omega.n_modes
+    rhs = _Rhs(cfg.alpha, n, dealias_grid(n), cfg.preserve_degeneracy)
     c = state.omega.coeffs
     k1 = rhs(c)
     k2 = rhs(c + 0.5 * dt * k1)
@@ -191,7 +212,7 @@ def step_rk4(state: SimState, dt: float) -> SimState:
     new = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if cfg.spectral_filter:
         # the mask does not keep sum_m m a[m,n] = 0; project again
-        new = new * _filter_mask(state.omega.n_modes)
+        new = new * _filter_mask(n)
         if cfg.preserve_degeneracy:
             new = _project_degeneracy(new)
     return SimState(SineField(new), state.time + dt, state.step_count + 1, cfg)
@@ -203,16 +224,9 @@ def _filter_mask(n_modes: int) -> np.ndarray:
     return f[:, None] * f[None, :]
 
 
-def _grid_max(coeffs: np.ndarray, rhs: _Rhs) -> float:
-    vals = MixedParityField(coeffs, ("sin", "sin")).evaluate(rhs.n_grid).values
-    return float(np.abs(vals).max())
-
-
-def _parity_spot_check(coeffs: np.ndarray, rhs: _Rhs) -> float:
+def _parity_spot_check(omega: SineField, alpha: float) -> float:
     """u1 odd in x1 / even in x2; u2 the reverse.  Returns worst defect."""
-    psi = coeffs * rhs.inv_eig
-    u1 = MixedParityField(-psi * rhs.nrow, ("sin", "cos"))
-    u2 = MixedParityField(psi * rhs.mcol, ("cos", "sin"))
+    u1, u2 = velocity_coefficients(omega, alpha)
     pts = np.array([[0.7, 1.3], [1.9, 0.4]])
     refl1 = pts * np.array([-1.0, 1.0])
     refl2 = pts * np.array([1.0, -1.0])
@@ -234,7 +248,6 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
             delta=config.delta, n_modes=config.n_modes, n_grid=config.n_grid))
     if omega0.n_modes != config.n_modes:
         raise ValueError("omega0 truncation order disagrees with config")
-    rhs = _Rhs(config.alpha, config.n_modes, config.n_grid, config.preserve_degeneracy)
     out = Path(config.out_dir) if config.out_dir else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -250,8 +263,7 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
 
     def record(dt_now: float):
         nonlocal omax_prev, steps_since_diag
-        c = state.omega.coeffs
-        omax = _grid_max(c, rhs)
+        omax = grid_max_abs(state.omega, config.n_grid)
         rec = DiagnosticsRecord(
             time=state.time,
             hessian_sup=hessian_sup_norm(state.omega, config.n_grid),
@@ -260,7 +272,7 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
             degeneracy=check_degeneracy(state.omega),
             dt=dt_now)
         diagnostics.append(rec)
-        parity = _parity_spot_check(c, rhs)
+        parity = _parity_spot_check(state.omega, config.alpha)
         if parity > 1e-10:
             notes.append(f"parity defect {parity:.2e} at t={state.time:.4f}")
         grew = None
@@ -281,9 +293,8 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
 
     while state.time < config.t_final - 1e-14:
         if config.dt_policy == "cfl":
-            u1, u2 = rhs.velocity_grids(state.omega.coeffs)
-            dt = cfl_dt(VelocityField(GridField(u1), GridField(u2), config.alpha),
-                        config.n_grid, config.cfl_safety, config.dt_min, config.dt_max)
+            u = velocity_from_vorticity(state.omega, config.alpha, config.n_grid)
+            dt = cfl_dt(u, config.n_grid, config.cfl_safety, config.dt_min, config.dt_max)
         else:
             dt = config.dt
         dt = min(dt, config.t_final - state.time)
@@ -303,8 +314,9 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
             _, grew = record(dt)
             if grew is not None and grew > config.max_growth_per_step:
                 notes.append(
-                    f"max-norm growth {grew:.3f}/step at t={state.time:.6f} "
-                    "exceeds the transport max principle tolerance")
+                    f"omega-max growth {grew:.3f}/step at t={state.time:.6f} exceeds "
+                    f"the growth heuristic {config.max_growth_per_step:g}/step "
+                    "(Gibbs ripple of the truncated scheme can also trip it)")
                 halt = "resolution_exhausted"
         if state.step_count % config.snapshot_every == 0:
             snap()

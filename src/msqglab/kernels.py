@@ -32,7 +32,7 @@ the linearization of omega added back in closed form.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma

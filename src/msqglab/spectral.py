@@ -9,9 +9,12 @@ The collocation grid is the uniform grid x_i = pi*i/N_g, i = 0..N_g-1 of
 [0, pi)^2; grid values on the boundary rows x1 = 0 / x2 = 0 vanish exactly.
 
 Transforms are DST-I/DCT-I based (scipy.fft), so a grid of N_g points maps
-to FFTs of length 2*N_g: powers of two are fastest.  Derivatives flip the
+to FFTs of length 2*N_g, which are fast when 2*N_g is 5-smooth (no prime
+factor above 5; scipy.fft.next_fast_len).  dealias_grid picks such a size
+for the pointwise products of the time stepper.  Derivatives flip the
 parity of the differentiated axis (sin -> cos for odd order), tracked by
-MixedParityField.
+MixedParityField; evaluate_grid evaluates stacks of same-parity fields in
+one transform call per axis.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ __all__ = [
     "GridField",
     "MixedParityField",
     "VelocityField",
+    "evaluate_grid",
+    "dealias_grid",
     "forward_transform",
     "inverse_transform",
     "fractional_inverse_laplacian",
@@ -114,36 +119,79 @@ def grid_coordinates(n_grid: int) -> np.ndarray:
     return np.pi * np.arange(n_grid) / n_grid
 
 
-def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int) -> np.ndarray:
+def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int,
+                   interior: bool = False) -> np.ndarray:
     """Evaluate a sine expansion along one axis on the collocation grid.
 
     Input length along `axis` is the number of sine modes; output length is
-    n_grid with an exact zero at grid index 0.
+    n_grid with an exact zero at grid index 0, or the n_grid - 1 interior
+    points alone.  Other axes are carried along.
     """
     n = coeffs.shape[axis]
     if n > n_grid - 1:
         raise ValueError(f"{n} sine modes do not fit on a {n_grid}-point grid")
-    pad = [(0, 0)] * coeffs.ndim
-    pad[axis] = (0, n_grid - 1 - n)
-    padded = np.pad(coeffs, pad)
-    interior = sfft.dst(padded, type=1, axis=axis, workers=get_workers()) / 2.0
-    pad_zero = [(0, 0)] * coeffs.ndim
-    pad_zero[axis] = (1, 0)
-    return np.pad(interior, pad_zero)
+    # n= zero-pads the modes into a fresh array, which then takes the output
+    vals = sfft.dst(coeffs, type=1, n=n_grid - 1, axis=axis, workers=get_workers())
+    vals *= 0.5
+    if interior:
+        return vals
+    shape = list(coeffs.shape)
+    shape[axis] = n_grid
+    out = np.empty(shape)
+    sl = [slice(None)] * coeffs.ndim
+    sl[axis] = 0
+    out[tuple(sl)] = 0.0
+    sl[axis] = slice(1, None)
+    out[tuple(sl)] = vals
+    return out
 
 
-def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int) -> np.ndarray:
+def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int,
+                   interior: bool = False) -> np.ndarray:
     """Evaluate a cosine expansion (modes m >= 1) along one axis on the grid."""
     n = coeffs.shape[axis]
     if n > n_grid - 1:
         raise ValueError(f"{n} cosine modes do not fit on a {n_grid}-point grid")
-    pad = [(0, 0)] * coeffs.ndim
-    pad[axis] = (1, n_grid - n)  # zero constant mode, zero-pad to length n_grid+1
-    padded = np.pad(coeffs, pad)
-    full = sfft.dct(padded, type=1, axis=axis, workers=get_workers()) / 2.0
+    shape = list(coeffs.shape)
+    shape[axis] = n_grid + 1
+    buf = np.zeros(shape)
     sl = [slice(None)] * coeffs.ndim
-    sl[axis] = slice(0, n_grid)  # drop the x = pi endpoint
+    sl[axis] = slice(1, n + 1)  # zero constant mode, zero tail up to length n_grid+1
+    np.multiply(coeffs, 0.5, out=buf[tuple(sl)])
+    full = sfft.dct(buf, type=1, axis=axis, overwrite_x=True, workers=get_workers())
+    sl[axis] = slice(1 if interior else 0, n_grid)  # drop the x = pi endpoint
     return full[tuple(sl)]
+
+
+_PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
+_AXIS_EVAL = {"sin": _eval_sin_axis, "cos": _eval_cos_axis}
+
+
+def evaluate_grid(coeffs: np.ndarray, parity: tuple, n_grid: int,
+                  interior: bool = False) -> np.ndarray:
+    """Evaluate a mixed sin/cos series on the N_g x N_g collocation grid.
+
+    The last two axes of coeffs are the mode axes; leading axes are batch
+    axes, so a stack of k fields of one parity costs one transform call per
+    axis.  Returns shape coeffs.shape[:-2] + (n_grid, n_grid), or with
+    interior=True only the grid indices 1..n_grid-1 on both axes (the points
+    a forward DST-I reads).
+    """
+    if tuple(parity) not in _PARITIES:
+        raise ValueError(f"invalid parity pair {parity}")
+    c = np.asarray(coeffs, dtype=np.float64)
+    out = _AXIS_EVAL[parity[0]](c, n_grid, axis=-2, interior=interior)
+    return _AXIS_EVAL[parity[1]](out, n_grid, axis=-1, interior=interior)
+
+
+def dealias_grid(n_modes: int) -> int:
+    """Smallest grid size M > 3N/2 whose transforms have a fast length 2M.
+
+    On the DST-I grid of M points, sine mode k aliases to 2M - k.  The
+    product of two fields of band N has modes up to 2N, so its modes <= N
+    are exact once 2M - 2N > N (the 3/2 rule, Orszag 1971).  2M is 5-smooth.
+    """
+    return sfft.next_fast_len(3 * n_modes // 2 + 1, real=True)
 
 
 @dataclass(frozen=True)
@@ -158,19 +206,14 @@ class MixedParityField:
     parity: tuple
 
     def __post_init__(self):
-        if tuple(self.parity) not in {
-            ("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos"),
-        }:
+        if tuple(self.parity) not in _PARITIES:
             raise ValueError(f"invalid parity pair {self.parity}")
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=np.float64))
         object.__setattr__(self, "parity", tuple(self.parity))
 
     def evaluate(self, n_grid: int) -> GridField:
         """Evaluate on the N_g x N_g collocation grid."""
-        ev = {"sin": _eval_sin_axis, "cos": _eval_cos_axis}
-        out = ev[self.parity[0]](self.coeffs, n_grid, axis=0)
-        out = ev[self.parity[1]](out, n_grid, axis=1)
-        return GridField(out)
+        return GridField(evaluate_grid(self.coeffs, self.parity, n_grid))
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary points, shape (..., 2), by direct summation."""
@@ -290,14 +333,14 @@ def hessian_sup_norm(omega: SineField, n_grid: int) -> float:
     Collocation-grid maximization: a lower bound for the true sup norm that
     converges as n_grid grows.
     """
-    n = omega.n_modes
-    modes = np.arange(1, n + 1, dtype=np.float64)
-    d11 = MixedParityField(-omega.coeffs * modes[:, None] ** 2, ("sin", "sin"))
-    d22 = MixedParityField(-omega.coeffs * modes[None, :] ** 2, ("sin", "sin"))
-    d12 = MixedParityField(omega.coeffs * modes[:, None] * modes[None, :], ("cos", "cos"))
+    c = omega.coeffs
+    modes = np.arange(1, omega.n_modes + 1, dtype=np.float64)
+    m, n = modes[:, None], modes[None, :]
     best = 0.0
-    for d in (d11, d12, d22):
-        best = max(best, float(np.abs(d.evaluate(n_grid).values).max()))
+    # one entry at a time: a stacked evaluation would hold all three grids at once
+    for d, parity in ((-c * m**2, ("sin", "sin")), (c * m * n, ("cos", "cos")),
+                      (-c * n**2, ("sin", "sin"))):
+        best = max(best, float(np.abs(evaluate_grid(d, parity, n_grid)).max()))
     return best
 
 

@@ -8,13 +8,12 @@ construction's stopping rule, and fits exponential growth rates.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelParams, QuadratureOracle, RegionSpec
-from .spectral import SineField, evaluate_offgrid, velocity_coefficients
+from .spectral import evaluate_offgrid, velocity_coefficients
 
 __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
            "trace", "select_start", "stopping_time", "medium_ratio_monitor",

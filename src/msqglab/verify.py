@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .initial_data import gradient_sup_norm
 from .kernels import (KernelParams, QuadratureOracle, RegionSpec,
                       relative_kernel_error)
 from .spectral import SineField, grid_max_abs, hessian_sup_norm

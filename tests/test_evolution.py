@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from msqglab.evolution import (DiagnosticsRecord, ExperimentConfig, RunResult,
-                               SimState, cfl_dt, nonlinear_term, run, step_rk4)
-from msqglab.initial_data import InitialDataSpec, build_omega0, check_degeneracy
-from msqglab.spectral import (SineField, VelocityField, GridField,
+from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, cfl_dt, nonlinear_term,
+                               run, step_rk4)
+from msqglab.initial_data import InitialDataSpec, build_omega0
+from msqglab.spectral import (SineField, VelocityField, GridField, dealias_grid,
                               velocity_from_vorticity)
 
 
@@ -47,9 +47,12 @@ class TestNonlinearTerm:
         assert np.abs(t.coeffs).max() < 1e-15
 
     def test_two_mode_against_symbolic_jacobian(self):
-        # independent oracle: expand -(u . grad) omega with sympy and
-        # project onto the sine basis by symbolic integration
+        # independent oracle: expand -(u . grad) omega with sympy into plane
+        # waves cos(p x + q y) by product-to-sum rules; since
+        # sin(p x) sin(q y) = (cos(p x - q y) - cos(p x + q y)) / 2, the
+        # sine coefficient a[p, q] is C[cos(p x - q y)] - C[cos(p x + q y)]
         import sympy as sp
+        from sympy.simplify.fu import TR8
 
         alpha = 0.5
         x, y = sp.symbols("x y", real=True)
@@ -59,20 +62,82 @@ class TestNonlinearTerm:
         psi = a1 * sp.sin(x) * sp.sin(y) + a2 * sp.sin(2 * x) * sp.sin(y)
         u1 = -sp.diff(psi, y)
         u2 = sp.diff(psi, x)
-        tend = sp.expand_trig(sp.expand(
-            -(u1 * sp.diff(omega, x) + u2 * sp.diff(omega, y))))
+        tend = sp.expand(-(u1 * sp.diff(omega, x) + u2 * sp.diff(omega, y)))
+        waves = sp.expand(TR8(tend))
 
         n = 6
         expect = np.zeros((n, n))
-        for m in range(1, n + 1):
-            for k in range(1, n + 1):
-                c = sp.integrate(sp.integrate(
-                    tend * sp.sin(m * x) * sp.sin(k * y), (x, 0, sp.pi)), (y, 0, sp.pi))
-                expect[m - 1, k - 1] = float(c * 4 / sp.pi**2)
+        for term in sp.Add.make_args(waves):
+            amp, wave = term.as_independent(x, y)
+            assert wave.func == sp.cos, term       # nothing outside sin x sin
+            arg = wave.args[0]
+            p, q = int(arg.coeff(x)), int(arg.coeff(y))
+            assert sp.expand(arg - p * x - q * y) == 0, term
+            if p < 0:                              # cos is even
+                p, q = -p, -q
+            assert p >= 1 and q != 0, term
+            if p <= n and abs(q) <= n:
+                expect[p - 1, abs(q) - 1] += float(amp) if q < 0 else -float(amp)
+        assert np.abs(expect).max() > 0.05
 
         om = SineField.from_modes({(1, 1): 1.0, (2, 1): 1.0}, n)
         got = nonlinear_term(om, alpha, 16)
         np.testing.assert_allclose(got.coeffs, expect, atol=1e-12)
+
+
+def _is_5_smooth(k):
+    for f in (2, 3, 5):
+        while k % f == 0:
+            k //= f
+    return k == 1
+
+
+class TestDealiasGrid:
+    @pytest.mark.parametrize("n_modes", [4, 8, 13, 64, 256])
+    def test_smallest_fast_size_above_three_halves(self, n_modes):
+        m = dealias_grid(n_modes)
+        assert 2 * m > 3 * n_modes
+        assert m <= 2 * n_modes
+        assert _is_5_smooth(2 * m)
+        assert not any(_is_5_smooth(2 * k) for k in range(3 * n_modes // 2 + 1, m))
+
+    @pytest.mark.parametrize("n_modes", [13, 64, 256])
+    def test_band_equals_double_grid(self, n_modes):
+        # every product mode <= 2N is resolved or aliases outside the band
+        rng = np.random.default_rng(n_modes)
+        om = SineField(rng.normal(size=(n_modes, n_modes)))
+        ref = nonlinear_term(om, 0.5, 2 * n_modes).coeffs
+        got = nonlinear_term(om, 0.5, dealias_grid(n_modes)).coeffs
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_modes", [13, 16])
+    def test_three_halves_bound_is_sharp(self, n_modes):
+        # at M = floor(3N/2), product mode 2N - j aliases onto band mode 2M - 2N + j
+        rng = np.random.default_rng(n_modes)
+        om = SineField(rng.normal(size=(n_modes, n_modes)))
+        m = 3 * n_modes // 2
+        with pytest.raises(ValueError, match="aliases"):
+            nonlinear_term(om, 0.5, m)
+        ref = nonlinear_term(om, 0.5, 2 * n_modes).coeffs
+        aliased = _Rhs(0.5, n_modes, m)(om.coeffs)
+        assert np.abs(aliased - ref).max() > 1e-8 * np.abs(ref).max()
+
+    def test_step_matches_rk4_on_double_grid(self):
+        rng = np.random.default_rng(7)
+        om = SineField(rng.normal(size=(12, 12)))
+        cfg = make_config(n_modes=12, n_grid=24)
+
+        def f(c):
+            return nonlinear_term(SineField(c), cfg.alpha, 24, preserve_degeneracy=True).coeffs
+
+        dt, c = 1e-3, om.coeffs
+        k1 = f(c)
+        k2 = f(c + 0.5 * dt * k1)
+        k3 = f(c + 0.5 * dt * k2)
+        k4 = f(c + dt * k3)
+        expect = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = step_rk4(SimState(om, 0.0, 0, cfg), dt).omega.coeffs
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestStepRK4:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from msqglab.spectral import (
-    GridField, MixedParityField, SineField, evaluate_offgrid, forward_transform,
+    GridField, MixedParityField, SineField, evaluate_grid, evaluate_offgrid, forward_transform,
     fractional_inverse_laplacian, grid_coordinates, grid_max_abs, hessian_sup_norm,
     inverse_transform, l2_norm, spectral_derivative, velocity_coefficients,
     velocity_from_vorticity)
@@ -83,6 +83,31 @@ class TestTransforms:
             vals = inverse_transform(f, n_grid).values
             grid_l2 = np.sqrt(np.sum(vals**2) * (np.pi / n_grid) ** 2)
             assert grid_l2 == pytest.approx(l2_norm(f), rel=1e-10)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("parity", [("sin", "sin"), ("sin", "cos"),
+                                        ("cos", "sin"), ("cos", "cos")])
+    def test_stack_equals_single_fields(self, parity):
+        rng = np.random.default_rng(8)
+        coeffs = rng.normal(size=(2, 9, 9))
+        n_grid = 27                        # odd, and 2 * 27 is not a power of two
+        stacked = evaluate_grid(coeffs, parity, n_grid)
+        assert stacked.shape == (2, n_grid, n_grid)
+        x1, x2 = grid_xy(n_grid)
+        pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
+        for k in range(2):
+            single = MixedParityField(coeffs[k], parity)
+            np.testing.assert_allclose(stacked[k], single.evaluate(n_grid).values,
+                                       rtol=0, atol=1e-14)
+            direct = single.evaluate_at(pts).reshape(n_grid, n_grid)
+            np.testing.assert_allclose(stacked[k], direct, rtol=0, atol=1e-12)
+        interior = evaluate_grid(coeffs, parity, n_grid, interior=True)
+        np.testing.assert_array_equal(interior, stacked[:, 1:, 1:])
+
+    def test_invalid_parity(self):
+        with pytest.raises(ValueError, match="parity"):
+            evaluate_grid(np.zeros((4, 4)), ("sin", "tan"), 8)
 
 
 class TestFractionalInverseLaplacian:
