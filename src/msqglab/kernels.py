@@ -19,8 +19,15 @@ Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
                the inner scale is always resolved (each frame is split into
                three rectangles whose node multiset is swap-symmetric)
     far:       periodic image cells [0, R*pi)^2 minus the central cell, with
-               optional Richardson tail extrapolation (tail is O(R^-2a))
+               optional Richardson tail extrapolation from the partial sum
+               at R//2 (tail is O(R^-2a); needs R >= 2)
     full:      central cell + far
+
+One private helper, _kernel_parts, writes the four-term formula: every
+region sum and kernel_K1/kernel_K2 call it, and it takes each of the four
+inverse powers once per node.  A medium frame samples omega once per axis
+interval, as two sine matrices, and its three rectangles share them; the
+image cells reuse one sample grid of the central cell, flipped by parity.
 
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
 otherwise) is handled on the rectangle containing x: nodes within pv_radius
@@ -86,6 +93,9 @@ class KernelParams:
             raise ValueError("pv_radius_cells must be in (0, 8]")
         if self.image_radius < 1:
             raise ValueError("image_radius must be >= 1")
+        if self.tail_extrapolate and self.image_radius < 2:
+            raise ValueError("tail_extrapolate needs image_radius >= 2: it extrapolates "
+                             "from the partial sum at image_radius // 2")
         if self.pv_mode not in _PV_MODES:
             raise ValueError(f"pv_mode must be one of {_PV_MODES}")
         for name in ("cells_central", "cells_panel", "cells_far"):
@@ -122,38 +132,65 @@ class ReflectedPoint:
         return cls((x1, x2), (-x1, x2), (x1, -x2), (-x1, -x2))
 
 
-def _distances_sq(x1, x2, y1, y2):
-    d0 = (x1 - y1) ** 2 + (x2 - y2) ** 2   # |x - y|^2
-    dt = (x1 + y1) ** 2 + (x2 - y2) ** 2   # |x_tilde - y|^2
-    db = (x1 - y1) ** 2 + (x2 + y2) ** 2   # |x_bar - y|^2
-    dp = (x1 + y1) ** 2 + (x2 + y2) ** 2   # |x + y|^2
-    return d0, dt, db, dp
+def _kernel_parts(x1: float, x2: float, y1, y2, p: float):
+    """The four-term kernels at nodes (y1, y2), split as K_j = S_j + I_j.
+
+    y1 and y2 broadcast to the node grid.  S = (S1, S2) is the singular
+    free-space term of x - y and I = (I1, I2) the sum of the three image
+    terms at x_tilde, x_bar and -x; the principal-value treatment needs S
+    apart.  Each inverse power |.|^(-2p) of the four distances is taken once
+    per node, and the products are formed in place, so a call holds few
+    node-sized temporaries.  A node where |x - y|^(-2p) is infinite (y = x)
+    gets S = 0.
+    """
+    a0, at = (x1 - y1) ** 2, (x1 + y1) ** 2
+    b0, bb = (x2 - y2) ** 2, (x2 + y2) ** 2
+    i0 = a0 + b0                        # |x - y|^2
+    with np.errstate(divide="ignore"):
+        i0 **= -p
+    hit = np.isinf(i0)
+    if hit.any():
+        i0 = np.where(hit, 0.0, i0)
+    it = (at + b0) ** -p                # |x_tilde - y|^(-2p)
+    ib = (a0 + bb) ** -p                # |x_bar - y|^(-2p)
+    ip = (at + bb) ** -p                # |x + y|^(-2p)
+    q1, q2 = x1 + y1, x2 + y2
+    s1 = (x2 - y2) * i0
+    s2 = i0
+    s2 *= y1 - x1
+    # I1 = -(x2-y2) it - (x2+y2) ib + (x2+y2) ip
+    i1 = (y2 - x2) * it
+    i1 -= q2 * ib
+    i1 += q2 * ip
+    # I2 = (x1-y1) ib + (x1+y1) it - (x1+y1) ip
+    i2 = ib
+    i2 *= x1 - y1
+    it *= q1
+    i2 += it
+    ip *= q1
+    i2 -= ip
+    return (s1, s2), (i1, i2)
+
+
+def _kernels_at(x, y, alpha: float, name: str):
+    """(K1, K2) at y, an (..., 2) array, rejecting y = x."""
+    y = np.asarray(y, dtype=np.float64)
+    x1, x2 = float(x[0]), float(x[1])
+    y1, y2 = y[..., 0], y[..., 1]
+    if np.any((y1 == x1) & (y2 == x2)):
+        raise ValueError(f"{name} evaluated at y = x; caller must exclude the singularity")
+    (s1, s2), (i1, i2) = _kernel_parts(x1, x2, y1, y2, 1.0 + alpha)
+    return s1 + i1, s2 + i2
 
 
 def kernel_K1(x, y, alpha: float):
     """Four-term symmetrized kernel for u1; y may be an (..., 2) array."""
-    y = np.asarray(y, dtype=np.float64)
-    x1, x2 = float(x[0]), float(x[1])
-    y1, y2 = y[..., 0], y[..., 1]
-    d0, dt, db, dp = _distances_sq(x1, x2, y1, y2)
-    if np.any(d0 == 0.0):
-        raise ValueError("kernel_K1 evaluated at y = x; caller must exclude the singularity")
-    p = 1.0 + alpha
-    return ((x2 - y2) * d0**-p - (x2 - y2) * dt**-p
-            - (x2 + y2) * db**-p + (x2 + y2) * dp**-p)
+    return _kernels_at(x, y, alpha, "kernel_K1")[0]
 
 
 def kernel_K2(x, y, alpha: float):
     """Four-term symmetrized kernel for u2 (overall minus sign)."""
-    y = np.asarray(y, dtype=np.float64)
-    x1, x2 = float(x[0]), float(x[1])
-    y1, y2 = y[..., 0], y[..., 1]
-    d0, dt, db, dp = _distances_sq(x1, x2, y1, y2)
-    if np.any(d0 == 0.0):
-        raise ValueError("kernel_K2 evaluated at y = x; caller must exclude the singularity")
-    p = 1.0 + alpha
-    return -((x1 - y1) * d0**-p - (x1 - y1) * db**-p
-             - (x1 + y1) * dt**-p + (x1 + y1) * dp**-p)
+    return _kernels_at(x, y, alpha, "kernel_K2")[1]
 
 
 def asymptotic_K(j: int, x, y, alpha: float):
@@ -266,8 +303,10 @@ class QuadratureOracle:
     """Kernel-quadrature velocity for one vorticity field.
 
     Caches the central-cell and image-cell sample grids, so sweeps over many
-    evaluation points reuse the omega sampling.  All reductions are plain
-    numpy sums (pairwise, deterministic for a fixed partition).
+    evaluation points reuse the omega sampling; each medium frame builds its
+    two sine matrices and their products with the coefficients once, for
+    all three of its rectangles.  All reductions are plain numpy sums
+    (pairwise, deterministic for a fixed partition).
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
@@ -301,7 +340,6 @@ class QuadratureOracle:
         """
         a1, b1, a2, b2 = rect
         alpha = self.params.alpha
-        p = 1.0 + alpha
         if y1 is None:
             y1, h1 = _midpoints(a1, b1, n1)
             y2, h2 = _midpoints(a2, b2, n2)
@@ -313,47 +351,29 @@ class QuadratureOracle:
         x1, x2 = float(x[0]), float(x[1])
         yy1 = y1[:, None]
         yy2 = y2[None, :]
-        d0, dt, db, dp = _distances_sq(x1, x2, yy1, yy2)
-
-        with np.errstate(divide="ignore"):
-            inv0 = np.where(d0 > 0.0, d0, np.inf) ** -p
-        hit = ~np.isfinite(inv0)
-        if hit.any():
-            inv0 = np.where(hit, 0.0, inv0)
-        invt = dt**-p
-        invb = db**-p
-        invp = dp**-p
-
-        # regular (image) terms, never singular inside the open quadrant
-        u1 = -(x2 - yy2) * invt - (x2 + yy2) * invb + (x2 + yy2) * invp
-        u2 = -(-(x1 - yy1) * invb - (x1 + yy1) * invt + (x1 + yy1) * invp)
-
-        t1 = (x2 - yy2) * inv0   # singular first term of K1
-        t2 = (yy1 - x1) * inv0   # singular first term of K2 (sign folded in)
+        (s1, s2), (i1, i2) = _kernel_parts(x1, x2, yy1, yy2, 1.0 + alpha)
 
         if not pv:
-            u1_sum = float(np.sum((u1 + t1) * w)) * area
-            u2_sum = float(np.sum((u2 + t2) * w)) * area
-            return u1_sum, u2_sum
+            return float(np.sum((s1 + i1) * w)) * area, float(np.sum((s2 + i2) * w)) * area
 
         if self.params.pv_mode == "subtract":
             # Subtract the linearization of omega from the singular term over
             # the whole rectangle and add its integral back semi-analytically.
-            # The sampled residual (omega - P) * T is integrable and its
+            # The sampled residual (omega - P) * S is integrable and its
             # midpoint sum converges; a patch that scales with the cell size
             # would leave a resolution-independent ring error instead.
-            u1_sum = float(np.sum(u1 * w)) * area
-            u2_sum = float(np.sum(u2 * w)) * area
             g1, g2 = self._sampler.grad(x)
             w0 = self._sampler.value(x)
             taylor = w0 + g1 * (yy1 - x1) + g2 * (yy2 - x2)
-            # the node at y = x (if any) was zeroed via inv0; its true
-            # residual contribution is the integrable O(h^(3-2alpha)) cell
-            u1_sum += float(np.sum(t1 * (w - taylor))) * area
-            u2_sum += float(np.sum(t2 * (w - taylor))) * area
-            i1, i2 = _linear_pv_integrals((x1, x2), rect, alpha, w0, g1, g2)
-            u1_sum += i1
-            u2_sum += i2
+            u1_sum = float(np.sum(i1 * w)) * area
+            u2_sum = float(np.sum(i2 * w)) * area
+            # the node at y = x (if any) has S = 0; its true residual
+            # contribution is the integrable O(h^(3-2alpha)) cell
+            u1_sum += float(np.sum(s1 * (w - taylor))) * area
+            u2_sum += float(np.sum(s2 * (w - taylor))) * area
+            pv1, pv2 = _linear_pv_integrals((x1, x2), rect, alpha, w0, g1, g2)
+            u1_sum += pv1
+            u2_sum += pv2
         else:
             # symmetric exclusion of all nodes within pv_radius of x; the PV
             # limit is realized as the symmetric-exclusion limit, at the cost
@@ -364,10 +384,10 @@ class QuadratureOracle:
             if self.params.pv_mode == "exclude_square":
                 mask = np.maximum(np.abs(yy1 - x1), np.abs(yy2 - x2)) < rho
             else:
-                mask = d0 < rho**2
+                mask = (yy1 - x1) ** 2 + (yy2 - x2) ** 2 < rho**2
             wk = np.where(mask, 0.0, w)
-            u1_sum = float(np.sum((u1 + t1) * wk)) * area
-            u2_sum = float(np.sum((u2 + t2) * wk)) * area
+            u1_sum = float(np.sum((s1 + i1) * wk)) * area
+            u2_sum = float(np.sum((s2 + i2) * wk)) * area
         return u1_sum, u2_sum
 
     # -- regions ----------------------------------------------------------
@@ -400,59 +420,61 @@ class QuadratureOracle:
         if L * float(np.hypot(x[0], x[1])) > 1.0:
             warnings.warn(f"L|x| = {s:.3g} > 1: medium-field scaling assumptions degrade")
         npanel = self.params.cells_panel
+        modes, coeffs = self._sampler.modes, self._sampler.coeffs
         u1 = u2 = 0.0
         for lo, hi in self._medium_frames(s):
             na = max(8, int(round(npanel * (hi - lo) / hi)))
             nb = max(8, int(round(npanel * lo / hi)))
-            # [lo,hi] x [0,lo], its swap image, and the swap-invariant corner
-            for rect, n1, n2 in (
-                ((lo, hi, 0.0, lo), na, nb),
-                ((0.0, lo, lo, hi), nb, na),
-                ((lo, hi, lo, hi), na, na),
+            ya, _ = _midpoints(lo, hi, na)
+            yb, _ = _midpoints(0.0, lo, nb)
+            sa = np.sin(np.outer(ya, modes))
+            sb = np.sin(np.outer(yb, modes))
+            ca = sa @ coeffs
+            cb = sb @ coeffs
+            # [lo,hi] x [0,lo], its swap image, and the swap-invariant corner;
+            # omega on each is (S1 @ c) @ S2.T from the frame's two sine bases
+            for rect, n1, n2, y1, y2, w in (
+                ((lo, hi, 0.0, lo), na, nb, ya, yb, ca @ sb.T),
+                ((0.0, lo, lo, hi), nb, na, yb, ya, cb @ sa.T),
+                ((lo, hi, lo, hi), na, na, ya, ya, ca @ sa.T),
             ):
-                du1, du2 = self._sum_rect(x, rect, n1, n2, pv=False)
+                du1, du2 = self._sum_rect(x, rect, n1, n2, w=w, y1=y1, y2=y2)
                 u1 += du1
                 u2 += du2
         return u1, u2
 
-    def _far(self, x, tail_extrapolate=None):
-        if tail_extrapolate is None:
-            tail_extrapolate = self.params.tail_extrapolate
+    def _far(self, x):
         R = self.params.image_radius
         t, h, base = self._far_base()
         area = h * h
-        alpha = self.params.alpha
-        p = 1.0 + alpha
+        p = 1.0 + self.params.alpha
         x1, x2 = float(x[0]), float(x[1])
         u1 = u2 = 0.0
         u1_half = u2_half = 0.0
         r_half = R // 2
+        # one cell per array: a cells_far^2 block stays below glibc's mmap
+        # threshold, while wider batches pay fresh pages for every temporary
         for pcell in range(R):
             w1 = base[::-1, :] if pcell % 2 else base
             sgn1 = -1.0 if pcell % 2 else 1.0
-            y1 = pcell * np.pi + t
+            yy1 = (pcell * np.pi + t)[:, None]
             for qcell in range(R):
                 if pcell == 0 and qcell == 0:
                     continue
                 w = w1[:, ::-1] if qcell % 2 else w1
                 sgn = sgn1 * (-1.0 if qcell % 2 else 1.0)
-                y2 = qcell * np.pi + t
-                yy1 = y1[:, None]
-                yy2 = y2[None, :]
-                d0, dt, db, dp = _distances_sq(x1, x2, yy1, yy2)
-                k1 = ((x2 - yy2) * d0**-p - (x2 - yy2) * dt**-p
-                      - (x2 + yy2) * db**-p + (x2 + yy2) * dp**-p)
-                k2 = -((x1 - yy1) * d0**-p - (x1 - yy1) * db**-p
-                       - (x1 + yy1) * dt**-p + (x1 + yy1) * dp**-p)
-                du1 = sgn * float(np.sum(k1 * w)) * area
-                du2 = sgn * float(np.sum(k2 * w)) * area
+                yy2 = (qcell * np.pi + t)[None, :]
+                (s1, s2), (i1, i2) = _kernel_parts(x1, x2, yy1, yy2, p)
+                du1 = sgn * float(np.sum((s1 + i1) * w)) * area
+                du2 = sgn * float(np.sum((s2 + i2) * w)) * area
                 u1 += du1
                 u2 += du2
                 if pcell < r_half and qcell < r_half:
                     u1_half += du1
                     u2_half += du2
-        if tail_extrapolate and r_half >= 1 and R > r_half:
-            fac = 1.0 / (2.0 ** (2.0 * alpha) - 1.0)
+        if self.params.tail_extrapolate:
+            # Richardson on the O(R^-2a) tail, from the partial sum at R//2
+            fac = 1.0 / ((R / r_half) ** (2.0 * self.params.alpha) - 1.0)
             u1 += (u1 - u1_half) * fac
             u2 += (u2 - u2_half) * fac
         return u1, u2

@@ -59,7 +59,8 @@ class VelocitySampler:
 
     Velocity coefficients are precomputed per snapshot (diagonal work);
     point evaluation is a direct mixed sine/cosine series sum, linear in
-    time between the bracketing snapshots.
+    time between the bracketing snapshots, whose two sums share one set of
+    sin/cos samples at x.
     """
 
     def __init__(self, snapshots, alpha: float):
@@ -77,23 +78,27 @@ class VelocitySampler:
         self.n_modes = fields[0].n_modes
         self._modes = np.arange(1, self.n_modes + 1, dtype=np.float64)
 
-    def _eval(self, idx: int, x) -> np.ndarray:
-        s1 = np.sin(self._modes * x[0])
-        c1 = np.cos(self._modes * x[0])
-        s2 = np.sin(self._modes * x[1])
-        c2 = np.cos(self._modes * x[1])
+    def _basis(self, x):
+        """sin/cos of the mode vector at x1 and x2, shared by every snapshot."""
+        a1 = self._modes * x[0]
+        a2 = self._modes * x[1]
+        return np.sin(a1), np.cos(a1), np.sin(a2), np.cos(a2)
+
+    def _eval(self, idx: int, basis) -> np.ndarray:
+        s1, c1, s2, c2 = basis
         return np.array([s1 @ self._u1[idx] @ c2, c1 @ self._u2[idx] @ s2])
 
     def __call__(self, x, t: float) -> np.ndarray:
         ts = self.times
+        basis = self._basis(x)
         if t <= ts[0]:
-            return self._eval(0, x)
+            return self._eval(0, basis)
         if t >= ts[-1]:
-            return self._eval(len(ts) - 1, x)
+            return self._eval(len(ts) - 1, basis)
         hi = int(np.searchsorted(ts, t, side="right"))
         lo = hi - 1
         th = (t - ts[lo]) / (ts[hi] - ts[lo])
-        return (1.0 - th) * self._eval(lo, x) + th * self._eval(hi, x)
+        return (1.0 - th) * self._eval(lo, basis) + th * self._eval(hi, basis)
 
 
 def trace(start, velocity_source, t_end: float, dt: float,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,10 +255,7 @@ def verify_far_field(omega: SineField, alpha: float, magnitudes,
         n_grid = 2 * omega.n_modes
     omega_sup = grid_max_abs(omega, n_grid)
     oracle = QuadratureOracle(omega, params)
-    big = KernelParams(alpha=alpha, pv_radius_cells=params.pv_radius_cells,
-                       image_radius=2 * params.image_radius, pv_mode=params.pv_mode,
-                       tail_extrapolate=False, cells_central=params.cells_central,
-                       cells_panel=params.cells_panel, cells_far=params.cells_far)
+    big = replace(params, image_radius=2 * params.image_radius, tail_extrapolate=False)
     oracle_big = QuadratureOracle(omega, big)
     rows = []
     notes = []

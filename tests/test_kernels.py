@@ -9,7 +9,7 @@ from msqglab.kernels import (
     CalibrationResult, KernelParams, QuadratureOracle, RegionSpec, ReflectedPoint,
     asymptotic_K, fit_calibration, kernel_K1, kernel_K2, relative_kernel_error,
     riesz_velocity_prefactor, velocity_quadrature)
-from msqglab.spectral import SineField, velocity_coefficients
+from msqglab.spectral import SineField, evaluate_offgrid, velocity_coefficients
 
 RNG = np.random.default_rng(11)
 
@@ -216,3 +216,81 @@ class TestFarField:
             KernelParams(alpha=0.5, image_radius=0)
         with pytest.raises(ValueError, match="pv_mode"):
             KernelParams(alpha=0.5, pv_mode="ignore")
+        with pytest.raises(ValueError, match="tail_extrapolate"):
+            KernelParams(alpha=0.5, image_radius=1, tail_extrapolate=True)
+
+    @pytest.mark.parametrize("radius", [4, 5])
+    def test_tail_extrapolation_is_richardson_on_half_radius(self, single_mode, radius):
+        # the tail is O(R^-2a): u_inf ~ u(R) + (u(R) - u(r)) / ((R/r)^(2a) - 1), r = R//2
+        alpha = 0.6
+        x = (0.4, 0.9)
+        cfg = dict(alpha=alpha, cells_far=8)
+        far = RegionSpec("far")
+        u_r = np.asarray(QuadratureOracle(single_mode, KernelParams(
+            image_radius=radius, **cfg)).velocity(x, far))
+        u_half = np.asarray(QuadratureOracle(single_mode, KernelParams(
+            image_radius=radius // 2, **cfg)).velocity(x, far))
+        u_ext = np.asarray(QuadratureOracle(single_mode, KernelParams(
+            image_radius=radius, tail_extrapolate=True, **cfg)).velocity(x, far))
+        fac = 1.0 / ((radius / (radius // 2)) ** (2 * alpha) - 1.0)
+        np.testing.assert_allclose(u_ext, u_r + (u_r - u_half) * fac, rtol=1e-13)
+
+
+def _midpoint_nodes(a, b, n):
+    h = (b - a) / n
+    return a + (np.arange(n) + 0.5) * h, h
+
+
+def _direct_rect(omega, x, alpha, rect, n1, n2):
+    """Midpoint sum of (K1, K2) * omega from the public kernels, node by node."""
+    y1, h1 = _midpoint_nodes(rect[0], rect[1], n1)
+    y2, h2 = _midpoint_nodes(rect[2], rect[3], n2)
+    nodes = np.stack(np.meshgrid(y1, y2, indexing="ij"), axis=-1).reshape(-1, 2)
+    w = evaluate_offgrid(omega, nodes)
+    k = np.stack([kernel_K1(x, nodes, alpha), kernel_K2(x, nodes, alpha)])
+    return (k * w).sum(axis=1) * h1 * h2
+
+
+class TestRegionsAgainstDirectSums:
+    """The oracle's medium and far sums equal sums built from kernel_K1/K2."""
+
+    ALPHA = 0.5
+    PARAMS = KernelParams(alpha=0.5, cells_panel=16, cells_far=8, image_radius=3)
+
+    @pytest.fixture(scope="class")
+    def omega(self):
+        rng = np.random.default_rng(3)
+        return SineField(rng.standard_normal((6, 6)) / np.add.outer(np.arange(6), np.arange(6) + 1))
+
+    @pytest.mark.parametrize("x", [(0.05, 0.08), (0.11, 0.02)])
+    def test_medium(self, omega, x):
+        L = 4.0
+        s = L * float(np.hypot(*x))
+        npanel = self.PARAMS.cells_panel
+        want = np.zeros(2)
+        lo = s
+        while lo < np.pi:
+            hi = min(2.0 * lo, np.pi)
+            na = max(8, int(round(npanel * (hi - lo) / hi)))
+            nb = max(8, int(round(npanel * lo / hi)))
+            want += _direct_rect(omega, x, self.ALPHA, (lo, hi, 0.0, lo), na, nb)
+            want += _direct_rect(omega, x, self.ALPHA, (0.0, lo, lo, hi), nb, na)
+            want += _direct_rect(omega, x, self.ALPHA, (lo, hi, lo, hi), na, na)
+            lo = hi
+        got = QuadratureOracle(omega, self.PARAMS).velocity(x, RegionSpec("medium", L))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [(0.05, 0.08), (1.3, 0.4)])
+    def test_far(self, omega, x):
+        n, radius = self.PARAMS.cells_far, self.PARAMS.image_radius
+        want = np.zeros(2)
+        for p in range(radius):
+            for q in range(radius):
+                if (p, q) != (0, 0):
+                    # the image cells carry the sine series itself: its odd
+                    # 2pi-periodic extension
+                    want += _direct_rect(omega, x, self.ALPHA,
+                                         (p * np.pi, (p + 1) * np.pi, q * np.pi, (q + 1) * np.pi),
+                                         n, n)
+        got = QuadratureOracle(omega, self.PARAMS).velocity(x, RegionSpec("far"))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

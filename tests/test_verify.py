@@ -1,7 +1,6 @@
 """Estimate verifiers: bound validity, exponent fits, reports."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
