@@ -23,14 +23,24 @@ def write_snapshot(path, field: SineField, n_grid: int, alpha: float, time: floa
         fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
 
 
+_HEADER_KEYS = ("N", "N_g", "alpha", "time")
+
+
 def read_snapshot(path):
-    """Returns (SineField, header dict)."""
+    """Returns (SineField, header dict); ValueError on a malformed file."""
     path = Path(path)
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("ascii"))
-        n = int(header["N"])
+        if not isinstance(header, dict) or any(k not in header for k in _HEADER_KEYS):
+            raise ValueError(f"snapshot {path} header lacks one of {_HEADER_KEYS}")
+        n = header["N"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"snapshot {path} header N={n!r} is not a positive integer")
         raw = fh.read(8 * n * n)
+        trailing = fh.read(1)
     if len(raw) != 8 * n * n:
         raise ValueError(f"snapshot {path} truncated: expected {n}x{n} coefficients")
+    if trailing:
+        raise ValueError(f"snapshot {path} has bytes after its {n}x{n} coefficients")
     coeffs = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
     return SineField(coeffs), header

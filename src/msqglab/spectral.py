@@ -14,13 +14,17 @@ factor above 5; scipy.fft.next_fast_len).  dealias_grid picks such a size
 for the pointwise products of the time stepper.  Derivatives flip the
 parity of the differentiated axis (sin -> cos for odd order), tracked by
 MixedParityField; evaluate_grid evaluates stacks of same-parity fields in
-one transform call per axis.
+one transform call per axis.  Each axis transform zero-pads its modes into
+a buffer and transforms there in place (overwrite_x); evaluate_grid
+allocates those buffers per call, while the time stepper passes buffers it
+reuses across stages.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -61,6 +65,12 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         bad = int(np.count_nonzero(~np.isfinite(arr)))
         raise ValueError(f"{what} contains {bad} non-finite entries")
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """max |v| without an |v| temporary; NaN if v holds a NaN."""
+    # the outer abs only clears the sign of a zero maximum
+    return abs(float(np.maximum(v.max(), -v.min())))
 
 
 @dataclass(frozen=True)
@@ -119,48 +129,64 @@ def grid_coordinates(n_grid: int) -> np.ndarray:
     return np.pi * np.arange(n_grid) / n_grid
 
 
-def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int,
-                   interior: bool = False) -> np.ndarray:
+def _axis_index(ndim: int, axis: int, sl) -> tuple:
+    idx = [slice(None)] * ndim
+    idx[axis] = sl
+    return tuple(idx)
+
+
+def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int, interior: bool = False,
+                   buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
     """Evaluate a sine expansion along one axis on the collocation grid.
 
     Input length along `axis` is the number of sine modes; output length is
     n_grid with an exact zero at grid index 0, or the n_grid - 1 interior
-    points alone.  Other axes are carried along.
+    points alone.  Other axes are carried along.  The modes are zero-padded
+    into `buf` (shaped like coeffs, at least as long as the output along
+    `axis`; allocated when None) and transformed there in place; the result
+    is a view of buf.
     """
     n = coeffs.shape[axis]
     if n > n_grid - 1:
         raise ValueError(f"{n} sine modes do not fit on a {n_grid}-point grid")
-    # n= zero-pads the modes into a fresh array, which then takes the output
-    vals = sfft.dst(coeffs, type=1, n=n_grid - 1, axis=axis, workers=get_workers())
+    lead = 0 if interior else 1      # room for the zero at x = 0
+    if buf is None:
+        shape = list(coeffs.shape)
+        shape[axis] = n_grid - 1 + lead
+        buf = np.empty(shape)
+    at = partial(_axis_index, coeffs.ndim, axis)
+    buf[at(slice(0, lead))] = 0.0
+    vals = buf[at(slice(lead, lead + n_grid - 1))]
+    vals[at(slice(0, n))] = coeffs
+    vals[at(slice(n, None))] = 0.0
+    sfft.dst(vals, type=1, axis=axis, overwrite_x=True,
+             workers=get_workers() if workers is None else workers)
     vals *= 0.5
-    if interior:
-        return vals
-    shape = list(coeffs.shape)
-    shape[axis] = n_grid
-    out = np.empty(shape)
-    sl = [slice(None)] * coeffs.ndim
-    sl[axis] = 0
-    out[tuple(sl)] = 0.0
-    sl[axis] = slice(1, None)
-    out[tuple(sl)] = vals
-    return out
+    return buf[at(slice(0, n_grid - 1 + lead))]
 
 
-def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int,
-                   interior: bool = False) -> np.ndarray:
-    """Evaluate a cosine expansion (modes m >= 1) along one axis on the grid."""
+def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int, interior: bool = False,
+                   buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
+    """Evaluate a cosine expansion (modes m >= 1) along one axis on the grid.
+
+    The DCT-I runs in place on n_grid + 1 entries of `buf` along `axis`, as
+    for _eval_sin_axis; the x = pi endpoint is dropped from the returned view.
+    """
     n = coeffs.shape[axis]
     if n > n_grid - 1:
         raise ValueError(f"{n} cosine modes do not fit on a {n_grid}-point grid")
-    shape = list(coeffs.shape)
-    shape[axis] = n_grid + 1
-    buf = np.zeros(shape)
-    sl = [slice(None)] * coeffs.ndim
-    sl[axis] = slice(1, n + 1)  # zero constant mode, zero tail up to length n_grid+1
-    np.multiply(coeffs, 0.5, out=buf[tuple(sl)])
-    full = sfft.dct(buf, type=1, axis=axis, overwrite_x=True, workers=get_workers())
-    sl[axis] = slice(1 if interior else 0, n_grid)  # drop the x = pi endpoint
-    return full[tuple(sl)]
+    if buf is None:
+        shape = list(coeffs.shape)
+        shape[axis] = n_grid + 1
+        buf = np.empty(shape)
+    at = partial(_axis_index, coeffs.ndim, axis)
+    full = buf[at(slice(0, n_grid + 1))]
+    full[at(slice(0, 1))] = 0.0      # constant mode
+    np.multiply(coeffs, 0.5, out=full[at(slice(1, n + 1))])
+    full[at(slice(n + 1, None))] = 0.0
+    sfft.dct(full, type=1, axis=axis, overwrite_x=True,
+             workers=get_workers() if workers is None else workers)
+    return full[at(slice(1 if interior else 0, n_grid))]
 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
@@ -263,9 +289,12 @@ def forward_transform(grid: GridField, n_modes: int) -> SineField:
     return SineField(full[:n_modes, :n_modes].copy())
 
 
-def _eigenvalues(n_modes: int) -> np.ndarray:
+def _laplacian_power(n_modes: int, alpha: float) -> np.ndarray:
+    """The symbol (m^2+n^2)^(1-alpha) that fractional_inverse_laplacian divides by."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     m = np.arange(1, n_modes + 1)
-    return m[:, None] ** 2 + m[None, :] ** 2
+    return (m[:, None] ** 2 + m[None, :] ** 2) ** (1.0 - alpha)
 
 
 def fractional_inverse_laplacian(field: SineField, alpha: float) -> SineField:
@@ -274,9 +303,7 @@ def fractional_inverse_laplacian(field: SineField, alpha: float) -> SineField:
     alpha = 0 is the plain inverse Laplacian (2D Euler stream function);
     alpha must lie in [0, 1).
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    return SineField(field.coeffs / _eigenvalues(field.n_modes) ** (1.0 - alpha))
+    return SineField(field.coeffs / _laplacian_power(field.n_modes, alpha))
 
 
 def spectral_derivative(field: SineField, axis: int, order: int) -> MixedParityField:
@@ -336,12 +363,11 @@ def hessian_sup_norm(omega: SineField, n_grid: int) -> float:
     c = omega.coeffs
     modes = np.arange(1, omega.n_modes + 1, dtype=np.float64)
     m, n = modes[:, None], modes[None, :]
-    best = 0.0
-    # one entry at a time: a stacked evaluation would hold all three grids at once
-    for d, parity in ((-c * m**2, ("sin", "sin")), (c * m * n, ("cos", "cos")),
-                      (-c * n**2, ("sin", "sin"))):
-        best = max(best, float(np.abs(evaluate_grid(d, parity, n_grid)).max()))
-    return best
+    entries = ((-c * m**2, ("sin", "sin")), (c * m * n, ("cos", "cos")),
+               (-c * n**2, ("sin", "sin")))
+    # one entry at a time: a stacked evaluation would hold all three grids at
+    # once; np.max, unlike the builtin, keeps a NaN
+    return float(np.max([_max_abs(evaluate_grid(d, parity, n_grid)) for d, parity in entries]))
 
 
 def l2_norm(field: SineField) -> float:
@@ -351,4 +377,4 @@ def l2_norm(field: SineField) -> float:
 
 def grid_max_abs(field: SineField, n_grid: int) -> float:
     """Max of |f| over the collocation grid."""
-    return float(np.abs(inverse_transform(field, n_grid).values).max())
+    return _max_abs(inverse_transform(field, n_grid).values)

@@ -1,12 +1,17 @@
 """Time stepping: tendency correctness, conservation, halts, cadences."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from msqglab import evolution
 from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, cfl_dt, nonlinear_term,
                                run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
-from msqglab.spectral import (SineField, VelocityField, GridField, dealias_grid,
+from msqglab.spectral import (SineField, VelocityField, GridField, dealias_grid, evaluate_grid,
+                              spectral_derivative, velocity_coefficients,
                               velocity_from_vorticity)
 
 
@@ -140,7 +145,65 @@ class TestDealiasGrid:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+def stacked_tendency(coeffs, alpha, n_grid, preserve_degeneracy):
+    """The tendency from public evaluate_grid calls, in the operation order of _Rhs."""
+    om = SineField(coeffs)
+    u1, u2 = velocity_coefficients(om, alpha)
+    w1 = spectral_derivative(om, axis=1, order=1)
+    w2 = spectral_derivative(om, axis=2, order=1)
+    sc = evaluate_grid(np.stack([u1.coeffs, w2.coeffs]), ("sin", "cos"), n_grid, interior=True)
+    cs = evaluate_grid(np.stack([u2.coeffs, w1.coeffs]), ("cos", "sin"), n_grid, interior=True)
+    adv = sc[0] * cs[1]
+    adv += cs[0] * sc[1]
+    n = om.n_modes
+    tend = -sfft.dstn(adv, type=1)[:n, :n] / n_grid**2
+    if preserve_degeneracy:
+        m = np.arange(1, n + 1, dtype=np.float64)
+        tend = tend - np.outer(m, m @ tend) / float(np.sum(m * m))
+    return tend
+
+
+class TestRhsWorkspace:
+    @pytest.mark.parametrize("n_modes", [13, 64])
+    @pytest.mark.parametrize("preserve_degeneracy", [False, True])
+    def test_reused_buffers_match_stacked_evaluation(self, n_modes, preserve_degeneracy):
+        rng = np.random.default_rng(n_modes)
+        a, b = rng.normal(size=(2, n_modes, n_modes))
+        m = dealias_grid(n_modes)
+        rhs = _Rhs(0.5, n_modes, m, preserve_degeneracy)
+        first, _, again = rhs(a), rhs(b), rhs(a)
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_array_equal(first, stacked_tendency(a, 0.5, m, preserve_degeneracy))
+        out = np.empty((n_modes, n_modes))
+        assert rhs(b, out=out) is out
+        np.testing.assert_array_equal(out, stacked_tendency(b, 0.5, m, preserve_degeneracy))
+
+    def test_nonfinite_input_rejected(self):
+        c = np.zeros((8, 8))
+        c[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _Rhs(0.5, 8, dealias_grid(8))(c)
+
+
 class TestStepRK4:
+    def test_in_place_sums_match_expression(self):
+        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
+        for filtered in (False, True):
+            cfg = make_config(n_modes=32, n_grid=64, spectral_filter=filtered)
+            rhs = _Rhs(cfg.alpha, 32, dealias_grid(32), True)
+            dt, c = 2e-3, om.coeffs
+            k1 = rhs(c)
+            k2 = rhs(c + 0.5 * dt * k1)
+            k3 = rhs(c + 0.5 * dt * k2)
+            k4 = rhs(c + dt * k3)
+            expect = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if filtered:
+                expect = expect * evolution._filter_mask(32)
+                m = np.arange(1, 33, dtype=np.float64)
+                expect = expect - np.outer(m, m @ expect) / float(np.sum(m * m))
+            got = step_rk4(SimState(om, 0.0, 0, cfg), dt).omega.coeffs
+            np.testing.assert_array_equal(got, expect)
+
     def test_stationary_fixed_point(self):
         om = SineField.from_modes({(1, 1): 1.0}, 8)
         st = SimState(om, 0.0, 0, make_config(n_modes=8, n_grid=16))
@@ -177,6 +240,8 @@ class TestStepRK4:
         st = SimState(SineField.zeros(8), 0.0, 0, make_config(n_modes=8, n_grid=16))
         with pytest.raises(ValueError, match="dt"):
             step_rk4(st, -0.1)
+        with pytest.raises(ValueError, match="dt"):
+            step_rk4(st, float("nan"))
 
 
 class TestCflDt:
@@ -198,6 +263,13 @@ class TestCflDt:
         u = velocity_from_vorticity(om, 0.5, 144)
         dt = cfl_dt(u, 144, 0.4)
         assert 0 < dt < 0.05
+
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_nan_velocity_gives_nan_step(self, component):
+        grids = [np.ones((8, 8)), np.ones((8, 8))]
+        grids[component][3, 5] = np.nan
+        u = VelocityField(GridField(grids[0]), GridField(grids[1]), 0.5)
+        assert math.isnan(cfl_dt(u, 8, 0.4))
 
     def test_safety_validated(self):
         zero = GridField(np.zeros((8, 8)))
@@ -267,6 +339,32 @@ class TestRun:
                               diag_every=2, spectral_filter=True,
                               preserve_degeneracy=True), om)
         assert max(d.degeneracy for d in res.diagnostics) < 1e-11
+
+    def test_filter_lowers_l2_norm(self):
+        # the Hou-Li mask damps the top modes: final L2 2.826187 filtered,
+        # 2.826351 unfiltered (delta=0.25 plateau, t=0.2)
+        om = build_omega0(InitialDataSpec(delta=0.25, n_modes=64, n_grid=144))
+        l2 = {}
+        for filtered in (False, True):
+            res = run(make_config(n_modes=64, n_grid=144, t_final=0.2,
+                                  spectral_filter=filtered), om)
+            assert res.halt_reason == "horizon"
+            l2[filtered] = res.diagnostics[-1].l2_norm
+        assert l2[True] < l2[False]
+        assert l2[False] == pytest.approx(res.diagnostics[0].l2_norm, rel=1e-9)
+
+    def test_one_step_rk4_call_per_step(self, monkeypatch):
+        calls = []
+
+        def counting_step(state, dt):
+            calls.append(dt)
+            return step_rk4(state, dt)
+
+        monkeypatch.setattr(evolution, "step_rk4", counting_step)
+        res = run(make_config(t_final=0.1, n_modes=8, n_grid=16),
+                  SineField.from_modes({(1, 1): 1.0, (2, 1): 0.3}, 8))
+        assert res.state.step_count > 1
+        assert len(calls) == res.state.step_count
 
     def test_nan_halt_with_dump(self, tmp_path):
         wild = SineField(np.full((16, 16), 1e200))

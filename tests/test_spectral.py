@@ -1,9 +1,13 @@
 """Sine-basis transforms, derivatives, velocity law, and norms."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from msqglab.spectral import (
+    _eval_cos_axis, _eval_sin_axis, _max_abs,
     GridField, MixedParityField, SineField, evaluate_grid, evaluate_offgrid, forward_transform,
     fractional_inverse_laplacian, grid_coordinates, grid_max_abs, hessian_sup_norm,
     inverse_transform, l2_norm, spectral_derivative, velocity_coefficients,
@@ -104,6 +108,21 @@ class TestStackedEvaluation:
             np.testing.assert_allclose(stacked[k], direct, rtol=0, atol=1e-12)
         interior = evaluate_grid(coeffs, parity, n_grid, interior=True)
         np.testing.assert_array_equal(interior, stacked[:, 1:, 1:])
+
+    @pytest.mark.parametrize("helper", [_eval_sin_axis, _eval_cos_axis])
+    @pytest.mark.parametrize("axis", [-2, -1])
+    @pytest.mark.parametrize("interior", [False, True])
+    def test_axis_transform_in_place_in_given_buffer(self, helper, axis, interior):
+        rng = np.random.default_rng(10)
+        coeffs = rng.normal(size=(2, 9, 9))
+        n_grid = 27
+        expect = helper(coeffs, n_grid, axis=axis, interior=interior)
+        shape = [2, 9, 9]
+        shape[axis] = n_grid + 3             # longer than any output, with stale contents
+        buf = np.full(shape, np.nan)
+        got = helper(coeffs, n_grid, axis=axis, interior=interior, buf=buf)
+        assert np.shares_memory(got, buf)
+        np.testing.assert_array_equal(got, expect)
 
     def test_invalid_parity(self):
         with pytest.raises(ValueError, match="parity"):
@@ -309,6 +328,65 @@ class TestSnapshots:
             read_snapshot(path)
 
 
+    @pytest.mark.parametrize("header", [
+        {"N_g": 8, "alpha": 0.5, "time": 0.0},
+        {"N": 4, "alpha": 0.5, "time": 0.0},
+        {"N": 4, "N_g": 8, "time": 0.0},
+        {"N": 4, "N_g": 8, "alpha": 0.5},
+        [4, 8, 0.5, 0.0],
+    ])
+    def test_incomplete_header_rejected(self, tmp_path, header):
+        from msqglab.snapshots import read_snapshot
+
+        path = tmp_path / "f.msqg"
+        path.write_bytes((json.dumps(header) + "\n").encode("ascii") + bytes(8 * 16))
+        with pytest.raises(ValueError, match="header"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("n", [0, -2, 4.0, "4", None, True])
+    def test_bad_mode_count_rejected(self, tmp_path, n):
+        from msqglab.snapshots import read_snapshot
+
+        path = tmp_path / "f.msqg"
+        header = {"N": n, "N_g": 8, "alpha": 0.5, "time": 0.0}
+        path.write_bytes((json.dumps(header) + "\n").encode("ascii") + bytes(8 * 16))
+        with pytest.raises(ValueError, match="positive integer"):
+            read_snapshot(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        from msqglab.snapshots import read_snapshot, write_snapshot
+
+        path = tmp_path / "f.msqg"
+        write_snapshot(path, SineField.zeros(4), 8, 0.5, 0.0)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="after"):
+            read_snapshot(path)
+
+
 def test_grid_max_abs():
     om = SineField.from_modes({(1, 1): 2.5}, 4)
     assert grid_max_abs(om, 16) == pytest.approx(2.5, rel=1e-12)
+
+
+def test_max_abs_matches_abs_max():
+    rng = np.random.default_rng(9)
+    for v in (rng.normal(size=(7, 9)), -np.abs(rng.normal(size=(5, 5))), np.zeros((3, 3)),
+              -np.zeros((3, 3)), rng.normal(size=(6, 8))[:, 1:5]):
+        got = _max_abs(v)
+        assert got == np.abs(v).max() and math.copysign(1.0, got) == 1.0
+
+
+@pytest.fixture
+def overflowing_field():
+    # finite coefficients whose grid sums overflow: inf - inf gives NaN
+    return SineField(np.full((4, 4), 1e308))
+
+
+def test_grid_max_abs_keeps_nan(overflowing_field):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(grid_max_abs(overflowing_field, 8))
+
+
+def test_hessian_sup_norm_keeps_nan(overflowing_field):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(hessian_sup_norm(overflowing_field, 8))
