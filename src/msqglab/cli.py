@@ -1,11 +1,12 @@
 """Command-line orchestration: make-data, simulate, verify, trace.
 
 Configuration comes from defaults, overridden by an INI-style config file
-(flat key = value under a [run] section), overridden by command-line
-flags.  Every run writes a manifest.json listing all emitted files with
-sha256 hashes (written last).  Exit codes: 0 ok, 1 assertion/halt
-failure, 2 usage or validation error.  MSQGLAB_THREADS bounds FFT worker
-threads.
+(flat key = value under a [run] section; keys are the names in DEFAULTS,
+matched case-insensitively, and any other key is a usage error), overridden
+by command-line flags.  Every run writes a manifest.json listing all
+emitted files with sha256 hashes (written last).  Exit codes: 0 ok, 1
+assertion/halt failure, 2 usage or validation error.  MSQGLAB_THREADS
+bounds FFT worker threads.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ DEFAULTS = {
     "Ng": 512,
     "dt": 0.0,          # 0 -> CFL policy
     "T": 10.0,
-    "seed": 0,
     "which": "all",
     "out": "msqglab_out",
     "blend_order": 4,
@@ -59,8 +59,10 @@ DEFAULTS = {
 
 _FLOAT_KEYS = {"alpha", "delta", "L", "beta", "dt", "T", "safety",
                "growth_threshold_factor"}
-_INT_KEYS = {"N", "Ng", "seed", "blend_order", "image_radius", "diag_every",
+_INT_KEYS = {"N", "Ng", "blend_order", "image_radius", "diag_every",
              "snapshot_every"}
+# configparser lowercases keys; map them back to their DEFAULTS names
+_CONFIG_KEYS = {key.lower(): key for key in DEFAULTS}
 
 
 class UsageError(Exception):
@@ -78,12 +80,16 @@ def _load_config_file(path: str) -> dict:
             merged.setdefault(key, val)
     out = {}
     for key, val in merged.items():
-        if key in _FLOAT_KEYS:
-            out[key] = float(val)
-        elif key in _INT_KEYS:
-            out[key] = int(val)
+        name = _CONFIG_KEYS.get(key)
+        if name is None:
+            raise UsageError(f"unknown key {key!r} in config file {path!r}; "
+                             f"known keys: {', '.join(DEFAULTS)}")
+        if name in _FLOAT_KEYS:
+            out[name] = float(val)
+        elif name in _INT_KEYS:
+            out[name] = int(val)
         else:
-            out[key] = val
+            out[name] = val
     return out
 
 
@@ -169,7 +175,7 @@ def cmd_simulate(args) -> int:
         dt_policy=dt_policy, dt=cfg["dt"] or 1e-3, cfl_safety=cfg["safety"],
         delta=cfg["delta"], L=cfg["L"], beta=cfg["beta"],
         diag_every=cfg["diag_every"], snapshot_every=cfg["snapshot_every"],
-        out_dir=str(out), seed=cfg["seed"])
+        out_dir=str(out))
     omega0 = None
     if getattr(args, "initial", None):
         omega0, header = read_snapshot(args.initial)
@@ -356,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, help="fixed step; omit/0 for CFL policy")
         p.add_argument("--T", type=float, help="time horizon")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
 
     p = sub.add_parser("make-data", help="build and check the initial vorticity")
     common(p)

@@ -46,7 +46,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import __version__
-from .initial_data import InitialDataSpec, build_omega0, check_degeneracy
+from .initial_data import InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy
 from .snapshots import write_snapshot
 from .spectral import (SineField, VelocityField, _check_finite, _eval_cos_axis, _eval_sin_axis,
                        _laplacian_power, _max_abs, dealias_grid, get_workers, grid_max_abs,
@@ -74,7 +74,6 @@ class ExperimentConfig:
     diag_every: int = 5
     snapshot_every: int = 10
     out_dir: str | None = None
-    seed: int = 0
     spectral_filter: bool = False
     preserve_degeneracy: bool = True
     # halt when grid omega-max grows faster than this per step; a heuristic
@@ -132,17 +131,6 @@ class RunResult:
     gamma_r2: float | None = None
     notes: list = field(default_factory=list)
     paths: dict = field(default_factory=dict)
-
-
-def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -> None:
-    """Project each column, in place, onto sum_m m a[m,n] = 0 (d_x1 omega = 0 at x1 = 0).
-
-    scratch, if given, is an array shaped like coeffs that receives the correction.
-    """
-    m = np.arange(1, coeffs.shape[0] + 1, dtype=np.float64)
-    corr = np.outer(m, m @ coeffs, out=scratch)
-    corr /= float(np.sum(m * m))
-    coeffs -= corr
 
 
 class _Rhs:

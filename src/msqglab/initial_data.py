@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import comb
 
-from .spectral import (GridField, MixedParityField, SineField, forward_transform,
-                       grid_coordinates)
+from .spectral import (GridField, SineField, _max_abs, evaluate_grid, forward_transform,
+                       grid_coordinates, spectral_derivative)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction"]
@@ -102,17 +102,18 @@ def _axis_profile(t: np.ndarray, delta: float, patch: float, order: int,
     return np.where(t > np.pi - delta, fall, out)
 
 
-def _project_degenerate(field: SineField) -> SineField:
-    """Exactly zero the x1-derivative on the x2-axis.
+def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """Project each column, in place, onto sum_m m a[m,n] = 0 (d_x1 omega = 0 at x1 = 0).
 
-    d1 f(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2); remove the component of
-    each coefficient column along the mode-number vector.
+    d1 f(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2), so this removes the
+    component of each coefficient column along the mode-number vector.
+    scratch, if given, is an array shaped like coeffs that receives the
+    correction.
     """
-    c = field.coeffs.copy()
-    m = np.arange(1, c.shape[0] + 1, dtype=np.float64)
-    w = m @ c                       # per-column axis derivative coefficients
-    c -= np.outer(m, w) / np.sum(m * m)
-    return SineField(c)
+    m = np.arange(1, coeffs.shape[0] + 1, dtype=np.float64)
+    corr = np.outer(m, m @ coeffs, out=scratch)
+    corr /= float(np.sum(m * m))
+    coeffs -= corr
 
 
 def build_omega0(spec: InitialDataSpec) -> SineField:
@@ -120,8 +121,9 @@ def build_omega0(spec: InitialDataSpec) -> SineField:
     x = grid_coordinates(spec.n_grid)
     u = _axis_profile(x, spec.delta, spec.patch, spec.blend_order, 3)
     v = _axis_profile(x, spec.delta, spec.patch, spec.blend_order, 1)
-    grid = GridField(np.outer(u, v))
-    return _project_degenerate(forward_transform(grid, spec.n_modes))
+    coeffs = forward_transform(GridField(np.outer(u, v)), spec.n_modes).coeffs
+    _project_degeneracy(coeffs)
+    return SineField(coeffs)
 
 
 def check_degeneracy(omega: SineField, n_samples: int = 2048) -> float:
@@ -134,13 +136,9 @@ def check_degeneracy(omega: SineField, n_samples: int = 2048) -> float:
 
 
 def gradient_sup_norm(omega: SineField, n_grid: int) -> float:
-    """Max over grid points of max(|d1 omega|, |d2 omega|)."""
-    n = omega.n_modes
-    modes = np.arange(1, n + 1, dtype=np.float64)
-    d1 = MixedParityField(omega.coeffs * modes[:, None], ("cos", "sin"))
-    d2 = MixedParityField(omega.coeffs * modes[None, :], ("sin", "cos"))
-    return max(float(np.abs(d1.evaluate(n_grid).values).max()),
-               float(np.abs(d2.evaluate(n_grid).values).max()))
+    """Max over grid points of max(|d1 omega|, |d2 omega|); NaN if either holds one."""
+    derivs = (spectral_derivative(omega, axis, 1) for axis in (1, 2))
+    return float(np.max([_max_abs(evaluate_grid(d.coeffs, d.parity, n_grid)) for d in derivs]))
 
 
 def plateau_deficit_fraction(omega: SineField, n_grid: int, tol: float = 1e-3) -> float:

@@ -18,22 +18,22 @@ Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
     medium(L): [0, pi)^2 minus the near square, covered by dyadic frames so
                the inner scale is always resolved (each frame is split into
                three rectangles whose node multiset is swap-symmetric)
-    far:       periodic image cells [0, R*pi)^2 minus the central cell, with
-               optional Richardson tail extrapolation from the partial sum
-               at R//2 (tail is O(R^-2a); needs R >= 2)
+    far:       periodic image cells [0, R*pi)^2 minus the central cell (the
+               neglected tail is O(R^-2a))
     full:      central cell + far
 
 One private helper, _kernel_parts, writes the four-term formula: every
 region sum and kernel_K1/kernel_K2 call it, and it takes each of the four
-inverse powers once per node.  A medium frame samples omega once per axis
-interval, as two sine matrices, and its three rectangles share them; the
-image cells reuse one sample grid of the central cell, flipped by parity.
+inverse powers once per node.  Omega is sampled on tensor grids as
+(S1 @ c) @ S2.T from sine matrices S; a medium frame builds its two sine
+matrices once for its three rectangles, and the image cells reuse one
+sample grid of the central cell, flipped by parity.
 
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
-otherwise) is handled on the rectangle containing x: nodes within pv_radius
-are either excluded symmetrically (disk or square) or, by default, the
-singular first term is Taylor-subtracted there and its disk integral against
-the linearization of omega added back in closed form.
+otherwise) is handled on the rectangle containing x: the singular first
+term is Taylor-subtracted there and its integral against the linearization
+of omega added back in closed form.  The linearization takes omega(x) and
+grad omega(x) from the spectral point evaluation.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .spectral import SineField
+from .spectral import SineField, evaluate_offgrid, spectral_derivative
 
 __all__ = [
     "KernelParams",
@@ -54,34 +54,26 @@ __all__ = [
     "kernel_K2",
     "asymptotic_K",
     "relative_kernel_error",
-    "velocity_quadrature",
     "QuadratureOracle",
     "fit_calibration",
     "CalibrationResult",
     "riesz_velocity_prefactor",
 ]
 
-_PV_MODES = ("subtract", "exclude_disk", "exclude_square")
-
 
 @dataclass(frozen=True)
 class KernelParams:
     """Quadrature controls for the kernel oracle.
 
-    pv_mode selects the principal-value realization at y = x: "subtract"
-    (default; linearization subtracted and reintegrated exactly, accurate)
-    or symmetric node exclusion on a disk/square of radius pv_radius_cells
-    local cells (kept <= 8 so the patch stays local; biased by
-    O(rho^(2-2alpha)), reported for sensitivity).  image_radius is the
-    number of periodic image cells summed per direction; the neglected
-    tail is O(image_radius^-2alpha), which converges since alpha > 0.
+    image_radius is the number of periodic image cells summed per
+    direction; the neglected tail is O(image_radius^-2alpha), which
+    converges since alpha > 0.  cells_central, cells_panel and cells_far
+    are the midpoint cells per axis of the central cell, of a near square
+    or medium frame, and of each image cell.
     """
 
     alpha: float
-    pv_radius_cells: float = 2.0
     image_radius: int = 8
-    pv_mode: str = "subtract"
-    tail_extrapolate: bool = False
     cells_central: int = 256
     cells_panel: int = 128
     cells_far: int = 64
@@ -89,15 +81,8 @@ class KernelParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"kernel alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 < self.pv_radius_cells <= 8.0:
-            raise ValueError("pv_radius_cells must be in (0, 8]")
         if self.image_radius < 1:
             raise ValueError("image_radius must be >= 1")
-        if self.tail_extrapolate and self.image_radius < 2:
-            raise ValueError("tail_extrapolate needs image_radius >= 2: it extrapolates "
-                             "from the partial sum at image_radius // 2")
-        if self.pv_mode not in _PV_MODES:
-            raise ValueError(f"pv_mode must be one of {_PV_MODES}")
         for name in ("cells_central", "cells_panel", "cells_far"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be >= 8")
@@ -225,30 +210,15 @@ def riesz_velocity_prefactor(alpha: float) -> float:
     return float(2.0 * _gamma(1.0 + alpha) / (4.0 ** (1.0 - alpha) * np.pi * _gamma(1.0 - alpha)))
 
 
-class _FieldSampler:
-    """Evaluates a SineField and its gradient at arbitrary coordinates."""
+def _sines(y: np.ndarray, n_modes: int) -> np.ndarray:
+    """Sine matrix sin(m y), one row per coordinate, m = 1..n_modes."""
+    return np.sin(np.outer(y, np.arange(1, n_modes + 1, dtype=np.float64)))
 
-    def __init__(self, omega: SineField):
-        self.coeffs = omega.coeffs
-        self.modes = np.arange(1, omega.n_modes + 1, dtype=np.float64)
 
-    def values(self, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Tensor-grid values, shape (len(y1), len(y2))."""
-        s1 = np.sin(np.outer(y1, self.modes))
-        s2 = np.sin(np.outer(y2, self.modes))
-        return s1 @ self.coeffs @ s2.T
-
-    def value(self, x) -> float:
-        return float(self.values(np.array([x[0]]), np.array([x[1]]))[0, 0])
-
-    def grad(self, x):
-        c1 = np.cos(self.modes * x[0])
-        s1 = np.sin(self.modes * x[0])
-        c2 = np.cos(self.modes * x[1])
-        s2 = np.sin(self.modes * x[1])
-        d1 = (self.modes * c1) @ self.coeffs @ s2
-        d2 = s1 @ self.coeffs @ (self.modes * c2)
-        return float(d1), float(d2)
+def _tensor_samples(coeffs: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
+    """The sine series on the tensor grid y1 x y2, shape (len(y1), len(y2))."""
+    n = coeffs.shape[0]
+    return _sines(y1, n) @ coeffs @ _sines(y2, n).T
 
 
 def _midpoints(a: float, b: float, n: int):
@@ -303,32 +273,41 @@ class QuadratureOracle:
     """Kernel-quadrature velocity for one vorticity field.
 
     Caches the central-cell and image-cell sample grids, so sweeps over many
-    evaluation points reuse the omega sampling; each medium frame builds its
-    two sine matrices and their products with the coefficients once, for
-    all three of its rectangles.  All reductions are plain numpy sums
+    evaluation points reuse the omega sampling, and the two gradient fields
+    of the principal-value linearization; each medium frame builds its two
+    sine matrices and their products with the coefficients once, for all
+    three of its rectangles.  All reductions are plain numpy sums
     (pairwise, deterministic for a fixed partition).
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
         self.omega = omega
         self.params = params
-        self._sampler = _FieldSampler(omega)
         self._central_cache = None
         self._far_cache = None
+        self._grad_cache = None
 
     # -- omega sampling -------------------------------------------------
 
     def _central_nodes(self):
         if self._central_cache is None:
             y, h = _midpoints(0.0, np.pi, self.params.cells_central)
-            self._central_cache = (y, h, self._sampler.values(y, y))
+            self._central_cache = (y, h, _tensor_samples(self.omega.coeffs, y, y))
         return self._central_cache
 
     def _far_base(self):
         if self._far_cache is None:
             t, h = _midpoints(0.0, np.pi, self.params.cells_far)
-            self._far_cache = (t, h, self._sampler.values(t, t))
+            self._far_cache = (t, h, _tensor_samples(self.omega.coeffs, t, t))
         return self._far_cache
+
+    def _linearization(self, x):
+        """omega(x) and grad omega(x); the gradient fields are built once."""
+        if self._grad_cache is None:
+            self._grad_cache = (spectral_derivative(self.omega, 1, 1),
+                                spectral_derivative(self.omega, 2, 1))
+        d1, d2 = self._grad_cache
+        return evaluate_offgrid(self.omega, x), d1.evaluate_at(x), d2.evaluate_at(x)
 
     # -- singular rectangle sum ------------------------------------------
 
@@ -336,14 +315,14 @@ class QuadratureOracle:
         """Midpoint sum of (K1*w, K2*w) over rect = (a1, b1, a2, b2).
 
         If pv is set (x strictly inside the rectangle), the singular first
-        term gets the principal-value treatment configured in params.
+        term gets the principal-value treatment.
         """
         a1, b1, a2, b2 = rect
         alpha = self.params.alpha
         if y1 is None:
             y1, h1 = _midpoints(a1, b1, n1)
             y2, h2 = _midpoints(a2, b2, n2)
-            w = self._sampler.values(y1, y2)
+            w = _tensor_samples(self.omega.coeffs, y1, y2)
         else:
             h1 = (b1 - a1) / n1
             h2 = (b2 - a2) / n2
@@ -356,39 +335,21 @@ class QuadratureOracle:
         if not pv:
             return float(np.sum((s1 + i1) * w)) * area, float(np.sum((s2 + i2) * w)) * area
 
-        if self.params.pv_mode == "subtract":
-            # Subtract the linearization of omega from the singular term over
-            # the whole rectangle and add its integral back semi-analytically.
-            # The sampled residual (omega - P) * S is integrable and its
-            # midpoint sum converges; a patch that scales with the cell size
-            # would leave a resolution-independent ring error instead.
-            g1, g2 = self._sampler.grad(x)
-            w0 = self._sampler.value(x)
-            taylor = w0 + g1 * (yy1 - x1) + g2 * (yy2 - x2)
-            u1_sum = float(np.sum(i1 * w)) * area
-            u2_sum = float(np.sum(i2 * w)) * area
-            # the node at y = x (if any) has S = 0; its true residual
-            # contribution is the integrable O(h^(3-2alpha)) cell
-            u1_sum += float(np.sum(s1 * (w - taylor))) * area
-            u2_sum += float(np.sum(s2 * (w - taylor))) * area
-            pv1, pv2 = _linear_pv_integrals((x1, x2), rect, alpha, w0, g1, g2)
-            u1_sum += pv1
-            u2_sum += pv2
-        else:
-            # symmetric exclusion of all nodes within pv_radius of x; the PV
-            # limit is realized as the symmetric-exclusion limit, at the cost
-            # of an O(rho^(2-2alpha) * grad omega) bias
-            h = max(h1, h2)
-            edge = min(x1 - a1, b1 - x1, x2 - a2, b2 - x2)
-            rho = min(self.params.pv_radius_cells * h, 0.9 * edge)
-            if self.params.pv_mode == "exclude_square":
-                mask = np.maximum(np.abs(yy1 - x1), np.abs(yy2 - x2)) < rho
-            else:
-                mask = (yy1 - x1) ** 2 + (yy2 - x2) ** 2 < rho**2
-            wk = np.where(mask, 0.0, w)
-            u1_sum = float(np.sum((s1 + i1) * wk)) * area
-            u2_sum = float(np.sum((s2 + i2) * wk)) * area
-        return u1_sum, u2_sum
+        # Subtract the linearization of omega from the singular term over
+        # the whole rectangle and add its integral back semi-analytically.
+        # The sampled residual (omega - P) * S is integrable and its
+        # midpoint sum converges; a patch that scales with the cell size
+        # would leave a resolution-independent ring error instead.
+        w0, g1, g2 = self._linearization((x1, x2))
+        taylor = w0 + g1 * (yy1 - x1) + g2 * (yy2 - x2)
+        u1_sum = float(np.sum(i1 * w)) * area
+        u2_sum = float(np.sum(i2 * w)) * area
+        # the node at y = x (if any) has S = 0; its true residual
+        # contribution is the integrable O(h^(3-2alpha)) cell
+        u1_sum += float(np.sum(s1 * (w - taylor))) * area
+        u2_sum += float(np.sum(s2 * (w - taylor))) * area
+        pv1, pv2 = _linear_pv_integrals((x1, x2), rect, alpha, w0, g1, g2)
+        return u1_sum + pv1, u2_sum + pv2
 
     # -- regions ----------------------------------------------------------
 
@@ -420,15 +381,16 @@ class QuadratureOracle:
         if L * float(np.hypot(x[0], x[1])) > 1.0:
             warnings.warn(f"L|x| = {s:.3g} > 1: medium-field scaling assumptions degrade")
         npanel = self.params.cells_panel
-        modes, coeffs = self._sampler.modes, self._sampler.coeffs
+        coeffs = self.omega.coeffs
+        n = coeffs.shape[0]
         u1 = u2 = 0.0
         for lo, hi in self._medium_frames(s):
             na = max(8, int(round(npanel * (hi - lo) / hi)))
             nb = max(8, int(round(npanel * lo / hi)))
             ya, _ = _midpoints(lo, hi, na)
             yb, _ = _midpoints(0.0, lo, nb)
-            sa = np.sin(np.outer(ya, modes))
-            sb = np.sin(np.outer(yb, modes))
+            sa = _sines(ya, n)
+            sb = _sines(yb, n)
             ca = sa @ coeffs
             cb = sb @ coeffs
             # [lo,hi] x [0,lo], its swap image, and the swap-invariant corner;
@@ -450,8 +412,6 @@ class QuadratureOracle:
         p = 1.0 + self.params.alpha
         x1, x2 = float(x[0]), float(x[1])
         u1 = u2 = 0.0
-        u1_half = u2_half = 0.0
-        r_half = R // 2
         # one cell per array: a cells_far^2 block stays below glibc's mmap
         # threshold, while wider batches pay fresh pages for every temporary
         for pcell in range(R):
@@ -465,18 +425,8 @@ class QuadratureOracle:
                 sgn = sgn1 * (-1.0 if qcell % 2 else 1.0)
                 yy2 = (qcell * np.pi + t)[None, :]
                 (s1, s2), (i1, i2) = _kernel_parts(x1, x2, yy1, yy2, p)
-                du1 = sgn * float(np.sum((s1 + i1) * w)) * area
-                du2 = sgn * float(np.sum((s2 + i2) * w)) * area
-                u1 += du1
-                u2 += du2
-                if pcell < r_half and qcell < r_half:
-                    u1_half += du1
-                    u2_half += du2
-        if self.params.tail_extrapolate:
-            # Richardson on the O(R^-2a) tail, from the partial sum at R//2
-            fac = 1.0 / ((R / r_half) ** (2.0 * self.params.alpha) - 1.0)
-            u1 += (u1 - u1_half) * fac
-            u2 += (u2 - u2_half) * fac
+                u1 += sgn * float(np.sum((s1 + i1) * w)) * area
+                u2 += sgn * float(np.sum((s2 + i2) * w)) * area
         return u1, u2
 
     def _central(self, x):
@@ -505,11 +455,6 @@ class QuadratureOracle:
         c1, c2 = self._central(x)
         f1, f2 = self._far(x)
         return c1 + f1, c2 + f2
-
-
-def velocity_quadrature(omega: SineField, x, params: KernelParams, region: RegionSpec):
-    """One-shot region quadrature; use QuadratureOracle for sweeps."""
-    return QuadratureOracle(omega, params).velocity(x, region)
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,7 @@ def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int, interior: bool = 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
 _AXIS_EVAL = {"sin": _eval_sin_axis, "cos": _eval_cos_axis}
+_TRIG = {"sin": np.sin, "cos": np.cos}
 
 
 def evaluate_grid(coeffs: np.ndarray, parity: tuple, n_grid: int,
@@ -242,17 +243,17 @@ class MixedParityField:
         return GridField(evaluate_grid(self.coeffs, self.parity, n_grid))
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary points, shape (..., 2), by direct summation."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = self.coeffs.shape[0]
-        modes = np.arange(1, n + 1)
-        fn = {"sin": np.sin, "cos": np.cos}
-        b1 = fn[self.parity[0]](np.outer(pts[:, 0], modes))
-        b2 = fn[self.parity[1]](np.outer(pts[:, 1], modes))
-        vals = np.einsum("pm,mn,pn->p", b1, self.coeffs, b2)
-        if np.asarray(points).ndim == 1:
-            return float(vals[0])
-        return vals
+        """Evaluate at arbitrary points, shape (..., 2), by direct summation.
+
+        Returns a float for a single point, else an array of shape (...).
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        flat = pts.reshape(-1, 2)
+        modes = np.arange(1, self.coeffs.shape[0] + 1, dtype=np.float64)
+        b1 = _TRIG[self.parity[0]](flat[:, :1] * modes)
+        b2 = _TRIG[self.parity[1]](flat[:, 1:] * modes)
+        vals = ((b1 @ self.coeffs) * b2).sum(-1)
+        return float(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
 
 
 @dataclass(frozen=True)

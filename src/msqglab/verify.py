@@ -255,7 +255,7 @@ def verify_far_field(omega: SineField, alpha: float, magnitudes,
         n_grid = 2 * omega.n_modes
     omega_sup = grid_max_abs(omega, n_grid)
     oracle = QuadratureOracle(omega, params)
-    big = replace(params, image_radius=2 * params.image_radius, tail_extrapolate=False)
+    big = replace(params, image_radius=2 * params.image_radius)
     oracle_big = QuadratureOracle(omega, big)
     rows = []
     notes = []

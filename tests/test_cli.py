@@ -1,0 +1,146 @@
+"""Command line: config files, exit codes, manifests and a pinned small pipeline."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from msqglab import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# N, Ng and image_radius come from the config file, so the pipeline also
+# checks that its capitalised keys take effect
+SMALL_CONFIG = "[run]\nN = 32\nNg = 64\nimage_radius = 2\n"
+
+# sha256 of the outputs of the pipeline below, single-threaded, produced with
+# numpy 2.4.6 and scipy 1.17.1 on x86-64.  Any change to these bytes must be
+# explained; a new numpy or scipy may move the last bits of a value.
+GOLDEN = {
+    "run/diagnostics.csv": "56a01b0694a4befb26d9d7bac8324d820850bef71c19e9fa756185389e960baa",
+    "ver/report_kernel_asymptotics.json":
+        "5716ad149372f8228599261562de4254b5e607a63bdc7da7b42909a8e5771679",
+    "ver/report_near_field.json": "bc646ee57323b4502923ff34dd72ea856b4f77a319b016f071ef1bbe7ce29ba7",
+    "ver/report_medium_ratio.json":
+        "bffaf263699d67f088484807664e30017a81acdda4457d2aa084a62a1693088d",
+    "ver/report_far_field.json": "4fd877a3f94282f2db5382fd200feef0048a99183c8fb4725292570f2a8d95a6",
+    "ver/report_background.json": "7b533df1c263abdf8082486ee58006ba90c9935ecb681732b65b70ca8a774b11",
+    "ver/report_decomposition.json":
+        "b649d3167e2c4725286042a85b913e33644c64b7fa214617c9845d9387392095",
+    "ver/verify_summary.csv": "643cf0e88cfd438912f7e9b94618a1b8a2dd4d43be54bade5580c3d9e1648339",
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_cli(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, MSQGLAB_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "msqglab.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """make-data -> simulate -> trace, and verify --which all, at N=32/Ng=64."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "small.ini").write_text(SMALL_CONFIG)
+    steps = {
+        "make-data": ("make-data", "--config", "small.ini", "--out", "md"),
+        "simulate": ("simulate", "--config", "small.ini", "--T", "0.2", "--out", "run"),
+        "trace": ("trace", "--config", "small.ini", "--run-dir", "run", "--monitor-L", "8",
+                  "--out", "tr"),
+        "verify": ("verify", "--config", "small.ini", "--which", "all", "--out", "ver"),
+    }
+    results = {name: _run_cli(root, *args) for name, args in steps.items()}
+    return root, results
+
+
+class TestPipeline:
+    def test_exit_codes(self, pipeline):
+        _, res = pipeline
+        assert res["simulate"].returncode == 0, res["simulate"].stderr
+        assert res["trace"].returncode == 0, res["trace"].stderr
+        # at Ng=64 the plateau is under-resolved and make-data's checks fail
+        assert res["make-data"].returncode == 1, res["make-data"].stderr
+        assert "checks FAIL" in res["make-data"].stdout
+
+    def test_outputs_written(self, pipeline):
+        root, _ = pipeline
+        assert (root / "md" / "omega0.msqg").is_file()
+        assert sorted(p.name for p in (root / "run").glob("snap_*.msqg")) == [
+            "snap_0000000.msqg", "snap_0000010.msqg", "snap_0000019.msqg"]
+        summary = json.loads((root / "tr" / "trace_summary.json").read_text())
+        assert summary["halted"] is False
+        assert (root / "tr" / "trajectory.csv").read_text().startswith("time,x1,x2,u1,u2,r\n")
+
+    def test_config_file_sizes_used(self, pipeline):
+        root, _ = pipeline
+        cfg = json.loads((root / "run" / "manifest.json").read_text())["config"]
+        assert (cfg["N"], cfg["Ng"], cfg["image_radius"]) == (32, 64, 2)
+        assert json.loads((root / "run" / "metadata.json").read_text())["config"]["n_modes"] == 32
+
+    @pytest.mark.parametrize("out", ["md", "run", "tr", "ver"])
+    def test_manifest_hashes_match_files(self, pipeline, out):
+        root, _ = pipeline
+        manifest = json.loads((root / out / "manifest.json").read_text())
+        listed = {entry["path"] for entry in manifest["files"]}
+        on_disk = {p.name for p in (root / out).iterdir() if p.name != "manifest.json"}
+        assert listed == on_disk
+        for entry in manifest["files"]:
+            path = root / out / entry["path"]
+            assert entry["sha256"] == _sha256(path), entry["path"]
+            assert entry["bytes"] == path.stat().st_size
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_outputs(self, pipeline, name):
+        root, _ = pipeline
+        assert _sha256(root / name) == GOLDEN[name]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("flag", ["--seed", "--bogus"])
+    def test_unknown_flag(self, tmp_path, capsys, flag):
+        assert cli.main(["simulate", flag, "3", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+
+    def test_bad_which(self, tmp_path, capsys):
+        assert cli.main(["verify", "--which", "everything", "--out", str(tmp_path)]) == \
+            cli.EXIT_USAGE
+
+    def test_run_dir_without_snapshots(self, tmp_path, capsys):
+        rc = cli.main(["trace", "--run-dir", str(tmp_path), "--out", str(tmp_path / "tr")])
+        assert rc == cli.EXIT_USAGE
+        assert "no snapshots" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    def _settings(self, tmp_path, text):
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        return cli._settings(cli.build_parser().parse_args(["make-data", "--config", str(path)]))
+
+    def test_keys_match_case_insensitively(self, tmp_path):
+        cfg = self._settings(tmp_path, "[run]\nN = 16\nng = 40\nT = 0.5\nl = 4\nalpha = 0.3\n")
+        assert (cfg["N"], cfg["Ng"], cfg["T"], cfg["L"], cfg["alpha"]) == (16, 40, 0.5, 4.0, 0.3)
+        assert not {"n", "ng", "t", "l"} & set(cfg)
+
+    def test_flags_override_file(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\nN = 16\n")
+        args = cli.build_parser().parse_args(["make-data", "--config", str(path), "--N", "8"])
+        assert cli._settings(args)["N"] == 8
+
+    @pytest.mark.parametrize("line", ["sede = 4", "seed = 0"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, line):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[run]\n{line}\n")
+        rc = cli.main(["make-data", "--config", str(path), "--out", str(tmp_path / "md")])
+        assert rc == cli.EXIT_USAGE
+        assert "unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "md").exists()

@@ -1,12 +1,14 @@
 """Plateau initial data: construction, degeneracy, range, decay."""
 
+import math
+
 import numpy as np
 import pytest
 
 from msqglab.initial_data import (InitialDataSpec, build_omega0, check_degeneracy,
                                   gradient_sup_norm, plateau_deficit_fraction,
                                   smoothstep)
-from msqglab.spectral import SineField, evaluate_offgrid, inverse_transform
+from msqglab.spectral import MixedParityField, SineField, evaluate_offgrid, inverse_transform
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +124,29 @@ class TestCheckDegeneracy:
 
     def test_construction_tolerance(self, omega_quarter):
         assert check_degeneracy(omega_quarter) < 1e-12
+
+
+class TestGradientSupNorm:
+    @staticmethod
+    def _abs_max_of_each(omega, n_grid):
+        """Both derivative grids formed from the mode factors, reduced by np.abs(.).max()."""
+        m = np.arange(1, omega.n_modes + 1, dtype=np.float64)
+        d1 = MixedParityField(omega.coeffs * m[:, None], ("cos", "sin")).evaluate(n_grid)
+        d2 = MixedParityField(omega.coeffs * m[None, :], ("sin", "cos")).evaluate(n_grid)
+        return float(np.abs(d1.values).max()), float(np.abs(d2.values).max())
+
+    def test_equals_abs_max_bit_for_bit(self, omega_quarter):
+        rng = np.random.default_rng(4)
+        for omega, n_grid in ((omega_quarter, 384), (SineField(rng.standard_normal((9, 9))), 20)):
+            assert gradient_sup_norm(omega, n_grid) == max(self._abs_max_of_each(omega, n_grid))
+
+    def test_nan_in_second_derivative_kept(self):
+        # the d2 coefficients 8 * (+-3e307) overflow to +-inf and their sum
+        # on the grid is NaN, while the d1 grid stays finite
+        c = np.zeros((8, 8))
+        c[0, 7], c[1, 7] = 3e307, -3e307
+        omega = SineField(c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g1, g2 = self._abs_max_of_each(omega, 16)
+            assert math.isfinite(g1) and math.isnan(g2)
+            assert math.isnan(gradient_sup_norm(omega, 16))

@@ -8,7 +8,7 @@ import pytest
 from msqglab.kernels import (
     CalibrationResult, KernelParams, QuadratureOracle, RegionSpec, ReflectedPoint,
     asymptotic_K, fit_calibration, kernel_K1, kernel_K2, relative_kernel_error,
-    riesz_velocity_prefactor, velocity_quadrature)
+    riesz_velocity_prefactor)
 from msqglab.spectral import SineField, evaluate_offgrid, velocity_coefficients
 
 RNG = np.random.default_rng(11)
@@ -115,7 +115,7 @@ def single_mode():
 class TestVelocityQuadrature:
     def test_zero_field(self, single_mode):
         params = KernelParams(alpha=0.5, cells_central=32, cells_far=16, image_radius=2)
-        u = velocity_quadrature(SineField.zeros(4), (0.5, 0.8), params, RegionSpec("full"))
+        u = QuadratureOracle(SineField.zeros(4), params).velocity((0.5, 0.8), RegionSpec("full"))
         assert u == (0.0, 0.0)
 
     def test_region_additivity(self, single_mode):
@@ -170,38 +170,19 @@ class TestCalibration:
         params = KernelParams(alpha=0.5, cells_central=192)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            u1, u2 = velocity_quadrature(om, (0.01, 0.01), params, RegionSpec("full"))
+            u1, u2 = QuadratureOracle(om, params).velocity((0.01, 0.01), RegionSpec("full"))
         assert u1 < 0 and u2 > 0
         u1s, u2s = velocity_coefficients(om, 0.5)
         assert u1s.evaluate_at(np.array([0.01, 0.01])) < 0
         assert u2s.evaluate_at(np.array([0.01, 0.01])) > 0
-
-    def test_pv_mode_sensitivity(self, single_mode, capsys):
-        # exclusion realizations are biased O(rho^(2-2a)); record their
-        # spread against the subtracted reference and check coarse agreement
-        x = (1.1, 0.7)
-        vals = {}
-        for mode in ("subtract", "exclude_disk", "exclude_square"):
-            params = KernelParams(alpha=0.6, pv_mode=mode, cells_central=256,
-                                  cells_far=32, image_radius=4)
-            vals[mode] = np.asarray(velocity_quadrature(
-                single_mode, x, params, RegionSpec("full")))
-        ref = vals["subtract"]
-        for mode in ("exclude_disk", "exclude_square"):
-            rel = np.linalg.norm(vals[mode] - ref) / np.linalg.norm(ref)
-            print(f"{mode}: rel deviation {rel:.3e}")
-            assert rel < 0.2
-            assert np.all(np.sign(vals[mode]) == np.sign(ref))
 
 
 class TestFarField:
     def test_tail_decay_on_doubling(self, single_mode):
         alpha = 0.5
         x = (0.4, 0.9)
-        base = KernelParams(alpha=alpha, image_radius=4, cells_far=48,
-                            tail_extrapolate=False)
-        double = KernelParams(alpha=alpha, image_radius=8, cells_far=48,
-                              tail_extrapolate=False)
+        base = KernelParams(alpha=alpha, image_radius=4, cells_far=48)
+        double = KernelParams(alpha=alpha, image_radius=8, cells_far=48)
         u_r = np.asarray(QuadratureOracle(single_mode, base).velocity(x, RegionSpec("far")))
         u_2r = np.asarray(QuadratureOracle(single_mode, double).velocity(x, RegionSpec("far")))
         omega_sup = 1.0
@@ -214,26 +195,6 @@ class TestFarField:
             KernelParams(alpha=0.0)
         with pytest.raises(ValueError, match="image_radius"):
             KernelParams(alpha=0.5, image_radius=0)
-        with pytest.raises(ValueError, match="pv_mode"):
-            KernelParams(alpha=0.5, pv_mode="ignore")
-        with pytest.raises(ValueError, match="tail_extrapolate"):
-            KernelParams(alpha=0.5, image_radius=1, tail_extrapolate=True)
-
-    @pytest.mark.parametrize("radius", [4, 5])
-    def test_tail_extrapolation_is_richardson_on_half_radius(self, single_mode, radius):
-        # the tail is O(R^-2a): u_inf ~ u(R) + (u(R) - u(r)) / ((R/r)^(2a) - 1), r = R//2
-        alpha = 0.6
-        x = (0.4, 0.9)
-        cfg = dict(alpha=alpha, cells_far=8)
-        far = RegionSpec("far")
-        u_r = np.asarray(QuadratureOracle(single_mode, KernelParams(
-            image_radius=radius, **cfg)).velocity(x, far))
-        u_half = np.asarray(QuadratureOracle(single_mode, KernelParams(
-            image_radius=radius // 2, **cfg)).velocity(x, far))
-        u_ext = np.asarray(QuadratureOracle(single_mode, KernelParams(
-            image_radius=radius, tail_extrapolate=True, **cfg)).velocity(x, far))
-        fac = 1.0 / ((radius / (radius // 2)) ** (2 * alpha) - 1.0)
-        np.testing.assert_allclose(u_ext, u_r + (u_r - u_half) * fac, rtol=1e-13)
 
 
 def _midpoint_nodes(a, b, n):

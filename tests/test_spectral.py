@@ -251,6 +251,15 @@ class TestPointEvaluation:
         assert evaluate_offgrid(f, (np.pi / 4 + 2 * np.pi, np.pi / 4)) == pytest.approx(
             0.5, rel=1e-12)
 
+    def test_point_array_shape_kept(self):
+        rng = np.random.default_rng(8)
+        f = MixedParityField(rng.normal(size=(5, 5)), ("cos", "sin"))
+        pts = rng.uniform(0.0, np.pi, size=(3, 4, 2))
+        vals = f.evaluate_at(pts)
+        assert vals.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert vals[idx] == pytest.approx(f.evaluate_at(pts[idx]), rel=1e-13, abs=1e-15)
+
 
 class TestHessianSupNorm:
     def test_single_mode(self):
@@ -351,6 +360,19 @@ class TestSnapshots:
         header = {"N": n, "N_g": 8, "alpha": 0.5, "time": 0.0}
         path.write_bytes((json.dumps(header) + "\n").encode("ascii") + bytes(8 * 16))
         with pytest.raises(ValueError, match="positive integer"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("header, error", [
+        (b"N=4 N_g=8\n", json.JSONDecodeError),
+        ('{"N": 4, "note": "\u00e9"}\n'.encode(), UnicodeDecodeError),
+    ], ids=["not-json", "not-ascii"])
+    def test_header_not_ascii_json_rejected(self, tmp_path, header, error):
+        from msqglab.snapshots import read_snapshot
+
+        path = tmp_path / "f.msqg"
+        path.write_bytes(header + bytes(8 * 16))
+        assert issubclass(error, ValueError)
+        with pytest.raises(error):
             read_snapshot(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -1,10 +1,11 @@
-"""Velocity sampler: snapshot values, linear blending in time, clamping."""
+"""Velocity sampler, characteristic tracing, stopping rule, growth fit, start point."""
 
 import numpy as np
 import pytest
 
 from msqglab.spectral import SineField, velocity_coefficients
-from msqglab.trajectories import VelocitySampler
+from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, select_start,
+                                  stopping_time, trace)
 
 ALPHA = 0.5
 RNG = np.random.default_rng(5)
@@ -71,3 +72,99 @@ def test_single_snapshot_is_constant_in_time():
 def test_no_snapshots_rejected():
     with pytest.raises(ValueError, match="no snapshots"):
         VelocitySampler([], ALPHA)
+
+
+class TestTrace:
+    def test_fourth_order_in_steady_single_mode(self):
+        sampler = VelocitySampler([(0.0, SineField.from_modes({(1, 1): 1.0}, 4))], ALPHA)
+        start, t_end = (0.3, 0.2), 1.0
+        ref = trace(start, sampler, t_end, t_end / 2048).positions[-1]
+        err = [np.linalg.norm(trace(start, sampler, t_end, dt).positions[-1] - ref)
+               for dt in (0.125, 0.0625)]
+        assert 14.0 < err[0] / err[1] < 18.0
+
+    def test_quadrant_exit_halts(self):
+        def drift(x, t):
+            return np.array([1.0, 0.0])
+
+        traj = trace((3.0, 1.0), drift, 1.0, 0.05)
+        assert traj.halted
+        assert "left [0, pi)^2" in traj.halt_note
+        # the step that crossed x1 = pi is the last one kept
+        assert traj.positions[-1, 0] > np.pi > traj.positions[-2, 0]
+        np.testing.assert_allclose(traj.times[-1], 0.15)
+        assert len(traj.times) == len(traj.positions) == len(traj.velocities) == 4
+
+    def test_start_outside_quadrant_rejected(self):
+        with pytest.raises(ValueError, match="open quadrant"):
+            trace((0.0, 1.0), lambda x, t: np.zeros(2), 1.0, 0.1)
+
+
+def _path(x2_values):
+    n = len(x2_values)
+    return TrajectoryState(start=(0.1, x2_values[0]), times=np.linspace(0.0, 1.0, n),
+                           positions=np.column_stack([np.full(n, 0.1), x2_values]),
+                           velocities=np.zeros((n, 2)), ratios=np.full(n, np.nan))
+
+
+class TestStoppingTime:
+    HESS_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    HESS = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+
+    def test_horizon(self):
+        path = _path(np.linspace(0.01, 0.05, 5))
+        assert stopping_time(path, self.HESS_T, self.HESS, 1.0, 0.1, 100.0) == (1.0, "horizon")
+
+    def test_x2_reaches_x10(self):
+        path = _path(np.array([0.01, 0.05, 0.1, 0.2, 0.3]))
+        assert stopping_time(path, self.HESS_T, self.HESS, 1.0, 0.1, 100.0) == (
+            0.5, "x2_reaches_x10")
+
+    def test_hessian_threshold(self):
+        path = _path(np.array([0.01, 0.05, 0.1, 0.2, 0.3]))
+        # both trigger at t = 0.5: the tie goes to x2
+        assert stopping_time(path, self.HESS_T, self.HESS, 1.0, 0.1, 3.0) == (
+            0.5, "x2_reaches_x10")
+        assert stopping_time(path, self.HESS_T, self.HESS, 1.0, 0.1, 2.0) == (
+            0.25, "hessian_threshold")
+
+
+class TestFitGamma:
+    def test_recovers_exponential_rate(self):
+        t = np.linspace(0.0, 2.0, 41)
+        rec = fit_gamma(t, 3.0 * np.exp(1.7 * t))
+        assert rec.fitted_gamma == pytest.approx(1.7, rel=1e-12)
+        assert rec.fit_r2 == pytest.approx(1.0, abs=1e-12)
+        # the default window drops the first tenth of the series
+        assert rec.fit_window == pytest.approx((0.2, 2.0))
+        assert rec.times[0] == pytest.approx(0.2)
+
+    def test_too_few_samples_rejected(self):
+        t = np.linspace(0.0, 2.0, 41)
+        with pytest.raises(ValueError, match="samples in fit window"):
+            fit_gamma(t, np.exp(t), window=(1.0, 1.4))
+
+    def test_nonpositive_values_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            fit_gamma(np.arange(12.0), np.r_[np.ones(11), 0.0])
+
+
+class TestSelectStart:
+    def test_asymptotic_point_above_floor(self):
+        sp = select_start(1.0, 0.25, 0.5, 1.0, 1e-3)
+        x1 = np.exp(-1.0 * 0.25 ** -0.25)
+        assert sp.point == pytest.approx((x1, x1))
+        assert not sp.scaled_regime and sp.note == ""
+
+    def test_clamped_to_grid_floor(self):
+        sp = select_start(10.0, 0.25, 0.5, 5.0, 0.05)
+        assert sp.scaled_regime
+        assert sp.x1 == 0.05 and sp.x2 == pytest.approx(0.05 ** 5)
+        assert "below the grid floor" in sp.note
+        # x2 sits below the floor as well: flagged, not clamped
+        assert "flagged, not clamped" in sp.note
+
+    def test_only_x2_below_floor(self):
+        sp = select_start(1.0, 0.25, 0.5, 5.0, 1e-3)
+        assert not sp.scaled_regime
+        assert sp.note.startswith("x2=") and "flagged, not clamped" in sp.note
