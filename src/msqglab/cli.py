@@ -304,12 +304,16 @@ def cmd_trace(args) -> int:
 
     t_stop, reason = (t_end, "horizon")
     gamma = r2 = None
+    notes = []
     if len(hess):
         threshold = cfg["growth_threshold_factor"] * hess[0]
         t_stop, reason = stopping_time(traj, times, hess, t_end, start_pt[0], threshold)
         if len(hess) >= 10:
-            g = fit_gamma(times, hess)
-            gamma, r2 = g.fitted_gamma, g.fit_r2
+            try:
+                g = fit_gamma(times, hess)
+                gamma, r2 = g.fitted_gamma, g.fit_r2
+            except ValueError as exc:
+                notes.append(f"growth fit skipped: {exc}")
             with open(out / "growth.csv", "w", newline="") as fh:
                 fh.write("time,hessian_sup\n")
                 for t, h in zip(times, hess):
@@ -333,6 +337,7 @@ def cmd_trace(args) -> int:
         "gamma_r2": r2,
         "halted": traj.halted,
         "halt_note": traj.halt_note,
+        "notes": notes,
     }
     (out / "trace_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(summary, indent=2))

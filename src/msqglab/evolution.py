@@ -2,18 +2,20 @@
 
 d_t omega + (u . grad) omega = 0 with u = grad^perp (-Lap)^(-1+alpha) omega,
 advanced by classical RK4 on the sine coefficients.  The nonlinear term is
-formed pointwise on its own grid of M = dealias_grid(N) points per axis and
-truncated back to the N x N band.  Sine mode k aliases to 2M - k on that
-grid, so with M > 3N/2 (the 3/2 rule) the retained band is alias-free and
-equal to the tendency on any finer grid.  The configured n_grid (>= 2N) is
-the diagnostic grid: the CFL step, the grid maxima in diagnostics.csv and
-the snapshot headers use it.  The odd-odd symmetry class is exact by
-representation.
+formed pointwise on a staggered grid, the M = dealias_grid(N) midpoints
+pi*(j+1/2)/M per axis, and projected back onto the N x N band: DST-III/
+DCT-III evaluate velocity and gradient there, a DST-II projects the
+product.  Sine mode k aliases to 2M - k on that grid, so with M > 3N/2 (the
+3/2 rule) the retained band is alias-free and equal to the tendency on any
+finer grid.  The configured n_grid (>= 2N) is the diagnostic grid: the CFL
+step, the grid maxima in diagnostics.csv and the snapshot headers use it.
+The odd-odd symmetry class is exact by representation.
 
 Each step builds one tendency evaluator whose buffers hold every grid of
 the four stages; the transforms run in place in them, and the RK4 stage
 inputs and sum are formed in per-step arrays, so a stage allocates no
-grid-sized array.  The buffers are freed when the step returns.
+grid-sized array.  The buffers are freed when the step returns.  The CFL
+velocity grids are evaluated into buffers that run() holds for the whole run.
 
 No dissipation is applied by default (the equation is conservative); an
 optional high-order spectral filter (Hou-Li, exp(-36 (k/N)^36) per axis)
@@ -48,9 +50,10 @@ from scipy import fft as sfft
 from . import __version__
 from .initial_data import InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy
 from .snapshots import write_snapshot
-from .spectral import (SineField, VelocityField, _check_finite, _eval_cos_axis, _eval_sin_axis,
-                       _laplacian_power, _max_abs, dealias_grid, get_workers, grid_max_abs,
-                       hessian_sup_norm, l2_norm, velocity_from_vorticity)
+from .spectral import (GridField, SineField, VelocityField, _check_finite, _eval_cos_axis,
+                       _eval_midpoint_axis, _eval_sin_axis, _laplacian_power, _max_abs,
+                       _midpoint_slot, dealias_grid, get_workers, grid_max_abs,
+                       hessian_sup_norm, l2_norm)
 from .trajectories import fit_gamma
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
@@ -136,15 +139,22 @@ class RunResult:
 class _Rhs:
     """Tendency evaluator bound to (alpha, N, n_grid), with its own workspace.
 
-    n_grid is the grid of the pointwise product u . grad omega; above 3N/2
-    the truncated product is alias-free (step_rk4 uses dealias_grid(N)).
-    The product is formed on interior points only: the forward DST-I reads
-    nothing else.
+    n_grid is the number M of midpoints pi*(j+1/2)/M per axis on which the
+    pointwise product u . grad omega is formed; above 3N/2 the truncated
+    product is alias-free (step_rk4 uses dealias_grid(N)).  Velocity and
+    gradient are evaluated there by type-III transforms, and the product is
+    projected by a type-II DST, along the last axis for all M rows and then
+    along the first axis for the N kept columns only.  The unnormalised
+    transforms double every mode on each axis; those four factors 2 and the
+    1/M per axis of the projection meet in one final division by -16 M^2.
 
-    Every grid of a call lives in buffers allocated once in __init__, and
-    each transform runs in place in them, so a call allocates no grid-sized
-    array, and with out= not the tendency either.  step_rk4 builds one evaluator
-    per step, so the workspace (about 8 MB at N=256) is freed between steps.
+    Every grid of a call lives in two buffers allocated once in __init__,
+    one per parity pair, and each transform runs in place in them: the
+    velocity and gradient coefficients are written straight into the mode
+    slots of the first axis, whose output lands in the mode slots of the
+    second.  So a call allocates no grid-sized array, and with out= not the
+    tendency either.  step_rk4 builds one evaluator per step, so the
+    workspace (about 5 MB at N=256) is freed between steps.
 
     With preserve_degeneracy, each tendency is projected onto the subspace
     where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
@@ -161,30 +171,36 @@ class _Rhs:
         self.preserve_degeneracy = preserve_degeneracy
         n, m = n_modes, n_grid
         modes = np.arange(1, n + 1, dtype=np.float64)
-        self._rows, self._cols = modes[:, None], modes[None, :]
+        self._rows, self._neg_cols, self._cols = modes[:, None], -modes[None, :], modes[None, :]
         self._symbol = _laplacian_power(n, alpha)       # psi = omega / symbol
         self._workers = get_workers()
-        self._pair = np.empty((2, n, n))          # stacked coefficients of one parity
-        self._first = np.empty((2, m + 1, n))     # first-axis transform of either pair
-        self._sc = np.empty((2, m - 1, m + 1))    # [u1, d2 omega] in (sin, cos)
-        self._cs = np.empty((2, m - 1, m - 1))    # [u2, d1 omega] in (cos, sin), then u . grad omega
-        self._finite = np.empty((m - 1, m - 1), dtype=bool)
+        self._sc = np.empty((2, m, m))            # [u1, d2 omega] in (sin, cos)
+        self._cs = np.empty((2, m, m))            # [u2, d1 omega] in (cos, sin), then u . grad omega
+        self._finite = np.empty((m, m), dtype=bool)
+        # second-axis mode slots, where the first-axis transforms run, and
+        # their first-axis mode slots, where the coefficients go
+        self._sc_cols = _midpoint_slot(self._sc, "cos", n, -1)
+        self._sc_modes = _midpoint_slot(self._sc_cols, "sin", n, -2)
+        self._cs_cols = _midpoint_slot(self._cs, "sin", n, -1)
+        self._cs_modes = _midpoint_slot(self._cs_cols, "cos", n, -2)
 
     def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         _check_finite(coeffs, "coefficient array")
         n, m, w = self.n_modes, self.n_grid, self._workers
-        pair = self._pair
+        sc, cs = self._sc, self._cs
         # velocity and gradient as velocity_coefficients / spectral_derivative form them
-        np.divide(coeffs, self._symbol, out=pair[0])
-        np.multiply(pair[0], -self._cols, out=pair[0])  # u1 = -d2 psi
-        np.multiply(coeffs, self._cols, out=pair[1])    # d2 omega
-        vals = _eval_sin_axis(pair, m, axis=-2, interior=True, buf=self._first, workers=w)
-        sc = _eval_cos_axis(vals, m, axis=-1, interior=True, buf=self._sc, workers=w)
-        np.divide(coeffs, self._symbol, out=pair[0])
-        pair[0] *= self._rows                           # u2 = d1 psi
-        np.multiply(coeffs, self._rows, out=pair[1])    # d1 omega
-        vals = _eval_cos_axis(pair, m, axis=-2, interior=True, buf=self._first, workers=w)
-        cs = _eval_sin_axis(vals, m, axis=-1, interior=True, buf=self._cs, workers=w)
+        u1, d2 = self._sc_modes
+        np.divide(coeffs, self._symbol, out=u1)
+        u1 *= self._neg_cols                            # u1 = -d2 psi
+        np.multiply(coeffs, self._cols, out=d2)
+        _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
+        _eval_midpoint_axis(sc, "cos", n, -1, w)
+        u2, d1 = self._cs_modes
+        np.divide(coeffs, self._symbol, out=u2)
+        u2 *= self._rows                                # u2 = d1 psi
+        np.multiply(coeffs, self._rows, out=d1)
+        _eval_midpoint_axis(self._cs_cols, "cos", n, -2, w)
+        _eval_midpoint_axis(cs, "sin", n, -1, w)
         adv = cs[1]
         adv *= sc[0]
         cs[0] *= sc[1]
@@ -192,23 +208,59 @@ class _Rhs:
         if not np.isfinite(adv, out=self._finite).all():
             bad = int(np.count_nonzero(~self._finite))
             raise ValueError(f"advection product contains {bad} non-finite entries")
-        band = sfft.dstn(adv, type=1, overwrite_x=True, workers=w)[:n, :n]
-        tend = np.divide(band, -float(m * m), out=out)
+        sfft.dst(adv, type=2, axis=-1, overwrite_x=True, workers=w)
+        kept = adv[:, :n]
+        sfft.dst(kept, type=2, axis=0, overwrite_x=True, workers=w)
+        tend = np.divide(kept[:n], -16.0 * m * m, out=out)
         if self.preserve_degeneracy:
-            _project_degeneracy(tend, scratch=pair[0])
+            _project_degeneracy(tend, scratch=sc[0, :n, :n])
         return tend
 
 
 def nonlinear_term(omega: SineField, alpha: float, n_grid: int,
                    preserve_degeneracy: bool = False) -> SineField:
-    """-(u . grad) omega formed on an n_grid grid, truncated to the field's band.
+    """-(u . grad) omega formed on n_grid midpoints per axis, projected onto the field's band.
 
-    n_grid must exceed 3N/2, so that no product mode aliases into the band.
+    The product is sampled at pi*(j+1/2)/n_grid, j = 0..n_grid-1, on both
+    axes.  n_grid must exceed 3N/2, so that no product mode aliases into the
+    band; the result then equals the band of the exact product.
     """
     if 2 * n_grid <= 3 * omega.n_modes:
         raise ValueError(f"n_grid={n_grid} <= 3N/2={1.5 * omega.n_modes:g}: "
                          "the product aliases into the retained band")
     return SineField(_Rhs(alpha, omega.n_modes, n_grid, preserve_degeneracy)(omega.coeffs))
+
+
+class _GridVelocity:
+    """u1 and u2 of a field on the n_grid x n_grid diagnostic grid, in held buffers.
+
+    The coefficients and transforms are those of velocity_from_vorticity, so
+    the grids are bit-identical to its; run() builds one per run for the CFL
+    step, which then allocates no grid-sized array.  Each call overwrites
+    the grids of the previous one.
+    """
+
+    def __init__(self, alpha: float, n_modes: int, n_grid: int):
+        self.alpha = alpha
+        self.n_grid = n_grid
+        modes = np.arange(1, n_modes + 1, dtype=np.float64)
+        self._rows, self._neg_cols = modes[:, None], -modes[None, :]
+        self._symbol = _laplacian_power(n_modes, alpha)
+        self._workers = get_workers()
+        self._coeffs = np.empty((n_modes, n_modes))
+        self._first = np.empty((n_grid + 1, n_modes))  # first-axis transform of either component
+        self._u1 = np.empty((n_grid, n_grid + 1))       # (sin, cos)
+        self._u2 = np.empty((n_grid, n_grid))           # (cos, sin)
+
+    def __call__(self, omega: SineField) -> VelocityField:
+        g, w, c = self.n_grid, self._workers, self._coeffs
+        np.divide(omega.coeffs, self._symbol, out=c)
+        c *= self._neg_cols                             # u1 = -d2 psi
+        u1 = _eval_cos_axis(_eval_sin_axis(c, g, -2, self._first, w), g, -1, self._u1, w)
+        np.divide(omega.coeffs, self._symbol, out=c)
+        c *= self._rows                                 # u2 = d1 psi
+        u2 = _eval_sin_axis(_eval_cos_axis(c, g, -2, self._first, w), g, -1, self._u2, w)
+        return VelocityField(GridField(u1), GridField(u2), self.alpha)
 
 
 def cfl_dt(u: VelocityField, n_grid: int, safety: float,
@@ -278,6 +330,8 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
         out.mkdir(parents=True, exist_ok=True)
 
     state = SimState(omega0, 0.0, 0, config)
+    velocity = _GridVelocity(config.alpha, config.n_modes, config.n_grid) \
+        if config.dt_policy == "cfl" else None
     diagnostics = []
     snapshots = []
     notes = []
@@ -314,9 +368,9 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     snap()
 
     while state.time < config.t_final - 1e-14:
-        if config.dt_policy == "cfl":
-            u = velocity_from_vorticity(state.omega, config.alpha, config.n_grid)
-            dt = cfl_dt(u, config.n_grid, config.cfl_safety, config.dt_min, config.dt_max)
+        if velocity is not None:
+            dt = cfl_dt(velocity(state.omega), config.n_grid, config.cfl_safety,
+                        config.dt_min, config.dt_max)
         else:
             dt = config.dt
         dt = min(dt, config.t_final - state.time)

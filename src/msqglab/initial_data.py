@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dst
 from scipy.special import comb
 
 from .spectral import (GridField, SineField, _max_abs, evaluate_grid, forward_transform,
@@ -127,12 +128,17 @@ def build_omega0(spec: InitialDataSpec) -> SineField:
 
 
 def check_degeneracy(omega: SineField, n_samples: int = 2048) -> float:
-    """max over x2 of |d_x1 omega(0, x2)|, from the coefficients."""
+    """max over x2 = pi*i/n_samples of |d_x1 omega(0, x2)|, from the coefficients.
+
+    d_x1 omega(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2) is one sine series,
+    evaluated by a DST-I of length n_samples - 1 (x2 = 0 gives 0 exactly).
+    """
+    if omega.n_modes > n_samples - 1:
+        raise ValueError(f"{omega.n_modes} modes do not fit on {n_samples} samples")
     m = np.arange(1, omega.n_modes + 1, dtype=np.float64)
-    w = m @ omega.coeffs
-    x2 = np.pi * np.arange(n_samples) / n_samples
-    vals = np.sin(np.outer(x2, np.arange(1, omega.n_modes + 1))) @ w
-    return float(np.abs(vals).max())
+    w = np.zeros(n_samples - 1)
+    np.matmul(m, omega.coeffs, out=w[:omega.n_modes])
+    return 0.5 * _max_abs(dst(w, type=1, overwrite_x=True))
 
 
 def gradient_sup_norm(omega: SineField, n_grid: int) -> float:

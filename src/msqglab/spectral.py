@@ -8,16 +8,23 @@ which makes them odd in both coordinates and 2*pi-periodic by construction.
 The collocation grid is the uniform grid x_i = pi*i/N_g, i = 0..N_g-1 of
 [0, pi)^2; grid values on the boundary rows x1 = 0 / x2 = 0 vanish exactly.
 
-Transforms are DST-I/DCT-I based (scipy.fft), so a grid of N_g points maps
-to FFTs of length 2*N_g, which are fast when 2*N_g is 5-smooth (no prime
-factor above 5; scipy.fft.next_fast_len).  dealias_grid picks such a size
-for the pointwise products of the time stepper.  Derivatives flip the
+Transforms on the collocation grid are DST-I/DCT-I based (scipy.fft), so a
+grid of N_g points maps to FFTs of length 2*N_g.  Derivatives flip the
 parity of the differentiated axis (sin -> cos for odd order), tracked by
 MixedParityField; evaluate_grid evaluates stacks of same-parity fields in
 one transform call per axis.  Each axis transform zero-pads its modes into
 a buffer and transforms there in place (overwrite_x); evaluate_grid
-allocates those buffers per call, while the time stepper passes buffers it
-reuses across stages.
+allocates those buffers per call, while callers that repeat an evaluation
+pass buffers they reuse.
+
+The pointwise products of the time stepper are formed on a second,
+staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
+There a sine or cosine series is evaluated by a DST-III/DCT-III and a grid
+function is projected onto sine modes by a DST-II, all real FFTs of length
+M.  Sine mode k aliases to 2M - k on that grid, so a product of two band-N
+fields keeps its band exact once M > 3N/2 (the 3/2 rule); dealias_grid
+picks the smallest such M that is 5-smooth (no prime factor above 5;
+scipy.fft.next_fast_len).
 """
 
 from __future__ import annotations
@@ -135,37 +142,35 @@ def _axis_index(ndim: int, axis: int, sl) -> tuple:
     return tuple(idx)
 
 
-def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int, interior: bool = False,
+def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int,
                    buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
     """Evaluate a sine expansion along one axis on the collocation grid.
 
     Input length along `axis` is the number of sine modes; output length is
-    n_grid with an exact zero at grid index 0, or the n_grid - 1 interior
-    points alone.  Other axes are carried along.  The modes are zero-padded
-    into `buf` (shaped like coeffs, at least as long as the output along
-    `axis`; allocated when None) and transformed there in place; the result
-    is a view of buf.
+    n_grid with an exact zero at grid index 0.  Other axes are carried
+    along.  The modes are zero-padded into `buf` (shaped like coeffs, at
+    least n_grid long along `axis`; allocated when None) and transformed
+    there in place; the result is a view of buf.
     """
     n = coeffs.shape[axis]
     if n > n_grid - 1:
         raise ValueError(f"{n} sine modes do not fit on a {n_grid}-point grid")
-    lead = 0 if interior else 1      # room for the zero at x = 0
     if buf is None:
         shape = list(coeffs.shape)
-        shape[axis] = n_grid - 1 + lead
+        shape[axis] = n_grid
         buf = np.empty(shape)
     at = partial(_axis_index, coeffs.ndim, axis)
-    buf[at(slice(0, lead))] = 0.0
-    vals = buf[at(slice(lead, lead + n_grid - 1))]
+    buf[at(slice(0, 1))] = 0.0       # the zero at x = 0
+    vals = buf[at(slice(1, n_grid))]
     vals[at(slice(0, n))] = coeffs
     vals[at(slice(n, None))] = 0.0
     sfft.dst(vals, type=1, axis=axis, overwrite_x=True,
              workers=get_workers() if workers is None else workers)
     vals *= 0.5
-    return buf[at(slice(0, n_grid - 1 + lead))]
+    return buf[at(slice(0, n_grid))]
 
 
-def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int, interior: bool = False,
+def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int,
                    buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
     """Evaluate a cosine expansion (modes m >= 1) along one axis on the grid.
 
@@ -186,37 +191,64 @@ def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int, interior: bool = 
     full[at(slice(n + 1, None))] = 0.0
     sfft.dct(full, type=1, axis=axis, overwrite_x=True,
              workers=get_workers() if workers is None else workers)
-    return full[at(slice(1 if interior else 0, n_grid))]
+    return full[at(slice(0, n_grid))]
+
+
+def _midpoint_slot(buf: np.ndarray, parity: str, n_modes: int, axis: int) -> np.ndarray:
+    """The view of buf that holds the n_modes coefficients for _eval_midpoint_axis."""
+    n_mid = buf.shape[axis]
+    if n_modes > n_mid - 1:
+        raise ValueError(f"{n_modes} {parity} modes do not fit on {n_mid} midpoints")
+    lead = _TYPE3[parity][1]
+    return buf[_axis_index(buf.ndim, axis, slice(lead, lead + n_modes))]
+
+
+def _eval_midpoint_axis(buf: np.ndarray, parity: str, n_modes: int, axis: int,
+                        workers: int) -> np.ndarray:
+    """Twice a sine or cosine expansion along one axis at the midpoints pi*(j+1/2)/M.
+
+    M is the length of buf along `axis`, and the n_modes coefficients are
+    already in its _midpoint_slot.  The rest of the axis is zeroed and a
+    DST-III or DCT-III of length M runs in place; buf is returned.  scipy's
+    unnormalised type III doubles every mode, and the factor 1/2 is left to
+    the caller.
+    """
+    transform, lead = _TYPE3[parity]
+    at = partial(_axis_index, buf.ndim, axis)
+    buf[at(slice(0, lead))] = 0.0
+    buf[at(slice(lead + n_modes, None))] = 0.0
+    transform(buf, type=3, axis=axis, overwrite_x=True, workers=workers)
+    return buf
 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
 _AXIS_EVAL = {"sin": _eval_sin_axis, "cos": _eval_cos_axis}
 _TRIG = {"sin": np.sin, "cos": np.cos}
+# midpoint transform per parity, and where its mode 1 sits (the DCT's entry 0 is the constant)
+_TYPE3 = {"sin": (sfft.dst, 0), "cos": (sfft.dct, 1)}
 
 
-def evaluate_grid(coeffs: np.ndarray, parity: tuple, n_grid: int,
-                  interior: bool = False) -> np.ndarray:
+def evaluate_grid(coeffs: np.ndarray, parity: tuple, n_grid: int) -> np.ndarray:
     """Evaluate a mixed sin/cos series on the N_g x N_g collocation grid.
 
     The last two axes of coeffs are the mode axes; leading axes are batch
     axes, so a stack of k fields of one parity costs one transform call per
-    axis.  Returns shape coeffs.shape[:-2] + (n_grid, n_grid), or with
-    interior=True only the grid indices 1..n_grid-1 on both axes (the points
-    a forward DST-I reads).
+    axis.  Returns shape coeffs.shape[:-2] + (n_grid, n_grid).
     """
     if tuple(parity) not in _PARITIES:
         raise ValueError(f"invalid parity pair {parity}")
     c = np.asarray(coeffs, dtype=np.float64)
-    out = _AXIS_EVAL[parity[0]](c, n_grid, axis=-2, interior=interior)
-    return _AXIS_EVAL[parity[1]](out, n_grid, axis=-1, interior=interior)
+    out = _AXIS_EVAL[parity[0]](c, n_grid, axis=-2)
+    return _AXIS_EVAL[parity[1]](out, n_grid, axis=-1)
 
 
 def dealias_grid(n_modes: int) -> int:
-    """Smallest grid size M > 3N/2 whose transforms have a fast length 2M.
+    """Smallest number M > 3N/2 of midpoints per axis with a fast transform length.
 
-    On the DST-I grid of M points, sine mode k aliases to 2M - k.  The
+    On the midpoints pi*(j+1/2)/M, sine mode k aliases to 2M - k.  The
     product of two fields of band N has modes up to 2N, so its modes <= N
-    are exact once 2M - 2N > N (the 3/2 rule, Orszag 1971).  2M is 5-smooth.
+    are exact once 2M - 2N > N (the 3/2 rule, Orszag 1971).  The type-II/III
+    transforms there are real FFTs of length M, and M is 5-smooth.
     """
     return sfft.next_fast_len(3 * n_modes // 2 + 1, real=True)
 

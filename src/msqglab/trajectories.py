@@ -250,8 +250,8 @@ def fit_gamma(times, values, window: tuple | None = None,
     sel = (times >= window[0]) & (times <= window[1])
     if int(np.count_nonzero(sel)) < min_samples:
         raise ValueError(
-            f"only {int(np.count_nonzero(sel))} samples in fit window {window}; "
-            f"need >= {min_samples}")
+            f"only {int(np.count_nonzero(sel))} samples in fit window "
+            f"[{float(window[0]):.6g}, {float(window[1]):.6g}]; need >= {min_samples}")
     t, y = times[sel], np.log(values[sel])
     a = np.vstack([t, np.ones_like(t)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)

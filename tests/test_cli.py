@@ -21,7 +21,7 @@ SMALL_CONFIG = "[run]\nN = 32\nNg = 64\nimage_radius = 2\n"
 # numpy 2.4.6 and scipy 1.17.1 on x86-64.  Any change to these bytes must be
 # explained; a new numpy or scipy may move the last bits of a value.
 GOLDEN = {
-    "run/diagnostics.csv": "56a01b0694a4befb26d9d7bac8324d820850bef71c19e9fa756185389e960baa",
+    "run/diagnostics.csv": "bd13a5aed836ce479ebe407a6de0b8a7e24636c58261b6625b14a0c57d33637c",
     "ver/report_kernel_asymptotics.json":
         "5716ad149372f8228599261562de4254b5e607a63bdc7da7b42909a8e5771679",
     "ver/report_near_field.json": "bc646ee57323b4502923ff34dd72ea856b4f77a319b016f071ef1bbe7ce29ba7",
@@ -102,6 +102,24 @@ class TestPipeline:
     def test_golden_outputs(self, pipeline, name):
         root, _ = pipeline
         assert _sha256(root / name) == GOLDEN[name]
+
+
+class TestTraceOfShortRun:
+    def test_ten_records_skip_the_growth_fit(self, tmp_path):
+        # 10 records leave 9 samples in the default fit window; the fit is
+        # skipped with a note instead of failing the whole trace
+        sim = _run_cli(tmp_path, "simulate", "--N", "32", "--Ng", "64", "--T", "0.45",
+                       "--out", "run")
+        assert sim.returncode == 0, sim.stderr
+        assert len((tmp_path / "run" / "diagnostics.csv").read_text().splitlines()) == 11
+        tr = _run_cli(tmp_path, "trace", "--N", "32", "--Ng", "64", "--run-dir", "run",
+                      "--out", "tr")
+        assert tr.returncode == 0, tr.stderr
+        summary = json.loads((tmp_path / "tr" / "trace_summary.json").read_text())
+        assert summary["gamma"] is None and summary["gamma_r2"] is None
+        assert [n.split(":")[0] for n in summary["notes"]] == ["growth fit skipped"]
+        written = {p.name for p in (tmp_path / "tr").iterdir()}
+        assert written == {"growth.csv", "manifest.json", "trace_summary.json", "trajectory.csv"}
 
 
 class TestUsageErrors:

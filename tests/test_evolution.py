@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import fft as sfft
 
 from msqglab import evolution
 from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, cfl_dt, nonlinear_term,
                                run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
-from msqglab.spectral import (SineField, VelocityField, GridField, dealias_grid, evaluate_grid,
-                              spectral_derivative, velocity_coefficients,
+from msqglab.spectral import (SineField, VelocityField, GridField, dealias_grid,
                               velocity_from_vorticity)
 
 
@@ -145,21 +143,25 @@ class TestDealiasGrid:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
-def stacked_tendency(coeffs, alpha, n_grid, preserve_degeneracy):
-    """The tendency from public evaluate_grid calls, in the operation order of _Rhs."""
-    om = SineField(coeffs)
-    u1, u2 = velocity_coefficients(om, alpha)
-    w1 = spectral_derivative(om, axis=1, order=1)
-    w2 = spectral_derivative(om, axis=2, order=1)
-    sc = evaluate_grid(np.stack([u1.coeffs, w2.coeffs]), ("sin", "cos"), n_grid, interior=True)
-    cs = evaluate_grid(np.stack([u2.coeffs, w1.coeffs]), ("cos", "sin"), n_grid, interior=True)
-    adv = sc[0] * cs[1]
-    adv += cs[0] * sc[1]
-    n = om.n_modes
-    tend = -sfft.dstn(adv, type=1)[:n, :n] / n_grid**2
+def midpoint_tendency(coeffs, alpha, n_mid, preserve_degeneracy):
+    """Independent oracle: the tendency by direct summation at the midpoints pi*(j+1/2)/M.
+
+    Explicit sine/cosine matrices evaluate velocity and gradient; the
+    product is projected by the discrete orthogonality
+    sum_j sin(k x_j) sin(l x_j) = (M/2) delta_kl, 1 <= k, l < M.
+    """
+    n = coeffs.shape[0]
+    k = np.arange(1, n + 1, dtype=np.float64)
+    x = np.pi * (np.arange(n_mid) + 0.5) / n_mid
+    s, c = np.sin(np.outer(x, k)), np.cos(np.outer(x, k))      # (M, N)
+    psi = coeffs / (k[:, None] ** 2 + k[None, :] ** 2) ** (1.0 - alpha)
+    u1 = s @ (-psi * k[None, :]) @ c.T
+    u2 = c @ (psi * k[:, None]) @ s.T
+    w1 = c @ (coeffs * k[:, None]) @ s.T
+    w2 = s @ (coeffs * k[None, :]) @ c.T
+    tend = -(2.0 / n_mid) ** 2 * (s.T @ (u1 * w1 + u2 * w2) @ s)
     if preserve_degeneracy:
-        m = np.arange(1, n + 1, dtype=np.float64)
-        tend = tend - np.outer(m, m @ tend) / float(np.sum(m * m))
+        tend = tend - np.outer(k, k @ tend) / float(np.sum(k * k))
     return tend
 
 
@@ -167,16 +169,29 @@ class TestRhsWorkspace:
     @pytest.mark.parametrize("n_modes", [13, 64])
     @pytest.mark.parametrize("preserve_degeneracy", [False, True])
     def test_reused_buffers_match_stacked_evaluation(self, n_modes, preserve_degeneracy):
+        # the stacked-pair workspace, reused A, B, A, against direct summation
         rng = np.random.default_rng(n_modes)
         a, b = rng.normal(size=(2, n_modes, n_modes))
         m = dealias_grid(n_modes)
         rhs = _Rhs(0.5, n_modes, m, preserve_degeneracy)
-        first, _, again = rhs(a), rhs(b), rhs(a)
+        first, second, again = rhs(a), rhs(b), rhs(a)
         np.testing.assert_array_equal(again, first)
-        np.testing.assert_array_equal(first, stacked_tendency(a, 0.5, m, preserve_degeneracy))
+        for got, c in ((first, a), (second, b)):
+            ref = midpoint_tendency(c, 0.5, m, preserve_degeneracy)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         out = np.empty((n_modes, n_modes))
         assert rhs(b, out=out) is out
-        np.testing.assert_array_equal(out, stacked_tendency(b, 0.5, m, preserve_degeneracy))
+        np.testing.assert_array_equal(out, second)
+
+    @pytest.mark.parametrize("n_mid", [10, 12])
+    def test_grid_is_staggered(self, n_mid):
+        # at M <= 3N/2 the product aliases, so only the midpoint sum itself,
+        # not the exact band or a sum on another point set, matches
+        rng = np.random.default_rng(n_mid)
+        c = rng.normal(size=(8, 8))
+        ref = midpoint_tendency(c, 0.3, n_mid, False)
+        got = _Rhs(0.3, 8, n_mid)(c)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_nonfinite_input_rejected(self):
         c = np.zeros((8, 8))
@@ -270,6 +285,29 @@ class TestCflDt:
         grids[component][3, 5] = np.nan
         u = VelocityField(GridField(grids[0]), GridField(grids[1]), 0.5)
         assert math.isnan(cfl_dt(u, 8, 0.4))
+
+    def test_held_buffers_match_velocity_from_vorticity(self):
+        # run() takes its CFL velocity from one _GridVelocity; the grids, and so
+        # dt, are bit-identical to velocity_from_vorticity, also on reuse
+        plateau = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80)).coeffs
+        noise = np.random.default_rng(3).normal(size=(32, 32))
+        velocity = evolution._GridVelocity(0.3, 32, 80)
+        for c in (plateau, noise, plateau):
+            got = velocity(SineField(c))
+            ref = velocity_from_vorticity(SineField(c), 0.3, 80)
+            np.testing.assert_array_equal(got.u1.values, ref.u1.values)
+            np.testing.assert_array_equal(got.u2.values, ref.u2.values)
+            assert got.alpha == 0.3
+            assert cfl_dt(got, 80, 0.4) == cfl_dt(ref, 80, 0.4)
+
+    def test_run_steps_are_cfl_steps(self):
+        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
+        res = run(make_config(n_modes=32, n_grid=80, t_final=0.05, diag_every=1,
+                              snapshot_every=1), om)
+        assert len(res.snapshots) == len(res.diagnostics) > 4
+        # every step but the last, which is clipped to t_final
+        for (_, before), rec in zip(res.snapshots[:-2], res.diagnostics[1:-1]):
+            assert rec.dt == cfl_dt(velocity_from_vorticity(before, 0.5, 80), 80, 0.4)
 
     def test_safety_validated(self):
         zero = GridField(np.zeros((8, 8)))

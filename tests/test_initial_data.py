@@ -125,6 +125,21 @@ class TestCheckDegeneracy:
     def test_construction_tolerance(self, omega_quarter):
         assert check_degeneracy(omega_quarter) < 1e-12
 
+    @pytest.mark.parametrize("n_samples", [64, 2048])
+    def test_equals_direct_sum_on_the_sample_points(self, n_samples):
+        # the DST-I against sum_n (sum_m m a[m,n]) sin(n x2) at x2 = pi*i/n_samples
+        om = SineField(np.random.default_rng(n_samples).normal(size=(40, 40)))
+        m = np.arange(1, 41, dtype=np.float64)
+        x2 = np.pi * np.arange(n_samples) / n_samples
+        direct = np.abs(np.sin(np.outer(x2, m)) @ (m @ om.coeffs)).max()
+        assert check_degeneracy(om, n_samples) == pytest.approx(direct, rel=1e-14)
+
+    def test_modes_must_fit_the_samples(self):
+        om = SineField.from_modes({(1, 1): 1.0}, 9)
+        assert check_degeneracy(om, 10) == pytest.approx(1.0, rel=1e-15)   # x2 = pi/2 sampled
+        with pytest.raises(ValueError, match="samples"):
+            check_degeneracy(om, 9)
+
 
 class TestGradientSupNorm:
     @staticmethod

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from msqglab.spectral import (
-    _eval_cos_axis, _eval_sin_axis, _max_abs,
+    _eval_cos_axis, _eval_midpoint_axis, _eval_sin_axis, _max_abs, _midpoint_slot,
     GridField, MixedParityField, SineField, evaluate_grid, evaluate_offgrid, forward_transform,
     fractional_inverse_laplacian, grid_coordinates, grid_max_abs, hessian_sup_norm,
     inverse_transform, l2_norm, spectral_derivative, velocity_coefficients,
@@ -106,23 +106,42 @@ class TestStackedEvaluation:
                                        rtol=0, atol=1e-14)
             direct = single.evaluate_at(pts).reshape(n_grid, n_grid)
             np.testing.assert_allclose(stacked[k], direct, rtol=0, atol=1e-12)
-        interior = evaluate_grid(coeffs, parity, n_grid, interior=True)
-        np.testing.assert_array_equal(interior, stacked[:, 1:, 1:])
 
     @pytest.mark.parametrize("helper", [_eval_sin_axis, _eval_cos_axis])
     @pytest.mark.parametrize("axis", [-2, -1])
-    @pytest.mark.parametrize("interior", [False, True])
-    def test_axis_transform_in_place_in_given_buffer(self, helper, axis, interior):
+    def test_axis_transform_in_place_in_given_buffer(self, helper, axis):
         rng = np.random.default_rng(10)
         coeffs = rng.normal(size=(2, 9, 9))
         n_grid = 27
-        expect = helper(coeffs, n_grid, axis=axis, interior=interior)
+        expect = helper(coeffs, n_grid, axis=axis)
         shape = [2, 9, 9]
         shape[axis] = n_grid + 3             # longer than any output, with stale contents
         buf = np.full(shape, np.nan)
-        got = helper(coeffs, n_grid, axis=axis, interior=interior, buf=buf)
+        got = helper(coeffs, n_grid, axis=axis, buf=buf)
         assert np.shares_memory(got, buf)
         np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_midpoint_axis_against_direct_sum(self, parity, axis):
+        # twice the series at pi*(j+1/2)/M, in place in a buffer with stale contents
+        rng = np.random.default_rng(11)
+        coeffs = rng.normal(size=(2, 9, 9))
+        n_mid = 14
+        x = np.pi * (np.arange(n_mid) + 0.5) / n_mid
+        basis = 2.0 * getattr(np, parity)(np.outer(x, np.arange(1, 10)))   # (M, modes)
+        expect = np.moveaxis(np.moveaxis(coeffs, axis, -1) @ basis.T, -1, axis)
+        shape = [2, 9, 9]
+        shape[axis] = n_mid
+        buf = np.full(shape, np.nan)
+        _midpoint_slot(buf, parity, 9, axis)[...] = coeffs
+        assert _eval_midpoint_axis(buf, parity, 9, axis, 1) is buf
+        np.testing.assert_allclose(buf, expect, rtol=0, atol=1e-13)
+
+    def test_midpoint_slot_needs_more_points_than_modes(self):
+        assert _midpoint_slot(np.empty((4, 5)), "cos", 4, -1).shape == (4, 4)
+        with pytest.raises(ValueError, match="midpoints"):
+            _midpoint_slot(np.empty((4, 4)), "cos", 4, -1)
 
     def test_invalid_parity(self):
         with pytest.raises(ValueError, match="parity"):
