@@ -22,12 +22,25 @@ Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
                neglected tail is O(R^-2a))
     full:      central cell + far
 
-One private helper, _kernel_parts, writes the four-term formula: every
-region sum and kernel_K1/kernel_K2 call it, and it takes each of the four
-inverse powers once per node.  Omega is sampled on tensor grids as
-(S1 @ c) @ S2.T from sine matrices S; a medium frame builds its two sine
+One private helper, _four_terms, writes the four-term formula in factored
+form,
+
+    K1 = (x2-y2)(i0-it) + (x2+y2)(ip-ib),
+    K2 = (x1-y1)(ib-i0) + (x1+y1)(it-ip),
+
+with i0, it, ib, ip the inverse powers |.|^(-2-2a) of the distances from y
+to x, x_tilde, x_bar and -x.  Each power is taken as 1 / (d * d**a) for the
+squared distance d; numpy evaluates d**0.5 as a square root, so at the
+default a = 1/2 no pow call is made.  kernel_K1/kernel_K2 assemble K on
+the nodes.  A region sum never does: on a tensor grid (x2 -+ y2) depends on
+the column only and (x1 -+ y1) on the row only, so each weighted power
+omega * i is contracted with those 1-D factors by matrix-vector products.
+The sums run in row blocks of at most 8192 nodes, in place in three scratch
+buffers that each oracle allocates once.  Omega is sampled on tensor grids
+as (S1 @ c) @ S2.T from sine matrices S; a medium frame builds its two sine
 matrices once for its three rectangles, and the image cells reuse one
-sample grid of the central cell, flipped by parity.
+sample grid of the central cell, flipped by parity, laid out as one row of
+cells that every row of the image lattice sums in one call.
 
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
 otherwise) is handled on the rectangle containing x: the singular first
@@ -117,59 +130,117 @@ class ReflectedPoint:
         return cls((x1, x2), (-x1, x2), (x1, -x2), (-x1, -x2))
 
 
-def _kernel_parts(x1: float, x2: float, y1, y2, p: float):
-    """The four-term kernels at nodes (y1, y2), split as K_j = S_j + I_j.
+# Most nodes one block of a node sum holds, unless one grid row is longer.
+# A block's temporaries live in scratch that each oracle allocates once, so
+# summing a block allocates no node-sized array and faults in no pages.
+_BLOCK_NODES = 8192
 
-    y1 and y2 broadcast to the node grid.  S = (S1, S2) is the singular
-    free-space term of x - y and I = (I1, I2) the sum of the three image
-    terms at x_tilde, x_bar and -x; the principal-value treatment needs S
-    apart.  Each inverse power |.|^(-2p) of the four distances is taken once
-    per node, and the products are formed in place, so a call holds few
-    node-sized temporaries.  A node where |x - y|^(-2p) is infinite (y = x)
-    gets S = 0.
+
+def _four_terms(x1, x2, y1, y2, alpha: float, col, row, out, w=1.0, w_singular=None,
+                drop=None):
+    """The symmetrized kernels, or sums of them, as four image terms.
+
+    The odd-odd extension of omega has a source of sign s1 s2 at
+    (s1 y1, s2 y2) for each y, so with e = (x1 - s1 y1, x2 - s2 y2)
+
+        K = sum over s1, s2 = +-1 of  s1 s2 (e2, -e1) |e|^(-2-2alpha),
+
+    that is K1 = (x2-y2)(i0-it) + (x2+y2)(ip-ib) and
+    K2 = (x1-y1)(ib-i0) + (x1+y1)(it-ip) with the inverse powers i of the
+    distances from y to x, x_tilde, x_bar and -x.  s1 = s2 = 1 is the
+    singular free-space term.
+
+    y1 and y2 broadcast to the nodes, and out = (d, P) are two node-shaped
+    buffers.  Each term's weighted power is P = w / (d * d**alpha) for the
+    squared distance d, formed in place; numpy's in-place ** takes d**0.5
+    as a square root, so at alpha = 1/2 no pow call is made.  col(P, e2)
+    pairs P with its factor e2, which depends on y2 only, and row(P, e1)
+    with e1, which depends on y1 only: np.multiply gives K on the nodes,
+    contractions give node sums.  w_singular (default w) weights the
+    singular term, and drop indexes nodes at y = x whose singular term is
+    left out.
     """
-    a0, at = (x1 - y1) ** 2, (x1 + y1) ** 2
-    b0, bb = (x2 - y2) ** 2, (x2 + y2) ** 2
-    i0 = a0 + b0                        # |x - y|^2
-    with np.errstate(divide="ignore"):
-        i0 **= -p
-    hit = np.isinf(i0)
-    if hit.any():
-        i0 = np.where(hit, 0.0, i0)
-    it = (at + b0) ** -p                # |x_tilde - y|^(-2p)
-    ib = (a0 + bb) ** -p                # |x_bar - y|^(-2p)
-    ip = (at + bb) ** -p                # |x + y|^(-2p)
-    q1, q2 = x1 + y1, x2 + y2
-    s1 = (x2 - y2) * i0
-    s2 = i0
-    s2 *= y1 - x1
-    # I1 = -(x2-y2) it - (x2+y2) ib + (x2+y2) ip
-    i1 = (y2 - x2) * it
-    i1 -= q2 * ib
-    i1 += q2 * ip
-    # I2 = (x1-y1) ib + (x1+y1) it - (x1+y1) ip
-    i2 = ib
-    i2 *= x1 - y1
-    it *= q1
-    i2 += it
-    ip *= q1
-    i2 -= ip
-    return (s1, s2), (i1, i2)
+    d, p = out
+    k1 = k2 = 0.0
+    e2s = [(s2, e2, e2 * e2) for s2, e2 in ((1.0, x2 - y2), (-1.0, x2 + y2))]
+    for s1, e1 in ((1.0, x1 - y1), (-1.0, x1 + y1)):
+        a = e1 * e1
+        for s2, e2, b in e2s:
+            singular = s1 > 0.0 and s2 > 0.0
+            np.add(a, b, out=d)
+            p[...] = d
+            p **= alpha
+            p *= d
+            np.divide(w_singular if singular and w_singular is not None else w, p, out=p)
+            if singular and drop is not None:
+                p[drop] = 0.0
+            k1 = k1 + s1 * s2 * col(p, e2)
+            k2 = k2 - s1 * s2 * row(p, e1)
+    return k1, k2
+
+
+def _col_sum(p, f):
+    return (p @ f).sum()
+
+
+def _row_sum(p, f):
+    return (f[:, 0] @ p).sum()
+
+
+def _node_sums(x, y1, y2, w, alpha: float, work, lin=None):
+    """(sum K1 w, sum K2 w) over the tensor grid y1 x y2 with samples w.
+
+    y1 and y2 are ascending.  The kernels are never formed on the nodes:
+    each term's weighted power is contracted with its 1-D factors by
+    matrix-vector products, in row blocks of at most _BLOCK_NODES nodes
+    (or one row) whose temporaries live in work, a (3, n) array with room
+    for a block.  With lin = (w0, g1, g2) the singular term is weighted by
+    the residual of the linearization w0 + g1 (y1-x1) + g2 (y2-x2) instead
+    of w.  A node at y = x contributes no singular term.
+    """
+    x1, x2 = x
+    n2 = len(y2)
+    rows = max(1, _BLOCK_NODES // n2)
+    hit_cols = np.flatnonzero(y2 == x2) if y2[0] <= x2 <= y2[-1] else ()
+    if lin is not None:
+        w0, g1, g2 = lin
+        taylor_cols = g2 * (y2 - x2)
+    k1 = k2 = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, len(y1), rows):
+            yb = y1[r:r + rows, None]
+            wb = w[r:r + rows]
+            d, p, ws = (buf[:wb.size].reshape(wb.shape) for buf in work)
+            if lin is None:
+                ws = None
+            else:
+                np.add(w0 + g1 * (yb - x1), taylor_cols, out=ws)
+                np.subtract(wb, ws, out=ws)
+            hit_rows = np.flatnonzero(yb == x1) if len(hit_cols) else ()
+            drop = np.ix_(hit_rows, hit_cols) if len(hit_rows) else None
+            d1, d2 = _four_terms(x1, x2, yb, y2, alpha, _col_sum, _row_sum, (d, p),
+                                 wb, ws, drop)
+            k1 += d1
+            k2 += d2
+    return float(k1), float(k2)
 
 
 def _kernels_at(x, y, alpha: float, name: str):
-    """(K1, K2) at y, an (..., 2) array, rejecting y = x."""
+    """(K1, K2) at y, an (..., 2) array, rejecting y = x; x broadcasts too."""
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    x1, x2 = float(x[0]), float(x[1])
+    x1, x2 = x[..., 0], x[..., 1]
     y1, y2 = y[..., 0], y[..., 1]
     if np.any((y1 == x1) & (y2 == x2)):
         raise ValueError(f"{name} evaluated at y = x; caller must exclude the singularity")
-    (s1, s2), (i1, i2) = _kernel_parts(x1, x2, y1, y2, 1.0 + alpha)
-    return s1 + i1, s2 + i2
+    shape = np.broadcast_shapes(x1.shape, y1.shape)
+    return _four_terms(x1, x2, y1, y2, alpha, np.multiply, np.multiply,
+                       (np.empty(shape), np.empty(shape)))
 
 
 def kernel_K1(x, y, alpha: float):
-    """Four-term symmetrized kernel for u1; y may be an (..., 2) array."""
+    """Four-term symmetrized kernel for u1; x and y may be (..., 2) arrays
+    that broadcast."""
     return _kernels_at(x, y, alpha, "kernel_K1")[0]
 
 
@@ -179,12 +250,14 @@ def kernel_K2(x, y, alpha: float):
 
 
 def asymptotic_K(j: int, x, y, alpha: float):
-    """Large-|y|/|x| form: (-1)^j * 8(1+alpha) * x_j y1 y2 |y|^(-4-2alpha)."""
+    """Large-|y|/|x| form: (-1)^j * 8(1+alpha) * x_j y1 y2 |y|^(-4-2alpha);
+    x and y broadcast as in kernel_K1."""
     if j not in (1, 2):
         raise ValueError(f"component j must be 1 or 2, got {j}")
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     y1, y2 = y[..., 0], y[..., 1]
-    xj = float(x[0]) if j == 1 else float(x[1])
+    xj = x[..., j - 1]
     sign = -1.0 if j == 1 else 1.0
     return sign * 8.0 * (1.0 + alpha) * xj * y1 * y2 * (y1**2 + y2**2) ** (-(2.0 + alpha))
 
@@ -272,12 +345,21 @@ def _linear_pv_integrals(x, rect, alpha: float, w0: float, g1: float, g2: float)
 class QuadratureOracle:
     """Kernel-quadrature velocity for one vorticity field.
 
-    Caches the central-cell and image-cell sample grids, so sweeps over many
-    evaluation points reuse the omega sampling, and the two gradient fields
-    of the principal-value linearization; each medium frame builds its two
-    sine matrices and their products with the coefficients once, for all
-    three of its rectangles.  All reductions are plain numpy sums
-    (pairwise, deterministic for a fixed partition).
+    Caches the central-cell sample grid, one row of image-cell sample grids
+    and the two gradient fields of the principal-value linearization, so
+    sweeps over many evaluation points reuse the omega sampling; each
+    medium frame builds its two sine matrices and their products with the
+    coefficients once, for all three of its rectangles.
+
+    Every rectangle, and every row of image cells, is summed by _node_sums:
+    per row block of at most 8192 nodes, each of the four terms forms
+    P = omega / (d * d**alpha) in place (at alpha = 1/2 the power is a
+    square root) and contracts it with its row and column factors
+    (x1 -+ y1), (x2 -+ y2) by matrix-vector products, so neither kernel is
+    formed on the nodes.  On the rectangle that holds x the singular term
+    is weighted by omega minus its linearization at x instead.  The blocks
+    reuse one scratch array held by the oracle, so an oracle is not to be
+    shared between threads.  Sums are deterministic for a fixed partition.
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
@@ -286,6 +368,7 @@ class QuadratureOracle:
         self._central_cache = None
         self._far_cache = None
         self._grad_cache = None
+        self._work_cache = None
 
     # -- omega sampling -------------------------------------------------
 
@@ -296,10 +379,24 @@ class QuadratureOracle:
         return self._central_cache
 
     def _far_base(self):
+        """Midpoints t, their spacing and the samples of an even row of image
+        cells: cell q holds (-1)^q omega, flipped in y2 for odd q."""
         if self._far_cache is None:
             t, h = _midpoints(0.0, np.pi, self.params.cells_far)
-            self._far_cache = (t, h, _tensor_samples(self.omega.coeffs, t, t))
+            base = _tensor_samples(self.omega.coeffs, t, t)
+            strip = np.hstack([-base[:, ::-1] if q % 2 else base
+                               for q in range(self.params.image_radius)])
+            self._far_cache = (t, h, strip)
         return self._far_cache
+
+    def _work(self):
+        """Scratch for the node sums: three buffers with room for a row block
+        of the widest grid this oracle sums."""
+        if self._work_cache is None:
+            p = self.params
+            widest = max(p.cells_central, p.cells_panel, p.image_radius * p.cells_far)
+            self._work_cache = np.empty((3, max(_BLOCK_NODES, widest)))
+        return self._work_cache
 
     def _linearization(self, x):
         """omega(x) and grad omega(x); the gradient fields are built once."""
@@ -327,29 +424,22 @@ class QuadratureOracle:
             h1 = (b1 - a1) / n1
             h2 = (b2 - a2) / n2
         area = h1 * h2
-        x1, x2 = float(x[0]), float(x[1])
-        yy1 = y1[:, None]
-        yy2 = y2[None, :]
-        (s1, s2), (i1, i2) = _kernel_parts(x1, x2, yy1, yy2, 1.0 + alpha)
-
+        x = (float(x[0]), float(x[1]))
         if not pv:
-            return float(np.sum((s1 + i1) * w)) * area, float(np.sum((s2 + i2) * w)) * area
+            u1, u2 = _node_sums(x, y1, y2, w, alpha, self._work())
+            return u1 * area, u2 * area
 
         # Subtract the linearization of omega from the singular term over
         # the whole rectangle and add its integral back semi-analytically.
         # The sampled residual (omega - P) * S is integrable and its
         # midpoint sum converges; a patch that scales with the cell size
-        # would leave a resolution-independent ring error instead.
-        w0, g1, g2 = self._linearization((x1, x2))
-        taylor = w0 + g1 * (yy1 - x1) + g2 * (yy2 - x2)
-        u1_sum = float(np.sum(i1 * w)) * area
-        u2_sum = float(np.sum(i2 * w)) * area
-        # the node at y = x (if any) has S = 0; its true residual
-        # contribution is the integrable O(h^(3-2alpha)) cell
-        u1_sum += float(np.sum(s1 * (w - taylor))) * area
-        u2_sum += float(np.sum(s2 * (w - taylor))) * area
-        pv1, pv2 = _linear_pv_integrals((x1, x2), rect, alpha, w0, g1, g2)
-        return u1_sum + pv1, u2_sum + pv2
+        # would leave a resolution-independent ring error instead.  The
+        # node at y = x (if any) is left out; its true residual
+        # contribution is the integrable O(h^(3-2alpha)) cell.
+        lin = self._linearization(x)
+        u1, u2 = _node_sums(x, y1, y2, w, alpha, self._work(), lin)
+        pv1, pv2 = _linear_pv_integrals(x, rect, alpha, *lin)
+        return u1 * area + pv1, u2 * area + pv2
 
     # -- regions ----------------------------------------------------------
 
@@ -407,26 +497,22 @@ class QuadratureOracle:
 
     def _far(self, x):
         R = self.params.image_radius
-        t, h, base = self._far_base()
+        t, h, strip = self._far_base()
+        n = len(t)
         area = h * h
-        p = 1.0 + self.params.alpha
-        x1, x2 = float(x[0]), float(x[1])
+        alpha = self.params.alpha
+        x = (float(x[0]), float(x[1]))
+        y2 = (np.pi * np.arange(R)[:, None] + t).ravel()
         u1 = u2 = 0.0
-        # one cell per array: a cells_far^2 block stays below glibc's mmap
-        # threshold, while wider batches pay fresh pages for every temporary
+        # one row of image cells per sum; an odd row holds the even row
+        # flipped in y1 and negated, and row 0 leaves out the central cell
         for pcell in range(R):
-            w1 = base[::-1, :] if pcell % 2 else base
-            sgn1 = -1.0 if pcell % 2 else 1.0
-            yy1 = (pcell * np.pi + t)[:, None]
-            for qcell in range(R):
-                if pcell == 0 and qcell == 0:
-                    continue
-                w = w1[:, ::-1] if qcell % 2 else w1
-                sgn = sgn1 * (-1.0 if qcell % 2 else 1.0)
-                yy2 = (qcell * np.pi + t)[None, :]
-                (s1, s2), (i1, i2) = _kernel_parts(x1, x2, yy1, yy2, p)
-                u1 += sgn * float(np.sum((s1 + i1) * w)) * area
-                u2 += sgn * float(np.sum((s2 + i2) * w)) * area
+            w, sgn = (strip[::-1], -1.0) if pcell % 2 else (strip, 1.0)
+            skip = n if pcell == 0 else 0
+            du1, du2 = _node_sums(x, pcell * np.pi + t, y2[skip:], w[:, skip:], alpha,
+                                  self._work())
+            u1 += sgn * du1 * area
+            u2 += sgn * du2 * area
         return u1, u2
 
     def _central(self, x):

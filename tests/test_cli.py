@@ -23,15 +23,15 @@ SMALL_CONFIG = "[run]\nN = 32\nNg = 64\nimage_radius = 2\n"
 GOLDEN = {
     "run/diagnostics.csv": "bd13a5aed836ce479ebe407a6de0b8a7e24636c58261b6625b14a0c57d33637c",
     "ver/report_kernel_asymptotics.json":
-        "5716ad149372f8228599261562de4254b5e607a63bdc7da7b42909a8e5771679",
-    "ver/report_near_field.json": "bc646ee57323b4502923ff34dd72ea856b4f77a319b016f071ef1bbe7ce29ba7",
+        "d7bfa721cb0b6c35f64c640166f5d18531b52d35e53db8f4fda6868ae32bf670",
+    "ver/report_near_field.json": "509f661ab25a6cc8a1b270bc6d106d0f085fe469815a4bb24c922f6374f785f0",
     "ver/report_medium_ratio.json":
-        "bffaf263699d67f088484807664e30017a81acdda4457d2aa084a62a1693088d",
-    "ver/report_far_field.json": "4fd877a3f94282f2db5382fd200feef0048a99183c8fb4725292570f2a8d95a6",
-    "ver/report_background.json": "7b533df1c263abdf8082486ee58006ba90c9935ecb681732b65b70ca8a774b11",
+        "85436d1ba89a33384630238ce5011efb4e0fff55a895c1c65919f84d6898d29f",
+    "ver/report_far_field.json": "b96c40d291e0a04b6a044f85d3e430f84a598e079abace9d5480ef5485fb5e93",
+    "ver/report_background.json": "f4ae3179dbb18cf8878b1ce45cfae36c8e0ca7392d8e1ee318dcf1c4c7ff4b06",
     "ver/report_decomposition.json":
-        "b649d3167e2c4725286042a85b913e33644c64b7fa214617c9845d9387392095",
-    "ver/verify_summary.csv": "643cf0e88cfd438912f7e9b94618a1b8a2dd4d43be54bade5580c3d9e1648339",
+        "cf7d11a5593427f31d5aa0a508da910ac5756ecfb54e1fce0428df2083014101",
+    "ver/verify_summary.csv": "fcde09a477d0dd26bff301bf13d43b6f032342c1952297fca50a058bf6486951",
 }
 
 

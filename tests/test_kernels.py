@@ -1,10 +1,12 @@
 """Symmetrized kernels, asymptotics, and quadrature oracle."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from msqglab import kernels
 from msqglab.kernels import (
     CalibrationResult, KernelParams, QuadratureOracle, RegionSpec, ReflectedPoint,
     asymptotic_K, fit_calibration, kernel_K1, kernel_K2, relative_kernel_error,
@@ -255,3 +257,95 @@ class TestRegionsAgainstDirectSums:
                                          n, n)
         got = QuadratureOracle(omega, self.PARAMS).velocity(x, RegionSpec("far"))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _unfactored_node_sums(x, y1, y2, w, alpha, work=None, lin=None):
+    """Node sums of the four-term kernels, unfactored, formed node by node:
+    K1 = (x2-y2) i0 - (x2-y2) it - (x2+y2) ib + (x2+y2) ip and
+    K2 = (y1-x1) i0 + (x1-y1) ib + (x1+y1) it - (x1+y1) ip, with the
+    singular i0 term weighted by the Taylor residual when lin is given and
+    left out at a node y = x."""
+    x1, x2 = x
+    yy1, yy2 = y1[:, None], y2[None, :]
+    p = 1.0 + alpha
+    a0, at = (x1 - yy1) ** 2, (x1 + yy1) ** 2
+    b0, bb = (x2 - yy2) ** 2, (x2 + yy2) ** 2
+    with np.errstate(divide="ignore"):
+        i0 = (a0 + b0) ** -p
+    i0 = np.where(np.isinf(i0), 0.0, i0)
+    it, ib, ip = (at + b0) ** -p, (a0 + bb) ** -p, (at + bb) ** -p
+    s1, s2 = (x2 - yy2) * i0, (yy1 - x1) * i0
+    i1 = (yy2 - x2) * it - (x2 + yy2) * ib + (x2 + yy2) * ip
+    i2 = (x1 - yy1) * ib + (x1 + yy1) * it - (x1 + yy1) * ip
+    ws = w
+    if lin is not None:
+        w0, g1, g2 = lin
+        ws = w - (w0 + g1 * (yy1 - x1) + g2 * (yy2 - x2))
+    return float(np.sum(s1 * ws + i1 * w)), float(np.sum(s2 * ws + i2 * w))
+
+
+class TestFactoredNodeSums:
+    """Every region sum equals the unfactored four-term formula node by node."""
+
+    REGIONS = [RegionSpec("near", 2.0), RegionSpec("medium", 2.0), RegionSpec("far"),
+               RegionSpec("full")]
+    X = (0.3, 0.4)
+
+    @pytest.fixture(scope="class")
+    def omega(self):
+        rng = np.random.default_rng(5)
+        return SineField(rng.standard_normal((6, 6)) / np.add.outer(np.arange(6), np.arange(6) + 1))
+
+    @staticmethod
+    def _params(alpha):
+        return KernelParams(alpha=alpha, cells_central=48, cells_panel=16, cells_far=16,
+                            image_radius=3)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+    def test_region_matches_unfactored_formula(self, omega, region, alpha, monkeypatch):
+        got = QuadratureOracle(omega, self._params(alpha)).velocity(self.X, region)
+        monkeypatch.setattr(kernels, "_node_sums", _unfactored_node_sums)
+        want = QuadratureOracle(omega, self._params(alpha)).velocity(self.X, region)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    # one row per block, 7 rows per block on the 16-column near square
+    # (other counts elsewhere), and the whole grid in one block
+    @pytest.mark.parametrize("block_nodes", [1, 7 * 16])
+    @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
+    def test_block_size_does_not_change_sums(self, omega, region, block_nodes, monkeypatch):
+        params = self._params(0.5)
+        # 48^2 nodes, the largest grid here
+        monkeypatch.setattr(kernels, "_BLOCK_NODES", 48 * 48)
+        whole = QuadratureOracle(omega, params).velocity(self.X, region)
+        monkeypatch.setattr(kernels, "_BLOCK_NODES", block_nodes)
+        blocked = QuadratureOracle(omega, params).velocity(self.X, region)
+        np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("lin", [None, (0.7, -1.3, 2.1)])
+    @pytest.mark.parametrize("w_at_x", [0.0, 1.7])
+    def test_node_at_x_has_no_singular_term(self, lin, w_at_x):
+        y1, _ = _midpoint_nodes(0.0, 1.0, 9)
+        y2, _ = _midpoint_nodes(0.0, 1.0, 7)
+        x = (float(y1[4]), float(y2[3]))
+        w = np.random.default_rng(8).standard_normal((9, 7))
+        w[4, 3] = w_at_x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels._node_sums(x, y1, y2, w, 0.5, np.empty((3, 63)), lin)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, _unfactored_node_sums(x, y1, y2, w, 0.5, lin=lin),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_full_call_allocates_under_one_mebibyte(self):
+        # CLI-default oracle: N = 256, 256^2 central cell, 8 image radii
+        om = SineField(np.random.default_rng(2).standard_normal((256, 256)) / 256.0)
+        oracle = QuadratureOracle(om, KernelParams(alpha=0.5))
+        oracle.velocity((0.3, 0.4), RegionSpec("full"))
+        tracemalloc.start()
+        try:
+            oracle.velocity((0.3, 0.4), RegionSpec("full"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from msqglab.initial_data import InitialDataSpec, build_omega0
-from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec
+from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec, relative_kernel_error
 from msqglab.spectral import SineField
 from msqglab.verify import (BoundReport, default_directions, loglog_fit,
                             verify_background, verify_decomposition,
@@ -50,6 +50,22 @@ class TestKernelAsymptoticsReport:
         assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.05)
         # the configured constant-level expectation therefore fails
         assert not rep.passed
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_maxima_equal_the_pointwise_loop(self, alpha):
+        # the sweep evaluates all (x, y) pairs per ratio and component in one
+        # call; point by point, the same arithmetic gives the same maxima
+        rep = verify_kernel_asymptotics(alpha, n_directions=12)
+        xdirs, ydirs = default_directions(4, margin=0.15), default_directions(3, margin=0.15)
+        for row in rep.samples:
+            ratio = row["ratio"]
+            worst = 0.0
+            for xd in xdirs:
+                for yd in ydirs:
+                    for j in (1, 2):
+                        f = relative_kernel_error(j, 1e-3 * xd, 1e-3 * ratio * yd, alpha)
+                        worst = max(worst, abs(float(f)) * ratio)
+            assert row["max_f_times_ratio"] == worst
 
 
 class TestNearField:
@@ -169,6 +185,18 @@ class TestDecomposition:
         rep = verify_decomposition(single_mode, 0.5, [(0.05, 0.08), (0.02, 0.03)],
                                    6.0, params)
         assert rep.passed, rep.notes
+
+    def test_cli_samples_record_their_warnings(self, single_mode):
+        # two of the samples `verify` uses lie within 4 central cells of an
+        # axis; the report notes both warnings, which are still emitted
+        pts = [(0.05, 0.08), (0.02, 0.01), (0.004, 0.009)]
+        with pytest.warns(UserWarning, match="under-resolved") as caught:
+            rep = verify_decomposition(single_mode, 0.5, pts, 8.0, KernelParams(alpha=0.5))
+        tail = "within 4 central cells of an axis; full-region quadrature may be under-resolved"
+        assert [n for n in rep.notes if n.startswith("warning:")] == [
+            f"warning: evaluation point (0.02, 0.01) {tail}",
+            f"warning: evaluation point (0.004, 0.009) {tail}"]
+        assert [str(w.message) for w in caught] == [n[len("warning: "):] for n in rep.notes[1:]]
 
 
 class TestReports:
