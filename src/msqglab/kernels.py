@@ -35,12 +35,23 @@ default a = 1/2 no pow call is made.  kernel_K1/kernel_K2 assemble K on
 the nodes.  A region sum never does: on a tensor grid (x2 -+ y2) depends on
 the column only and (x1 -+ y1) on the row only, so each weighted power
 omega * i is contracted with those 1-D factors by matrix-vector products.
-The sums run in row blocks of at most 8192 nodes, in place in three scratch
-buffers that each oracle allocates once.  Omega is sampled on tensor grids
-as (S1 @ c) @ S2.T from sine matrices S; a medium frame builds its two sine
-matrices once for its three rectangles, and the image cells reuse one
-sample grid of the central cell, flipped by parity, laid out as one row of
-cells that every row of the image lattice sums in one call.
+The sums run in row blocks of at most 65,536 nodes, in place in three
+scratch buffers that each oracle allocates once.  That cap is the largest
+grid at the CLI defaults (the 256^2 central cell, and one row of 16 image
+cells of 64^2), so every such grid is summed in one block, and the scratch
+stays bounded however many cells a grid has.
+
+Omega is sampled on tensor grids as (S1 @ c) @ S2.T from sine matrices S.
+The image cells reuse one sample grid of the central cell, flipped by
+parity, laid out as one row of cells that every row of the image lattice
+sums in one call.  An oracle also reuses samples across calls: those of
+its last near square, keyed on the exact side s = L|x|, and those of each
+medium frame, keyed on the exact (lo, hi, na, nb) and held in one slot per
+frame counted down from pi, so that s and s/2, whose frames differ only in
+the lowest one, share every other slot.  All of them live in one buffer
+per oracle, grown when a call needs more slots.  A far sum at the point of
+the previous one is returned again.  A reused value is the same arithmetic
+on the same floats, so reuse never changes a result.
 
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
 otherwise) is handled on the rectangle containing x: the singular first
@@ -133,7 +144,9 @@ class ReflectedPoint:
 # Most nodes one block of a node sum holds, unless one grid row is longer.
 # A block's temporaries live in scratch that each oracle allocates once, so
 # summing a block allocates no node-sized array and faults in no pages.
-_BLOCK_NODES = 8192
+# 65,536 nodes hold the largest grid at the CLI defaults, the 256^2 central
+# cell or one row of 16 image cells, so each of those is a single block.
+_BLOCK_NODES = 65536
 
 
 def _four_terms(x1, x2, y1, y2, alpha: float, col, row, out, w=1.0, w_singular=None,
@@ -351,9 +364,21 @@ class QuadratureOracle:
     medium frame builds its two sine matrices and their products with the
     coefficients once, for all three of its rectangles.
 
+    Samples are also reused from earlier calls.  Slot 0 of one sample
+    buffer holds the last near square's samples, keyed on its exact side
+    s = L|x|.  Slot k >= 1 holds the three sample grids of the k-th medium
+    frame counted down from pi, keyed on its exact (lo, hi, na, nb); the
+    frames of s/2 are those of s plus one below them, so both share slots.
+    Each slot has room for 3 * cells_panel^2 samples, since na and nb never
+    exceed cells_panel (which is at least 8, the floor on both).  The
+    buffer is allocated on the first near or medium call and grown, keeping
+    what it holds, when a call has more frames than it has slots; no
+    per-frame array outlives a call.  The last far sum is kept with its
+    point and returned again for a far or full call at exactly that point.
+
     Every rectangle, and every row of image cells, is summed by _node_sums:
-    per row block of at most 8192 nodes, each of the four terms forms
-    P = omega / (d * d**alpha) in place (at alpha = 1/2 the power is a
+    per row block of at most _BLOCK_NODES nodes, each of the four terms
+    forms P = omega / (d * d**alpha) in place (at alpha = 1/2 the power is a
     square root) and contracts it with its row and column factors
     (x1 -+ y1), (x2 -+ y2) by matrix-vector products, so neither kernel is
     formed on the nodes.  On the rectangle that holds x the singular term
@@ -369,6 +394,9 @@ class QuadratureOracle:
         self._far_cache = None
         self._grad_cache = None
         self._work_cache = None
+        self._slots = None          # (slots, 3 * cells_panel^2) omega samples
+        self._slot_keys = []        # (key, samples held) per slot, or None
+        self._far_memo = None       # (x, (u1, u2)) of the last far sum
 
     # -- omega sampling -------------------------------------------------
 
@@ -398,6 +426,30 @@ class QuadratureOracle:
             self._work_cache = np.empty((3, max(_BLOCK_NODES, widest)))
         return self._work_cache
 
+    def _samples(self, slot, key, shapes, fill):
+        """Arrays of the given shapes in one slot of the sample buffer.
+
+        Unless the slot already holds the samples keyed by key, fill(*arrays)
+        writes them first.
+        """
+        if self._slots is None or slot >= len(self._slots):
+            grown = np.empty((slot + 1, 3 * self.params.cells_panel ** 2))
+            for i, entry in enumerate(self._slot_keys):
+                if entry is not None:
+                    grown[i, :entry[1]] = self._slots[i, :entry[1]]
+            self._slots = grown
+            self._slot_keys += [None] * (slot + 1 - len(self._slot_keys))
+        arrays, used = [], 0
+        for a, b in shapes:
+            arrays.append(self._slots[slot, used:used + a * b].reshape(a, b))
+            used += a * b
+        entry = (key, used)
+        if self._slot_keys[slot] != entry:
+            self._slot_keys[slot] = None
+            fill(*arrays)
+            self._slot_keys[slot] = entry
+        return arrays
+
     def _linearization(self, x):
         """omega(x) and grad omega(x); the gradient fields are built once."""
         if self._grad_cache is None:
@@ -408,21 +460,17 @@ class QuadratureOracle:
 
     # -- singular rectangle sum ------------------------------------------
 
-    def _sum_rect(self, x, rect, n1, n2, w=None, y1=None, y2=None, pv=False):
-        """Midpoint sum of (K1*w, K2*w) over rect = (a1, b1, a2, b2).
+    def _sum_rect(self, x, rect, y1, y2, w, pv=False):
+        """Midpoint sum of (K1*w, K2*w) over rect = (a1, b1, a2, b2), with
+        midpoints y1, y2 and samples w.
 
         If pv is set (x strictly inside the rectangle), the singular first
         term gets the principal-value treatment.
         """
         a1, b1, a2, b2 = rect
         alpha = self.params.alpha
-        if y1 is None:
-            y1, h1 = _midpoints(a1, b1, n1)
-            y2, h2 = _midpoints(a2, b2, n2)
-            w = _tensor_samples(self.omega.coeffs, y1, y2)
-        else:
-            h1 = (b1 - a1) / n1
-            h2 = (b2 - a2) / n2
+        h1 = (b1 - a1) / len(y1)
+        h2 = (b2 - a2) / len(y2)
         area = h1 * h2
         x = (float(x[0]), float(x[1]))
         if not pv:
@@ -450,7 +498,16 @@ class QuadratureOracle:
         if s >= np.pi:
             raise ValueError(f"near square side L|x| = {s:.3g} >= pi")
         n = self.params.cells_panel
-        return self._sum_rect(x, (0.0, s, 0.0, s), n, n, pv=self._inside(x, (0.0, s, 0.0, s)))
+        y, _ = _midpoints(0.0, s, n)
+
+        def fill(w):
+            coeffs = self.omega.coeffs
+            sy = _sines(y, coeffs.shape[0])
+            np.matmul(sy @ coeffs, sy.T, out=w)
+
+        (w,) = self._samples(0, s, [(n, n)], fill)
+        rect = (0.0, s, 0.0, s)
+        return self._sum_rect(x, rect, y, y, w, pv=self._inside(x, rect))
 
     def _medium_frames(self, s):
         """Dyadic frames covering [0, pi)^2 \\ [0, s]^2, each as three rects."""
@@ -468,40 +525,53 @@ class QuadratureOracle:
             raise ValueError(f"medium region is empty: L|x| = {s:.3g} >= pi")
         if s <= 0.0:
             raise ValueError("medium region requires x != 0")
-        if L * float(np.hypot(x[0], x[1])) > 1.0:
+        if s > 1.0:
             warnings.warn(f"L|x| = {s:.3g} > 1: medium-field scaling assumptions degrade")
         npanel = self.params.cells_panel
         coeffs = self.omega.coeffs
         n = coeffs.shape[0]
+        frames = self._medium_frames(s)
         u1 = u2 = 0.0
-        for lo, hi in self._medium_frames(s):
+        for k, (lo, hi) in enumerate(frames):
             na = max(8, int(round(npanel * (hi - lo) / hi)))
             nb = max(8, int(round(npanel * lo / hi)))
             ya, _ = _midpoints(lo, hi, na)
             yb, _ = _midpoints(0.0, lo, nb)
-            sa = _sines(ya, n)
-            sb = _sines(yb, n)
-            ca = sa @ coeffs
-            cb = sb @ coeffs
-            # [lo,hi] x [0,lo], its swap image, and the swap-invariant corner;
-            # omega on each is (S1 @ c) @ S2.T from the frame's two sine bases
-            for rect, n1, n2, y1, y2, w in (
-                ((lo, hi, 0.0, lo), na, nb, ya, yb, ca @ sb.T),
-                ((0.0, lo, lo, hi), nb, na, yb, ya, cb @ sa.T),
-                ((lo, hi, lo, hi), na, na, ya, ya, ca @ sa.T),
+
+            def fill(w_ab, w_ba, w_aa):
+                # omega on each rectangle is (S1 @ c) @ S2.T from the
+                # frame's two sine bases
+                sa = _sines(ya, n)
+                sb = _sines(yb, n)
+                ca = sa @ coeffs
+                cb = sb @ coeffs
+                np.matmul(ca, sb.T, out=w_ab)
+                np.matmul(cb, sa.T, out=w_ba)
+                np.matmul(ca, sa.T, out=w_aa)
+
+            # slots count frames down from pi: s and s/2 share all but one
+            w_ab, w_ba, w_aa = self._samples(len(frames) - k, (lo, hi, na, nb),
+                                             [(na, nb), (nb, na), (na, na)], fill)
+            # [lo,hi] x [0,lo], its swap image, and the swap-invariant corner
+            for rect, y1, y2, w in (
+                ((lo, hi, 0.0, lo), ya, yb, w_ab),
+                ((0.0, lo, lo, hi), yb, ya, w_ba),
+                ((lo, hi, lo, hi), ya, ya, w_aa),
             ):
-                du1, du2 = self._sum_rect(x, rect, n1, n2, w=w, y1=y1, y2=y2)
+                du1, du2 = self._sum_rect(x, rect, y1, y2, w)
                 u1 += du1
                 u2 += du2
         return u1, u2
 
     def _far(self, x):
+        x = (float(x[0]), float(x[1]))
+        if self._far_memo is not None and self._far_memo[0] == x:
+            return self._far_memo[1]
         R = self.params.image_radius
         t, h, strip = self._far_base()
         n = len(t)
         area = h * h
         alpha = self.params.alpha
-        x = (float(x[0]), float(x[1]))
         y2 = (np.pi * np.arange(R)[:, None] + t).ravel()
         u1 = u2 = 0.0
         # one row of image cells per sum; an odd row holds the even row
@@ -513,17 +583,17 @@ class QuadratureOracle:
                                   self._work())
             u1 += sgn * du1 * area
             u2 += sgn * du2 * area
+        self._far_memo = (x, (u1, u2))
         return u1, u2
 
     def _central(self, x):
         y, h, w = self._central_nodes()
-        n = self.params.cells_central
         if 0.0 < min(abs(x[0]), abs(x[1])) < 4.0 * h or np.hypot(x[0], x[1]) < 4.0 * h:
             warnings.warn(
                 f"evaluation point {tuple(x)} within 4 central cells of an axis; "
                 "full-region quadrature may be under-resolved")
         rect = (0.0, np.pi, 0.0, np.pi)
-        return self._sum_rect(x, rect, n, n, w=w, y1=y, y2=y, pv=self._inside(x, rect))
+        return self._sum_rect(x, rect, y, y, w, pv=self._inside(x, rect))
 
     @staticmethod
     def _inside(x, rect):

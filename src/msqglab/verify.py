@@ -392,8 +392,21 @@ def verify_decomposition(omega: SineField, alpha: float, x_samples, L: float,
         notes=[f"worst relative defect {worst:.3e} (tol {rel_tol})"])
 
 
+def _strict_json(v):
+    """v with every float a Python float and every non-finite one None."""
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict_json(x) for x in v]
+    if isinstance(v, float):
+        return float(v) if np.isfinite(v) else None
+    return v
+
+
 def write_report_json(report: BoundReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    """The report as strict JSON: a NaN or infinity is written as null."""
+    text = json.dumps(_strict_json(report.to_dict()), indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def write_reports_csv(reports, path) -> None:

@@ -24,14 +24,14 @@ GOLDEN = {
     "run/diagnostics.csv": "bd13a5aed836ce479ebe407a6de0b8a7e24636c58261b6625b14a0c57d33637c",
     "ver/report_kernel_asymptotics.json":
         "d7bfa721cb0b6c35f64c640166f5d18531b52d35e53db8f4fda6868ae32bf670",
-    "ver/report_near_field.json": "509f661ab25a6cc8a1b270bc6d106d0f085fe469815a4bb24c922f6374f785f0",
+    "ver/report_near_field.json": "5166594f4fccd49244b819ef1ae9704ed5d0f0e13931ccb1da44481724c90b79",
     "ver/report_medium_ratio.json":
         "85436d1ba89a33384630238ce5011efb4e0fff55a895c1c65919f84d6898d29f",
     "ver/report_far_field.json": "b96c40d291e0a04b6a044f85d3e430f84a598e079abace9d5480ef5485fb5e93",
     "ver/report_background.json": "f4ae3179dbb18cf8878b1ce45cfae36c8e0ca7392d8e1ee318dcf1c4c7ff4b06",
     "ver/report_decomposition.json":
-        "cf7d11a5593427f31d5aa0a508da910ac5756ecfb54e1fce0428df2083014101",
-    "ver/verify_summary.csv": "fcde09a477d0dd26bff301bf13d43b6f032342c1952297fca50a058bf6486951",
+        "0c865f5b78d97b66918ab4dce4e125b9b28df862a1cbdf48352a8334b47c2a6a",
+    "ver/verify_summary.csv": "4d3b4145ea5f0ffb55bfbc8adefe083742b473cf70e3efbd95181977708c2085",
 }
 
 

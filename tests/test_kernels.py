@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -344,8 +345,167 @@ class TestFactoredNodeSums:
         oracle.velocity((0.3, 0.4), RegionSpec("full"))
         tracemalloc.start()
         try:
-            oracle.velocity((0.3, 0.4), RegionSpec("full"))
+            # a new point, so that the far sum is computed again
+            oracle.velocity((0.4, 0.3), RegionSpec("full"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+
+class TestLinearPrincipalValue:
+    """kernels._linear_pv_integrals against independent evaluations.
+
+    With u = y1 - x1 and v = y2 - x2 it returns the principal values of
+    int -v r^(-2-2a) (w0 + g1 u + g2 v) and int u r^(-2-2a) (w0 + g1 u + g2 v)
+    over the rectangle.
+    """
+
+    # x off-centre, and on a vertex of every midpoint grid of step 1/(8 * 2^k)
+    X = (0.375, 0.25)
+    RECT = (0.0, 1.0, 0.0, 0.75)
+    LIN = (0.7, -1.3, 2.1)
+
+    def test_closed_form_at_alpha_half(self):
+        x1, x2 = self.X
+        a1, b1, a2, b2 = self.RECT
+        u0, u1, v0, v1 = a1 - x1, b1 - x1, a2 - x2, b2 - x2
+        w0, g1, g2 = self.LIN
+
+        def ash(p, q):
+            return np.arcsinh(q / abs(p))
+
+        def corners(f):                 # f(u1, v1) - f(u1, v0) - f(u0, v1) + f(u0, v0)
+            return f(u1, v1) - f(u1, v0) - f(u0, v1) + f(u0, v0)
+
+        # int -v r^-3, int -u v r^-3 and int v^2 r^-3, and their u <-> v images
+        t1 = corners(lambda u, v: ash(v, u))
+        t1_u = corners(np.hypot)
+        t_vv = u1 * (ash(u1, v1) - ash(u1, v0)) - u0 * (ash(u0, v1) - ash(u0, v0))
+        t2 = -corners(lambda u, v: ash(u, v))
+        t_uu = v1 * (ash(v1, u1) - ash(v1, u0)) - v0 * (ash(v0, u1) - ash(v0, u0))
+        want = (w0 * t1 + g1 * t1_u - g2 * t_vv, w0 * t2 + g1 * t_uu - g2 * t1_u)
+        got = kernels._linear_pv_integrals(self.X, self.RECT, 0.5, *self.LIN)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+    def test_richardson_midpoint_sums_at_alpha_03(self):
+        # With x on a grid vertex the odd parts of the integrand cancel on the
+        # symmetric cells around x, so the midpoint sum with step h is
+        # I + c h^(2-2a) + b1 h^2 + b2 h^4 + ...; four steps eliminate three terms.
+        alpha = 0.3
+        x1, x2 = self.X
+        a1, b1, a2, b2 = self.RECT
+        w0, g1, g2 = self.LIN
+        steps = 1.0 / np.array([32.0, 64.0, 128.0, 256.0])
+        sums = []
+        for h in steps:
+            u = (_midpoint_nodes(a1, b1, round((b1 - a1) / h))[0] - x1)[:, None]
+            v = _midpoint_nodes(a2, b2, round((b2 - a2) / h))[0] - x2
+            rp = (u * u + v * v) ** (-1.0 - alpha) * (w0 + g1 * u + g2 * v)
+            sums.append([np.sum(-v * rp) * h * h, np.sum(u * rp) * h * h])
+        powers = np.stack([steps ** p for p in (0.0, 2.0 - 2.0 * alpha, 2.0, 4.0)], axis=1)
+        want = np.linalg.solve(powers, np.array(sums))[0]
+        got = kernels._linear_pv_integrals(self.X, self.RECT, alpha, *self.LIN)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+class TestReuseAcrossCalls:
+    """Samples and far sums reused from earlier calls give a fresh oracle's sums."""
+
+    @pytest.fixture(scope="class")
+    def omega(self):
+        rng = np.random.default_rng(9)
+        decay = np.add.outer(np.arange(12), np.arange(12) + 1)
+        return SineField(rng.standard_normal((12, 12)) / decay)
+
+    PARAMS = KernelParams(alpha=0.5, cells_central=48, cells_panel=32, cells_far=16,
+                          image_radius=3)
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = [0]
+        real = getattr(kernels, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+        return calls
+
+    def _fresh(self, omega, x, region, params=None):
+        return QuadratureOracle(omega, params or self.PARAMS).velocity(x, region)
+
+    def test_near_side_repeated(self, omega, monkeypatch):
+        oracle = QuadratureOracle(omega, self.PARAMS)
+        region = RegionSpec("near", 4.0)
+        # (0.03, 0.04) and its swap share the side L|x| = 0.2 exactly; the
+        # third point has another side
+        points = [(0.03, 0.04), (0.04, 0.03), (0.05, 0.03)]
+        got = [oracle.velocity(points[0], region)]
+        sines = self._count(monkeypatch, "_sines")
+        got.append(oracle.velocity(points[1], region))
+        assert sines[0] == 0
+        got.append(oracle.velocity(points[2], region))
+        for x, u in zip(points, got):
+            np.testing.assert_array_equal(u, self._fresh(omega, x, region))
+
+    def test_medium_frames_shared_between_scales(self, omega, monkeypatch):
+        oracle = QuadratureOracle(omega, self.PARAMS)
+        region = RegionSpec("medium", 4.0)
+        sines = self._count(monkeypatch, "_sines")
+        # s = 0.2, then s/2 (one new frame below the same upper frames), then
+        # s/16, whose frames need more slots than the first two calls had,
+        # then s again: its frames survived the growth of the buffer
+        points = [(0.03, 0.04), (0.015, 0.02), (0.001875, 0.0025), (0.04, 0.03)]
+        got = []
+        for x, new_frames in zip(points, (4, 1, 3, 0)):
+            before = sines[0]
+            got.append(oracle.velocity(x, region))
+            assert sines[0] - before == 2 * new_frames
+        for x, u in zip(points, got):
+            np.testing.assert_array_equal(u, self._fresh(omega, x, region))
+
+    def test_full_after_far_reuses_the_far_sum(self, omega, monkeypatch):
+        oracle = QuadratureOracle(omega, self.PARAMS)
+        x = (0.3, 0.4)
+        far = oracle.velocity(x, RegionSpec("far"))
+        sums = self._count(monkeypatch, "_node_sums")
+        full = oracle.velocity(x, RegionSpec("full"))
+        assert sums[0] == 1                     # the central cell only
+        np.testing.assert_array_equal(far, self._fresh(omega, x, RegionSpec("far")))
+        np.testing.assert_array_equal(full, self._fresh(omega, x, RegionSpec("full")))
+
+    def test_slot_holds_floored_frame(self, omega):
+        # at cells_panel = 16 the top frame [2.9, pi] of s = 0.725 has
+        # na = 8 (floored from 1) and nb = 15: 304 samples, more than 16^2
+        params = replace(self.PARAMS, cells_panel=16)
+        oracle = QuadratureOracle(omega, params)
+        region = RegionSpec("medium", 4.0)
+        for x in ((0.10875, 0.145), (0.145, 0.10875), (0.10875, 0.145)):
+            np.testing.assert_array_equal(oracle.velocity(x, region),
+                                          self._fresh(omega, x, region, params))
+
+    def test_warm_medium_calls_hold_no_memory(self, omega):
+        oracle = QuadratureOracle(omega, self.PARAMS)
+        region = RegionSpec("medium", 4.0)
+        # every s = 4|x| in [0.4, 0.75] has three frames
+        scales = np.linspace(0.1, 0.1875, 21)
+
+        def array_bytes():
+            numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+            return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(numpy_only).traces)
+
+        tracemalloc.start()
+        try:
+            oracle.velocity((0.6 * scales[0], 0.8 * scales[0]), region)
+            held, arrays = tracemalloc.get_traced_memory()[0], array_bytes()
+            for r in scales[1:]:
+                oracle.velocity((0.6 * r, 0.8 * r), region)
+            # every array the calls left is still the same size; Python's
+            # free lists of small objects may hold a few hundred bytes more
+            # or less, under one frame's samples (at least 3 * 8^2 floats)
+            assert array_bytes() == arrays
+            assert abs(tracemalloc.get_traced_memory()[0] - held) < 1024
+        finally:
+            tracemalloc.stop()

@@ -69,13 +69,25 @@ class TestKernelAsymptoticsReport:
 
 
 class TestNearField:
-    def test_zero_field_trivial_pass(self):
+    def test_zero_field_trivial_pass(self, tmp_path):
         params = KernelParams(alpha=0.5, cells_central=32, cells_far=16,
                               image_radius=2, cells_panel=16)
         rep = verify_near_field(SineField.zeros(4), 0.5, [0.01, 0.02], 8.0,
                                 params, n_directions=2)
         assert rep.passed
         assert rep.fitted_constant == 0.0
+        # every bound is 0, so every ratio is 0/0; the report stays strict JSON
+        path = tmp_path / "near.json"
+        write_report_json(rep, path)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        data = json.loads(path.read_text(), parse_constant=reject)
+        assert data["samples"]
+        for row in data["samples"]:
+            assert type(row["bound"]) is float and row["bound"] == 0.0
+            assert row["ratio"] is None
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_generic_data_attains_bound_exponent(self, single_mode, alpha):
