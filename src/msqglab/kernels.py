@@ -53,6 +53,13 @@ per oracle, grown when a call needs more slots.  A far sum at the point of
 the previous one is returned again.  A reused value is the same arithmetic
 on the same floats, so reuse never changes a result.
 
+A sine matrix sin(m y) is built by angle addition, from the sines and
+cosines of r y (r = 1..b) and of q b y for m = q b + r with b = 16, which
+takes 2 (b + n / b) trig calls per coordinate for n modes instead of n.
+Against 30-digit references, on the oracle's grids at n = 128, its entries
+are off by at most 3.2e-14, where np.sin(m y) itself is off by 2.8e-14:
+both errors come from rounding arguments m y up to about 400.
+
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
 otherwise) is handled on the rectangle containing x: the singular first
 term is Taylor-subtracted there and its integral against the linearization
@@ -296,9 +303,28 @@ def riesz_velocity_prefactor(alpha: float) -> float:
     return float(2.0 * _gamma(1.0 + alpha) / (4.0 ** (1.0 - alpha) * np.pi * _gamma(1.0 - alpha)))
 
 
+# Modes per block of a sine table (see _sines): 48 trig calls per
+# coordinate instead of 128 at n = 128.
+_SINE_BLOCK = 16
+
+
 def _sines(y: np.ndarray, n_modes: int) -> np.ndarray:
-    """Sine matrix sin(m y), one row per coordinate, m = 1..n_modes."""
-    return np.sin(np.outer(y, np.arange(1, n_modes + 1, dtype=np.float64)))
+    """Sine matrix sin(m y), one row per coordinate, m = 1..n_modes.
+
+    Built by angle addition in blocks of _SINE_BLOCK modes: for m = q b + r,
+    sin(m y) = sin(q b y) cos(r y) + cos(q b y) sin(r y), from the sines and
+    cosines of r y (r = 1..b) and of q b y.  Each coordinate's ceil(n_modes/b)
+    blocks are one (blocks, 2) @ (2, b) product, and the table is cut to
+    n_modes columns.
+    """
+    b = _SINE_BLOCK
+    blocks = -(-n_modes // b)
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    step = y * np.arange(1, b + 1, dtype=np.float64)
+    base = y * (b * np.arange(blocks, dtype=np.float64))
+    left = np.stack([np.sin(base), np.cos(base)], axis=-1)
+    right = np.stack([np.cos(step), np.sin(step)], axis=1)
+    return (left @ right).reshape(len(y), blocks * b)[:, :n_modes]
 
 
 def _tensor_samples(coeffs: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:

@@ -4,6 +4,12 @@ Traces dPhi/dt = u(Phi, t) with RK4 through velocity fields reconstructed
 from stored vorticity snapshots (linear interpolation in time between
 snapshots), monitors the component-ratio along the path, applies the
 construction's stopping rule, and fits exponential growth rates.
+
+A traced step evaluates the velocity 4 times: the velocity recorded at the
+end of a step is the next step's first RK4 stage.  VelocitySampler holds the
+velocity coefficients of all snapshots in one (K, 2, n, n) array and
+evaluates both components at both bracketing snapshots in one stacked
+matmul.
 """
 
 from __future__ import annotations
@@ -57,10 +63,15 @@ class GrowthRecord:
 class VelocitySampler:
     """u(x, t) from a time-ordered list of (time, omega) snapshots.
 
-    Velocity coefficients are precomputed per snapshot (diagonal work);
-    point evaluation is a direct mixed sine/cosine series sum, linear in
-    time between the bracketing snapshots, whose two sums share one set of
-    sin/cos samples at x.
+    Velocity coefficients are precomputed per snapshot (diagonal work) and
+    held in one (K, 2, n, n) array, [U1_k, U2_k^T] for snapshot k, so that
+
+        u1 = sin(m x1) . U1 . cos(m x2),   u2 = sin(m x2) . U2^T . cos(m x1).
+
+    A call takes one sin and one cos of the (2, n) angle array m x and
+    evaluates both components at both bracketing snapshots in one stacked
+    matmul, then blends them linearly in time.  Outside the snapshot times
+    the nearest snapshot is used.
     """
 
     def __init__(self, snapshots, alpha: float):
@@ -69,41 +80,47 @@ class VelocitySampler:
         times, fields = zip(*sorted(snapshots, key=lambda p: p[0]))
         self.times = np.asarray(times, dtype=np.float64)
         self.alpha = alpha
-        self._u1 = []
-        self._u2 = []
-        for f in fields:
-            u1c, u2c = velocity_coefficients(f, alpha)
-            self._u1.append(u1c.coeffs)
-            self._u2.append(u2c.coeffs)
         self.n_modes = fields[0].n_modes
         self._modes = np.arange(1, self.n_modes + 1, dtype=np.float64)
-
-    def _basis(self, x):
-        """sin/cos of the mode vector at x1 and x2, shared by every snapshot."""
-        a1 = self._modes * x[0]
-        a2 = self._modes * x[1]
-        return np.sin(a1), np.cos(a1), np.sin(a2), np.cos(a2)
-
-    def _eval(self, idx: int, basis) -> np.ndarray:
-        s1, c1, s2, c2 = basis
-        return np.array([s1 @ self._u1[idx] @ c2, c1 @ self._u2[idx] @ s2])
+        self._coeffs = np.empty((len(fields), 2, self.n_modes, self.n_modes))
+        for k, f in enumerate(fields):
+            u1c, u2c = velocity_coefficients(f, alpha)
+            self._coeffs[k, 0] = u1c.coeffs
+            self._coeffs[k, 1] = u2c.coeffs.T
 
     def __call__(self, x, t: float) -> np.ndarray:
         ts = self.times
-        basis = self._basis(x)
-        if t <= ts[0]:
-            return self._eval(0, basis)
-        if t >= ts[-1]:
-            return self._eval(len(ts) - 1, basis)
-        hi = int(np.searchsorted(ts, t, side="right"))
-        lo = hi - 1
-        th = (t - ts[lo]) / (ts[hi] - ts[lo])
-        return (1.0 - th) * self._eval(lo, basis) + th * self._eval(hi, basis)
+        if t <= ts[0] or t >= ts[-1]:
+            lo = hi = 0 if t <= ts[0] else len(ts) - 1
+        else:
+            hi = int(np.searchsorted(ts, t, side="right"))
+            lo = hi - 1
+            th = (t - ts[lo]) / (ts[hi] - ts[lo])
+        angles = np.multiply.outer(x, self._modes)
+        # rows [sin(m x1), sin(m x2)] on the left, [cos(m x2), cos(m x1)] on
+        # the right: u[k, j] is component j at snapshot lo + k
+        u = (np.sin(angles)[:, None, :] @ self._coeffs[lo:hi + 1]
+             @ np.cos(angles)[::-1, :, None])[..., 0, 0]
+        if hi == lo:
+            return u[0]
+        return (1.0 - th) * u[0] + th * u[1]
 
 
 def trace(start, velocity_source, t_end: float, dt: float,
           t_start: float = 0.0, pos_tol: float = 1e-6) -> TrajectoryState:
     """RK4 integration of the characteristic ODE, history at every step.
+
+    velocity_source(x, t) is called 4 n + 1 times for n steps: once at the
+    start, then 3 stages and the end-of-step sample per step, since the
+    sample recorded at (x, t) is the next step's first stage.  The source
+    must be deterministic.
+
+    Through a VelocitySampler the path carries the error of the sampler's
+    linear interpolation in time between snapshots, which is second order
+    and dominates near the origin: at N=64 to T=1, the path from
+    (0.05, 0.08) ends 8.7e-4 away from the one traced through a snapshot at
+    every step when snapshots are 10 steps apart (the CLI default), and
+    1.2e-2 away when they are 40 apart.
 
     Halts with a diagnostic if the position leaves [0, pi)^2 by more than
     pos_tol (the quadrant is invariant for the exact flow; leaving it
@@ -123,7 +140,7 @@ def trace(start, velocity_source, t_end: float, dt: float,
     n_steps = int(np.ceil((t_end - t_start) / dt - 1e-12))
     for _ in range(n_steps):
         h = min(dt, t_end - t)
-        k1 = np.asarray(velocity_source(x, t))
+        k1 = vel[-1]
         k2 = np.asarray(velocity_source(x + 0.5 * h * k1, t + 0.5 * h))
         k3 = np.asarray(velocity_source(x + 0.5 * h * k2, t + 0.5 * h))
         k4 = np.asarray(velocity_source(x + h * k3, t + h))

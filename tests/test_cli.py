@@ -22,16 +22,18 @@ SMALL_CONFIG = "[run]\nN = 32\nNg = 64\nimage_radius = 2\n"
 # explained; a new numpy or scipy may move the last bits of a value.
 GOLDEN = {
     "run/diagnostics.csv": "bd13a5aed836ce479ebe407a6de0b8a7e24636c58261b6625b14a0c57d33637c",
+    "tr/trajectory.csv": "95430f596616200ac2ab2a25cf1b6c93b22866e140eeec5220442a2a8306c908",
+    "tr/trace_summary.json": "5cf1c28316fc997413f8237240a51e668ab46d3b67c5783ffad7b2b86f0a6e0c",
     "ver/report_kernel_asymptotics.json":
         "d7bfa721cb0b6c35f64c640166f5d18531b52d35e53db8f4fda6868ae32bf670",
-    "ver/report_near_field.json": "5166594f4fccd49244b819ef1ae9704ed5d0f0e13931ccb1da44481724c90b79",
+    "ver/report_near_field.json": "2e0fefd71bc8e2473593490a75ad746a21909adbdd7cbb9c5fedd6a578e2359f",
     "ver/report_medium_ratio.json":
-        "85436d1ba89a33384630238ce5011efb4e0fff55a895c1c65919f84d6898d29f",
-    "ver/report_far_field.json": "b96c40d291e0a04b6a044f85d3e430f84a598e079abace9d5480ef5485fb5e93",
-    "ver/report_background.json": "f4ae3179dbb18cf8878b1ce45cfae36c8e0ca7392d8e1ee318dcf1c4c7ff4b06",
+        "93c8ea86a91d07326e0360e5110d5de2244b032bbc7e093e18e653330472c495",
+    "ver/report_far_field.json": "2cbf03e2a83accac53683d0681a76555d0be30866a4cc08cc923b5852a63b3cc",
+    "ver/report_background.json": "a4be6f3f4ebbbc3be7b8f3fa5aa54dd2641b4ab3b1b8a2149f2b0fd00fc72ee3",
     "ver/report_decomposition.json":
-        "0c865f5b78d97b66918ab4dce4e125b9b28df862a1cbdf48352a8334b47c2a6a",
-    "ver/verify_summary.csv": "4d3b4145ea5f0ffb55bfbc8adefe083742b473cf70e3efbd95181977708c2085",
+        "b04c6a43dd14291f53feb831c622fd6e99746b2bbbe7af341c42327eb28d3ba8",
+    "ver/verify_summary.csv": "bc82f9e3def9c0da05c60e055b8a5075078423f8118d84f1bee94e0751e8e7f2",
 }
 
 

@@ -409,6 +409,44 @@ class TestLinearPrincipalValue:
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
 
 
+def _oracle_grids():
+    """Midpoint coordinates of the grids an oracle samples at the defaults,
+    for a point with L|x| = 0.4 (frames [0.4, 0.8], ..., [1.6, pi])."""
+    mid = kernels._midpoints
+    frame = [mid(0.4, 0.8, 64)[0], mid(0.0, 0.4, 64)[0]]
+    top = [mid(1.6, np.pi, round(128 * (np.pi - 1.6) / np.pi))[0],
+           mid(0.0, 1.6, round(128 * 1.6 / np.pi))[0]]
+    return {"near": mid(0.0, 0.4, 128)[0], "frame": np.concatenate(frame),
+            "top_frame": np.concatenate(top), "central": mid(0.0, np.pi, 256)[0],
+            "far_cell": mid(0.0, np.pi, 64)[0]}
+
+
+class TestSineTables:
+    """kernels._sines, built by blocked angle addition, against 30-digit sines."""
+
+    @staticmethod
+    def _reference(y, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            return np.array([[float(mpmath.sin(m * mpmath.mpf(float(v))))
+                              for m in range(1, n + 1)] for v in y])
+
+    @pytest.mark.parametrize("grid", sorted(_oracle_grids()))
+    def test_oracle_grids(self, grid):
+        # m y reaches 128 pi ~ 400, where rounding m y alone costs ~3e-14
+        y = _oracle_grids()[grid]
+        np.testing.assert_allclose(kernels._sines(y, 128), self._reference(y, 128),
+                                   rtol=0.0, atol=2e-13)
+
+    @pytest.mark.parametrize("n", [6, 12, 130])
+    def test_mode_counts_off_the_block(self, n):
+        assert n % kernels._SINE_BLOCK
+        y = kernels._midpoints(0.0, np.pi, 40)[0]
+        got = kernels._sines(y, n)
+        assert got.shape == (40, n)
+        np.testing.assert_allclose(got, self._reference(y, n), rtol=0.0, atol=2e-13)
+
+
 class TestReuseAcrossCalls:
     """Samples and far sums reused from earlier calls give a fresh oracle's sums."""
 

@@ -61,6 +61,50 @@ def test_clamps_outside_time_range(snapshots):
                                rtol=1e-12, atol=1e-14)
 
 
+class TestSamplerAtWorkloadSize:
+    """N = 128 with 3 snapshots, the size of a traced benchmark run."""
+
+    N = 128
+    TIMES = (0.0, 0.02, 0.05)
+
+    @pytest.fixture(scope="class")
+    def snaps(self):
+        rng = np.random.default_rng(128)
+        k = np.arange(1, self.N + 1)
+        decay = 1.0 / np.add.outer(k, k) ** 2
+        return [(t, SineField(rng.standard_normal((self.N, self.N)) * decay))
+                for t in self.TIMES]
+
+    def test_matches_blended_spectral_evaluation(self, snaps):
+        sampler = VelocitySampler(snaps, ALPHA)
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0.0, np.pi, (40, 2))
+        at = np.array([[u.evaluate_at(pts) for u in velocity_coefficients(f, ALPHA)]
+                       for _, f in snaps])              # (snapshot, component, point)
+        ts = np.asarray(self.TIMES)
+        times = np.r_[rng.uniform(ts[0], ts[-1], 30), ts, -1.0, 0.5]
+        for t in times:
+            hi = int(np.clip(np.searchsorted(ts, t, side="right"), 1, len(ts) - 1))
+            th = float(np.clip((t - ts[hi - 1]) / (ts[hi] - ts[hi - 1]), 0.0, 1.0))
+            want = (1.0 - th) * at[hi - 1] + th * at[hi]
+            got = np.array([sampler(x, t) for x in pts]).T
+            # relative to each component's largest value over the points
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-13 * scale).all(), t
+
+    def test_holds_one_coefficient_array(self, snaps):
+        sampler = VelocitySampler(snaps, ALPHA)
+        k, n = len(snaps), self.N
+        held = 0
+        for value in vars(sampler).values():
+            assert not isinstance(value, (list, tuple, dict))
+            if isinstance(value, np.ndarray):
+                assert value.base is None
+                held += value.nbytes
+        # K * 2 * n^2 coefficients plus the K times and the n mode numbers
+        assert held == 8 * (k * 2 * n * n + k + n)
+
+
 def test_single_snapshot_is_constant_in_time():
     field = _field(1.0)
     sampler = VelocitySampler([(0.3, field)], ALPHA)
@@ -72,6 +116,40 @@ def test_single_snapshot_is_constant_in_time():
 def test_no_snapshots_rejected():
     with pytest.raises(ValueError, match="no snapshots"):
         VelocitySampler([], ALPHA)
+
+
+def _five_call_trace(start, velocity_source, t_end, dt):
+    """The RK4 loop that calls the source at (x, t) for k1 again: positions,
+    velocities."""
+    x = np.array(start, dtype=np.float64)
+    pos, vel = [x.copy()], [np.asarray(velocity_source(x, 0.0), dtype=np.float64)]
+    t = 0.0
+    for _ in range(int(np.ceil(t_end / dt - 1e-12))):
+        h = min(dt, t_end - t)
+        k1 = np.asarray(velocity_source(x, t))
+        k2 = np.asarray(velocity_source(x + 0.5 * h * k1, t + 0.5 * h))
+        k3 = np.asarray(velocity_source(x + 0.5 * h * k2, t + 0.5 * h))
+        k4 = np.asarray(velocity_source(x + h * k3, t + h))
+        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h
+        pos.append(x.copy())
+        vel.append(np.asarray(velocity_source(x, t)))
+        if x.min() < -1e-6 or x.max() > np.pi + 1e-6:
+            break
+    return np.array(pos), np.array(vel)
+
+
+class CountingSource:
+    """A smooth time-dependent velocity that counts its calls."""
+
+    def __init__(self, push: float):
+        self.calls = 0
+        self.push = push
+
+    def __call__(self, x, t):
+        self.calls += 1
+        return np.array([self.push - np.sin(x[0]) * np.cos(x[1]) * (1.0 + t),
+                         np.cos(x[0]) * np.sin(x[1]) * (1.0 - 0.5 * t)])
 
 
 class TestTrace:
@@ -94,6 +172,20 @@ class TestTrace:
         assert traj.positions[-1, 0] > np.pi > traj.positions[-2, 0]
         np.testing.assert_allclose(traj.times[-1], 0.15)
         assert len(traj.times) == len(traj.positions) == len(traj.velocities) == 4
+
+    @pytest.mark.parametrize("push, halts", [(0.0, False), (4.0, True)])
+    def test_four_calls_per_step_same_path(self, push, halts):
+        # each step's first stage is the velocity recorded at the end of the
+        # step before it, so an n-step path makes 4n + 1 calls and follows
+        # the path of the loop that evaluates it again
+        source = CountingSource(push)
+        traj = trace((2.5, 0.7), source, 1.0, 0.05)
+        steps = len(traj.times) - 1
+        assert traj.halted is halts and (steps < 20) is halts
+        assert source.calls == 4 * steps + 1
+        pos, vel = _five_call_trace((2.5, 0.7), CountingSource(push), 1.0, 0.05)
+        np.testing.assert_array_equal(traj.positions, pos)
+        np.testing.assert_array_equal(traj.velocities, vel)
 
     def test_start_outside_quadrant_rejected(self):
         with pytest.raises(ValueError, match="open quadrant"):
