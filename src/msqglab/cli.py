@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import sys
@@ -263,10 +264,8 @@ def _load_run_dir(run_dir: Path):
     diag_path = run_dir / "diagnostics.csv"
     times, hess = [], []
     if diag_path.exists():
-        import csv as _csv
-
         with open(diag_path) as fh:
-            for row in _csv.DictReader(fh):
+            for row in csv.DictReader(fh):
                 times.append(float(row["time"]))
                 hess.append(float(row["hessian_sup"]))
     meta = {}

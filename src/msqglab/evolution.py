@@ -15,21 +15,16 @@ Each step builds one tendency evaluator whose buffers hold every grid of
 the four stages; the transforms run in place in them, and the RK4 stage
 inputs and sum are formed in per-step arrays, so a stage allocates no
 grid-sized array.  The buffers are freed when the step returns.  The CFL
-velocity grids are evaluated into buffers that run() holds for the whole run.
+speed and the grid maxima of every diagnostic record (omega-max and the
+three Hessian entries) go through one spectral.GridMax that run() holds for
+the whole run.
 
-No dissipation is applied by default (the equation is conservative); an
-optional high-order spectral filter (Hou-Li, exp(-36 (k/N)^36) per axis)
-exists for long runs and its use is recorded in the run metadata.  It
-damps the top modes and so lowers the L2 norm, but does not remove the
-Gibbs ripple: for the delta=0.25 plateau at alpha=0.5, N=64/n_grid=144, up
-to t=0.2, the final L2 norm is 2.826187 filtered against 2.826351
-unfiltered, and the final omega-max 1.0609 filtered against 1.0505
-unfiltered.  Loss of resolution is a reportable outcome
-("resolution_exhausted"), not an error.
+No dissipation is applied (the equation is conservative).  Loss of
+resolution is a reportable outcome ("resolution_exhausted"), not an error.
 
 What the truncated scheme conserves: the L2 norm, up to the RK4 error, and,
-with preserve_degeneracy (also when the filter is on), the vanishing of
-d_x1 omega on the x2-axis to rounding.  It has no discrete max principle:
+with preserve_degeneracy, the vanishing of d_x1 omega on the x2-axis to
+rounding.  It has no discrete max principle:
 on the truncated plateau, omega-max overshoots its initial value by Gibbs
 ripple that does not depend on dt and shrinks with N.  Measured for the
 delta=0.35 plateau at alpha=0.5 up to t=0.2: a relative overshoot of
@@ -50,10 +45,9 @@ from scipy import fft as sfft
 from . import __version__
 from .initial_data import InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy
 from .snapshots import write_snapshot
-from .spectral import (GridField, SineField, VelocityField, _check_finite, _eval_cos_axis,
-                       _eval_midpoint_axis, _eval_sin_axis, _laplacian_power, _max_abs,
-                       _midpoint_slot, dealias_grid, get_workers, grid_max_abs,
-                       hessian_sup_norm, l2_norm)
+from .spectral import (GridMax, SineField, _check_finite, _eval_midpoint_axis,
+                       _laplacian_power, _midpoint_slot, _velocity_into, dealias_grid,
+                       get_workers, hessian_sup_norm, l2_norm)
 from .trajectories import fit_gamma
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
@@ -77,7 +71,6 @@ class ExperimentConfig:
     diag_every: int = 5
     snapshot_every: int = 10
     out_dir: str | None = None
-    spectral_filter: bool = False
     preserve_degeneracy: bool = True
     # halt when grid omega-max grows faster than this per step; a heuristic
     # only, since the truncated scheme has no max principle and its Gibbs
@@ -171,7 +164,7 @@ class _Rhs:
         self.preserve_degeneracy = preserve_degeneracy
         n, m = n_modes, n_grid
         modes = np.arange(1, n + 1, dtype=np.float64)
-        self._rows, self._neg_cols, self._cols = modes[:, None], -modes[None, :], modes[None, :]
+        self._rows, self._cols = modes[:, None], modes[None, :]
         self._symbol = _laplacian_power(n, alpha)       # psi = omega / symbol
         self._workers = get_workers()
         self._sc = np.empty((2, m, m))            # [u1, d2 omega] in (sin, cos)
@@ -189,15 +182,11 @@ class _Rhs:
         n, m, w = self.n_modes, self.n_grid, self._workers
         sc, cs = self._sc, self._cs
         # velocity and gradient as velocity_coefficients / spectral_derivative form them
-        u1, d2 = self._sc_modes
-        np.divide(coeffs, self._symbol, out=u1)
-        u1 *= self._neg_cols                            # u1 = -d2 psi
+        (u1, d2), (u2, d1) = self._sc_modes, self._cs_modes
+        _velocity_into(coeffs, self._symbol, u1, u2)
         np.multiply(coeffs, self._cols, out=d2)
         _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
         _eval_midpoint_axis(sc, "cos", n, -1, w)
-        u2, d1 = self._cs_modes
-        np.divide(coeffs, self._symbol, out=u2)
-        u2 *= self._rows                                # u2 = d1 psi
         np.multiply(coeffs, self._rows, out=d1)
         _eval_midpoint_axis(self._cs_cols, "cos", n, -2, w)
         _eval_midpoint_axis(cs, "sin", n, -1, w)
@@ -231,47 +220,15 @@ def nonlinear_term(omega: SineField, alpha: float, n_grid: int,
     return SineField(_Rhs(alpha, omega.n_modes, n_grid, preserve_degeneracy)(omega.coeffs))
 
 
-class _GridVelocity:
-    """u1 and u2 of a field on the n_grid x n_grid diagnostic grid, in held buffers.
-
-    The coefficients and transforms are those of velocity_from_vorticity, so
-    the grids are bit-identical to its; run() builds one per run for the CFL
-    step, which then allocates no grid-sized array.  Each call overwrites
-    the grids of the previous one.
-    """
-
-    def __init__(self, alpha: float, n_modes: int, n_grid: int):
-        self.alpha = alpha
-        self.n_grid = n_grid
-        modes = np.arange(1, n_modes + 1, dtype=np.float64)
-        self._rows, self._neg_cols = modes[:, None], -modes[None, :]
-        self._symbol = _laplacian_power(n_modes, alpha)
-        self._workers = get_workers()
-        self._coeffs = np.empty((n_modes, n_modes))
-        self._first = np.empty((n_grid + 1, n_modes))  # first-axis transform of either component
-        self._u1 = np.empty((n_grid, n_grid + 1))       # (sin, cos)
-        self._u2 = np.empty((n_grid, n_grid))           # (cos, sin)
-
-    def __call__(self, omega: SineField) -> VelocityField:
-        g, w, c = self.n_grid, self._workers, self._coeffs
-        np.divide(omega.coeffs, self._symbol, out=c)
-        c *= self._neg_cols                             # u1 = -d2 psi
-        u1 = _eval_cos_axis(_eval_sin_axis(c, g, -2, self._first, w), g, -1, self._u1, w)
-        np.divide(omega.coeffs, self._symbol, out=c)
-        c *= self._rows                                 # u2 = d1 psi
-        u2 = _eval_sin_axis(_eval_cos_axis(c, g, -2, self._first, w), g, -1, self._u2, w)
-        return VelocityField(GridField(u1), GridField(u2), self.alpha)
-
-
-def cfl_dt(u: VelocityField, n_grid: int, safety: float,
+def cfl_dt(umax: float, n_grid: int, safety: float,
            dt_min: float = 1e-7, dt_max: float = 0.05) -> float:
-    """dt = safety * (pi / n_grid) / max|u|, clipped to [dt_min, dt_max].
+    """dt = safety * (pi / n_grid) / umax, clipped to [dt_min, dt_max].
 
-    NaN if the velocity holds a NaN; step_rk4 rejects that step.
+    umax is the grid maximum of |u1| and |u2|.  NaN if umax is NaN;
+    step_rk4 rejects that step.
     """
     if not 0.0 < safety <= 0.5:
         raise ValueError(f"cfl safety must be in (0, 0.5], got {safety}")
-    umax = float(np.maximum(_max_abs(u.u1.values), _max_abs(u.u2.values)))
     if umax == 0.0:
         return dt_max
     return float(np.clip(safety * (np.pi / n_grid) / umax, dt_min, dt_max))
@@ -299,19 +256,7 @@ def step_rk4(state: SimState, dt: float) -> SimState:
     k1 += k3
     k1 += k4
     k1 *= dt / 6.0
-    new = c + k1
-    if cfg.spectral_filter:
-        # the mask does not keep sum_m m a[m,n] = 0; project again
-        new *= _filter_mask(n)
-        if cfg.preserve_degeneracy:
-            _project_degeneracy(new)
-    return SimState(SineField(new), state.time + dt, state.step_count + 1, cfg)
-
-
-def _filter_mask(n_modes: int) -> np.ndarray:
-    m = np.arange(1, n_modes + 1) / n_modes
-    f = np.exp(-36.0 * m**36)
-    return f[:, None] * f[None, :]
+    return SimState(SineField(c + k1), state.time + dt, state.step_count + 1, cfg)
 
 
 def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
@@ -330,8 +275,10 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
         out.mkdir(parents=True, exist_ok=True)
 
     state = SimState(omega0, 0.0, 0, config)
-    velocity = _GridVelocity(config.alpha, config.n_modes, config.n_grid) \
-        if config.dt_policy == "cfl" else None
+    grid_max = GridMax(config.n_modes, config.n_grid)
+    if config.dt_policy == "cfl":
+        symbol = _laplacian_power(config.n_modes, config.alpha)
+        u1, u2 = np.empty((2, config.n_modes, config.n_modes))
     diagnostics = []
     snapshots = []
     notes = []
@@ -342,10 +289,10 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
 
     def record(dt_now: float):
         nonlocal omax_prev, steps_since_diag
-        omax = grid_max_abs(state.omega, config.n_grid)
+        omax = grid_max(state.omega.coeffs, ("sin", "sin"))
         rec = DiagnosticsRecord(
             time=state.time,
-            hessian_sup=hessian_sup_norm(state.omega, config.n_grid),
+            hessian_sup=hessian_sup_norm(state.omega, config.n_grid, grid_max),
             omega_max=omax,
             l2_norm=l2_norm(state.omega),
             degeneracy=check_degeneracy(state.omega),
@@ -368,9 +315,11 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     snap()
 
     while state.time < config.t_final - 1e-14:
-        if velocity is not None:
-            dt = cfl_dt(velocity(state.omega), config.n_grid, config.cfl_safety,
-                        config.dt_min, config.dt_max)
+        if config.dt_policy == "cfl":
+            _velocity_into(state.omega.coeffs, symbol, u1, u2)
+            # np.maximum, unlike the builtin, keeps a NaN
+            umax = np.maximum(grid_max(u1, ("sin", "cos")), grid_max(u2, ("cos", "sin")))
+            dt = cfl_dt(umax, config.n_grid, config.cfl_safety, config.dt_min, config.dt_max)
         else:
             dt = config.dt
         dt = min(dt, config.t_final - state.time)
@@ -436,7 +385,6 @@ def _write_outputs(out: Path, config: ExperimentConfig, result: RunResult,
         "halt_reason": result.halt_reason,
         "gamma": result.gamma,
         "gamma_r2": result.gamma_r2,
-        "spectral_filter": config.spectral_filter,
         "preserve_degeneracy": config.preserve_degeneracy,
         "notes": result.notes,
     }

@@ -27,8 +27,8 @@ import numpy as np
 from scipy.fft import dst
 from scipy.special import comb
 
-from .spectral import (GridField, SineField, _max_abs, evaluate_grid, forward_transform,
-                       grid_coordinates, spectral_derivative)
+from .spectral import (GridField, GridMax, SineField, _max_abs, forward_transform,
+                       grid_coordinates, inverse_transform, spectral_derivative)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction"]
@@ -143,8 +143,9 @@ def check_degeneracy(omega: SineField, n_samples: int = 2048) -> float:
 
 def gradient_sup_norm(omega: SineField, n_grid: int) -> float:
     """Max over grid points of max(|d1 omega|, |d2 omega|); NaN if either holds one."""
+    grid_max = GridMax(omega.n_modes, n_grid)
     derivs = (spectral_derivative(omega, axis, 1) for axis in (1, 2))
-    return float(np.max([_max_abs(evaluate_grid(d.coeffs, d.parity, n_grid)) for d in derivs]))
+    return float(np.max([grid_max(d.coeffs, d.parity) for d in derivs]))
 
 
 def plateau_deficit_fraction(omega: SineField, n_grid: int, tol: float = 1e-3) -> float:
@@ -152,7 +153,5 @@ def plateau_deficit_fraction(omega: SineField, n_grid: int, tol: float = 1e-3) -
 
     tol absorbs the series-truncation ripple on the plateau (otherwise
     half the plateau cells sit marginally below 1)."""
-    from .spectral import inverse_transform
-
     vals = inverse_transform(omega, n_grid).values
     return float(np.count_nonzero(vals < 1.0 - tol)) / vals.size

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .spectral import SineField, evaluate_offgrid, spectral_derivative
+from .spectral import SineField, evaluate_offgrid, spectral_derivative, velocity_coefficients
 
 __all__ = [
     "KernelParams",
@@ -654,8 +654,6 @@ def fit_calibration(omega: SineField, alpha: float, points, params: KernelParams
     worst per-point relative error of the velocity vector,
     ||c*quad - spec|| / ||spec||.
     """
-    from .spectral import velocity_coefficients
-
     pts = np.asarray(points, dtype=np.float64)
     if oracle is None:
         oracle = QuadratureOracle(omega, params)

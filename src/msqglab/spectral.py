@@ -15,7 +15,10 @@ MixedParityField; evaluate_grid evaluates stacks of same-parity fields in
 one transform call per axis.  Each axis transform zero-pads its modes into
 a buffer and transforms there in place (overwrite_x); evaluate_grid
 allocates those buffers per call, while callers that repeat an evaluation
-pass buffers they reuse.
+pass buffers they reuse.  Every max|f| on the collocation grid goes through
+GridMax, which evaluates any parity pair in two buffers that it holds: a
+caller that keeps one, as the time stepper does for its CFL speed and its
+diagnostics, allocates no grid-sized array per maximum.
 
 The pointwise products of the time stepper are formed on a second,
 staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
@@ -40,14 +43,13 @@ __all__ = [
     "SineField",
     "GridField",
     "MixedParityField",
-    "VelocityField",
+    "GridMax",
     "evaluate_grid",
     "dealias_grid",
     "forward_transform",
     "inverse_transform",
     "fractional_inverse_laplacian",
     "spectral_derivative",
-    "velocity_from_vorticity",
     "velocity_coefficients",
     "evaluate_offgrid",
     "hessian_sup_norm",
@@ -288,18 +290,6 @@ class MixedParityField:
         return float(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
 
 
-@dataclass(frozen=True)
-class VelocityField:
-    """Grid-sampled velocity components with their parities.
-
-    u1 is odd in x1 / even in x2 on the full torus; u2 the reverse.
-    """
-
-    u1: GridField
-    u2: GridField
-    alpha: float
-
-
 def inverse_transform(field: SineField, n_grid: int) -> GridField:
     """Evaluate the sine series on the collocation grid (pointwise exact)."""
     if n_grid < 2 * field.n_modes:
@@ -358,6 +348,20 @@ def spectral_derivative(field: SineField, axis: int, order: int) -> MixedParityF
     return MixedParityField(-field.coeffs * fac**2, ("sin", "sin"))
 
 
+def _velocity_into(coeffs: np.ndarray, symbol: np.ndarray, u1: np.ndarray,
+                   u2: np.ndarray) -> None:
+    """Write the velocity coefficients of psi = coeffs / symbol into u1 and u2.
+
+    u1 = -d2 psi in the (sin, cos) basis and u2 = d1 psi in the (cos, sin)
+    basis; symbol is _laplacian_power(N, alpha).
+    """
+    modes = np.arange(1, coeffs.shape[-1] + 1, dtype=np.float64)
+    np.divide(coeffs, symbol, out=u1)
+    u1 *= -modes
+    np.divide(coeffs, symbol, out=u2)
+    u2 *= modes[:, None]
+
+
 def velocity_coefficients(omega: SineField, alpha: float):
     """Coefficient-space velocity u = grad^perp psi, psi = (-Lap)^(-1+alpha) omega.
 
@@ -365,18 +369,9 @@ def velocity_coefficients(omega: SineField, alpha: float):
     basis, u2 = d1 psi in the (cos, sin) basis.  The sign convention makes
     u1 <= 0, u2 >= 0 near the origin for omega >= 0 on (0, pi)^2.
     """
-    psi = fractional_inverse_laplacian(omega, alpha)
-    n = psi.n_modes
-    modes = np.arange(1, n + 1, dtype=np.float64)
-    u1 = MixedParityField(-psi.coeffs * modes[None, :], ("sin", "cos"))
-    u2 = MixedParityField(psi.coeffs * modes[:, None], ("cos", "sin"))
-    return u1, u2
-
-
-def velocity_from_vorticity(omega: SineField, alpha: float, n_grid: int) -> VelocityField:
-    """Velocity law evaluated on the collocation grid."""
-    u1c, u2c = velocity_coefficients(omega, alpha)
-    return VelocityField(u1c.evaluate(n_grid), u2c.evaluate(n_grid), alpha)
+    u1, u2 = np.empty((2,) + omega.coeffs.shape)
+    _velocity_into(omega.coeffs, _laplacian_power(omega.n_modes, alpha), u1, u2)
+    return MixedParityField(u1, ("sin", "cos")), MixedParityField(u2, ("cos", "sin"))
 
 
 def evaluate_offgrid(field: SineField, x) -> np.ndarray:
@@ -387,20 +382,49 @@ def evaluate_offgrid(field: SineField, x) -> np.ndarray:
     return MixedParityField(field.coeffs, ("sin", "sin")).evaluate_at(x)
 
 
-def hessian_sup_norm(omega: SineField, n_grid: int) -> float:
+class GridMax:
+    """max|f| on the n_grid x n_grid collocation grid, in two held buffers.
+
+    A call takes the N x N coefficients of a mixed sin/cos series and its
+    parity pair, and returns _max_abs(evaluate_grid(coeffs, parity, n_grid))
+    bit for bit (NaN if the grid holds a NaN).  The first-axis transform runs
+    in an (n_grid+1, N) buffer and the second-axis one in an
+    (n_grid, n_grid+1) buffer, which fit every parity pair, so one instance
+    serves a whole run and a call allocates no grid-sized array.
+    """
+
+    def __init__(self, n_modes: int, n_grid: int):
+        self.n_grid = n_grid
+        self._workers = get_workers()
+        self._first = np.empty((n_grid + 1, n_modes))
+        self._grid = np.empty((n_grid, n_grid + 1))
+
+    def __call__(self, coeffs: np.ndarray, parity: tuple) -> float:
+        if tuple(parity) not in _PARITIES:
+            raise ValueError(f"invalid parity pair {parity}")
+        g, w = self.n_grid, self._workers
+        rows = _AXIS_EVAL[parity[0]](coeffs, g, -2, self._first, w)
+        return _max_abs(_AXIS_EVAL[parity[1]](rows, g, -1, self._grid, w))
+
+
+def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None) -> float:
     """Max over grid points of the largest |entry| of the Hessian of omega.
 
     Collocation-grid maximization: a lower bound for the true sup norm that
-    converges as n_grid grows.
+    converges as n_grid grows.  grid_max, a GridMax on n_grid, is the
+    evaluator to use; one is built when none is given.
     """
+    if grid_max is None:
+        grid_max = GridMax(omega.n_modes, n_grid)
+    elif grid_max.n_grid != n_grid:
+        raise ValueError(f"GridMax on {grid_max.n_grid} points, not n_grid={n_grid}")
     c = omega.coeffs
     modes = np.arange(1, omega.n_modes + 1, dtype=np.float64)
     m, n = modes[:, None], modes[None, :]
     entries = ((-c * m**2, ("sin", "sin")), (c * m * n, ("cos", "cos")),
                (-c * n**2, ("sin", "sin")))
-    # one entry at a time: a stacked evaluation would hold all three grids at
-    # once; np.max, unlike the builtin, keeps a NaN
-    return float(np.max([_max_abs(evaluate_grid(d, parity, n_grid)) for d, parity in entries]))
+    # np.max, unlike the builtin, keeps a NaN
+    return float(np.max([grid_max(d, parity) for d, parity in entries]))
 
 
 def l2_norm(field: SineField) -> float:
@@ -410,4 +434,4 @@ def l2_norm(field: SineField) -> float:
 
 def grid_max_abs(field: SineField, n_grid: int) -> float:
     """Max of |f| over the collocation grid."""
-    return _max_abs(inverse_transform(field, n_grid).values)
+    return GridMax(field.n_modes, n_grid)(field.coeffs, ("sin", "sin"))

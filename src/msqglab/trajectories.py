@@ -146,18 +146,15 @@ def trace(start, velocity_source, t_end: float, dt: float,
         k4 = np.asarray(velocity_source(x + h * k3, t + h))
         x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + h
+        times.append(t)
+        pos.append(x.copy())
+        vel.append(np.asarray(velocity_source(x, t)))
         if (x[0] < QUADRANT[0] - pos_tol or x[1] < QUADRANT[0] - pos_tol
                 or x[0] > QUADRANT[1] + pos_tol or x[1] > QUADRANT[1] + pos_tol):
             halted = True
             note = (f"trajectory left [0, pi)^2 at t={t:.6f}, x={tuple(x)}; "
                     "quadrant invariance violated beyond tolerance")
-            times.append(t)
-            pos.append(x.copy())
-            vel.append(np.asarray(velocity_source(x, t)))
             break
-        times.append(t)
-        pos.append(x.copy())
-        vel.append(np.asarray(velocity_source(x, t)))
     traj = TrajectoryState(
         start=tuple(np.atleast_1d(start)[:2]),
         times=np.array(times), positions=np.array(pos),

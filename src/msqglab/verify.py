@@ -151,10 +151,6 @@ def verify_kernel_asymptotics(alpha: float, ratios=(10.0, 100.0, 1000.0),
                f"{slope:.3f} because the corrections are quadratic in |x|/|y|"])
 
 
-def _direction_magnitude_samples(directions, magnitudes):
-    return [(float(r * d[0]), float(r * d[1])) for r in magnitudes for d in directions]
-
-
 @_notes_warnings
 def verify_near_field(omega: SineField, alpha: float, magnitudes, L: float,
                       params: KernelParams | None = None, n_directions: int = 8,

@@ -9,8 +9,7 @@ from msqglab import evolution
 from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, cfl_dt, nonlinear_term,
                                run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
-from msqglab.spectral import (SineField, VelocityField, GridField, dealias_grid,
-                              velocity_from_vorticity)
+from msqglab.spectral import SineField, _max_abs, dealias_grid, velocity_coefficients
 
 
 def make_config(**kw):
@@ -203,21 +202,16 @@ class TestRhsWorkspace:
 class TestStepRK4:
     def test_in_place_sums_match_expression(self):
         om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
-        for filtered in (False, True):
-            cfg = make_config(n_modes=32, n_grid=64, spectral_filter=filtered)
-            rhs = _Rhs(cfg.alpha, 32, dealias_grid(32), True)
-            dt, c = 2e-3, om.coeffs
-            k1 = rhs(c)
-            k2 = rhs(c + 0.5 * dt * k1)
-            k3 = rhs(c + 0.5 * dt * k2)
-            k4 = rhs(c + dt * k3)
-            expect = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if filtered:
-                expect = expect * evolution._filter_mask(32)
-                m = np.arange(1, 33, dtype=np.float64)
-                expect = expect - np.outer(m, m @ expect) / float(np.sum(m * m))
-            got = step_rk4(SimState(om, 0.0, 0, cfg), dt).omega.coeffs
-            np.testing.assert_array_equal(got, expect)
+        cfg = make_config(n_modes=32, n_grid=64)
+        rhs = _Rhs(cfg.alpha, 32, dealias_grid(32), True)
+        dt, c = 2e-3, om.coeffs
+        k1 = rhs(c)
+        k2 = rhs(c + 0.5 * dt * k1)
+        k3 = rhs(c + 0.5 * dt * k2)
+        k4 = rhs(c + dt * k3)
+        expect = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = step_rk4(SimState(om, 0.0, 0, cfg), dt).omega.coeffs
+        np.testing.assert_array_equal(got, expect)
 
     def test_stationary_fixed_point(self):
         om = SineField.from_modes({(1, 1): 1.0}, 8)
@@ -259,46 +253,34 @@ class TestStepRK4:
             step_rk4(st, float("nan"))
 
 
+def grid_speed(omega, alpha, n_grid):
+    """max |u| on the grid through MixedParityField.evaluate, apart from run()'s held buffers."""
+    u1, u2 = velocity_coefficients(omega, alpha)
+    return np.maximum(_max_abs(u1.evaluate(n_grid).values), _max_abs(u2.evaluate(n_grid).values))
+
+
 class TestCflDt:
     def test_zero_velocity(self):
-        zero = GridField(np.zeros((16, 16)))
-        u = VelocityField(zero, zero, 0.5)
-        assert cfl_dt(u, 16, 0.4, dt_max=0.05) == 0.05
+        assert cfl_dt(0.0, 16, 0.4, dt_max=0.05) == 0.05
 
     def test_grid_scaling(self):
         om = SineField.from_modes({(1, 1): 1.0}, 8)
-        u16 = velocity_from_vorticity(om, 0.5, 16)
-        u32 = velocity_from_vorticity(om, 0.5, 32)
         # the raw steps (0.111, 0.0555) lie above the default dt_max=0.05 clip
-        assert cfl_dt(u32, 32, 0.4, dt_max=1.0) == pytest.approx(
-            cfl_dt(u16, 16, 0.4, dt_max=1.0) / 2, rel=0.05)
+        assert cfl_dt(grid_speed(om, 0.5, 32), 32, 0.4, dt_max=1.0) == pytest.approx(
+            cfl_dt(grid_speed(om, 0.5, 16), 16, 0.4, dt_max=1.0) / 2, rel=0.05)
 
     def test_plateau_data_positive(self):
         om = build_omega0(InitialDataSpec(delta=0.35, n_modes=64, n_grid=144))
-        u = velocity_from_vorticity(om, 0.5, 144)
-        dt = cfl_dt(u, 144, 0.4)
+        dt = cfl_dt(grid_speed(om, 0.5, 144), 144, 0.4)
         assert 0 < dt < 0.05
 
     @pytest.mark.parametrize("component", [0, 1])
     def test_nan_velocity_gives_nan_step(self, component):
-        grids = [np.ones((8, 8)), np.ones((8, 8))]
-        grids[component][3, 5] = np.nan
-        u = VelocityField(GridField(grids[0]), GridField(grids[1]), 0.5)
-        assert math.isnan(cfl_dt(u, 8, 0.4))
-
-    def test_held_buffers_match_velocity_from_vorticity(self):
-        # run() takes its CFL velocity from one _GridVelocity; the grids, and so
-        # dt, are bit-identical to velocity_from_vorticity, also on reuse
-        plateau = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80)).coeffs
-        noise = np.random.default_rng(3).normal(size=(32, 32))
-        velocity = evolution._GridVelocity(0.3, 32, 80)
-        for c in (plateau, noise, plateau):
-            got = velocity(SineField(c))
-            ref = velocity_from_vorticity(SineField(c), 0.3, 80)
-            np.testing.assert_array_equal(got.u1.values, ref.u1.values)
-            np.testing.assert_array_equal(got.u2.values, ref.u2.values)
-            assert got.alpha == 0.3
-            assert cfl_dt(got, 80, 0.4) == cfl_dt(ref, 80, 0.4)
+        # run() combines the two component maxima with np.maximum, which keeps a NaN
+        maxima = [1.0, 1.0]
+        maxima[component] = math.nan
+        assert math.isnan(cfl_dt(np.maximum(*maxima), 8, 0.4))
+        assert math.isnan(cfl_dt(math.nan, 8, 0.4))
 
     def test_run_steps_are_cfl_steps(self):
         om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
@@ -307,12 +289,13 @@ class TestCflDt:
         assert len(res.snapshots) == len(res.diagnostics) > 4
         # every step but the last, which is clipped to t_final
         for (_, before), rec in zip(res.snapshots[:-2], res.diagnostics[1:-1]):
-            assert rec.dt == cfl_dt(velocity_from_vorticity(before, 0.5, 80), 80, 0.4)
+            assert rec.dt == cfl_dt(grid_speed(before, 0.5, 80), 80, 0.4)
 
     def test_safety_validated(self):
-        zero = GridField(np.zeros((8, 8)))
         with pytest.raises(ValueError, match="safety"):
-            cfl_dt(VelocityField(zero, zero, 0.5), 8, 0.6)
+            cfl_dt(0.0, 8, 0.6)
+        with pytest.raises(ValueError, match="safety"):
+            cfl_dt(1.0, 8, 0.0)
 
 
 class TestRun:
@@ -370,27 +353,6 @@ class TestRun:
         assert deg_on < 1e-11
         assert deg_off > 100 * max(deg_on, 1e-15)
 
-    def test_filtered_run_keeps_degeneracy(self):
-        # the filter mask alone does not preserve sum_m m a[m,n] = 0
-        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=64, n_grid=144))
-        res = run(make_config(n_modes=64, n_grid=144, t_final=0.2, delta=0.35,
-                              diag_every=2, spectral_filter=True,
-                              preserve_degeneracy=True), om)
-        assert max(d.degeneracy for d in res.diagnostics) < 1e-11
-
-    def test_filter_lowers_l2_norm(self):
-        # the Hou-Li mask damps the top modes: final L2 2.826187 filtered,
-        # 2.826351 unfiltered (delta=0.25 plateau, t=0.2)
-        om = build_omega0(InitialDataSpec(delta=0.25, n_modes=64, n_grid=144))
-        l2 = {}
-        for filtered in (False, True):
-            res = run(make_config(n_modes=64, n_grid=144, t_final=0.2,
-                                  spectral_filter=filtered), om)
-            assert res.halt_reason == "horizon"
-            l2[filtered] = res.diagnostics[-1].l2_norm
-        assert l2[True] < l2[False]
-        assert l2[False] == pytest.approx(res.diagnostics[0].l2_norm, rel=1e-9)
-
     def test_one_step_rk4_call_per_step(self, monkeypatch):
         calls = []
 
@@ -424,18 +386,8 @@ class TestRun:
         import json
 
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert meta["spectral_filter"] is False
         assert meta["preserve_degeneracy"] is True
         assert meta["halt_reason"] == res.halt_reason
-
-    def test_spectral_filter_recorded(self, tmp_path):
-        cfg = make_config(t_final=0.05, n_modes=8, n_grid=16,
-                          spectral_filter=True, out_dir=str(tmp_path))
-        run(cfg, SineField.from_modes({(1, 1): 1.0}, 8))
-        import json
-
-        meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert meta["spectral_filter"] is True
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="truncation order"):

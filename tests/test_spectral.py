@@ -8,10 +8,9 @@ import pytest
 
 from msqglab.spectral import (
     _eval_cos_axis, _eval_midpoint_axis, _eval_sin_axis, _max_abs, _midpoint_slot,
-    GridField, MixedParityField, SineField, evaluate_grid, evaluate_offgrid, forward_transform,
-    fractional_inverse_laplacian, grid_coordinates, grid_max_abs, hessian_sup_norm,
-    inverse_transform, l2_norm, spectral_derivative, velocity_coefficients,
-    velocity_from_vorticity)
+    GridField, GridMax, MixedParityField, SineField, evaluate_grid, evaluate_offgrid,
+    forward_transform, fractional_inverse_laplacian, grid_coordinates, grid_max_abs,
+    hessian_sup_norm, inverse_transform, l2_norm, spectral_derivative, velocity_coefficients)
 
 
 def grid_xy(n):
@@ -148,6 +147,41 @@ class TestStackedEvaluation:
             evaluate_grid(np.zeros((4, 4)), ("sin", "tan"), 8)
 
 
+class TestGridMax:
+    # sin-last after cos-last and the reverse, so each pair finds the shared
+    # (g, g+1) grid buffer holding another pair's values
+    ORDER = [("sin", "cos"), ("cos", "sin"), ("sin", "sin"), ("cos", "cos"), ("sin", "cos")]
+
+    @pytest.mark.parametrize("n_grid", [27, 64])
+    def test_held_buffers_match_evaluate_grid(self, n_grid):
+        rng = np.random.default_rng(12)
+        grid_max = GridMax(9, n_grid)
+        for parity in self.ORDER:
+            coeffs = rng.normal(size=(9, 9))
+            expect = _max_abs(evaluate_grid(coeffs, parity, n_grid))
+            assert grid_max(coeffs, parity) == expect
+
+    @pytest.mark.parametrize("parity", ORDER[:4])
+    def test_nan_coefficient_gives_nan(self, parity):
+        grid_max = GridMax(4, 8)
+        grid_max(np.ones((4, 4)), ("cos", "cos"))
+        coeffs = np.ones((4, 4))
+        coeffs[1, 2] = np.nan
+        assert math.isnan(grid_max(coeffs, parity))
+
+    def test_invalid_parity(self):
+        with pytest.raises(ValueError, match="parity"):
+            GridMax(4, 8)(np.zeros((4, 4)), ("sin", "tan"))
+
+    def test_hessian_sup_norm_takes_held_evaluator(self):
+        om = SineField(np.random.default_rng(13).normal(size=(8, 8)))
+        grid_max = GridMax(8, 20)
+        grid_max(np.ones((8, 8)), ("cos", "sin"))
+        assert hessian_sup_norm(om, 20, grid_max) == hessian_sup_norm(om, 20)
+        with pytest.raises(ValueError, match="n_grid"):
+            hessian_sup_norm(om, 24, grid_max)
+
+
 class TestFractionalInverseLaplacian:
     def test_sqg_eigenvalue(self):
         f = fractional_inverse_laplacian(SineField.from_modes({(1, 1): 1.0}, 4), 0.5)
@@ -210,17 +244,16 @@ class TestDerivatives:
 class TestVelocity:
     def test_single_mode_euler(self):
         om = SineField.from_modes({(1, 1): 1.0}, 4)
-        v = velocity_from_vorticity(om, 0.0, 16)
+        u1, u2 = (u.evaluate(16).values for u in velocity_coefficients(om, 0.0))
         x1, x2 = grid_xy(16)
-        np.testing.assert_allclose(v.u1.values, -0.5 * np.sin(x1) * np.cos(x2), atol=1e-13)
-        np.testing.assert_allclose(v.u2.values, 0.5 * np.cos(x1) * np.sin(x2), atol=1e-13)
+        np.testing.assert_allclose(u1, -0.5 * np.sin(x1) * np.cos(x2), atol=1e-13)
+        np.testing.assert_allclose(u2, 0.5 * np.cos(x1) * np.sin(x2), atol=1e-13)
 
     def test_single_mode_sqg(self):
         om = SineField.from_modes({(1, 1): 1.0}, 4)
-        v = velocity_from_vorticity(om, 0.5, 16)
+        u1 = velocity_coefficients(om, 0.5)[0].evaluate(16).values
         x1, x2 = grid_xy(16)
-        np.testing.assert_allclose(v.u1.values, -(2**-0.5) * np.sin(x1) * np.cos(x2),
-                                   atol=1e-13)
+        np.testing.assert_allclose(u1, -(2**-0.5) * np.sin(x1) * np.cos(x2), atol=1e-13)
 
     def test_sign_convention_near_origin(self):
         # omega >= 0 on the open quadrant must push u1 down and u2 up
