@@ -11,13 +11,15 @@ finer grid.  The configured n_grid (>= 2N) is the diagnostic grid: the CFL
 step, the grid maxima in diagnostics.csv and the snapshot headers use it.
 The odd-odd symmetry class is exact by representation.
 
-Each step builds one tendency evaluator whose buffers hold every grid of
-the four stages; the transforms run in place in them, and the RK4 stage
-inputs and sum are formed in per-step arrays, so a stage allocates no
-grid-sized array.  The buffers are freed when the step returns.  The CFL
-speed and the grid maxima of every diagnostic record (omega-max and the
-three Hessian entries) go through one spectral.GridMax that run() holds for
-the whole run.
+A step runs in an _Rk4Workspace: the tendency evaluator, whose two buffers
+hold every grid of a stage and in which the transforms run in place, its
+Laplacian symbol, the four stage tendencies and the stage input.  run()
+builds one workspace and holds it for the whole run, so a step allocates
+no grid-sized array except the new coefficients.  Between steps the stage
+arrays are free, and run() forms in them the CFL velocity coefficients and
+the Hessian entries of each diagnostic record.  The CFL speed and the grid
+maxima of every record (omega-max and the three Hessian entries) go
+through one spectral.GridMax that run() also holds for the whole run.
 
 No dissipation is applied (the equation is conservative).  Loss of
 resolution is a reportable outcome ("resolution_exhausted"), not an error.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import csv
 import json
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +101,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SimState:
+    """A point of the run.  workspace, if set, is the _Rk4Workspace that
+    step_rk4 works in and hands on to the next state; without one, each
+    step builds its own."""
+
     omega: SineField
     time: float
     step_count: int
     config: ExperimentConfig
+    workspace: _Rk4Workspace | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,10 @@ class _Rhs:
     one per parity pair, and each transform runs in place in them: the
     velocity and gradient coefficients are written straight into the mode
     slots of the first axis, whose output lands in the mode slots of the
-    second.  So a call allocates no grid-sized array, and with out= not the
-    tendency either.  step_rk4 builds one evaluator per step, so the
-    workspace (about 5 MB at N=256) is freed between steps.
+    second, and the finiteness tests write into one held mask.  So a call
+    allocates no grid-sized array, and with out= not the tendency either.
+    The buffers take about 5 MB at N=256; an _Rk4Workspace holds one
+    evaluator for as long as it lives, which in run() is the whole run.
 
     With preserve_degeneracy, each tendency is projected onto the subspace
     where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
@@ -165,7 +173,7 @@ class _Rhs:
         n, m = n_modes, n_grid
         modes = np.arange(1, n + 1, dtype=np.float64)
         self._rows, self._cols = modes[:, None], modes[None, :]
-        self._symbol = _laplacian_power(n, alpha)       # psi = omega / symbol
+        self.symbol = _laplacian_power(n, alpha)        # psi = omega / symbol
         self._workers = get_workers()
         self._sc = np.empty((2, m, m))            # [u1, d2 omega] in (sin, cos)
         self._cs = np.empty((2, m, m))            # [u2, d1 omega] in (cos, sin), then u . grad omega
@@ -178,12 +186,12 @@ class _Rhs:
         self._cs_modes = _midpoint_slot(self._cs_cols, "cos", n, -2)
 
     def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        _check_finite(coeffs, "coefficient array")
         n, m, w = self.n_modes, self.n_grid, self._workers
+        _check_finite(coeffs, "coefficient array", self._finite[:n, :n])
         sc, cs = self._sc, self._cs
         # velocity and gradient as velocity_coefficients / spectral_derivative form them
         (u1, d2), (u2, d1) = self._sc_modes, self._cs_modes
-        _velocity_into(coeffs, self._symbol, u1, u2)
+        _velocity_into(coeffs, self.symbol, u1, u2)
         np.multiply(coeffs, self._cols, out=d2)
         _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
         _eval_midpoint_axis(sc, "cos", n, -1, w)
@@ -194,9 +202,7 @@ class _Rhs:
         adv *= sc[0]
         cs[0] *= sc[1]
         adv += cs[0]
-        if not np.isfinite(adv, out=self._finite).all():
-            bad = int(np.count_nonzero(~self._finite))
-            raise ValueError(f"advection product contains {bad} non-finite entries")
+        _check_finite(adv, "advection product", self._finite)
         sfft.dst(adv, type=2, axis=-1, overwrite_x=True, workers=w)
         kept = adv[:, :n]
         sfft.dst(kept, type=2, axis=0, overwrite_x=True, workers=w)
@@ -204,6 +210,23 @@ class _Rhs:
         if self.preserve_degeneracy:
             _project_degeneracy(tend, scratch=sc[0, :n, :n])
         return tend
+
+
+class _Rk4Workspace:
+    """Every array an RK4 step writes except the new coefficients.
+
+    The tendency evaluator (its transform buffers and Laplacian symbol), the
+    four stage tendencies and the stage input, for one (alpha, N,
+    preserve_degeneracy).  Nothing is carried from one step to the next, so
+    a step gives the same bits in a held workspace as in a fresh one, also
+    after a step in it raised.
+    """
+
+    def __init__(self, alpha: float, n_modes: int, preserve_degeneracy: bool):
+        self.key = (alpha, n_modes, preserve_degeneracy)
+        self.rhs = _Rhs(alpha, n_modes, dealias_grid(n_modes), preserve_degeneracy)
+        self.stages = np.empty((4, n_modes, n_modes))
+        self.stage_input = np.empty((n_modes, n_modes))
 
 
 def nonlinear_term(omega: SineField, alpha: float, n_grid: int,
@@ -235,15 +258,25 @@ def cfl_dt(umax: float, n_grid: int, safety: float,
 
 
 def step_rk4(state: SimState, dt: float) -> SimState:
-    """One classical 4-stage step on the sine coefficients."""
+    """One classical 4-stage step on the sine coefficients.
+
+    The step works in state.workspace and hands it on to the new state; a
+    state without one gets a workspace built for this step alone.
+    """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     cfg = state.config
     n = state.omega.n_modes
-    rhs = _Rhs(cfg.alpha, n, dealias_grid(n), cfg.preserve_degeneracy)
+    ws = state.workspace
+    if ws is None:
+        ws = _Rk4Workspace(cfg.alpha, n, cfg.preserve_degeneracy)
+    elif ws.key != (cfg.alpha, n, cfg.preserve_degeneracy):
+        raise ValueError(f"workspace for (alpha, N, preserve_degeneracy) = {ws.key}, "
+                         f"state needs {(cfg.alpha, n, cfg.preserve_degeneracy)}")
+    rhs = ws.rhs
     c = state.omega.coeffs
-    k1, k2, k3, k4 = k = np.empty((4, n, n))
-    y = np.empty((n, n))
+    k1, k2, k3, k4 = k = ws.stages
+    y = ws.stage_input
     rhs(c, out=k1)
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
         np.multiply(k[i - 1], h, out=y)       # stage input c + h * k_i
@@ -256,7 +289,8 @@ def step_rk4(state: SimState, dt: float) -> SimState:
     k1 += k3
     k1 += k4
     k1 *= dt / 6.0
-    return SimState(SineField(c + k1), state.time + dt, state.step_count + 1, cfg)
+    return SimState(SineField(c + k1), state.time + dt, state.step_count + 1, cfg,
+                    state.workspace)
 
 
 def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
@@ -274,11 +308,12 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    state = SimState(omega0, 0.0, 0, config)
+    workspace = _Rk4Workspace(config.alpha, config.n_modes, config.preserve_degeneracy)
+    state = SimState(omega0, 0.0, 0, config, workspace)
     grid_max = GridMax(config.n_modes, config.n_grid)
-    if config.dt_policy == "cfl":
-        symbol = _laplacian_power(config.n_modes, config.alpha)
-        u1, u2 = np.empty((2, config.n_modes, config.n_modes))
+    # the stage arrays are free between steps: the CFL velocity coefficients
+    # go into the first two, and each record's Hessian entries into the first
+    u1, u2 = workspace.stages[:2]
     diagnostics = []
     snapshots = []
     notes = []
@@ -292,7 +327,7 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
         omax = grid_max(state.omega.coeffs, ("sin", "sin"))
         rec = DiagnosticsRecord(
             time=state.time,
-            hessian_sup=hessian_sup_norm(state.omega, config.n_grid, grid_max),
+            hessian_sup=hessian_sup_norm(state.omega, config.n_grid, grid_max, u1),
             omega_max=omax,
             l2_norm=l2_norm(state.omega),
             degeneracy=check_degeneracy(state.omega),
@@ -316,7 +351,7 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
 
     while state.time < config.t_final - 1e-14:
         if config.dt_policy == "cfl":
-            _velocity_into(state.omega.coeffs, symbol, u1, u2)
+            _velocity_into(state.omega.coeffs, workspace.rhs.symbol, u1, u2)
             # np.maximum, unlike the builtin, keeps a NaN
             umax = np.maximum(grid_max(u1, ("sin", "cos")), grid_max(u2, ("cos", "sin")))
             dt = cfl_dt(umax, config.n_grid, config.cfl_safety, config.dt_min, config.dt_max)
@@ -363,6 +398,8 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
         except ValueError as exc:
             notes.append(f"growth fit skipped: {exc}")
 
+    # the result does not keep the run's workspace alive
+    state = replace(state, workspace=None)
     result = RunResult(state, diagnostics, snapshots, halt, gamma, gamma_r2, notes)
     if out:
         result.paths = _write_outputs(out, config, result, _time.time() - t_wall)

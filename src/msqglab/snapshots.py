@@ -20,7 +20,7 @@ def write_snapshot(path, field: SineField, n_grid: int, alpha: float, time: floa
               "time": float(time)}
     with open(path, "wb") as fh:
         fh.write((json.dumps(header) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(field.coeffs, dtype="<f8")))
 
 
 _HEADER_KEYS = ("N", "N_g", "alpha", "time")

@@ -70,9 +70,11 @@ def get_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        bad = int(np.count_nonzero(~np.isfinite(arr)))
+def _check_finite(arr: np.ndarray, what: str, mask: np.ndarray | None = None) -> None:
+    """ValueError if arr holds a NaN or an infinity; mask, shaped like arr, receives the test."""
+    mask = np.isfinite(arr, out=mask)
+    if not mask.all():
+        bad = int(np.count_nonzero(~mask))
         raise ValueError(f"{what} contains {bad} non-finite entries")
 
 
@@ -150,8 +152,8 @@ def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int,
 
     Input length along `axis` is the number of sine modes; output length is
     n_grid with an exact zero at grid index 0.  Other axes are carried
-    along.  The modes are zero-padded into `buf` (shaped like coeffs, at
-    least n_grid long along `axis`; allocated when None) and transformed
+    along.  The halved modes are zero-padded into `buf` (shaped like coeffs,
+    at least n_grid long along `axis`; allocated when None) and transformed
     there in place; the result is a view of buf.
     """
     n = coeffs.shape[axis]
@@ -164,11 +166,10 @@ def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int,
     at = partial(_axis_index, coeffs.ndim, axis)
     buf[at(slice(0, 1))] = 0.0       # the zero at x = 0
     vals = buf[at(slice(1, n_grid))]
-    vals[at(slice(0, n))] = coeffs
+    np.multiply(coeffs, 0.5, out=vals[at(slice(0, n))])
     vals[at(slice(n, None))] = 0.0
     sfft.dst(vals, type=1, axis=axis, overwrite_x=True,
              workers=get_workers() if workers is None else workers)
-    vals *= 0.5
     return buf[at(slice(0, n_grid))]
 
 
@@ -353,13 +354,12 @@ def _velocity_into(coeffs: np.ndarray, symbol: np.ndarray, u1: np.ndarray,
     """Write the velocity coefficients of psi = coeffs / symbol into u1 and u2.
 
     u1 = -d2 psi in the (sin, cos) basis and u2 = d1 psi in the (cos, sin)
-    basis; symbol is _laplacian_power(N, alpha).
+    basis; symbol is _laplacian_power(N, alpha).  psi is formed once, in u1.
     """
     modes = np.arange(1, coeffs.shape[-1] + 1, dtype=np.float64)
     np.divide(coeffs, symbol, out=u1)
+    np.multiply(u1, modes[:, None], out=u2)
     u1 *= -modes
-    np.divide(coeffs, symbol, out=u2)
-    u2 *= modes[:, None]
 
 
 def velocity_coefficients(omega: SineField, alpha: float):
@@ -407,24 +407,32 @@ class GridMax:
         return _max_abs(_AXIS_EVAL[parity[1]](rows, g, -1, self._grid, w))
 
 
-def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None) -> float:
+def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None,
+                     scratch: np.ndarray | None = None) -> float:
     """Max over grid points of the largest |entry| of the Hessian of omega.
 
     Collocation-grid maximization: a lower bound for the true sup norm that
     converges as n_grid grows.  grid_max, a GridMax on n_grid, is the
-    evaluator to use; one is built when none is given.
+    evaluator to use; one is built when none is given.  scratch, an N x N
+    array, receives the coefficients of each Hessian entry in turn (-m^2 a,
+    m n a, -n^2 a); one is allocated when none is given.
     """
     if grid_max is None:
         grid_max = GridMax(omega.n_modes, n_grid)
     elif grid_max.n_grid != n_grid:
         raise ValueError(f"GridMax on {grid_max.n_grid} points, not n_grid={n_grid}")
     c = omega.coeffs
+    s = np.empty_like(c) if scratch is None else scratch
     modes = np.arange(1, omega.n_modes + 1, dtype=np.float64)
     m, n = modes[:, None], modes[None, :]
-    entries = ((-c * m**2, ("sin", "sin")), (c * m * n, ("cos", "cos")),
-               (-c * n**2, ("sin", "sin")))
+    np.multiply(c, m**2, out=s)
+    d11 = grid_max(np.negative(s, out=s), ("sin", "sin"))
+    np.multiply(c, m, out=s)
+    d12 = grid_max(np.multiply(s, n, out=s), ("cos", "cos"))
+    np.multiply(c, n**2, out=s)
+    d22 = grid_max(np.negative(s, out=s), ("sin", "sin"))
     # np.max, unlike the builtin, keeps a NaN
-    return float(np.max([grid_max(d, parity) for d, parity in entries]))
+    return float(np.max([d11, d12, d22]))
 
 
 def l2_norm(field: SineField) -> float:

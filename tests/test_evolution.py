@@ -1,13 +1,14 @@
 """Time stepping: tendency correctness, conservation, halts, cadences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from msqglab import evolution
-from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, cfl_dt, nonlinear_term,
-                               run, step_rk4)
+from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, _Rk4Workspace, cfl_dt,
+                               nonlinear_term, run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
 from msqglab.spectral import SineField, _max_abs, dealias_grid, velocity_coefficients
 
@@ -253,6 +254,42 @@ class TestStepRK4:
             step_rk4(st, float("nan"))
 
 
+class TestRk4Workspace:
+    @staticmethod
+    def plateau_state(preserve_degeneracy=True, workspace=None):
+        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
+        cfg = make_config(n_modes=32, n_grid=64, preserve_degeneracy=preserve_degeneracy)
+        return SimState(om, 0.0, 0, cfg, workspace)
+
+    @pytest.mark.parametrize("preserve_degeneracy", [False, True])
+    def test_held_workspace_matches_fresh_steps(self, preserve_degeneracy):
+        ws = _Rk4Workspace(0.5, 32, preserve_degeneracy)
+        held = self.plateau_state(preserve_degeneracy, ws)
+        fresh = self.plateau_state(preserve_degeneracy)
+        for dt in (2e-3, 1e-3, 3e-3):
+            held, fresh = step_rk4(held, dt), step_rk4(fresh, dt)
+            np.testing.assert_array_equal(held.omega.coeffs, fresh.omega.coeffs)
+        assert held.workspace is ws
+        assert fresh.workspace is None
+
+    def test_workspace_reusable_after_raised_step(self):
+        ws = _Rk4Workspace(0.5, 32, True)
+        wild = SimState(SineField(np.full((32, 32), 1e200)), 0.0, 0,
+                        make_config(n_modes=32, n_grid=64), ws)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite"):
+            step_rk4(wild, 1e-3)
+        after = step_rk4(self.plateau_state(workspace=ws), 2e-3)
+        fresh = step_rk4(self.plateau_state(), 2e-3)
+        np.testing.assert_array_equal(after.omega.coeffs, fresh.omega.coeffs)
+
+    def test_mismatched_workspace_rejected(self):
+        with pytest.raises(ValueError, match="workspace"):
+            step_rk4(self.plateau_state(workspace=_Rk4Workspace(0.3, 32, True)), 1e-3)
+        with pytest.raises(ValueError, match="workspace"):
+            step_rk4(self.plateau_state(workspace=_Rk4Workspace(0.5, 32, False)), 1e-3)
+
+
 def grid_speed(omega, alpha, n_grid):
     """max |u| on the grid through MixedParityField.evaluate, apart from run()'s held buffers."""
     u1, u2 = velocity_coefficients(omega, alpha)
@@ -388,6 +425,48 @@ class TestRun:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["preserve_degeneracy"] is True
         assert meta["halt_reason"] == res.halt_reason
+
+    def test_repeated_runs_identical(self):
+        cfg = make_config(n_modes=32, n_grid=64, t_final=0.05, diag_every=2)
+        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
+        first, second = run(cfg, om), run(cfg, om)
+        assert first.state.step_count > 4
+        assert first.diagnostics == second.diagnostics
+        np.testing.assert_array_equal(first.state.omega.coeffs, second.state.omega.coeffs)
+        assert first.state.workspace is None
+
+    def test_one_workspace_per_run(self, monkeypatch):
+        built = []
+
+        class Counting(_Rk4Workspace):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(evolution, "_Rk4Workspace", Counting)
+        res = run(make_config(t_final=0.1, n_modes=8, n_grid=16),
+                  SineField.from_modes({(1, 1): 1.0, (2, 1): 0.3}, 8))
+        assert res.state.step_count > 1
+        assert built == [(0.5, 8, True)]
+
+    def test_memory_does_not_grow_with_steps(self):
+        # every step reuses the run's workspace: 20 steps peak where 5 do
+        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=64, n_grid=144))
+        dt = 2.0 ** -10
+
+        def peak(steps):
+            cfg = make_config(n_modes=64, n_grid=128, dt_policy="fixed", dt=dt,
+                              t_final=steps * dt, diag_every=100, snapshot_every=100)
+            tracemalloc.start()
+            try:
+                res = run(cfg, om)
+                return tracemalloc.get_traced_memory()[1], res.state.step_count
+            finally:
+                tracemalloc.stop()
+
+        (short, n_short), (long, n_long) = peak(5), peak(20)
+        assert (n_short, n_long) == (5, 20)
+        assert long - short < 64 * 64 * 8
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="truncation order"):

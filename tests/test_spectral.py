@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from msqglab.spectral import (
     _eval_cos_axis, _eval_midpoint_axis, _eval_sin_axis, _max_abs, _midpoint_slot,
@@ -182,6 +183,23 @@ class TestGridMax:
             hessian_sup_norm(om, 24, grid_max)
 
 
+    def test_hessian_sup_norm_takes_held_scratch(self):
+        om = SineField(np.random.default_rng(14).normal(size=(8, 8)))
+        scratch = np.full((8, 8), np.nan)
+        assert hessian_sup_norm(om, 20, scratch=scratch) == hessian_sup_norm(om, 20)
+        n = np.arange(1, 9, dtype=np.float64)
+        np.testing.assert_array_equal(scratch, -om.coeffs * n**2)   # d22, written last
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sin_axis_halving_before_the_transform_is_exact(self, axis):
+        # halving the modes, not the transformed values, gives the same bits
+        c = np.random.default_rng(15).normal(size=(9, 9))
+        pad = np.zeros((21, 9))
+        pad[:9] = c.T if axis else c
+        want = np.vstack([np.zeros((1, 9)), sfft.dst(pad, type=1, axis=0) * 0.5])
+        np.testing.assert_array_equal(_eval_sin_axis(c, 22, axis), want.T if axis else want)
+
+
 class TestFractionalInverseLaplacian:
     def test_sqg_eigenvalue(self):
         f = fractional_inverse_laplacian(SineField.from_modes({(1, 1): 1.0}, 4), 0.5)
@@ -262,6 +280,15 @@ class TestVelocity:
         x = np.array([0.05, 0.07])
         assert u1c.evaluate_at(x) < 0
         assert u2c.evaluate_at(x) > 0
+
+    def test_matches_stream_function_derivatives_exactly(self):
+        om = SineField(np.random.default_rng(5).normal(size=(8, 8)))
+        u1c, u2c = velocity_coefficients(om, 0.3)
+        psi = fractional_inverse_laplacian(om, 0.3).coeffs
+        np.testing.assert_array_equal(u1c.coeffs, -spectral_derivative(
+            SineField(psi), axis=2, order=1).coeffs)
+        np.testing.assert_array_equal(u2c.coeffs, spectral_derivative(
+            SineField(psi), axis=1, order=1).coeffs)
 
     def test_divergence_free(self):
         rng = np.random.default_rng(4)
@@ -377,6 +404,19 @@ class TestSnapshots:
         back, header = read_snapshot(path)
         np.testing.assert_array_equal(back.coeffs, f.coeffs)
         assert header == {"N": 6, "N_g": 16, "alpha": 0.5, "time": 1.25}
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_bytes_are_header_line_and_little_endian_coefficients(self, tmp_path, transposed):
+        from msqglab.snapshots import write_snapshot
+
+        c = np.random.default_rng(8).normal(size=(5, 5))
+        f = SineField(c.T if transposed else c)
+        assert f.coeffs.flags.c_contiguous is not transposed
+        path = tmp_path / "f.msqg"
+        write_snapshot(path, f, 12, 0.5, 0.75)
+        header = {"N": 5, "N_g": 12, "alpha": 0.5, "time": 0.75}
+        want = (json.dumps(header) + "\n").encode("ascii") + f.coeffs.astype("<f8").tobytes()
+        assert path.read_bytes() == want
 
     def test_truncated_file_rejected(self, tmp_path):
         from msqglab.snapshots import read_snapshot, write_snapshot
