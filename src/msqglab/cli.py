@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .evolution import ExperimentConfig, run
 from .initial_data import (InitialDataSpec, build_omega0, check_degeneracy,
-                           gradient_sup_norm, plateau_deficit_fraction)
+                           gradient_sup_norm, plateau_deficit_fraction, recorded_warnings)
 from .kernels import KernelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import inverse_transform
@@ -134,10 +134,12 @@ def _kernel_params(cfg: dict, alpha: float) -> KernelParams:
 def cmd_make_data(args) -> int:
     cfg = _settings(args)
     t0 = time.time()
-    spec = InitialDataSpec(delta=cfg["delta"], n_modes=cfg["N"], n_grid=cfg["Ng"],
-                           blend_order=cfg["blend_order"],
-                           delta_max=max(np.pi / 8, min(cfg["delta"] * 1.0001, np.pi / 4 * 0.999)))
-    omega = build_omega0(spec)
+    with recorded_warnings() as warned:
+        spec = InitialDataSpec(delta=cfg["delta"], n_modes=cfg["N"], n_grid=cfg["Ng"],
+                               blend_order=cfg["blend_order"],
+                               delta_max=max(np.pi / 8,
+                                             min(cfg["delta"] * 1.0001, np.pi / 4 * 0.999)))
+        omega = build_omega0(spec)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(out / "omega0.msqg", omega, cfg["Ng"], cfg["alpha"], 0.0)
@@ -158,7 +160,8 @@ def cmd_make_data(args) -> int:
     # range check allows the series-truncation ripple of the C^k blend
     ok = (vals.min() > -1e-3 and vals.max() < 1 + 1e-3
           and deficit <= strip_bound + 0.02 and deg <= 1e-8 * grad)
-    (out / "make_data_checks.json").write_text(json.dumps(checks, indent=2) + "\n")
+    (out / "make_data_checks.json").write_text(
+        json.dumps({**checks, "warnings": warned}, indent=2) + "\n")
     for key, val in checks.items():
         print(f"{key}: {val:.6g}")
     print(f"checks {'pass' if ok else 'FAIL'}")

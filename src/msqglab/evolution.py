@@ -45,7 +45,8 @@ import numpy as np
 from scipy import fft as sfft
 
 from . import __version__
-from .initial_data import InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy
+from .initial_data import (InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy,
+                           recorded_warnings)
 from .snapshots import write_snapshot
 from .spectral import (GridMax, SineField, _check_finite, _eval_midpoint_axis,
                        _laplacian_power, _midpoint_slot, _velocity_into, dealias_grid,
@@ -299,9 +300,12 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     Partial output remains valid on halt.  Exit state is reported via
     halt_reason; growth-rate fitting uses the recorded hessian series.
     """
+    notes = []
     if omega0 is None:
-        omega0 = build_omega0(InitialDataSpec(
-            delta=config.delta, n_modes=config.n_modes, n_grid=config.n_grid))
+        with recorded_warnings() as messages:
+            omega0 = build_omega0(InitialDataSpec(
+                delta=config.delta, n_modes=config.n_modes, n_grid=config.n_grid))
+        notes.extend(f"warning: {message}" for message in messages)
     if omega0.n_modes != config.n_modes:
         raise ValueError("omega0 truncation order disagrees with config")
     out = Path(config.out_dir) if config.out_dir else None
@@ -316,7 +320,6 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     u1, u2 = workspace.stages[:2]
     diagnostics = []
     snapshots = []
-    notes = []
     halt = "horizon"
     omax_prev = None
     steps_since_diag = 0

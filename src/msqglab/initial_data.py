@@ -21,6 +21,7 @@ residual).
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .spectral import (GridField, GridMax, SineField, _max_abs, forward_transfor
                        grid_coordinates, inverse_transform, spectral_derivative)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
-           "gradient_sup_norm", "plateau_deficit_fraction"]
+           "gradient_sup_norm", "plateau_deficit_fraction", "recorded_warnings"]
 
 DELTA_HARD_MAX = np.pi / 4
 
@@ -79,6 +80,28 @@ class InitialDataSpec:
         return {"delta": self.delta, "n_modes": self.n_modes, "n_grid": self.n_grid,
                 "origin_patch_radius": self.patch, "blend_order": self.blend_order,
                 "delta_max": self.delta_max}
+
+
+@contextmanager
+def recorded_warnings():
+    """Record the distinct warnings raised in the block, and still emit them.
+
+    Yields a list that holds their messages, in order, once the block is
+    done.  Each distinct warning is emitted once more under the caller's
+    warning filters, also when the block raises.
+    """
+    messages = []
+    caught = {}
+    try:
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            yield messages
+    finally:
+        for w in records:
+            caught.setdefault((w.category, str(w.message)), w)
+        for w in caught.values():
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        messages.extend(message for _, message in caught)
 
 
 def smoothstep(u, order: int):

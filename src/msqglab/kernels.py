@@ -16,8 +16,9 @@ Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
 
     near(L):   [0, L|x|]^2
     medium(L): [0, pi)^2 minus the near square, covered by dyadic frames so
-               the inner scale is always resolved (each frame is split into
-               three rectangles whose node multiset is swap-symmetric)
+               the inner scale is always resolved (each frame is three
+               rectangles whose node multiset is swap-symmetric, summed as
+               two tensor grids)
     far:       periodic image cells [0, R*pi)^2 minus the central cell (the
                neglected tail is O(R^-2a))
     full:      central cell + far
@@ -29,19 +30,29 @@ form,
     K2 = (x1-y1)(ib-i0) + (x1+y1)(it-ip),
 
 with i0, it, ib, ip the inverse powers |.|^(-2-2a) of the distances from y
-to x, x_tilde, x_bar and -x.  Each power is taken as 1 / (d * d**a) for the
-squared distance d; numpy evaluates d**0.5 as a square root, so at the
-default a = 1/2 no pow call is made.  kernel_K1/kernel_K2 assemble K on
-the nodes.  A region sum never does: on a tensor grid (x2 -+ y2) depends on
-the column only and (x1 -+ y1) on the row only, so each weighted power
-omega * i is contracted with those 1-D factors by matrix-vector products.
-The sums run in row blocks of at most 65,536 nodes, in place in three
-scratch buffers that each oracle allocates once.  That cap is the largest
-grid at the CLI defaults (the 256^2 central cell, and one row of 16 image
-cells of 64^2), so every such grid is summed in one block, and the scratch
-stays bounded however many cells a grid has.
+to x, x_tilde, x_bar and -x, from the four terms' contractions laid out as
+[s1, s2] for the image source at (s1 y1, s2 y2).  Each power is taken as
+1 / (d * d**a) for the squared distance d, and d**0.5 as a square root, so
+at the default a = 1/2 no pow call is made.  kernel_K1/kernel_K2 assemble
+K on the nodes.  A region sum never does: on a tensor grid (x2 -+ y2)
+depends on the column only and (x1 -+ y1) on the row only.  A row block
+lays out all four terms as one array d[s1, i, s2, j]; its squared
+distances are one matrix product, its weighted powers omega * i three
+in-place array operations, and both contractions one product with the
+column factors followed by dots with the row factors.  A block holds at
+most 65,536 entries across its four terms, in three scratch buffers that
+each oracle allocates once, so the scratch stays bounded however many
+cells a grid has.  At the CLI defaults a medium frame's grids and the
+near square are one block each, the 256^2 central cell is four and a row
+of image cells two.
 
 Omega is sampled on tensor grids as (S1 @ c) @ S2.T from sine matrices S.
+A medium frame takes one sine table on [yb | ya], its midpoints across
+[0, lo] and [lo, hi], and one product with the coefficients, written into
+the oracle's scratch: the two grids ya x [yb | ya] and yb x ya are row
+blocks of that product times the table.  A fresh array that size would
+cost more than its arithmetic wherever glibc maps allocations of 128 KiB
+and up afresh and faults in their pages on every call.
 The image cells reuse one sample grid of the central cell, flipped by
 parity, laid out as one row of cells that every row of the image lattice
 sums in one call.  An oracle also reuses samples across calls: those of
@@ -53,12 +64,12 @@ per oracle, grown when a call needs more slots.  A far sum at the point of
 the previous one is returned again.  A reused value is the same arithmetic
 on the same floats, so reuse never changes a result.
 
-A sine matrix sin(m y) is built by angle addition, from the sines and
-cosines of r y (r = 1..b) and of q b y for m = q b + r with b = 16, which
-takes 2 (b + n / b) trig calls per coordinate for n modes instead of n.
-Against 30-digit references, on the oracle's grids at n = 128, its entries
-are off by at most 3.2e-14, where np.sin(m y) itself is off by 2.8e-14:
-both errors come from rounding arguments m y up to about 400.
+A sine matrix sin(m y) is built by angle addition from one complex
+exponential z = exp(i y) per coordinate: for m = q b + r with b = 16 it
+takes z^r (r = 1..b) and (z^b)^q, each power the product of two lower
+ones.  Against 30-digit references, on the oracle's grids at n = 128, its
+entries are off by at most 1.3e-14, where np.sin(m y) is off by 2.8e-14
+from rounding the arguments m y (up to about 400).
 
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
 otherwise) is handled on the rectangle containing x: the singular first
@@ -148,17 +159,35 @@ class ReflectedPoint:
         return cls((x1, x2), (-x1, x2), (x1, -x2), (-x1, -x2))
 
 
-# Most nodes one block of a node sum holds, unless one grid row is longer.
-# A block's temporaries live in scratch that each oracle allocates once, so
-# summing a block allocates no node-sized array and faults in no pages.
-# 65,536 nodes hold the largest grid at the CLI defaults, the 256^2 central
-# cell or one row of 16 image cells, so each of those is a single block.
+# Entries per buffer of an oracle's scratch, unless the four image terms of
+# one grid row or a medium frame's sine table take more.  A node sum fills
+# the room with as many rows as fit across the four terms, and a block's
+# temporaries live there, so summing a block allocates no node-sized array
+# and faults in no pages.
 _BLOCK_NODES = 65536
 
+# s1 s2 of the image term at (s1 y1, s2 y2), indexed [s1 < 0, s2 < 0]
+_SIGNS = ((1.0, -1.0), (-1.0, 1.0))
 
-def _four_terms(x1, x2, y1, y2, alpha: float, col, row, out, w=1.0, w_singular=None,
-                drop=None):
-    """The symmetrized kernels, or sums of them, as four image terms.
+
+def _image_factors(x, y):
+    """x - s y for s = +1 and s = -1, stacked on a new first axis."""
+    return np.array([x - y, x + y])
+
+
+def _inverse_powers(d, p, alpha: float):
+    """p = d * d**alpha into p, for squared distances d.
+
+    numpy's in-place ** takes d**0.5 as a square root, so at the default
+    alpha = 1/2 no pow call is made.
+    """
+    p[...] = d
+    p **= alpha
+    p *= d
+
+
+def _four_terms(t1, t2):
+    """The symmetrized kernels, or sums of them, from their four image terms.
 
     The odd-odd extension of omega has a source of sign s1 s2 at
     (s1 y1, s2 y2) for each y, so with e = (x1 - s1 y1, x2 - s2 y2)
@@ -168,81 +197,91 @@ def _four_terms(x1, x2, y1, y2, alpha: float, col, row, out, w=1.0, w_singular=N
     that is K1 = (x2-y2)(i0-it) + (x2+y2)(ip-ib) and
     K2 = (x1-y1)(ib-i0) + (x1+y1)(it-ip) with the inverse powers i of the
     distances from y to x, x_tilde, x_bar and -x.  s1 = s2 = 1 is the
-    singular free-space term.
-
-    y1 and y2 broadcast to the nodes, and out = (d, P) are two node-shaped
-    buffers.  Each term's weighted power is P = w / (d * d**alpha) for the
-    squared distance d, formed in place; numpy's in-place ** takes d**0.5
-    as a square root, so at alpha = 1/2 no pow call is made.  col(P, e2)
-    pairs P with its factor e2, which depends on y2 only, and row(P, e1)
-    with e1, which depends on y1 only: np.multiply gives K on the nodes,
-    contractions give node sums.  w_singular (default w) weights the
-    singular term, and drop indexes nodes at y = x whose singular term is
-    left out.
+    singular free-space term.  t1[a, b] is the weighted power P of the
+    term (s1, s2) indexed [s1 < 0, s2 < 0] times its e2, on the nodes or
+    contracted over them, and t2[a, b] is P times e1; the terms are added
+    in one fixed order.
     """
-    d, p = out
     k1 = k2 = 0.0
-    e2s = [(s2, e2, e2 * e2) for s2, e2 in ((1.0, x2 - y2), (-1.0, x2 + y2))]
-    for s1, e1 in ((1.0, x1 - y1), (-1.0, x1 + y1)):
-        a = e1 * e1
-        for s2, e2, b in e2s:
-            singular = s1 > 0.0 and s2 > 0.0
-            np.add(a, b, out=d)
-            p[...] = d
-            p **= alpha
-            p *= d
-            np.divide(w_singular if singular and w_singular is not None else w, p, out=p)
-            if singular and drop is not None:
-                p[drop] = 0.0
-            k1 = k1 + s1 * s2 * col(p, e2)
-            k2 = k2 - s1 * s2 * row(p, e1)
+    for a in (0, 1):
+        for b in (0, 1):
+            k1 = k1 + _SIGNS[a][b] * t1[a][b]
+            k2 = k2 - _SIGNS[a][b] * t2[a][b]
     return k1, k2
 
 
-def _col_sum(p, f):
-    return (p @ f).sum()
+def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
+    """(sum K1 w cw, sum K2 w cw) over the tensor grid y1 x y2 with samples w.
 
-
-def _row_sum(p, f):
-    return (f[:, 0] @ p).sum()
-
-
-def _node_sums(x, y1, y2, w, alpha: float, work, lin=None):
-    """(sum K1 w, sum K2 w) over the tensor grid y1 x y2 with samples w.
-
-    y1 and y2 are ascending.  The kernels are never formed on the nodes:
-    each term's weighted power is contracted with its 1-D factors by
-    matrix-vector products, in row blocks of at most _BLOCK_NODES nodes
-    (or one row) whose temporaries live in work, a (3, n) array with room
-    for a block.  With lin = (w0, g1, g2) the singular term is weighted by
-    the residual of the linearization w0 + g1 (y1-x1) + g2 (y2-x2) instead
-    of w.  A node at y = x contributes no singular term.
+    y1 and y2 are ascending, and cw weights the columns (a scalar, or one
+    weight per column).  A block of r rows lays out all four image terms
+    as one array d[s1, i, s2, j], so every step is one array operation on
+    the block:
+      * the squared distances are one product of [e1^2, 1] (rows) and
+        [1, e2^2] (columns), each entry e1^2 + e2^2 rounded once;
+      * the weighted powers P = w / (d * d**alpha) take one in-place **,
+        one *= d and one divide of the samples, broadcast over the terms;
+      * both contractions are one product with the (2c x 4) column factors
+        (e2 cw, cw) of each s2, then dots with the row factors (1, e1).
+    The kernels are never formed on the nodes.  work is a (3, room) array:
+    a block takes as many rows as fit 4 c entries each in the room (at
+    least one), and d, P and the singular weights live in it.  With
+    lin = (w0, g1, g2) the singular term is weighted by the residual of the
+    linearization w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at
+    y = x contributes no singular term.
     """
     x1, x2 = x
-    n2 = len(y2)
-    rows = max(1, _BLOCK_NODES // n2)
-    hit_cols = np.flatnonzero(y2 == x2) if y2[0] <= x2 <= y2[-1] else ()
+    n1, n2 = w.shape
+    rows = max(1, work.shape[1] // (4 * n2))
+    e1 = _image_factors(x1, y1)
+    e2 = _image_factors(x2, y2)
+    left = np.empty((2, n1, 2))
+    left[..., 0] = e1 * e1
+    left[..., 1] = 1.0
+    right = np.empty((2, 2, n2))
+    right[0] = 1.0
+    right[1] = e2 * e2
+    right = right.reshape(2, 2 * n2)
+    cols = np.zeros((2, n2, 2, 2))
+    for s in (0, 1):
+        cols[s, :, s, 0] = e2[s] * cw
+        cols[s, :, s, 1] = cw
+    cols = cols.reshape(2 * n2, 4)
+    row_factors = np.empty((2, 2, n1))
+    row_factors[:, 0] = 1.0
+    row_factors[:, 1] = e1
+    hits = y1[0] <= x1 <= y1[-1] and y2[0] <= x2 <= y2[-1]
+    hit_cols = np.flatnonzero(y2 == x2) if hits else ()
     if lin is not None:
         w0, g1, g2 = lin
         taylor_cols = g2 * (y2 - x2)
-    k1 = k2 = 0.0
+    sums = np.zeros((2, 2, 4))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(0, len(y1), rows):
-            yb = y1[r:r + rows, None]
-            wb = w[r:r + rows]
-            d, p, ws = (buf[:wb.size].reshape(wb.shape) for buf in work)
+        for r in range(0, n1, rows):
+            block = slice(r, r + rows)
+            wb = w[block]
+            nr = len(wb)
+            d = work[0, :4 * wb.size].reshape(2, nr, 2 * n2)
+            p = work[1, :4 * wb.size].reshape(2, nr, 2 * n2)
+            np.matmul(left[:, block], right, out=d)
+            _inverse_powers(d, p, alpha)
+            terms = p.reshape(2, nr, 2, n2)
+            singular = terms[0, :, 0]
             if lin is None:
-                ws = None
+                np.divide(wb[:, None], terms, out=terms)
             else:
-                np.add(w0 + g1 * (yb - x1), taylor_cols, out=ws)
+                ws = work[2, :wb.size].reshape(wb.shape)
+                np.add(w0 + g1 * (y1[block, None] - x1), taylor_cols, out=ws)
                 np.subtract(wb, ws, out=ws)
-            hit_rows = np.flatnonzero(yb == x1) if len(hit_cols) else ()
-            drop = np.ix_(hit_rows, hit_cols) if len(hit_rows) else None
-            d1, d2 = _four_terms(x1, x2, yb, y2, alpha, _col_sum, _row_sum, (d, p),
-                                 wb, ws, drop)
-            k1 += d1
-            k2 += d2
-    return float(k1), float(k2)
+                np.divide(wb[:, None], terms[1], out=terms[1])
+                np.divide(wb, terms[0, :, 1], out=terms[0, :, 1])
+                np.divide(ws, singular, out=singular)
+            hit_rows = np.flatnonzero(y1[block] == x1) if len(hit_cols) else ()
+            if len(hit_rows):
+                singular[np.ix_(hit_rows, hit_cols)] = 0.0
+            sums += row_factors[:, :, block] @ (p @ cols)
+    sums = sums.reshape(2, 2, 2, 2)
+    return _four_terms(sums[:, 0, :, 0].tolist(), sums[:, 1, :, 1].tolist())
 
 
 def _kernels_at(x, y, alpha: float, name: str):
@@ -253,9 +292,14 @@ def _kernels_at(x, y, alpha: float, name: str):
     y1, y2 = y[..., 0], y[..., 1]
     if np.any((y1 == x1) & (y2 == x2)):
         raise ValueError(f"{name} evaluated at y = x; caller must exclude the singularity")
-    shape = np.broadcast_shapes(x1.shape, y1.shape)
-    return _four_terms(x1, x2, y1, y2, alpha, np.multiply, np.multiply,
-                       (np.empty(shape), np.empty(shape)))
+    # terms indexed [s1, s2, node]
+    e1 = _image_factors(x1, y1)[:, None]
+    e2 = _image_factors(x2, y2)[None]
+    d = e1 * e1 + e2 * e2
+    p = np.empty_like(d)
+    _inverse_powers(d, p, alpha)
+    np.divide(1.0, p, out=p)
+    return _four_terms(p * e2, p * e1)
 
 
 def kernel_K1(x, y, alpha: float):
@@ -303,28 +347,52 @@ def riesz_velocity_prefactor(alpha: float) -> float:
     return float(2.0 * _gamma(1.0 + alpha) / (4.0 ** (1.0 - alpha) * np.pi * _gamma(1.0 - alpha)))
 
 
-# Modes per block of a sine table (see _sines): 48 trig calls per
-# coordinate instead of 128 at n = 128.
+# Modes per block of a sine table (see _sines)
 _SINE_BLOCK = 16
 
 
-def _sines(y: np.ndarray, n_modes: int) -> np.ndarray:
+def _powers(z, k: int) -> np.ndarray:
+    """z^0, z^1, ..., z^k along a new last axis.
+
+    Each power above z is the product of two lower ones: z^(h+j) = z^j z^h
+    for the highest power z^h so far and j = 1..h, so k powers take about
+    log2(k) array products.
+    """
+    out = np.empty(np.shape(z) + (k + 1,), dtype=np.complex128)
+    out[..., 0] = 1.0
+    if k:
+        out[..., 1] = z
+    have = 1
+    while have < k:
+        m = min(have, k - have)
+        np.multiply(out[..., 1:1 + m], out[..., have:have + 1],
+                    out=out[..., have + 1:have + 1 + m])
+        have += m
+    return out
+
+
+def _sines(y: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     """Sine matrix sin(m y), one row per coordinate, m = 1..n_modes.
 
-    Built by angle addition in blocks of _SINE_BLOCK modes: for m = q b + r,
-    sin(m y) = sin(q b y) cos(r y) + cos(q b y) sin(r y), from the sines and
-    cosines of r y (r = 1..b) and of q b y.  Each coordinate's ceil(n_modes/b)
-    blocks are one (blocks, 2) @ (2, b) product, and the table is cut to
-    n_modes columns.
+    Built from z = exp(i y), one complex exponential per coordinate, by
+    angle addition in blocks of _SINE_BLOCK modes: for m = q b + r,
+    sin(m y) = sin(q b y) cos(r y) + cos(q b y) sin(r y), with z^r
+    (r = 1..b) and (z^b)^q formed by _powers.  Each coordinate's
+    ceil(n_modes/b) blocks are one (blocks, 2) @ (2, b) product, and the
+    table is cut to n_modes columns.  With out, a 1-D array with room for
+    the table rounded up to whole blocks, the table is written there and
+    is a view of it.
     """
     b = _SINE_BLOCK
     blocks = -(-n_modes // b)
-    y = np.asarray(y, dtype=np.float64)[:, None]
-    step = y * np.arange(1, b + 1, dtype=np.float64)
-    base = y * (b * np.arange(blocks, dtype=np.float64))
-    left = np.stack([np.sin(base), np.cos(base)], axis=-1)
-    right = np.stack([np.cos(step), np.sin(step)], axis=1)
-    return (left @ right).reshape(len(y), blocks * b)[:, :n_modes]
+    y = np.asarray(y, dtype=np.float64)
+    step = _powers(np.exp(1j * y), b)[:, 1:]
+    base = _powers(step[:, -1], blocks - 1)
+    left = np.stack([base.imag, base.real], axis=-1)
+    right = np.stack([step.real, step.imag], axis=1)
+    if out is not None:
+        out = out[:len(y) * blocks * b].reshape(len(y), blocks, b)
+    return np.matmul(left, right, out=out).reshape(len(y), blocks * b)[:, :n_modes]
 
 
 def _tensor_samples(coeffs: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -386,31 +454,37 @@ class QuadratureOracle:
 
     Caches the central-cell sample grid, one row of image-cell sample grids
     and the two gradient fields of the principal-value linearization, so
-    sweeps over many evaluation points reuse the omega sampling; each
-    medium frame builds its two sine matrices and their products with the
-    coefficients once, for all three of its rectangles.
+    sweeps over many evaluation points reuse the omega sampling.  A medium
+    frame is sampled as two tensor grids, ya x [yb | ya] (its rectangle
+    [lo,hi] x [0,lo] and the corner [lo,hi]^2 share their rows) and
+    yb x ya, from one sine table on [yb | ya] and one product with the
+    coefficients.
 
     Samples are also reused from earlier calls.  Slot 0 of one sample
     buffer holds the last near square's samples, keyed on its exact side
-    s = L|x|.  Slot k >= 1 holds the three sample grids of the k-th medium
-    frame counted down from pi, keyed on its exact (lo, hi, na, nb); the
-    frames of s/2 are those of s plus one below them, so both share slots.
-    Each slot has room for 3 * cells_panel^2 samples, since na and nb never
-    exceed cells_panel (which is at least 8, the floor on both).  The
-    buffer is allocated on the first near or medium call and grown, keeping
-    what it holds, when a call has more frames than it has slots; no
-    per-frame array outlives a call.  The last far sum is kept with its
-    point and returned again for a far or full call at exactly that point.
+    s = L|x|.  Slot k >= 1 holds the two sample grids of the k-th medium
+    frame counted down from pi, na (nb + na) + nb na samples keyed on its
+    exact (lo, hi, na, nb); the frames of s/2 are those of s plus one below
+    them, so both share slots.  Each slot has room for 3 * cells_panel^2
+    samples, since na and nb never exceed cells_panel (which is at least 8,
+    the floor on both).  The buffer is allocated on the first near or
+    medium call and grown, keeping what it holds, when a call has more
+    frames than it has slots; no per-frame array outlives a call.  The last
+    far sum is kept with its point and returned again for a far or full
+    call at exactly that point.
 
-    Every rectangle, and every row of image cells, is summed by _node_sums:
-    per row block of at most _BLOCK_NODES nodes, each of the four terms
-    forms P = omega / (d * d**alpha) in place (at alpha = 1/2 the power is a
-    square root) and contracts it with its row and column factors
-    (x1 -+ y1), (x2 -+ y2) by matrix-vector products, so neither kernel is
-    formed on the nodes.  On the rectangle that holds x the singular term
-    is weighted by omega minus its linearization at x instead.  The blocks
-    reuse one scratch array held by the oracle, so an oracle is not to be
-    shared between threads.  Sums are deterministic for a fixed partition.
+    Every grid is summed by _node_sums, with its cell areas as column
+    weights: per row block of at most _BLOCK_NODES entries across the four
+    image terms, the terms' weighted powers P = omega / (d * d**alpha) are
+    formed together in place (at alpha = 1/2 the power is a square root)
+    and contracted with their row and column factors (x1 -+ y1),
+    (x2 -+ y2) by two matrix products, so neither kernel is formed on the
+    nodes.  On the rectangle that holds x the singular term is weighted by
+    omega minus its linearization at x instead.  One scratch array held by
+    the oracle carries the blocks and, before a near square's or a medium
+    frame's sums, its sine table and coefficient product, so an oracle is
+    not to be shared between threads.  Sums are deterministic for a fixed
+    partition.
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
@@ -444,13 +518,24 @@ class QuadratureOracle:
         return self._far_cache
 
     def _work(self):
-        """Scratch for the node sums: three buffers with room for a row block
-        of the widest grid this oracle sums."""
+        """Scratch for the node sums and the sample fills: three buffers,
+        each with room for the four terms of a row of the widest grid this
+        oracle sums, and for the sine table of a medium frame."""
         if self._work_cache is None:
             p = self.params
             widest = max(p.cells_central, p.cells_panel, p.image_radius * p.cells_far)
-            self._work_cache = np.empty((3, max(_BLOCK_NODES, widest)))
+            modes = -(-self.omega.n_modes // _SINE_BLOCK) * _SINE_BLOCK
+            # a frame has na + nb <= cells_panel + 8 coordinates
+            table = (p.cells_panel + 8) * modes
+            self._work_cache = np.empty((3, max(_BLOCK_NODES, 4 * widest, table)))
         return self._work_cache
+
+    def _sine_products(self, y):
+        """The sine table S of y and S @ coeffs, written into the scratch."""
+        coeffs = self.omega.coeffs
+        work = self._work()
+        s = _sines(y, coeffs.shape[0], work[0])
+        return s, np.matmul(s, coeffs, out=work[1, :s.size].reshape(s.shape))
 
     def _samples(self, slot, key, shapes, fill):
         """Arrays of the given shapes in one slot of the sample buffer.
@@ -500,8 +585,7 @@ class QuadratureOracle:
         area = h1 * h2
         x = (float(x[0]), float(x[1]))
         if not pv:
-            u1, u2 = _node_sums(x, y1, y2, w, alpha, self._work())
-            return u1 * area, u2 * area
+            return _node_sums(x, y1, y2, w, area, alpha, self._work())
 
         # Subtract the linearization of omega from the singular term over
         # the whole rectangle and add its integral back semi-analytically.
@@ -511,9 +595,9 @@ class QuadratureOracle:
         # node at y = x (if any) is left out; its true residual
         # contribution is the integrable O(h^(3-2alpha)) cell.
         lin = self._linearization(x)
-        u1, u2 = _node_sums(x, y1, y2, w, alpha, self._work(), lin)
+        u1, u2 = _node_sums(x, y1, y2, w, area, alpha, self._work(), lin)
         pv1, pv2 = _linear_pv_integrals(x, rect, alpha, *lin)
-        return u1 * area + pv1, u2 * area + pv2
+        return u1 + pv1, u2 + pv2
 
     # -- regions ----------------------------------------------------------
 
@@ -527,16 +611,15 @@ class QuadratureOracle:
         y, _ = _midpoints(0.0, s, n)
 
         def fill(w):
-            coeffs = self.omega.coeffs
-            sy = _sines(y, coeffs.shape[0])
-            np.matmul(sy @ coeffs, sy.T, out=w)
+            sy, cy = self._sine_products(y)
+            np.matmul(cy, sy.T, out=w)
 
         (w,) = self._samples(0, s, [(n, n)], fill)
         rect = (0.0, s, 0.0, s)
         return self._sum_rect(x, rect, y, y, w, pv=self._inside(x, rect))
 
     def _medium_frames(self, s):
-        """Dyadic frames covering [0, pi)^2 \\ [0, s]^2, each as three rects."""
+        """Dyadic frames [0, hi)^2 \\ [0, lo)^2 covering [0, pi)^2 \\ [0, s]^2."""
         frames = []
         lo = s
         while lo < np.pi:
@@ -553,41 +636,46 @@ class QuadratureOracle:
             raise ValueError("medium region requires x != 0")
         if s > 1.0:
             warnings.warn(f"L|x| = {s:.3g} > 1: medium-field scaling assumptions degrade")
-        npanel = self.params.cells_panel
-        coeffs = self.omega.coeffs
-        n = coeffs.shape[0]
+        x = (float(x[0]), float(x[1]))
         frames = self._medium_frames(s)
         u1 = u2 = 0.0
         for k, (lo, hi) in enumerate(frames):
-            na = max(8, int(round(npanel * (hi - lo) / hi)))
-            nb = max(8, int(round(npanel * lo / hi)))
-            ya, _ = _midpoints(lo, hi, na)
-            yb, _ = _midpoints(0.0, lo, nb)
-
-            def fill(w_ab, w_ba, w_aa):
-                # omega on each rectangle is (S1 @ c) @ S2.T from the
-                # frame's two sine bases
-                sa = _sines(ya, n)
-                sb = _sines(yb, n)
-                ca = sa @ coeffs
-                cb = sb @ coeffs
-                np.matmul(ca, sb.T, out=w_ab)
-                np.matmul(cb, sa.T, out=w_ba)
-                np.matmul(ca, sa.T, out=w_aa)
-
             # slots count frames down from pi: s and s/2 share all but one
-            w_ab, w_ba, w_aa = self._samples(len(frames) - k, (lo, hi, na, nb),
-                                             [(na, nb), (nb, na), (na, na)], fill)
-            # [lo,hi] x [0,lo], its swap image, and the swap-invariant corner
-            for rect, y1, y2, w in (
-                ((lo, hi, 0.0, lo), ya, yb, w_ab),
-                ((0.0, lo, lo, hi), yb, ya, w_ba),
-                ((lo, hi, lo, hi), ya, ya, w_aa),
-            ):
-                du1, du2 = self._sum_rect(x, rect, y1, y2, w)
-                u1 += du1
-                u2 += du2
+            du1, du2 = self._frame(x, len(frames) - k, lo, hi)
+            u1 += du1
+            u2 += du2
         return u1, u2
+
+    def _frame(self, x, slot, lo, hi):
+        """Midpoint sum over the frame [0, hi)^2 \\ [0, lo)^2.
+
+        The frame's rectangles [lo,hi] x [0,lo], [0,lo] x [lo,hi] and the
+        corner [lo,hi]^2 have na cells across [lo, hi] and nb across
+        [0, lo], so their node multiset is swap-symmetric.  They are summed
+        as two tensor grids, ya x [yb | ya] (the first and the corner share
+        their rows, and the cell areas are column weights) and yb x ya.
+        Both are sampled from one sine table on [yb | ya] and one product
+        with the coefficients, held in the given slot.
+        """
+        npanel = self.params.cells_panel
+        na = max(8, int(round(npanel * (hi - lo) / hi)))
+        nb = max(8, int(round(npanel * lo / hi)))
+        ya, ha = _midpoints(lo, hi, na)
+        yb, hb = _midpoints(0.0, lo, nb)
+        y = np.concatenate([yb, ya])
+
+        def fill(w_a, w_b):
+            sy, cy = self._sine_products(y)
+            np.matmul(cy[nb:], sy.T, out=w_a)
+            np.matmul(cy[:nb], sy[nb:].T, out=w_b)
+
+        w_a, w_b = self._samples(slot, (lo, hi, na, nb), [(na, nb + na), (nb, na)], fill)
+        cw = np.full(nb + na, ha * ha)
+        cw[:nb] = ha * hb
+        alpha, work = self.params.alpha, self._work()
+        u1, u2 = _node_sums(x, ya, y, w_a, cw, alpha, work)
+        v1, v2 = _node_sums(x, yb, ya, w_b, hb * ha, alpha, work)
+        return u1 + v1, u2 + v2
 
     def _far(self, x):
         x = (float(x[0]), float(x[1]))
@@ -596,7 +684,6 @@ class QuadratureOracle:
         R = self.params.image_radius
         t, h, strip = self._far_base()
         n = len(t)
-        area = h * h
         alpha = self.params.alpha
         y2 = (np.pi * np.arange(R)[:, None] + t).ravel()
         u1 = u2 = 0.0
@@ -605,10 +692,10 @@ class QuadratureOracle:
         for pcell in range(R):
             w, sgn = (strip[::-1], -1.0) if pcell % 2 else (strip, 1.0)
             skip = n if pcell == 0 else 0
-            du1, du2 = _node_sums(x, pcell * np.pi + t, y2[skip:], w[:, skip:], alpha,
-                                  self._work())
-            u1 += sgn * du1 * area
-            u2 += sgn * du2 * area
+            du1, du2 = _node_sums(x, pcell * np.pi + t, y2[skip:], w[:, skip:], h * h,
+                                  alpha, self._work())
+            u1 += sgn * du1
+            u2 += sgn * du2
         self._far_memo = (x, (u1, u2))
         return u1, u2
 

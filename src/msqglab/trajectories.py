@@ -217,11 +217,13 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
     """Fill r(t) = -u1_med x2 / (x1 u2_med) along the path where L|x| <= 1.
 
     Uses the snapshot nearest in time for the quadrature field; skipped
-    samples (L|x| > 1 or empty region) stay nan and are noted.
+    samples (L|x| > 1 or empty region) stay nan and are noted.  One oracle
+    is alive at a time: it is replaced when the nearest snapshot changes,
+    which along a forward path happens once per snapshot.
     """
     params = params or KernelParams(alpha=alpha)
     times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
-    oracles = {}
+    oracle = current = None
     skipped = 0
     ratios = trajectory.ratios.copy()
     for i in range(0, len(trajectory.times), every):
@@ -231,9 +233,9 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
             skipped += 1
             continue
         j = int(np.argmin(np.abs(times - t)))
-        if j not in oracles:
-            oracles[j] = QuadratureOracle(snapshots[j][1], params)
-        u1, u2 = oracles[j].velocity(x, RegionSpec("medium", L))
+        if j != current:
+            oracle, current = QuadratureOracle(snapshots[j][1], params), j
+        u1, u2 = oracle.velocity(x, RegionSpec("medium", L))
         if u2 == 0.0:
             skipped += 1
             continue

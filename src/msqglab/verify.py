@@ -18,12 +18,12 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .initial_data import recorded_warnings
 from .kernels import (KernelParams, QuadratureOracle, RegionSpec,
                       relative_kernel_error)
 from .spectral import SineField, grid_max_abs, hessian_sup_norm
@@ -76,17 +76,9 @@ def _notes_warnings(sweep):
     in order, and emit it once more under the caller's warning filters."""
     @functools.wraps(sweep)
     def wrapped(*args, **kwargs):
-        caught = {}
-        try:
-            with warnings.catch_warnings(record=True) as records:
-                warnings.simplefilter("always")
-                report = sweep(*args, **kwargs)
-        finally:
-            for w in records:
-                caught.setdefault((w.category, str(w.message)), w)
-            for w in caught.values():
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        report.notes.extend(f"warning: {message}" for _, message in caught)
+        with recorded_warnings() as messages:
+            report = sweep(*args, **kwargs)
+        report.notes.extend(f"warning: {message}" for message in messages)
         return report
     return wrapped
 

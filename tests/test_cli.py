@@ -26,14 +26,14 @@ GOLDEN = {
     "tr/trace_summary.json": "5cf1c28316fc997413f8237240a51e668ab46d3b67c5783ffad7b2b86f0a6e0c",
     "ver/report_kernel_asymptotics.json":
         "d7bfa721cb0b6c35f64c640166f5d18531b52d35e53db8f4fda6868ae32bf670",
-    "ver/report_near_field.json": "2e0fefd71bc8e2473593490a75ad746a21909adbdd7cbb9c5fedd6a578e2359f",
+    "ver/report_near_field.json": "a0866d4d7e99173888ea3329ee2b1091aeeede81c3a65fdb0b15c632ffc2195f",
     "ver/report_medium_ratio.json":
-        "93c8ea86a91d07326e0360e5110d5de2244b032bbc7e093e18e653330472c495",
-    "ver/report_far_field.json": "2cbf03e2a83accac53683d0681a76555d0be30866a4cc08cc923b5852a63b3cc",
-    "ver/report_background.json": "a4be6f3f4ebbbc3be7b8f3fa5aa54dd2641b4ab3b1b8a2149f2b0fd00fc72ee3",
+        "bd654e57d0d671db4034f5ee92fe92fe5115407571acb169af46f38dbd06a7ef",
+    "ver/report_far_field.json": "a9f32e832c3f21fb6f8aed8a7f48663f05eb4a1e169ca6a184541a58dbd15440",
+    "ver/report_background.json": "acf9ceb43dfec33fe90a6c5b2dead63a198d350a7fbfb73c87d001ab4ab9e228",
     "ver/report_decomposition.json":
-        "b04c6a43dd14291f53feb831c622fd6e99746b2bbbe7af341c42327eb28d3ba8",
-    "ver/verify_summary.csv": "bc82f9e3def9c0da05c60e055b8a5075078423f8118d84f1bee94e0751e8e7f2",
+        "86fd3dfb0c145e5177a64722fdd151e0567f7bd5c01c75ec78b2325fc96f2a4b",
+    "ver/verify_summary.csv": "b36f887ad1bd04e4a5a5d60205198bc69814d1118b9325194b2f651ca9cd66ac",
 }
 
 
@@ -87,6 +87,18 @@ class TestPipeline:
         cfg = json.loads((root / "run" / "manifest.json").read_text())["config"]
         assert (cfg["N"], cfg["Ng"], cfg["image_radius"]) == (32, 64, 2)
         assert json.loads((root / "run" / "metadata.json").read_text())["config"]["n_modes"] == 32
+
+    def test_initial_data_warning_recorded(self, pipeline):
+        # delta = 0.25 spans about 5 cells of Ng = 64: the construction warns
+        root, res = pipeline
+        message = ("delta=0.25 spans fewer than 8 grid cells at n_grid=64; "
+                   "construction is under-resolved")
+        checks = json.loads((root / "md" / "make_data_checks.json").read_text())
+        assert checks["warnings"] == [message]
+        for name in ("metadata.json", "summary.json"):
+            notes = json.loads((root / "run" / name).read_text())["notes"]
+            assert notes == [f"warning: {message}"]
+        assert message in res["make-data"].stderr and message in res["simulate"].stderr
 
     @pytest.mark.parametrize("out", ["md", "run", "tr", "ver"])
     def test_manifest_hashes_match_files(self, pipeline, out):

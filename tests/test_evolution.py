@@ -426,6 +426,19 @@ class TestRun:
         assert meta["preserve_degeneracy"] is True
         assert meta["halt_reason"] == res.halt_reason
 
+    def test_initial_data_warning_in_notes_and_metadata(self, tmp_path):
+        # the default delta = 0.25 spans about 5 cells of Ng = 64
+        import json
+
+        cfg = make_config(n_modes=32, n_grid=64, t_final=0.01, out_dir=str(tmp_path))
+        with pytest.warns(UserWarning, match="under-resolved") as caught:
+            res = run(cfg)
+        message = "delta=0.25 spans fewer than 8 grid cells at n_grid=64; " \
+                  "construction is under-resolved"
+        assert [str(w.message) for w in caught] == [message]
+        assert res.notes == [f"warning: {message}"]
+        assert json.loads((tmp_path / "metadata.json").read_text())["notes"] == res.notes
+
     def test_repeated_runs_identical(self):
         cfg = make_config(n_modes=32, n_grid=64, t_final=0.05, diag_every=2)
         om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))

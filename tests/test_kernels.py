@@ -260,8 +260,9 @@ class TestRegionsAgainstDirectSums:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _unfactored_node_sums(x, y1, y2, w, alpha, work=None, lin=None):
-    """Node sums of the four-term kernels, unfactored, formed node by node:
+def _unfactored_node_sums(x, y1, y2, w, cw, alpha, work=None, lin=None):
+    """Node sums of the four-term kernels times w and the column weights cw,
+    unfactored, formed node by node:
     K1 = (x2-y2) i0 - (x2-y2) it - (x2+y2) ib + (x2+y2) ip and
     K2 = (y1-x1) i0 + (x1-y1) ib + (x1+y1) it - (x1+y1) ip, with the
     singular i0 term weighted by the Taylor residual when lin is given and
@@ -282,7 +283,9 @@ def _unfactored_node_sums(x, y1, y2, w, alpha, work=None, lin=None):
     if lin is not None:
         w0, g1, g2 = lin
         ws = w - (w0 + g1 * (yy1 - x1) + g2 * (yy2 - x2))
-    return float(np.sum(s1 * ws + i1 * w)), float(np.sum(s2 * ws + i2 * w))
+    cw = np.broadcast_to(cw, y2.shape)[None, :]
+    return (float(np.sum((s1 * ws + i1 * w) * cw)),
+            float(np.sum((s2 * ws + i2 * w) * cw)))
 
 
 class TestFactoredNodeSums:
@@ -310,16 +313,18 @@ class TestFactoredNodeSums:
         want = QuadratureOracle(omega, self._params(alpha)).velocity(self.X, region)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    # one row per block, 7 rows per block on the 16-column near square
-    # (other counts elsewhere), and the whole grid in one block
+    # the fewest rows per block the scratch allows (its room is at least
+    # one row of the widest grid and a frame's sine table), 7 rows per block
+    # on the 16-column near square (other counts elsewhere), and the whole
+    # grid in one block; a block holds the four terms of its nodes
     @pytest.mark.parametrize("block_nodes", [1, 7 * 16])
     @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
     def test_block_size_does_not_change_sums(self, omega, region, block_nodes, monkeypatch):
         params = self._params(0.5)
         # 48^2 nodes, the largest grid here
-        monkeypatch.setattr(kernels, "_BLOCK_NODES", 48 * 48)
+        monkeypatch.setattr(kernels, "_BLOCK_NODES", 4 * 48 * 48)
         whole = QuadratureOracle(omega, params).velocity(self.X, region)
-        monkeypatch.setattr(kernels, "_BLOCK_NODES", block_nodes)
+        monkeypatch.setattr(kernels, "_BLOCK_NODES", 4 * block_nodes)
         blocked = QuadratureOracle(omega, params).velocity(self.X, region)
         np.testing.assert_allclose(blocked, whole, rtol=1e-14, atol=0.0)
 
@@ -331,12 +336,36 @@ class TestFactoredNodeSums:
         x = (float(y1[4]), float(y2[3]))
         w = np.random.default_rng(8).standard_normal((9, 7))
         w[4, 3] = w_at_x
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = kernels._node_sums(x, y1, y2, w, 0.5, np.empty((3, 63)), lin)
-        assert np.all(np.isfinite(got))
-        np.testing.assert_allclose(got, _unfactored_node_sums(x, y1, y2, w, 0.5, lin=lin),
-                                   rtol=1e-13, atol=0.0)
+        cw = np.linspace(0.5, 2.0, 7)
+        want = _unfactored_node_sums(x, y1, y2, w, cw, 0.5, lin=lin)
+        # room for one row of the four terms per block, and for the whole grid
+        for room in (4 * 7, 4 * 63):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = kernels._node_sums(x, y1, y2, w, cw, 0.5, np.empty((3, room)), lin)
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    # a dyadic frame (na = nb = 8) and the top frame clipped at pi
+    # (na = 8 floored, nb = 15)
+    @pytest.mark.parametrize("lo, hi", [(0.4, 0.8), (2.9, np.pi)])
+    def test_frame_equals_three_unfactored_rectangles(self, omega, lo, hi):
+        params = self._params(0.5)
+        oracle = QuadratureOracle(omega, params)
+        x = (0.05, 0.08)
+        got = oracle._frame(x, 1, lo, hi)
+        npanel = params.cells_panel
+        na = max(8, int(round(npanel * (hi - lo) / hi)))
+        nb = max(8, int(round(npanel * lo / hi)))
+        assert (na == nb) == (hi < np.pi)
+        want = np.zeros(2)
+        for rect, n1, n2 in (((lo, hi, 0.0, lo), na, nb), ((0.0, lo, lo, hi), nb, na),
+                             ((lo, hi, lo, hi), na, na)):
+            y1, h1 = _midpoint_nodes(rect[0], rect[1], n1)
+            y2, h2 = _midpoint_nodes(rect[2], rect[3], n2)
+            w = kernels._tensor_samples(omega.coeffs, y1, y2)
+            want += _unfactored_node_sums(x, y1, y2, w, h1 * h2, 0.5)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_full_call_allocates_under_one_mebibyte(self):
         # CLI-default oracle: N = 256, 256^2 central cell, 8 image radii
@@ -500,7 +529,8 @@ class TestReuseAcrossCalls:
         for x, new_frames in zip(points, (4, 1, 3, 0)):
             before = sines[0]
             got.append(oracle.velocity(x, region))
-            assert sines[0] - before == 2 * new_frames
+            # one sine table on [yb | ya] per frame
+            assert sines[0] - before == new_frames
         for x, u in zip(points, got):
             np.testing.assert_array_equal(u, self._fresh(omega, x, region))
 
@@ -547,3 +577,21 @@ class TestReuseAcrossCalls:
             assert abs(tracemalloc.get_traced_memory()[0] - held) < 1024
         finally:
             tracemalloc.stop()
+
+    def test_warm_medium_call_at_cli_sizes_allocates_under_128_kib(self):
+        # glibc maps each allocation of at least MALLOC_MMAP_THRESHOLD_ (the
+        # benchmark pins 128 KiB) freshly and faults in its pages on every
+        # call; a frame's sine table at N = 128 is 136 x 128 floats, more
+        # than that, so it and every other per-call array must stay smaller
+        om = SineField(np.random.default_rng(6).standard_normal((128, 128)) / 128.0)
+        oracle = QuadratureOracle(om, KernelParams(alpha=0.5))
+        region = RegionSpec("medium", 8.0)
+        # L|x| = 0.48, then 0.4: three frames each, all of them new
+        oracle.velocity((0.036, 0.048), region)
+        tracemalloc.start()
+        try:
+            oracle.velocity((0.03, 0.04), region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024

@@ -1,11 +1,14 @@
 """Velocity sampler, characteristic tracing, stopping rule, growth fit, start point."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec
 from msqglab.spectral import SineField, velocity_coefficients
-from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, select_start,
-                                  stopping_time, trace)
+from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, medium_ratio_monitor,
+                                  select_start, stopping_time, trace)
 
 ALPHA = 0.5
 RNG = np.random.default_rng(5)
@@ -197,6 +200,54 @@ def _path(x2_values):
     return TrajectoryState(start=(0.1, x2_values[0]), times=np.linspace(0.0, 1.0, n),
                            positions=np.column_stack([np.full(n, 0.1), x2_values]),
                            velocities=np.zeros((n, 2)), ratios=np.full(n, np.nan))
+
+
+class TestMediumRatioMonitor:
+    L = 8.0
+    PARAMS = KernelParams(alpha=ALPHA, cells_panel=32)
+
+    @staticmethod
+    def _arc(n=41):
+        # |x| = 0.06, so L|x| = 0.48 and every sample has the same three frames
+        angle = np.linspace(0.4, 1.1, n)
+        pos = 0.06 * np.column_stack([np.cos(angle), np.sin(angle)])
+        return TrajectoryState(start=tuple(pos[0]), times=np.linspace(0.0, 1.0, n),
+                               positions=pos, velocities=np.zeros((n, 2)),
+                               ratios=np.full(n, np.nan))
+
+    @staticmethod
+    def _snapshots(k):
+        return [(t, _field(1.0 + t)) for t in np.linspace(0.0, 1.0, k)]
+
+    def test_ratios_from_the_nearest_snapshot(self):
+        path, snaps = self._arc(), self._snapshots(6)
+        got = medium_ratio_monitor(path, snaps, ALPHA, self.L, self.PARAMS, every=4).ratios
+        times = np.array([t for t, _ in snaps])
+        for i in range(len(path.times)):
+            if i % 4:
+                assert np.isnan(got[i])
+                continue
+            x = path.positions[i]
+            field = snaps[int(np.argmin(np.abs(times - path.times[i])))][1]
+            u1, u2 = QuadratureOracle(field, self.PARAMS).velocity(x, RegionSpec("medium", self.L))
+            assert got[i] == -u1 * x[1] / (x[0] * u2)
+
+    def test_peak_memory_does_not_grow_with_snapshots(self):
+        path = self._arc()
+
+        def peak(k):
+            snaps = self._snapshots(k)
+            tracemalloc.start()
+            try:
+                medium_ratio_monitor(path, snaps, ALPHA, self.L, self.PARAMS, every=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)                     # fills numpy's and Python's caches
+        # one oracle holds 1.5 MiB of scratch; Python's free lists of small
+        # objects may hold a few hundred bytes more or less
+        assert peak(6) <= peak(2) + 1024
 
 
 class TestStoppingTime:
