@@ -127,9 +127,18 @@ class DiagnosticsRecord:
 
 @dataclass
 class RunResult:
+    """What run() returns.
+
+    snapshots has one (time, path) pair per snapshot, path None when the
+    run has no out_dir.  The snapshot fields are not kept: a long run would
+    hold every one of them, so they are read back from their files
+    (snapshots.read_snapshot).  paths names the diagnostics and metadata
+    files written to out_dir.
+    """
+
     state: SimState
     diagnostics: list
-    snapshots: list            # (time, SineField) pairs
+    snapshots: list            # (time, path) pairs
     halt_reason: str           # horizon | resolution_exhausted | nan
     gamma: float | None = None
     gamma_r2: float | None = None
@@ -344,10 +353,11 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
         return rec, grew
 
     def snap():
-        snapshots.append((state.time, state.omega))
+        path = None
         if out:
-            write_snapshot(out / f"snap_{state.step_count:07d}.msqg",
-                           state.omega, config.n_grid, config.alpha, state.time)
+            path = out / f"snap_{state.step_count:07d}.msqg"
+            write_snapshot(path, state.omega, config.n_grid, config.alpha, state.time)
+        snapshots.append((state.time, path))
 
     record(0.0)
     snap()

@@ -40,11 +40,12 @@ lays out all four terms as one array d[s1, i, s2, j]; its squared
 distances are one matrix product, its weighted powers omega * i three
 in-place array operations, and both contractions one product with the
 column factors followed by dots with the row factors.  A block holds at
-most 65,536 entries across its four terms, in three scratch buffers that
-each oracle allocates once, so the scratch stays bounded however many
-cells a grid has.  At the CLI defaults a medium frame's grids and the
-near square are one block each, the 256^2 central cell is four and a row
-of image cells two.
+most 65,536 entries across its four terms (or one grid row, if that is
+more), in three scratch buffers per oracle that grow to what its largest
+block or sine table needs, so the scratch stays bounded however many
+cells a grid has and small grids take small scratch.  At the CLI
+defaults a medium frame's grids and the near square are one block each,
+the 256^2 central cell is four and a row of image cells two.
 
 Omega is sampled on tensor grids as (S1 @ c) @ S2.T from sine matrices S.
 A medium frame takes one sine table on [yb | ya], its midpoints across
@@ -74,8 +75,14 @@ from rounding the arguments m y (up to about 400).
 The principal-value singularity at y = x (needed for alpha >= 1/2, harmless
 otherwise) is handled on the rectangle containing x: the singular first
 term is Taylor-subtracted there and its integral against the linearization
-of omega added back in closed form.  The linearization takes omega(x) and
-grad omega(x) from the spectral point evaluation.
+of omega added back.  That integral reduces to integrals along the
+rectangle's edges, each of them a sum of integrals from 0 to u of
+(t^2 + c^2)^(-alpha) and t (t^2 + c^2)^(-alpha), where u and c are
+distances from x to the edges.  The first moments are closed form and
+the zeroth are Gauss-Legendre sums after t = c sinh v, both to rounding,
+and a rectangle's eight (u, c) pairs take one array evaluation.  The
+linearization takes omega(x) and grad omega(x) from the spectral point
+evaluation.
 """
 
 from __future__ import annotations
@@ -159,11 +166,9 @@ class ReflectedPoint:
         return cls((x1, x2), (-x1, x2), (x1, -x2), (-x1, -x2))
 
 
-# Entries per buffer of an oracle's scratch, unless the four image terms of
-# one grid row or a medium frame's sine table take more.  A node sum fills
-# the room with as many rows as fit across the four terms, and a block's
-# temporaries live there, so summing a block allocates no node-sized array
-# and faults in no pages.
+# Entries across the four image terms of a node-sum block, unless one grid
+# row takes more.  A block's temporaries live in the oracle's scratch, so
+# summing a block allocates no node-sized array and faults in no pages.
 _BLOCK_NODES = 65536
 
 # s1 s2 of the image term at (s1 y1, s2 y2), indexed [s1 < 0, s2 < 0]
@@ -210,6 +215,12 @@ def _four_terms(t1, t2):
     return k1, k2
 
 
+def _block_rows(n1: int, n2: int) -> int:
+    """Rows per block of a node sum over n1 x n2 nodes: as many as fit 4 n2
+    entries each in _BLOCK_NODES, at least one and at most n1."""
+    return min(n1, max(1, _BLOCK_NODES // (4 * n2)))
+
+
 def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
     """(sum K1 w cw, sum K2 w cw) over the tensor grid y1 x y2 with samples w.
 
@@ -223,16 +234,16 @@ def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
         one *= d and one divide of the samples, broadcast over the terms;
       * both contractions are one product with the (2c x 4) column factors
         (e2 cw, cw) of each s2, then dots with the row factors (1, e1).
-    The kernels are never formed on the nodes.  work is a (3, room) array:
-    a block takes as many rows as fit 4 c entries each in the room (at
-    least one), and d, P and the singular weights live in it.  With
+    The kernels are never formed on the nodes.  A block has _block_rows
+    rows, and work is a (3, room) array with room for its 4 r c entries,
+    where d, P and the singular weights live.  With
     lin = (w0, g1, g2) the singular term is weighted by the residual of the
     linearization w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at
     y = x contributes no singular term.
     """
     x1, x2 = x
     n1, n2 = w.shape
-    rows = max(1, work.shape[1] // (4 * n2))
+    rows = _block_rows(n1, n2)
     e1 = _image_factors(x1, y1)
     e2 = _image_factors(x2, y2)
     left = np.empty((2, n1, 2))
@@ -406,35 +417,79 @@ def _midpoints(a: float, b: float, n: int):
     return a + (np.arange(n) + 0.5) * h, h
 
 
+def _gauss_legendre(n: int):
+    """Nodes and weights of n-point Gauss-Legendre quadrature on [-1, 1].
+
+    Newton's method on P_n from the three-term recurrence, started at
+    cos(pi (k + 3/4) / (n + 1/2)), which converges quadratically from
+    there.  Unlike np.polynomial.legendre.leggauss this makes no LAPACK
+    call, whose first use costs a process about 0.6 MB of resident memory.
+    """
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(10):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+# 16-point Gauss-Legendre nodes and weights on [-1, 1] (see _edge_moments)
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(16)
+
+
+def _edge_moments(u, c, alpha: float):
+    """int_0^u (t^2 + c^2)^(-alpha) dt and int_0^u t (t^2 + c^2)^(-alpha) dt.
+
+    Elementwise for arrays u, c > 0 of one shape.  The first moment is
+    closed form, ((u^2 + c^2)^(1-alpha) - c^(2-2alpha)) / (2 - 2alpha),
+    taken through expm1 and log1p so it keeps its relative precision when
+    u << c.  The zeroth moment is c^(1-2alpha) times the integral of
+    cosh(v)^(1-2alpha) over 0 < v < asinh(u/c) (t = c sinh v), which is
+    asinh(u/c) at alpha = 1/2.  That integrand is analytic in a strip of
+    half-width pi/2 about the real axis, so composite 16-point
+    Gauss-Legendre on panels no longer than 1 takes it to rounding; every
+    entry is cut into the same number of panels, so all of them are one
+    array evaluation.
+    """
+    beta = 1.0 - 2.0 * alpha
+    v = np.arcsinh(u / c)
+    panels = max(1, int(np.ceil(v.max())))
+    t = ((np.arange(panels)[:, None] + 0.5 * (1.0 + _GL_NODES)) / panels).ravel()
+    weights = np.tile(_GL_WEIGHTS, panels)
+    zeroth = (np.cosh(v[..., None] * t) ** beta @ weights) * (0.5 / panels) * v * c ** beta
+    first = c ** (2.0 - 2.0 * alpha) * np.expm1((1.0 - alpha) * np.log1p((u / c) ** 2))
+    return zeroth, first / (2.0 - 2.0 * alpha)
+
+
 def _linear_pv_integrals(x, rect, alpha: float, w0: float, g1: float, g2: float):
     """Exact integrals of the singular kernel terms against w0 + g . (y - x).
 
     Computes I_j = int_rect T_j(y) (w0 + g1 (y1-x1) + g2 (y2-x2)) dy for
     T_1 = (x2-y2) |x-y|^(-2-2a) and T_2 = (y1-x1) |x-y|^(-2-2a), with x
     strictly inside the rectangle, in the principal-value sense.  Every
-    piece reduces to a 1D integral of a smooth function over one rectangle
-    edge (antiderivative in one variable plus the divergence theorem for
-    the |x-y|^(-2a) bulk term), evaluated adaptively.
+    piece reduces to integrals of r^(-2a) and (t - x) r^(-2a) along the
+    rectangle's edges (an antiderivative in one variable, and the
+    divergence theorem for the |x-y|^(-2a) bulk term).  Split at the foot
+    of x, each edge is two integrals from 0 to u of (t^2 + c^2)^(-alpha)
+    and t (t^2 + c^2)^(-alpha), with u and c two of the distances from x
+    to the four edges; _edge_moments takes all eight (u, c) pairs at once.
     """
-    from scipy.integrate import quad
-
     x1, x2 = x
     a1, b1, a2, b2 = rect
     two_a = 2.0 * alpha
-
-    def rpow(y1, y2):
-        return ((y1 - x1) ** 2 + (y2 - x2) ** 2) ** (-alpha)
-
-    def q(f, a, b, interior_pt):
-        pts = [interior_pt] if a < interior_pt < b else None
-        return quad(f, a, b, points=pts, limit=400)[0]
-
-    e1 = q(lambda t: rpow(t, b2) - rpow(t, a2), a1, b1, x1)
-    e1w = q(lambda t: (t - x1) * (rpow(t, b2) - rpow(t, a2)), a1, b1, x1)
-    e2 = q(lambda t: rpow(b1, t) - rpow(a1, t), a2, b2, x2)
-    e2w = q(lambda t: (t - x2) * (rpow(b1, t) - rpow(a1, t)), a2, b2, x2)
-    jv = q(lambda t: (b1 - x1) * rpow(b1, t) + (x1 - a1) * rpow(a1, t), a2, b2, x2)
-    jh = q(lambda t: (b2 - x2) * rpow(t, b2) + (x2 - a2) * rpow(t, a2), a1, b1, x1)
+    # distances from x to the edges: [axis, (upper, lower)]
+    dist = np.array([[b1 - x1, x1 - a1], [b2 - x2, x2 - a2]])
+    # [f, e, s]: on the edges that run along axis f, the upper (e = 0) or
+    # lower (e = 1) one, from the foot of x up (s = 0) or down (s = 1)
+    zeroth, first = _edge_moments(np.broadcast_to(dist[:, None, :], (2, 2, 2)),
+                                  np.broadcast_to(dist[::-1, :, None], (2, 2, 2)), alpha)
+    along = zeroth.sum(axis=-1)                      # int r^(-2a) over each edge
+    moment = first[..., 0] - first[..., 1]           # int (t - x_f) r^(-2a)
+    e1, e2 = along[:, 0] - along[:, 1]
+    e1w, e2w = moment[:, 0] - moment[:, 1]
+    jh, jv = (dist[::-1] * along).sum(axis=-1)
     j_bulk = (jv + jh) / (2.0 - two_a)
 
     int_t1 = e1 / two_a                  # (x2-y2) r^(-2-2a)
@@ -446,7 +501,7 @@ def _linear_pv_integrals(x, rect, alpha: float, w0: float, g1: float, g2: float)
 
     i1 = w0 * int_t1 + g1 * int_t1_y1 - g2 * int_y2sq
     i2 = w0 * int_t2 + g1 * int_y1sq + g2 * int_cross
-    return i1, i2
+    return float(i1), float(i2)
 
 
 class QuadratureOracle:
@@ -481,10 +536,10 @@ class QuadratureOracle:
     (x2 -+ y2) by two matrix products, so neither kernel is formed on the
     nodes.  On the rectangle that holds x the singular term is weighted by
     omega minus its linearization at x instead.  One scratch array held by
-    the oracle carries the blocks and, before a near square's or a medium
-    frame's sums, its sine table and coefficient product, so an oracle is
-    not to be shared between threads.  Sums are deterministic for a fixed
-    partition.
+    the oracle, grown when a block or sine table needs more room, carries
+    the blocks and, before a near square's or a medium frame's sums, its
+    sine table and coefficient product, so an oracle is not to be shared
+    between threads.  Sums are deterministic for a fixed partition.
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
@@ -517,23 +572,23 @@ class QuadratureOracle:
             self._far_cache = (t, h, strip)
         return self._far_cache
 
-    def _work(self):
-        """Scratch for the node sums and the sample fills: three buffers,
-        each with room for the four terms of a row of the widest grid this
-        oracle sums, and for the sine table of a medium frame."""
-        if self._work_cache is None:
-            p = self.params
-            widest = max(p.cells_central, p.cells_panel, p.image_radius * p.cells_far)
-            modes = -(-self.omega.n_modes // _SINE_BLOCK) * _SINE_BLOCK
-            # a frame has na + nb <= cells_panel + 8 coordinates
-            table = (p.cells_panel + 8) * modes
-            self._work_cache = np.empty((3, max(_BLOCK_NODES, 4 * widest, table)))
+    def _work(self, room: int):
+        """Scratch for the node sums and the sample fills: three buffers of
+        at least room entries each, grown when a call needs more."""
+        if self._work_cache is None or self._work_cache.shape[1] < room:
+            self._work_cache = np.empty((3, room))
         return self._work_cache
+
+    def _grid_sums(self, x, y1, y2, w, cw, lin=None):
+        """_node_sums over the grid y1 x y2, in this oracle's scratch."""
+        n1, n2 = w.shape
+        work = self._work(4 * n2 * _block_rows(n1, n2))
+        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin)
 
     def _sine_products(self, y):
         """The sine table S of y and S @ coeffs, written into the scratch."""
         coeffs = self.omega.coeffs
-        work = self._work()
+        work = self._work(len(y) * -(-coeffs.shape[0] // _SINE_BLOCK) * _SINE_BLOCK)
         s = _sines(y, coeffs.shape[0], work[0])
         return s, np.matmul(s, coeffs, out=work[1, :s.size].reshape(s.shape))
 
@@ -579,13 +634,12 @@ class QuadratureOracle:
         term gets the principal-value treatment.
         """
         a1, b1, a2, b2 = rect
-        alpha = self.params.alpha
         h1 = (b1 - a1) / len(y1)
         h2 = (b2 - a2) / len(y2)
         area = h1 * h2
         x = (float(x[0]), float(x[1]))
         if not pv:
-            return _node_sums(x, y1, y2, w, area, alpha, self._work())
+            return self._grid_sums(x, y1, y2, w, area)
 
         # Subtract the linearization of omega from the singular term over
         # the whole rectangle and add its integral back semi-analytically.
@@ -595,8 +649,8 @@ class QuadratureOracle:
         # node at y = x (if any) is left out; its true residual
         # contribution is the integrable O(h^(3-2alpha)) cell.
         lin = self._linearization(x)
-        u1, u2 = _node_sums(x, y1, y2, w, area, alpha, self._work(), lin)
-        pv1, pv2 = _linear_pv_integrals(x, rect, alpha, *lin)
+        u1, u2 = self._grid_sums(x, y1, y2, w, area, lin)
+        pv1, pv2 = _linear_pv_integrals(x, rect, self.params.alpha, *lin)
         return u1 + pv1, u2 + pv2
 
     # -- regions ----------------------------------------------------------
@@ -672,9 +726,8 @@ class QuadratureOracle:
         w_a, w_b = self._samples(slot, (lo, hi, na, nb), [(na, nb + na), (nb, na)], fill)
         cw = np.full(nb + na, ha * ha)
         cw[:nb] = ha * hb
-        alpha, work = self.params.alpha, self._work()
-        u1, u2 = _node_sums(x, ya, y, w_a, cw, alpha, work)
-        v1, v2 = _node_sums(x, yb, ya, w_b, hb * ha, alpha, work)
+        u1, u2 = self._grid_sums(x, ya, y, w_a, cw)
+        v1, v2 = self._grid_sums(x, yb, ya, w_b, hb * ha)
         return u1 + v1, u2 + v2
 
     def _far(self, x):
@@ -684,7 +737,6 @@ class QuadratureOracle:
         R = self.params.image_radius
         t, h, strip = self._far_base()
         n = len(t)
-        alpha = self.params.alpha
         y2 = (np.pi * np.arange(R)[:, None] + t).ravel()
         u1 = u2 = 0.0
         # one row of image cells per sum; an odd row holds the even row
@@ -692,8 +744,7 @@ class QuadratureOracle:
         for pcell in range(R):
             w, sgn = (strip[::-1], -1.0) if pcell % 2 else (strip, 1.0)
             skip = n if pcell == 0 else 0
-            du1, du2 = _node_sums(x, pcell * np.pi + t, y2[skip:], w[:, skip:], h * h,
-                                  alpha, self._work())
+            du1, du2 = self._grid_sums(x, pcell * np.pi + t, y2[skip:], w[:, skip:], h * h)
             u1 += sgn * du1
             u2 += sgn * du2
         self._far_memo = (x, (u1, u2))

@@ -26,14 +26,14 @@ GOLDEN = {
     "tr/trace_summary.json": "5cf1c28316fc997413f8237240a51e668ab46d3b67c5783ffad7b2b86f0a6e0c",
     "ver/report_kernel_asymptotics.json":
         "d7bfa721cb0b6c35f64c640166f5d18531b52d35e53db8f4fda6868ae32bf670",
-    "ver/report_near_field.json": "a0866d4d7e99173888ea3329ee2b1091aeeede81c3a65fdb0b15c632ffc2195f",
+    "ver/report_near_field.json": "ff66ea0836ca30c1a81994daa6dddbaf4db8f48e57502939be647b0fdc789e08",
     "ver/report_medium_ratio.json":
         "bd654e57d0d671db4034f5ee92fe92fe5115407571acb169af46f38dbd06a7ef",
     "ver/report_far_field.json": "a9f32e832c3f21fb6f8aed8a7f48663f05eb4a1e169ca6a184541a58dbd15440",
     "ver/report_background.json": "acf9ceb43dfec33fe90a6c5b2dead63a198d350a7fbfb73c87d001ab4ab9e228",
     "ver/report_decomposition.json":
-        "86fd3dfb0c145e5177a64722fdd151e0567f7bd5c01c75ec78b2325fc96f2a4b",
-    "ver/verify_summary.csv": "b36f887ad1bd04e4a5a5d60205198bc69814d1118b9325194b2f651ca9cd66ac",
+        "b965f5cfd20c981926a98603537f1d85ee9663f5af3f609c73d3b924044f6416",
+    "ver/verify_summary.csv": "9d6403c062c1828f96f06cf65a6692b7ca628496dd60314008b50e3edac52ee1",
 }
 
 

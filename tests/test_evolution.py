@@ -10,6 +10,7 @@ from msqglab import evolution
 from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, _Rk4Workspace, cfl_dt,
                                nonlinear_term, run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
+from msqglab.snapshots import read_snapshot
 from msqglab.spectral import SineField, _max_abs, dealias_grid, velocity_coefficients
 
 
@@ -319,13 +320,16 @@ class TestCflDt:
         assert math.isnan(cfl_dt(np.maximum(*maxima), 8, 0.4))
         assert math.isnan(cfl_dt(math.nan, 8, 0.4))
 
-    def test_run_steps_are_cfl_steps(self):
+    def test_run_steps_are_cfl_steps(self, tmp_path):
         om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
         res = run(make_config(n_modes=32, n_grid=80, t_final=0.05, diag_every=1,
-                              snapshot_every=1), om)
+                              snapshot_every=1, out_dir=str(tmp_path)), om)
         assert len(res.snapshots) == len(res.diagnostics) > 4
-        # every step but the last, which is clipped to t_final
-        for (_, before), rec in zip(res.snapshots[:-2], res.diagnostics[1:-1]):
+        # every step but the last, which is clipped to t_final; the snapshot
+        # files hold the fields before each step
+        for (time, path), rec in zip(res.snapshots[:-2], res.diagnostics[1:-1]):
+            before, header = read_snapshot(path)
+            assert path.parent == tmp_path and header["time"] == time
             assert rec.dt == cfl_dt(grid_speed(before, 0.5, 80), 80, 0.4)
 
     def test_safety_validated(self):

@@ -313,10 +313,9 @@ class TestFactoredNodeSums:
         want = QuadratureOracle(omega, self._params(alpha)).velocity(self.X, region)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    # the fewest rows per block the scratch allows (its room is at least
-    # one row of the widest grid and a frame's sine table), 7 rows per block
-    # on the 16-column near square (other counts elsewhere), and the whole
-    # grid in one block; a block holds the four terms of its nodes
+    # one row per block, 7 rows per block on the 16-column near square
+    # (other counts elsewhere), and the whole grid in one block; a block
+    # holds the four terms of its nodes
     @pytest.mark.parametrize("block_nodes", [1, 7 * 16])
     @pytest.mark.parametrize("region", REGIONS, ids=lambda r: r.kind)
     def test_block_size_does_not_change_sums(self, omega, region, block_nodes, monkeypatch):
@@ -330,7 +329,7 @@ class TestFactoredNodeSums:
 
     @pytest.mark.parametrize("lin", [None, (0.7, -1.3, 2.1)])
     @pytest.mark.parametrize("w_at_x", [0.0, 1.7])
-    def test_node_at_x_has_no_singular_term(self, lin, w_at_x):
+    def test_node_at_x_has_no_singular_term(self, lin, w_at_x, monkeypatch):
         y1, _ = _midpoint_nodes(0.0, 1.0, 9)
         y2, _ = _midpoint_nodes(0.0, 1.0, 7)
         x = (float(y1[4]), float(y2[3]))
@@ -338,8 +337,9 @@ class TestFactoredNodeSums:
         w[4, 3] = w_at_x
         cw = np.linspace(0.5, 2.0, 7)
         want = _unfactored_node_sums(x, y1, y2, w, cw, 0.5, lin=lin)
-        # room for one row of the four terms per block, and for the whole grid
+        # one row of the four terms per block, and the whole grid in one
         for room in (4 * 7, 4 * 63):
+            monkeypatch.setattr(kernels, "_BLOCK_NODES", room)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = kernels._node_sums(x, y1, y2, w, cw, 0.5, np.empty((3, room)), lin)
@@ -436,6 +436,75 @@ class TestLinearPrincipalValue:
         want = np.linalg.solve(powers, np.array(sums))[0]
         got = kernels._linear_pv_integrals(self.X, self.RECT, alpha, *self.LIN)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+class TestEdgeIntegralsAgainstMpmath:
+    """kernels._edge_moments and _linear_pv_integrals against 30-digit
+    mpmath.quad, with x down to c/u ~ 1e-3 of an edge."""
+
+    ALPHAS = [0.25, 0.5, 0.75]
+    RECT = (0.0, 1.0, 0.0, 0.75)
+    LIN = (0.7, -1.3, 2.1)
+
+    def test_gauss_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        order = np.argsort(kernels._GL_NODES)
+        np.testing.assert_allclose(kernels._GL_NODES[order], nodes, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(kernels._GL_WEIGHTS[order], weights, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_edge_moments(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        # c/u = 1e-3, u = c and u/c = 1e-3
+        u = np.array([1.0, 0.3, 0.3, 1e-3, 0.75])
+        c = np.array([1e-3, 0.3, 0.4, 1.0, 0.02])
+        got = np.array(kernels._edge_moments(u, c, alpha))
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            want = np.array([[float(mpmath.quad(lambda t: t ** k * (t * t + cc * cc) ** -a,
+                                                [0, min(cc, uu), uu]))
+                              for uu, cc in zip(u, c)] for k in (0, 1)])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @staticmethod
+    def _pv_reference(x, rect, alpha, lin):
+        """The edge reduction of _linear_pv_integrals, with each edge
+        integral of r^(-2a) or (t - x) r^(-2a) taken by mpmath.quad at 30
+        digits, split at the foot of x."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            x1, x2 = map(mpmath.mpf, x)
+            a1, b1, a2, b2 = map(mpmath.mpf, rect)
+            a = mpmath.mpf(alpha)
+            w0, g1, g2 = map(mpmath.mpf, lin)
+
+            def rpow(y1, y2):
+                return ((y1 - x1) ** 2 + (y2 - x2) ** 2) ** -a
+
+            def along1(f):
+                return mpmath.quad(f, [a1, x1, b1])
+
+            def along2(f):
+                return mpmath.quad(f, [a2, x2, b2])
+
+            e1 = along1(lambda t: rpow(t, b2) - rpow(t, a2))
+            e1w = along1(lambda t: (t - x1) * (rpow(t, b2) - rpow(t, a2)))
+            e2 = along2(lambda t: rpow(b1, t) - rpow(a1, t))
+            e2w = along2(lambda t: (t - x2) * (rpow(b1, t) - rpow(a1, t)))
+            jv = along2(lambda t: (b1 - x1) * rpow(b1, t) + (x1 - a1) * rpow(a1, t))
+            jh = along1(lambda t: (b2 - x2) * rpow(t, b2) + (x2 - a2) * rpow(t, a2))
+            j_bulk = (jv + jh) / (2 - 2 * a)
+            i1 = (w0 * e1 + g1 * e1w - g2 * (j_bulk - jh)) / (2 * a)
+            i2 = (-w0 * e2 + g1 * (j_bulk - jv) - g2 * e2w) / (2 * a)
+            return float(i1), float(i2)
+
+    # 1e-3 from the left edge, and 1e-3 and 8e-4 from a corner's two edges
+    @pytest.mark.parametrize("x", [(1e-3, 0.3), (0.999, 8e-4)])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_linear_pv_integrals(self, alpha, x):
+        got = kernels._linear_pv_integrals(x, self.RECT, alpha, *self.LIN)
+        want = self._pv_reference(x, self.RECT, alpha, self.LIN)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def _oracle_grids():

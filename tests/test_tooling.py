@@ -1,7 +1,12 @@
-"""Module hygiene by an ast walk: __all__ entries exist, top-level imports are used."""
+"""Module hygiene by an ast walk: __all__ entries exist, top-level imports
+are used, and the package imports nothing beyond the standard library,
+numpy, scipy.fft and scipy.special."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +62,58 @@ def test_top_level_imports_used(name):
     unused = {imp: line for imp, line in _top_level_imports(tree).items()
               if imp not in used and imp not in exported}
     assert not unused, f"msqglab/{name}.py imports unused names (name: line): {unused}"
+
+
+# third-party modules the package may import; scipy.integrate, for one, would
+# pull in scipy.linalg, optimize, sparse and spatial
+ALLOWED_THIRD_PARTY = ("numpy", "scipy.fft", "scipy.special")
+
+
+def _imported_modules(tree: ast.Module):
+    """(module, line) of every absolute import anywhere in the module, with
+    `from a import b` read as a.b (b may be a submodule)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}", node.lineno
+
+
+def _allowed(module: str) -> bool:
+    top = module.split(".")[0]
+    if top in sys.stdlib_module_names:
+        return True
+    return any(module == root or module.startswith(root + ".") for root in ALLOWED_THIRD_PARTY)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_only_stdlib_numpy_scipy_fft_special(name):
+    banned = {mod: line for mod, line in _imported_modules(_tree(name)) if not _allowed(mod)}
+    assert not banned, (f"msqglab/{name}.py imports outside the standard library and "
+                        f"{ALLOWED_THIRD_PARTY} (module: line): {banned}")
+
+
+def test_principal_value_leaves_scipy_integrate_unloaded():
+    # a near-field velocity at a point inside the near square takes the
+    # principal-value path of the singular rectangle
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from msqglab import kernels\n"
+        "from msqglab.spectral import SineField\n"
+        "calls = []\n"
+        "real = kernels._linear_pv_integrals\n"
+        "kernels._linear_pv_integrals = lambda *a: calls.append(a) or real(*a)\n"
+        "om = SineField(np.random.default_rng(3).standard_normal((16, 16)) / 16.0)\n"
+        "oracle = kernels.QuadratureOracle(om, kernels.KernelParams(alpha=0.5))\n"
+        "u = oracle.velocity((0.1, 0.2), kernels.RegionSpec('near', 4.0))\n"
+        "assert len(calls) == 1 and np.all(np.isfinite(u))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

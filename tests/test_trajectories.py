@@ -245,9 +245,13 @@ class TestMediumRatioMonitor:
                 tracemalloc.stop()
 
         peak(2)                     # fills numpy's and Python's caches
-        # one oracle holds 1.5 MiB of scratch; Python's free lists of small
-        # objects may hold a few hundred bytes more or less
+        # Python's free lists of small objects may hold a few hundred bytes
+        # more or less
         assert peak(6) <= peak(2) + 1024
+        # the oracle's scratch is sized to its grids (a frame's largest
+        # block is 4 x 16 x 32 entries), not 3 x 65,536 floats as for a
+        # CLI-default central cell; the peak is about 0.18 MB
+        assert peak(6) < 256 * 1024
 
 
 class TestStoppingTime:
