@@ -29,7 +29,7 @@ from .initial_data import (InitialDataSpec, build_omega0, check_degeneracy,
 from .kernels import KernelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import inverse_transform
-from .trajectories import (VelocitySampler, fit_gamma, medium_ratio_monitor,
+from .trajectories import (VelocitySampler, growth_fit, medium_ratio_monitor,
                            select_start, stopping_time, trace)
 from .verify import (verify_background, verify_decomposition, verify_far_field,
                      verify_kernel_asymptotics, verify_medium_ratio,
@@ -58,10 +58,6 @@ DEFAULTS = {
     "growth_threshold_factor": 1e3,
 }
 
-_FLOAT_KEYS = {"alpha", "delta", "L", "beta", "dt", "T", "safety",
-               "growth_threshold_factor"}
-_INT_KEYS = {"N", "Ng", "blend_order", "image_radius", "diag_every",
-             "snapshot_every"}
 # configparser lowercases keys; map them back to their DEFAULTS names
 _CONFIG_KEYS = {key.lower(): key for key in DEFAULTS}
 
@@ -85,12 +81,7 @@ def _load_config_file(path: str) -> dict:
         if name is None:
             raise UsageError(f"unknown key {key!r} in config file {path!r}; "
                              f"known keys: {', '.join(DEFAULTS)}")
-        if name in _FLOAT_KEYS:
-            out[name] = float(val)
-        elif name in _INT_KEYS:
-            out[name] = int(val)
-        else:
-            out[name] = val
+        out[name] = type(DEFAULTS[name])(val)   # a ValueError exits with EXIT_USAGE
     return out
 
 
@@ -305,17 +296,12 @@ def cmd_trace(args) -> int:
                                     _kernel_params(cfg, alpha))
 
     t_stop, reason = (t_end, "horizon")
-    gamma = r2 = None
     notes = []
+    gamma, r2 = growth_fit(times, hess, notes)
     if len(hess):
         threshold = cfg["growth_threshold_factor"] * hess[0]
         t_stop, reason = stopping_time(traj, times, hess, t_end, start_pt[0], threshold)
         if len(hess) >= 10:
-            try:
-                g = fit_gamma(times, hess)
-                gamma, r2 = g.fitted_gamma, g.fit_r2
-            except ValueError as exc:
-                notes.append(f"growth fit skipped: {exc}")
             with open(out / "growth.csv", "w", newline="") as fh:
                 fh.write("time,hessian_sup\n")
                 for t, h in zip(times, hess):

@@ -51,7 +51,7 @@ from .snapshots import write_snapshot
 from .spectral import (GridMax, SineField, _check_finite, _eval_midpoint_axis,
                        _laplacian_power, _midpoint_slot, _velocity_into, dealias_grid,
                        get_workers, hessian_sup_norm, l2_norm)
-from .trajectories import fit_gamma
+from .trajectories import growth_fit
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
            "nonlinear_term", "step_rk4", "cfl_dt", "run"]
@@ -401,15 +401,8 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     if diagnostics[-1].time != state.time:
         record(0.0)
 
-    gamma = gamma_r2 = None
-    times = np.array([d.time for d in diagnostics])
-    hess = np.array([d.hessian_sup for d in diagnostics])
-    if len(times) >= 10 and hess.min() > 0:
-        try:
-            g = fit_gamma(times, hess)
-            gamma, gamma_r2 = g.fitted_gamma, g.fit_r2
-        except ValueError as exc:
-            notes.append(f"growth fit skipped: {exc}")
+    gamma, gamma_r2 = growth_fit([d.time for d in diagnostics],
+                                 [d.hessian_sup for d in diagnostics], notes)
 
     # the result does not keep the run's workspace alive
     state = replace(state, workspace=None)

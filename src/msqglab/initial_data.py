@@ -25,10 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
 from scipy.special import comb
 
-from .spectral import (GridField, GridMax, SineField, _max_abs, forward_transform,
+from .spectral import (GridField, GridMax, SineField, _eval_axis, _max_abs, forward_transform,
                        grid_coordinates, inverse_transform, spectral_derivative)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
@@ -75,11 +74,6 @@ class InitialDataSpec:
     @property
     def patch(self) -> float:
         return self.delta / 2 if self.origin_patch_radius is None else self.origin_patch_radius
-
-    def as_dict(self) -> dict:
-        return {"delta": self.delta, "n_modes": self.n_modes, "n_grid": self.n_grid,
-                "origin_patch_radius": self.patch, "blend_order": self.blend_order,
-                "delta_max": self.delta_max}
 
 
 @contextmanager
@@ -154,14 +148,12 @@ def check_degeneracy(omega: SineField, n_samples: int = 2048) -> float:
     """max over x2 = pi*i/n_samples of |d_x1 omega(0, x2)|, from the coefficients.
 
     d_x1 omega(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2) is one sine series,
-    evaluated by a DST-I of length n_samples - 1 (x2 = 0 gives 0 exactly).
+    evaluated on the n_samples-point collocation grid (x2 = 0 gives 0 exactly).
     """
     if omega.n_modes > n_samples - 1:
         raise ValueError(f"{omega.n_modes} modes do not fit on {n_samples} samples")
     m = np.arange(1, omega.n_modes + 1, dtype=np.float64)
-    w = np.zeros(n_samples - 1)
-    np.matmul(m, omega.coeffs, out=w[:omega.n_modes])
-    return 0.5 * _max_abs(dst(w, type=1, overwrite_x=True))
+    return _max_abs(_eval_axis(m @ omega.coeffs, "sin", n_samples, 0))
 
 
 def gradient_sup_norm(omega: SineField, n_grid: int) -> float:

@@ -98,7 +98,6 @@ from .spectral import SineField, evaluate_offgrid, spectral_derivative, velocity
 __all__ = [
     "KernelParams",
     "RegionSpec",
-    "ReflectedPoint",
     "kernel_K1",
     "kernel_K2",
     "asymptotic_K",
@@ -149,21 +148,6 @@ class RegionSpec:
             raise ValueError(f"unknown region kind {self.kind!r}")
         if self.kind in ("near", "medium") and self.L < 2.0:
             raise ValueError(f"{self.kind} region requires L >= 2, got {self.L}")
-
-
-@dataclass(frozen=True)
-class ReflectedPoint:
-    """x with its three reflections, derived deterministically."""
-
-    x: tuple
-    x_tilde: tuple
-    x_bar: tuple
-    minus_x: tuple
-
-    @classmethod
-    def from_point(cls, x) -> "ReflectedPoint":
-        x1, x2 = float(x[0]), float(x[1])
-        return cls((x1, x2), (-x1, x2), (x1, -x2), (-x1, -x2))
 
 
 # Entries across the four image terms of a node-sum block, unless one grid

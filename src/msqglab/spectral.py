@@ -11,14 +11,13 @@ The collocation grid is the uniform grid x_i = pi*i/N_g, i = 0..N_g-1 of
 Transforms on the collocation grid are DST-I/DCT-I based (scipy.fft), so a
 grid of N_g points maps to FFTs of length 2*N_g.  Derivatives flip the
 parity of the differentiated axis (sin -> cos for odd order), tracked by
-MixedParityField; evaluate_grid evaluates stacks of same-parity fields in
-one transform call per axis.  Each axis transform zero-pads its modes into
-a buffer and transforms there in place (overwrite_x); evaluate_grid
-allocates those buffers per call, while callers that repeat an evaluation
-pass buffers they reuse.  Every max|f| on the collocation grid goes through
-GridMax, which evaluates any parity pair in two buffers that it holds: a
-caller that keeps one, as the time stepper does for its CFL speed and its
-diagnostics, allocates no grid-sized array per maximum.
+MixedParityField.  One routine, _eval_axis, evaluates a series of either
+parity along one axis: it zero-pads the halved modes into a buffer and runs
+the DST-I or DCT-I there in place (overwrite_x).  MixedParityField.evaluate
+makes one call per axis in buffers it allocates; every max|f| on the grid
+goes through GridMax, which makes the same two calls in two buffers that it
+holds: a caller that keeps one, as the time stepper does for its CFL speed
+and its diagnostics, allocates no grid-sized array per maximum.
 
 The pointwise products of the time stepper are formed on a second,
 staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
@@ -44,7 +43,6 @@ __all__ = [
     "GridField",
     "MixedParityField",
     "GridMax",
-    "evaluate_grid",
     "dealias_grid",
     "forward_transform",
     "inverse_transform",
@@ -146,55 +144,33 @@ def _axis_index(ndim: int, axis: int, sl) -> tuple:
     return tuple(idx)
 
 
-def _eval_sin_axis(coeffs: np.ndarray, n_grid: int, axis: int,
-                   buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
-    """Evaluate a sine expansion along one axis on the collocation grid.
+def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
+               buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
+    """Evaluate a sine or cosine expansion along one axis on the collocation grid.
 
-    Input length along `axis` is the number of sine modes; output length is
-    n_grid with an exact zero at grid index 0.  Other axes are carried
-    along.  The halved modes are zero-padded into `buf` (shaped like coeffs,
-    at least n_grid long along `axis`; allocated when None) and transformed
-    there in place; the result is a view of buf.
+    Input length along `axis` is the number of modes m = 1..n; output length
+    is n_grid.  Other axes are carried along.  Entry 0 of `buf` is zeroed (a
+    sine series' value at x = 0, a cosine series' constant mode), the halved
+    modes fill entries 1..n and zeros the rest, and the _TYPE1 transform runs
+    there in place.  buf, shaped like coeffs but at least n_grid (sine) or
+    n_grid + 1 (cosine) long along `axis`, is allocated when None; the
+    result is a view of it.
     """
+    transform, first, extra = _TYPE1[parity]
     n = coeffs.shape[axis]
     if n > n_grid - 1:
-        raise ValueError(f"{n} sine modes do not fit on a {n_grid}-point grid")
+        raise ValueError(f"{n} {parity} modes do not fit on a {n_grid}-point grid")
     if buf is None:
         shape = list(coeffs.shape)
-        shape[axis] = n_grid
+        shape[axis] = n_grid + extra
         buf = np.empty(shape)
     at = partial(_axis_index, coeffs.ndim, axis)
-    buf[at(slice(0, 1))] = 0.0       # the zero at x = 0
-    vals = buf[at(slice(1, n_grid))]
-    np.multiply(coeffs, 0.5, out=vals[at(slice(0, n))])
-    vals[at(slice(n, None))] = 0.0
-    sfft.dst(vals, type=1, axis=axis, overwrite_x=True,
-             workers=get_workers() if workers is None else workers)
+    buf[at(slice(0, 1))] = 0.0
+    np.multiply(coeffs, 0.5, out=buf[at(slice(1, n + 1))])
+    buf[at(slice(n + 1, n_grid + extra))] = 0.0
+    transform(buf[at(slice(first, n_grid + extra))], type=1, axis=axis, overwrite_x=True,
+              workers=get_workers() if workers is None else workers)
     return buf[at(slice(0, n_grid))]
-
-
-def _eval_cos_axis(coeffs: np.ndarray, n_grid: int, axis: int,
-                   buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
-    """Evaluate a cosine expansion (modes m >= 1) along one axis on the grid.
-
-    The DCT-I runs in place on n_grid + 1 entries of `buf` along `axis`, as
-    for _eval_sin_axis; the x = pi endpoint is dropped from the returned view.
-    """
-    n = coeffs.shape[axis]
-    if n > n_grid - 1:
-        raise ValueError(f"{n} cosine modes do not fit on a {n_grid}-point grid")
-    if buf is None:
-        shape = list(coeffs.shape)
-        shape[axis] = n_grid + 1
-        buf = np.empty(shape)
-    at = partial(_axis_index, coeffs.ndim, axis)
-    full = buf[at(slice(0, n_grid + 1))]
-    full[at(slice(0, 1))] = 0.0      # constant mode
-    np.multiply(coeffs, 0.5, out=full[at(slice(1, n + 1))])
-    full[at(slice(n + 1, None))] = 0.0
-    sfft.dct(full, type=1, axis=axis, overwrite_x=True,
-             workers=get_workers() if workers is None else workers)
-    return full[at(slice(0, n_grid))]
 
 
 def _midpoint_slot(buf: np.ndarray, parity: str, n_modes: int, axis: int) -> np.ndarray:
@@ -225,24 +201,12 @@ def _eval_midpoint_axis(buf: np.ndarray, parity: str, n_modes: int, axis: int,
 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
-_AXIS_EVAL = {"sin": _eval_sin_axis, "cos": _eval_cos_axis}
 _TRIG = {"sin": np.sin, "cos": np.cos}
+# collocation transform per parity, the first entry it runs on, and how many
+# entries past n_grid (the DCT-I's extra one is x = pi)
+_TYPE1 = {"sin": (sfft.dst, 1, 0), "cos": (sfft.dct, 0, 1)}
 # midpoint transform per parity, and where its mode 1 sits (the DCT's entry 0 is the constant)
 _TYPE3 = {"sin": (sfft.dst, 0), "cos": (sfft.dct, 1)}
-
-
-def evaluate_grid(coeffs: np.ndarray, parity: tuple, n_grid: int) -> np.ndarray:
-    """Evaluate a mixed sin/cos series on the N_g x N_g collocation grid.
-
-    The last two axes of coeffs are the mode axes; leading axes are batch
-    axes, so a stack of k fields of one parity costs one transform call per
-    axis.  Returns shape coeffs.shape[:-2] + (n_grid, n_grid).
-    """
-    if tuple(parity) not in _PARITIES:
-        raise ValueError(f"invalid parity pair {parity}")
-    c = np.asarray(coeffs, dtype=np.float64)
-    out = _AXIS_EVAL[parity[0]](c, n_grid, axis=-2)
-    return _AXIS_EVAL[parity[1]](out, n_grid, axis=-1)
 
 
 def dealias_grid(n_modes: int) -> int:
@@ -275,7 +239,8 @@ class MixedParityField:
 
     def evaluate(self, n_grid: int) -> GridField:
         """Evaluate on the N_g x N_g collocation grid."""
-        return GridField(evaluate_grid(self.coeffs, self.parity, n_grid))
+        rows = _eval_axis(self.coeffs, self.parity[0], n_grid, -2)
+        return GridField(_eval_axis(rows, self.parity[1], n_grid, -1))
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at arbitrary points, shape (..., 2), by direct summation.
@@ -386,7 +351,7 @@ class GridMax:
     """max|f| on the n_grid x n_grid collocation grid, in two held buffers.
 
     A call takes the N x N coefficients of a mixed sin/cos series and its
-    parity pair, and returns _max_abs(evaluate_grid(coeffs, parity, n_grid))
+    parity pair, and returns the _max_abs of MixedParityField.evaluate's grid
     bit for bit (NaN if the grid holds a NaN).  The first-axis transform runs
     in an (n_grid+1, N) buffer and the second-axis one in an
     (n_grid, n_grid+1) buffer, which fit every parity pair, so one instance
@@ -403,8 +368,8 @@ class GridMax:
         if tuple(parity) not in _PARITIES:
             raise ValueError(f"invalid parity pair {parity}")
         g, w = self.n_grid, self._workers
-        rows = _AXIS_EVAL[parity[0]](coeffs, g, -2, self._first, w)
-        return _max_abs(_AXIS_EVAL[parity[1]](rows, g, -1, self._grid, w))
+        rows = _eval_axis(coeffs, parity[0], g, -2, self._first, w)
+        return _max_abs(_eval_axis(rows, parity[1], g, -1, self._grid, w))
 
 
 def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None,

@@ -23,7 +23,7 @@ from .spectral import evaluate_offgrid, velocity_coefficients
 
 __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
            "trace", "select_start", "stopping_time", "medium_ratio_monitor",
-           "fit_gamma", "transport_defect"]
+           "fit_gamma", "growth_fit", "transport_defect"]
 
 QUADRANT = (0.0, np.pi)
 
@@ -203,8 +203,7 @@ def stopping_time(trajectory: TrajectoryState, hessian_times, hessian_values,
     hh = np.nonzero(hv >= growth_threshold)[0]
     if hh.size:
         t_h = float(ht[hh[0]])
-    t0 = min(T, t_x2, t_h)
-    if t0 == T and T <= min(t_x2, t_h):
+    if T <= min(t_x2, t_h):
         return T, "horizon"
     if t_x2 <= t_h:
         return t_x2, "x2_reaches_x10"
@@ -268,16 +267,41 @@ def fit_gamma(times, values, window: tuple | None = None,
         raise ValueError(
             f"only {int(np.count_nonzero(sel))} samples in fit window "
             f"[{float(window[0]):.6g}, {float(window[1]):.6g}]; need >= {min_samples}")
-    t, y = times[sel], np.log(values[sel])
-    a = np.vstack([t, np.ones_like(t)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    pred = a @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss_tot
-    if ss_tot == 0.0 and abs(coef[0]) < 1e-14:
-        r2 = 1.0
-    return GrowthRecord(times[sel], values[sel], float(coef[0]),
+    gamma, _, r2 = _line_fit(times[sel], np.log(values[sel]))
+    return GrowthRecord(times[sel], values[sel], gamma,
                         (float(window[0]), float(window[1])), r2)
+
+
+def growth_fit(times, values, notes: list):
+    """(gamma, R^2) of fit_gamma on a run's Hessian record, else (None, None).
+
+    A record of fewer than 10 samples is not fit.  A fit that fit_gamma
+    rejects (a non-positive value, too few samples in its window) appends
+    "growth fit skipped: <reason>" to notes.
+    """
+    if len(values) < 10:
+        return None, None
+    try:
+        g = fit_gamma(times, values)
+    except ValueError as exc:
+        notes.append(f"growth fit skipped: {exc}")
+        return None, None
+    return g.fitted_gamma, g.fit_r2
+
+
+def _line_fit(x, y):
+    """Least-squares slope, intercept and R^2 of y against x, from centred sums.
+
+    ValueError if all x are equal; R^2 is 1 when y is constant.
+    """
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = float(np.sum(dx * dx))
+    if sxx == 0.0:
+        raise ValueError("a line fit needs two distinct abscissae")
+    slope = float(np.sum(dx * dy)) / sxx
+    ss_tot = float(np.sum(dy ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum((dy - slope * dx) ** 2)) / ss_tot
+    return slope, float(y.mean() - slope * x.mean()), r2
 
 
 def transport_defect(trajectory: TrajectoryState, snapshots, omega0_at_start: float):

@@ -27,6 +27,7 @@ from .initial_data import recorded_warnings
 from .kernels import (KernelParams, QuadratureOracle, RegionSpec,
                       relative_kernel_error)
 from .spectral import SineField, grid_max_abs, hessian_sup_norm
+from .trajectories import _line_fit
 
 __all__ = [
     "BoundReport",
@@ -89,14 +90,7 @@ def loglog_fit(xs, ys):
     ys = np.asarray(ys, dtype=np.float64)
     if len(xs) < 2 or np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("log-log fit needs >= 2 strictly positive samples")
-    lx, ly = np.log(xs), np.log(ys)
-    a = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    pred = a @ coef
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r2
+    return _line_fit(np.log(xs), np.log(ys))
 
 
 def default_directions(n: int = 8, margin: float = 0.15):
@@ -398,13 +392,18 @@ def write_report_json(report: BoundReport, path) -> None:
 
 
 def write_reports_csv(reports, path) -> None:
-    """Summary table: one row per sample across all reports."""
+    """Summary table: one row per sample across all reports.
+
+    L_or_delta is the row's L or delta, the kernel sweep's scale ratio
+    |y|/|x|, or empty (the far field has no scale).
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["estimate_id", "alpha", "L_or_delta", "x", "measured", "bound", "ratio"])
         for rep in reports:
             for row in rep.samples:
-                scale = row.get("L", row.get("delta", row.get("ratio", "")))
+                ratio_scale = row["ratio"] if rep.estimate_id == "kernel_asymptotics" else ""
+                scale = row.get("L", row.get("delta", ratio_scale))
                 x = row.get("x", "")
                 w.writerow([rep.estimate_id, f"{rep.alpha:.17g}", scale,
                             json.dumps(x) if x != "" else "",

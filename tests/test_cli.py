@@ -1,5 +1,6 @@
 """Command line: config files, exit codes, manifests and a pinned small pipeline."""
 
+import csv
 import hashlib
 import json
 import os
@@ -25,15 +26,15 @@ GOLDEN = {
     "tr/trajectory.csv": "95430f596616200ac2ab2a25cf1b6c93b22866e140eeec5220442a2a8306c908",
     "tr/trace_summary.json": "5cf1c28316fc997413f8237240a51e668ab46d3b67c5783ffad7b2b86f0a6e0c",
     "ver/report_kernel_asymptotics.json":
-        "d7bfa721cb0b6c35f64c640166f5d18531b52d35e53db8f4fda6868ae32bf670",
-    "ver/report_near_field.json": "ff66ea0836ca30c1a81994daa6dddbaf4db8f48e57502939be647b0fdc789e08",
+        "f108e9c95b75faffaad3e382aa86566de6efdd4563504af2c9f343297c8dcab8",
+    "ver/report_near_field.json": "49025d5e912cd7989f2bca6600571ff5262abb49185baa4a7226b822b5693c5a",
     "ver/report_medium_ratio.json":
-        "bd654e57d0d671db4034f5ee92fe92fe5115407571acb169af46f38dbd06a7ef",
-    "ver/report_far_field.json": "a9f32e832c3f21fb6f8aed8a7f48663f05eb4a1e169ca6a184541a58dbd15440",
-    "ver/report_background.json": "acf9ceb43dfec33fe90a6c5b2dead63a198d350a7fbfb73c87d001ab4ab9e228",
+        "6f2179b6e3fc2f5718f4e7a8cb3cb55ce1e8d00d7d12e478f87706a1def3bf79",
+    "ver/report_far_field.json": "6177b63ccd8326de170426df220046f0f1506ed803345338e450c935da093837",
+    "ver/report_background.json": "8ef235dfa9417b84fe4ec123cd23f14f6f94e884c23f30a43b2396dede93d301",
     "ver/report_decomposition.json":
         "b965f5cfd20c981926a98603537f1d85ee9663f5af3f609c73d3b924044f6416",
-    "ver/verify_summary.csv": "9d6403c062c1828f96f06cf65a6692b7ca628496dd60314008b50e3edac52ee1",
+    "ver/verify_summary.csv": "03eb8e03dfc26a2722956712aacb51d3e6947ad253e9b8592b32176d1b1fbefe",
 }
 
 
@@ -117,6 +118,19 @@ class TestPipeline:
         root, _ = pipeline
         assert _sha256(root / name) == GOLDEN[name]
 
+    def test_summary_scale_column(self, pipeline):
+        # L or delta, the kernel sweep's scale ratio, and nothing for the far field
+        root, _ = pipeline
+        with open(root / "ver" / "verify_summary.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        scales = {}
+        for row in rows:
+            scales.setdefault(row["estimate_id"], []).append(row["L_or_delta"])
+        assert scales["kernel_asymptotics"] == ["10.0", "100.0", "1000.0"]
+        assert set(scales["far_field"]) == {""}
+        assert set(scales["background"]) == {"0.1", "0.2", "0.4"}
+        assert set(scales["near_field"]) == set(scales["decomposition"]) == {"8.0"}
+
 
 class TestTraceOfShortRun:
     def test_ten_records_skip_the_growth_fit(self, tmp_path):
@@ -167,6 +181,19 @@ class TestConfigFile:
         path.write_text("[run]\nN = 16\n")
         args = cli.build_parser().parse_args(["make-data", "--config", str(path), "--N", "8"])
         assert cli._settings(args)["N"] == 8
+
+    def test_values_take_the_type_of_their_default(self, tmp_path):
+        cfg = self._settings(tmp_path, "[run]\nT = 1\nN = 16\nwhich = far\n")
+        assert type(cfg["T"]) is float and cfg["T"] == 1.0
+        assert type(cfg["N"]) is int and cfg["N"] == 16
+        assert cfg["which"] == "far"
+
+    def test_fractional_int_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text("[run]\nN = 32.5\n")
+        rc = cli.main(["make-data", "--config", str(path), "--out", str(tmp_path / "md")])
+        assert rc == cli.EXIT_USAGE
+        assert "32.5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["sede = 4", "seed = 0"])
     def test_unknown_key_rejected(self, tmp_path, capsys, line):

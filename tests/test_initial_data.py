@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from msqglab.initial_data import (InitialDataSpec, build_omega0, check_degeneracy,
                                   gradient_sup_norm, plateau_deficit_fraction,
@@ -133,6 +134,14 @@ class TestCheckDegeneracy:
         x2 = np.pi * np.arange(n_samples) / n_samples
         direct = np.abs(np.sin(np.outer(x2, m)) @ (m @ om.coeffs)).max()
         assert check_degeneracy(om, n_samples) == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.parametrize("n_samples", [10, 2047, 2048])
+    def test_equals_the_explicit_dst_bit_for_bit(self, n_samples):
+        # the unhalved sums zero-padded to n_samples - 1 entries, a DST-I, then half the max
+        om = SineField(np.random.default_rng(n_samples).normal(size=(9, 9)))
+        w = np.zeros(n_samples - 1)
+        w[:9] = np.arange(1.0, 10.0) @ om.coeffs
+        assert check_degeneracy(om, n_samples) == 0.5 * np.abs(sfft.dst(w, type=1)).max()
 
     def test_modes_must_fit_the_samples(self):
         om = SineField.from_modes({(1, 1): 1.0}, 9)

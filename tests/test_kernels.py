@@ -9,7 +9,7 @@ import pytest
 
 from msqglab import kernels
 from msqglab.kernels import (
-    CalibrationResult, KernelParams, QuadratureOracle, RegionSpec, ReflectedPoint,
+    CalibrationResult, KernelParams, QuadratureOracle, RegionSpec,
     asymptotic_K, fit_calibration, kernel_K1, kernel_K2, relative_kernel_error,
     riesz_velocity_prefactor)
 from msqglab.spectral import SineField, evaluate_offgrid, velocity_coefficients
@@ -18,12 +18,6 @@ RNG = np.random.default_rng(11)
 
 
 class TestKernelValues:
-    def test_reflections(self):
-        rp = ReflectedPoint.from_point((0.3, 0.7))
-        assert rp.x_tilde == (-0.3, 0.7)
-        assert rp.x_bar == (0.3, -0.7)
-        assert rp.minus_x == (-0.3, -0.7)
-
     def test_k1_vanishes_on_x1_axis(self):
         y = RNG.uniform(0.1, 3.0, size=(20, 2))
         vals = kernel_K1((0.0, 0.6), y, 0.5)

@@ -8,8 +8,8 @@ import pytest
 from scipy import fft as sfft
 
 from msqglab.spectral import (
-    _eval_cos_axis, _eval_midpoint_axis, _eval_sin_axis, _max_abs, _midpoint_slot,
-    GridField, GridMax, MixedParityField, SineField, evaluate_grid, evaluate_offgrid,
+    _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
+    GridField, GridMax, MixedParityField, SineField, evaluate_offgrid,
     forward_transform, fractional_inverse_laplacian, grid_coordinates, grid_max_abs,
     hessian_sup_norm, inverse_transform, l2_norm, spectral_derivative, velocity_coefficients)
 
@@ -93,10 +93,12 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("parity", [("sin", "sin"), ("sin", "cos"),
                                         ("cos", "sin"), ("cos", "cos")])
     def test_stack_equals_single_fields(self, parity):
+        # _eval_axis carries the stack axis along; each field of the stack
+        # matches its own evaluate, and that matches direct summation
         rng = np.random.default_rng(8)
         coeffs = rng.normal(size=(2, 9, 9))
         n_grid = 27                        # odd, and 2 * 27 is not a power of two
-        stacked = evaluate_grid(coeffs, parity, n_grid)
+        stacked = _eval_axis(_eval_axis(coeffs, parity[0], n_grid, -2), parity[1], n_grid, -1)
         assert stacked.shape == (2, n_grid, n_grid)
         x1, x2 = grid_xy(n_grid)
         pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
@@ -107,17 +109,17 @@ class TestStackedEvaluation:
             direct = single.evaluate_at(pts).reshape(n_grid, n_grid)
             np.testing.assert_allclose(stacked[k], direct, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("helper", [_eval_sin_axis, _eval_cos_axis])
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
     @pytest.mark.parametrize("axis", [-2, -1])
-    def test_axis_transform_in_place_in_given_buffer(self, helper, axis):
+    def test_axis_transform_in_place_in_given_buffer(self, parity, axis):
         rng = np.random.default_rng(10)
         coeffs = rng.normal(size=(2, 9, 9))
         n_grid = 27
-        expect = helper(coeffs, n_grid, axis=axis)
+        expect = _eval_axis(coeffs, parity, n_grid, axis)
         shape = [2, 9, 9]
         shape[axis] = n_grid + 3             # longer than any output, with stale contents
         buf = np.full(shape, np.nan)
-        got = helper(coeffs, n_grid, axis=axis, buf=buf)
+        got = _eval_axis(coeffs, parity, n_grid, axis, buf=buf)
         assert np.shares_memory(got, buf)
         np.testing.assert_array_equal(got, expect)
 
@@ -145,7 +147,13 @@ class TestStackedEvaluation:
 
     def test_invalid_parity(self):
         with pytest.raises(ValueError, match="parity"):
-            evaluate_grid(np.zeros((4, 4)), ("sin", "tan"), 8)
+            MixedParityField(np.zeros((4, 4)), ("sin", "tan"))
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    def test_modes_must_fit_the_grid(self, parity):
+        assert _eval_axis(np.ones(7), parity, 8, 0).shape == (8,)
+        with pytest.raises(ValueError, match="do not fit"):
+            _eval_axis(np.ones(8), parity, 8, 0)
 
 
 class TestGridMax:
@@ -155,11 +163,12 @@ class TestGridMax:
 
     @pytest.mark.parametrize("n_grid", [27, 64])
     def test_held_buffers_match_evaluate_grid(self, n_grid):
+        # the max over the grid that MixedParityField.evaluate allocates
         rng = np.random.default_rng(12)
         grid_max = GridMax(9, n_grid)
         for parity in self.ORDER:
             coeffs = rng.normal(size=(9, 9))
-            expect = _max_abs(evaluate_grid(coeffs, parity, n_grid))
+            expect = _max_abs(MixedParityField(coeffs, parity).evaluate(n_grid).values)
             assert grid_max(coeffs, parity) == expect
 
     @pytest.mark.parametrize("parity", ORDER[:4])
@@ -197,7 +206,7 @@ class TestGridMax:
         pad = np.zeros((21, 9))
         pad[:9] = c.T if axis else c
         want = np.vstack([np.zeros((1, 9)), sfft.dst(pad, type=1, axis=0) * 0.5])
-        np.testing.assert_array_equal(_eval_sin_axis(c, 22, axis), want.T if axis else want)
+        np.testing.assert_array_equal(_eval_axis(c, "sin", 22, axis), want.T if axis else want)
 
 
 class TestFractionalInverseLaplacian:

@@ -1,6 +1,6 @@
 """Module hygiene by an ast walk: __all__ entries exist, top-level imports
-are used, and the package imports nothing beyond the standard library,
-numpy, scipy.fft and scipy.special."""
+are used, the package imports nothing beyond the standard library, numpy,
+scipy.fft and scipy.special, and it reaches no LAPACK routine through numpy."""
 
 import ast
 import importlib
@@ -93,6 +93,51 @@ def test_imports_only_stdlib_numpy_scipy_fft_special(name):
     banned = {mod: line for mod, line in _imported_modules(_tree(name)) if not _allowed(mod)}
     assert not banned, (f"msqglab/{name}.py imports outside the standard library and "
                         f"{ALLOWED_THIRD_PARTY} (module: line): {banned}")
+
+
+def _dotted(node):
+    """"a.b.c" for an attribute chain on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def _lapack_uses(tree: ast.Module):
+    """(name, line) of every numpy.linalg name but norm and every numpy.polynomial
+    name, reached by attribute or by import, with numpy's aliases resolved."""
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names}
+    names = [(_dotted(node), node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)]
+    names += list(_imported_modules(tree))
+    for name, line in names:
+        if name is None:
+            continue
+        head, _, rest = name.partition(".")
+        name = ".".join(filter(None, [aliases.get(head, head), rest]))
+        if (name.startswith("numpy.polynomial")
+                or name.startswith("numpy.linalg.") and name != "numpy.linalg.norm"):
+            yield name, line
+
+
+# numpy.linalg beyond norm, and numpy.polynomial (leggauss, fits), call
+# LAPACK, whose first use costs a fresh process about 1 MB of peak resident
+# memory; kernels._gauss_legendre avoids it for the same reason
+@pytest.mark.parametrize("name", MODULES)
+def test_no_lapack_through_numpy(name):
+    used = dict(_lapack_uses(_tree(name)))
+    assert not used, f"msqglab/{name}.py calls into LAPACK through numpy (name: line): {used}"
+
+
+def test_lapack_check_sees_attributes_and_imports():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import solve\n"
+                     "np.linalg.lstsq\nnp.linalg.norm\nnp.polynomial.legendre.leggauss\n")
+    assert sorted(_lapack_uses(tree)) == [
+        ("numpy.linalg.lstsq", 3), ("numpy.linalg.solve", 2),
+        ("numpy.polynomial", 5), ("numpy.polynomial.legendre", 5),
+        ("numpy.polynomial.legendre.leggauss", 5)]
 
 
 def test_principal_value_leaves_scipy_integrate_unloaded():

@@ -1,14 +1,15 @@
 """Velocity sampler, characteristic tracing, stopping rule, growth fit, start point."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec
 from msqglab.spectral import SineField, velocity_coefficients
-from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, medium_ratio_monitor,
-                                  select_start, stopping_time, trace)
+from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, growth_fit,
+                                  medium_ratio_monitor, select_start, stopping_time, trace)
 
 ALPHA = 0.5
 RNG = np.random.default_rng(5)
@@ -294,6 +295,39 @@ class TestFitGamma:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             fit_gamma(np.arange(12.0), np.r_[np.ones(11), 0.0])
+
+    def test_equal_times_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            fit_gamma(np.full(12, 0.5), np.arange(1.0, 13.0), window=(0.0, 1.0))
+
+    def test_slope_within_an_ulp_of_the_exact_one(self):
+        t = np.sort(np.random.default_rng(21).uniform(0.0, 1.0, 17))
+        y = np.exp(np.random.default_rng(22).normal(2.0 * t, 0.1))
+        ts, ls = [Fraction(v) for v in t], [Fraction(v) for v in np.log(y)]
+        tm, lm = sum(ts) / len(ts), sum(ls) / len(ls)
+        exact = (sum((a - tm) * (b - lm) for a, b in zip(ts, ls))
+                 / sum((a - tm) ** 2 for a in ts))
+        gamma = fit_gamma(t, y, window=(0.0, 1.0)).fitted_gamma
+        assert abs(gamma - float(exact)) <= np.spacing(abs(float(exact)))
+
+
+class TestGrowthFit:
+    def test_short_record_not_fit(self):
+        notes = []
+        assert growth_fit(np.arange(9.0), np.ones(9), notes) == (None, None)
+        assert notes == []
+
+    def test_rejected_fit_noted(self):
+        notes = []
+        assert growth_fit(np.arange(12.0), np.r_[np.ones(11), 0.0], notes) == (None, None)
+        assert notes == ["growth fit skipped: growth fit requires strictly positive values"]
+
+    def test_fit(self):
+        t = np.linspace(0.0, 2.0, 41)
+        rec = fit_gamma(t, 3.0 * np.exp(1.7 * t))
+        notes = []
+        assert growth_fit(t, 3.0 * np.exp(1.7 * t), notes) == (rec.fitted_gamma, rec.fit_r2)
+        assert notes == []
 
 
 class TestSelectStart:

@@ -33,6 +33,11 @@ def test_loglog_fit_exact():
     assert r2 == pytest.approx(1.0)
 
 
+def test_loglog_fit_needs_distinct_abscissae():
+    with pytest.raises(ValueError, match="distinct"):
+        loglog_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+
 def test_default_directions_in_quadrant():
     d = default_directions(8)
     assert d.shape == (8, 2)
