@@ -81,7 +81,12 @@ def _load_config_file(path: str) -> dict:
         if name is None:
             raise UsageError(f"unknown key {key!r} in config file {path!r}; "
                              f"known keys: {', '.join(DEFAULTS)}")
-        out[name] = type(DEFAULTS[name])(val)   # a ValueError exits with EXIT_USAGE
+        kind = type(DEFAULTS[name])
+        try:
+            out[name] = kind(val)
+        except ValueError:
+            raise UsageError(f"config key {name!r} in {path!r} must be {kind.__name__}, "
+                             f"got {val!r}") from None
     return out
 
 
@@ -391,10 +396,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

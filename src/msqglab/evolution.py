@@ -96,9 +96,6 @@ class ExperimentConfig:
         if self.diag_every < 1 or self.snapshot_every < 1:
             raise ValueError("cadences must be >= 1")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SimState:
@@ -422,7 +419,7 @@ def _write_outputs(out: Path, config: ExperimentConfig, result: RunResult,
             w.writerow([f"{getattr(rec, f):.17g}" for f in DiagnosticsRecord.CSV_FIELDS])
     meta_path = out / "metadata.json"
     meta = {
-        "config": config.as_dict(),
+        "config": asdict(config),
         "provenance": f"msqglab-{__version__}",
         "wall_seconds": wall,
         "halt_reason": result.halt_reason,

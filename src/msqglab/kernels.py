@@ -8,9 +8,8 @@ with image charges at x_tilde = (-x1, x2), x_bar = (x1, -x2) and -x:
 
 where K1 carries (x2 -+ y2) differences over |.|^(2+2a) distances and K2 the
 x1 analogue with an overall minus sign (K2(x, y) = -K1(swap x, swap y)).
-The kernels drop the alpha-dependent Biot-Savart prefactor; a calibration
-scalar fitted against the spectral path (or the closed-form Riesz
-normalization) restores physical units.
+The kernels drop the alpha-dependent Biot-Savart prefactor; the closed-form
+Riesz normalization riesz_velocity_prefactor restores physical units.
 
 Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
 
@@ -20,7 +19,7 @@ Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
                rectangles whose node multiset is swap-symmetric, summed as
                two tensor grids)
     far:       periodic image cells [0, R*pi)^2 minus the central cell (the
-               neglected tail is O(R^-2a))
+               neglected tail falls as R^(-2-2a))
     full:      central cell + far
 
 One private helper, _four_terms, writes the four-term formula in factored
@@ -81,8 +80,9 @@ rectangle's edges, each of them a sum of integrals from 0 to u of
 distances from x to the edges.  The first moments are closed form and
 the zeroth are Gauss-Legendre sums after t = c sinh v, both to rounding,
 and a rectangle's eight (u, c) pairs take one array evaluation.  The
-linearization takes omega(x) and grad omega(x) from the spectral point
-evaluation.
+linearization takes omega(x) and grad omega(x) from one
+spectral.evaluate_points call on a held (3, n, n) stack of omega and its
+two first derivatives.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .spectral import SineField, evaluate_offgrid, spectral_derivative, velocity_coefficients
+from .spectral import SineField, evaluate_points, spectral_derivative
 
 __all__ = [
     "KernelParams",
@@ -103,8 +103,6 @@ __all__ = [
     "asymptotic_K",
     "relative_kernel_error",
     "QuadratureOracle",
-    "fit_calibration",
-    "CalibrationResult",
     "riesz_velocity_prefactor",
 ]
 
@@ -114,10 +112,11 @@ class KernelParams:
     """Quadrature controls for the kernel oracle.
 
     image_radius is the number of periodic image cells summed per
-    direction; the neglected tail is O(image_radius^-2alpha), which
-    converges since alpha > 0.  cells_central, cells_panel and cells_far
-    are the midpoint cells per axis of the central cell, of a near square
-    or medium frame, and of each image cell.
+    direction; the neglected tail falls as image_radius^(-2-2alpha), by
+    2^(2+2alpha) per doubling as measured at alpha = 0.25, 0.5 and 0.75.
+    cells_central, cells_panel and cells_far are the midpoint cells per
+    axis of the central cell, of a near square or medium frame, and of
+    each image cell.
     """
 
     alpha: float
@@ -334,8 +333,9 @@ def riesz_velocity_prefactor(alpha: float) -> float:
     """Free-space normalization relating the bare kernels to grad^perp
     (-Laplace)^(-1+alpha): c_alpha = 2 Gamma(1+alpha) / (4^(1-alpha) pi Gamma(1-alpha)).
 
-    For alpha = 1/2 this is 1/(2 pi).  The fitted calibration constant should
-    match this up to quadrature and image-truncation error.
+    For alpha = 1/2 this is 1/(2 pi).  c_alpha times the oracle's full-region
+    velocity is the spectral velocity up to quadrature and image-truncation
+    error.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -377,6 +377,14 @@ def _sines(y: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     table is cut to n_modes columns.  With out, a 1-D array with room for
     the table rounded up to whole blocks, the table is written there and
     is a view of it.
+
+    These tables serve the oracle's tensor grids; spectral.evaluate_points
+    takes np.sin and np.cos.  Measured on one thread of a 2-core x86-64
+    machine, mmap threshold pinned, n_modes = 128: on 64 and 256
+    coordinates a blocked table takes 85 and 242 us against 192 and 1153 us
+    for np.sin plus np.cos, and it fills the oracle's scratch through out.
+    On 2 coordinates the complex powers take 47 us against 15 us, so the
+    point routine does not use them.
     """
     b = _SINE_BLOCK
     blocks = -(-n_modes // b)
@@ -492,8 +500,9 @@ class QuadratureOracle:
     """Kernel-quadrature velocity for one vorticity field.
 
     Caches the central-cell sample grid, one row of image-cell sample grids
-    and the two gradient fields of the principal-value linearization, so
-    sweeps over many evaluation points reuse the omega sampling.  A medium
+    and the stack of omega and its gradient that the principal-value
+    linearization evaluates, so sweeps over many evaluation points reuse
+    the omega sampling.  A medium
     frame is sampled as two tensor grids, ya x [yb | ya] (its rectangle
     [lo,hi] x [0,lo] and the corner [lo,hi]^2 share their rows) and
     yb x ya, from one sine table on [yb | ya] and one product with the
@@ -531,7 +540,7 @@ class QuadratureOracle:
         self.params = params
         self._central_cache = None
         self._far_cache = None
-        self._grad_cache = None
+        self._lin = None            # (stack, parities) of omega and its gradient
         self._work_cache = None
         self._slots = None          # (slots, 3 * cells_panel^2) omega samples
         self._slot_keys = []        # (key, samples held) per slot, or None
@@ -566,6 +575,8 @@ class QuadratureOracle:
     def _grid_sums(self, x, y1, y2, w, cw, lin=None):
         """_node_sums over the grid y1 x y2, in this oracle's scratch."""
         n1, n2 = w.shape
+        if not w.size:      # row 0 of the image cells at image_radius 1
+            return 0.0, 0.0
         work = self._work(4 * n2 * _block_rows(n1, n2))
         return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin)
 
@@ -601,12 +612,13 @@ class QuadratureOracle:
         return arrays
 
     def _linearization(self, x):
-        """omega(x) and grad omega(x); the gradient fields are built once."""
-        if self._grad_cache is None:
-            self._grad_cache = (spectral_derivative(self.omega, 1, 1),
-                                spectral_derivative(self.omega, 2, 1))
-        d1, d2 = self._grad_cache
-        return evaluate_offgrid(self.omega, x), d1.evaluate_at(x), d2.evaluate_at(x)
+        """omega(x) and grad omega(x), from one evaluate_points call on the
+        stack [omega, d1 omega, d2 omega], built on the first call."""
+        if self._lin is None:
+            d1, d2 = (spectral_derivative(self.omega, axis, 1) for axis in (1, 2))
+            self._lin = (np.stack([self.omega.coeffs, d1.coeffs, d2.coeffs]),
+                         (("sin", "sin"), d1.parity, d2.parity))
+        return tuple(evaluate_points(*self._lin, x).tolist())
 
     # -- singular rectangle sum ------------------------------------------
 
@@ -759,30 +771,3 @@ class QuadratureOracle:
         c1, c2 = self._central(x)
         f1, f2 = self._far(x)
         return c1 + f1, c2 + f2
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    c_alpha: float
-    max_rel_dev: float
-    n_points: int
-
-
-def fit_calibration(omega: SineField, alpha: float, points, params: KernelParams,
-                    oracle: QuadratureOracle | None = None) -> CalibrationResult:
-    """Least-squares scalar c with  spectral_u ~= c * quadrature_u.
-
-    The same c must fit both components at every point; max_rel_dev is the
-    worst per-point relative error of the velocity vector,
-    ||c*quad - spec|| / ||spec||.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if oracle is None:
-        oracle = QuadratureOracle(omega, params)
-    u1c, u2c = velocity_coefficients(omega, alpha)
-    spec = np.stack([u1c.evaluate_at(pts), u2c.evaluate_at(pts)], axis=1)
-    quad = np.array([oracle.velocity(p, RegionSpec("full")) for p in pts])
-    c = float(np.sum(quad * spec) / np.sum(quad * quad))
-    dev = float(np.max(np.linalg.norm(c * quad - spec, axis=1)
-                       / np.linalg.norm(spec, axis=1)))
-    return CalibrationResult(c, dev, len(pts))

@@ -19,6 +19,12 @@ goes through GridMax, which makes the same two calls in two buffers that it
 holds: a caller that keeps one, as the time stepper does for its CFL speed
 and its diagnostics, allocates no grid-sized array per maximum.
 
+Off the grid, evaluate_points sums a stack of series, each in its own
+parity pair, at arbitrary points: one np.sin and one np.cos table of m*x,
+each entry's rows picked from them, one batched matmul.  evaluate_at and
+evaluate_offgrid pass it a stack of one; the trace sampler, the oracle's
+linearization and transport_defect pass theirs.
+
 The pointwise products of the time stepper are formed on a second,
 staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
 There a sine or cosine series is evaluated by a DST-III/DCT-III and a grid
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -50,6 +56,7 @@ __all__ = [
     "spectral_derivative",
     "velocity_coefficients",
     "evaluate_offgrid",
+    "evaluate_points",
     "hessian_sup_norm",
     "l2_norm",
     "grid_max_abs",
@@ -201,7 +208,8 @@ def _eval_midpoint_axis(buf: np.ndarray, parity: str, n_modes: int, axis: int,
 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
-_TRIG = {"sin": np.sin, "cos": np.cos}
+# parities of u1 and u2 from velocity_coefficients
+_VELOCITY_PARITIES = (("sin", "cos"), ("cos", "sin"))
 # collocation transform per parity, the first entry it runs on, and how many
 # entries past n_grid (the DCT-I's extra one is x = pi)
 _TYPE1 = {"sin": (sfft.dst, 1, 0), "cos": (sfft.dct, 0, 1)}
@@ -243,17 +251,42 @@ class MixedParityField:
         return GridField(_eval_axis(rows, self.parity[1], n_grid, -1))
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at arbitrary points, shape (..., 2), by direct summation.
+        """evaluate_points at points (..., 2) on a stack of one: a float for a
+        single point, else an array of shape (...)."""
+        vals = evaluate_points(self.coeffs[None], (self.parity,), points)[0]
+        return float(vals) if vals.ndim == 0 else vals
 
-        Returns a float for a single point, else an array of shape (...).
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        flat = pts.reshape(-1, 2)
-        modes = np.arange(1, self.coeffs.shape[0] + 1, dtype=np.float64)
-        b1 = _TRIG[self.parity[0]](flat[:, :1] * modes)
-        b2 = _TRIG[self.parity[1]](flat[:, 1:] * modes)
-        vals = ((b1 @ self.coeffs) * b2).sum(-1)
-        return float(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
+
+@lru_cache(maxsize=None)
+def _table_layout(parities: tuple, n_modes: int):
+    """Mode numbers 1..n_modes, and the table rows of each entry's left and of
+    its right factors: row 2 t + c holds sin (t = 0) or cos (t = 1) of m x_c."""
+    if not set(parities) <= _PARITIES:
+        raise ValueError(f"invalid parity pair in {parities}")
+    trig = {"sin": 0, "cos": 1}
+    left = np.array([2 * trig[p] for p, _ in parities])
+    return np.arange(1.0, n_modes + 1), left, np.array([2 * trig[q] + 1 for _, q in parities])
+
+
+def evaluate_points(coeffs: np.ndarray, parities, points) -> np.ndarray:
+    """Direct sums of a stack of mixed sin/cos series at points (..., 2).
+
+    coeffs is (S, n, n) and parities S pairs; returns shape (S, ...).  Each
+    entry's rows of one (4, P, n) table of sin and cos of m x are contracted
+    with it by one batched matmul, a product and a sum over modes, in
+    arithmetic that does not depend on the rest of the stack.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if len(parities) != len(coeffs):
+        raise ValueError(f"{len(parities)} parity pairs for {len(coeffs)} coefficient arrays")
+    modes, left, right = _table_layout(tuple(parities), coeffs.shape[-1])
+    angles = np.multiply.outer(pts.reshape(-1, 2).T, modes)
+    table = np.empty((4,) + angles.shape[1:])
+    np.sin(angles, out=table[:2])
+    np.cos(angles, out=table[2:])
+    vals = np.matmul(table.take(left, axis=0), coeffs)
+    vals *= table.take(right, axis=0)
+    return np.add.reduce(vals, axis=-1).reshape((len(coeffs),) + pts.shape[:-1])
 
 
 def inverse_transform(field: SineField, n_grid: int) -> GridField:
@@ -336,14 +369,12 @@ def velocity_coefficients(omega: SineField, alpha: float):
     """
     u1, u2 = np.empty((2,) + omega.coeffs.shape)
     _velocity_into(omega.coeffs, _laplacian_power(omega.n_modes, alpha), u1, u2)
-    return MixedParityField(u1, ("sin", "cos")), MixedParityField(u2, ("cos", "sin"))
+    p1, p2 = _VELOCITY_PARITIES
+    return MixedParityField(u1, p1), MixedParityField(u2, p2)
 
 
 def evaluate_offgrid(field: SineField, x) -> np.ndarray:
-    """Direct sine-series summation at arbitrary points (periodic extension).
-
-    Accepts a single (x1, x2) point or an (..., 2) array.
-    """
+    """The sine series at a point (x1, x2) or points (..., 2), by evaluate_at."""
     return MixedParityField(field.coeffs, ("sin", "sin")).evaluate_at(x)
 
 

@@ -6,20 +6,21 @@ snapshots), monitors the component-ratio along the path, applies the
 construction's stopping rule, and fits exponential growth rates.
 
 A traced step evaluates the velocity 4 times: the velocity recorded at the
-end of a step is the next step's first RK4 stage.  VelocitySampler holds the
-velocity coefficients of all snapshots in one (K, 2, n, n) array and
-evaluates both components at both bracketing snapshots in one stacked
-matmul.
+end of a step is the next step's first RK4 stage.  VelocitySampler holds
+u1 and u2 of all snapshots in one (2K, n, n) stack, and a call is one
+spectral.evaluate_points call on the entries of the snapshots that bracket
+t.  transport_defect makes one such call per snapshot, over the path points
+nearest to it in time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernels import KernelParams, QuadratureOracle, RegionSpec
-from .spectral import evaluate_offgrid, velocity_coefficients
+from .spectral import _VELOCITY_PARITIES, evaluate_points, velocity_coefficients
 
 __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
            "trace", "select_start", "stopping_time", "medium_ratio_monitor",
@@ -64,14 +65,12 @@ class VelocitySampler:
     """u(x, t) from a time-ordered list of (time, omega) snapshots.
 
     Velocity coefficients are precomputed per snapshot (diagonal work) and
-    held in one (K, 2, n, n) array, [U1_k, U2_k^T] for snapshot k, so that
-
-        u1 = sin(m x1) . U1 . cos(m x2),   u2 = sin(m x2) . U2^T . cos(m x1).
-
-    A call takes one sin and one cos of the (2, n) angle array m x and
-    evaluates both components at both bracketing snapshots in one stacked
-    matmul, then blends them linearly in time.  Outside the snapshot times
-    the nearest snapshot is used.
+    held in one (2K, n, n) stack, [U1_k, U2_k] for snapshot k, in the
+    (sin, cos) and (cos, sin) parities velocity_coefficients gives them.  A
+    call evaluates both components at both bracketing snapshots in one
+    evaluate_points call on 4 entries of the stack, then blends them
+    linearly in time.  Outside the snapshot times the nearest snapshot is
+    used, and the call takes its 2 entries.
     """
 
     def __init__(self, snapshots, alpha: float):
@@ -81,29 +80,21 @@ class VelocitySampler:
         self.times = np.asarray(times, dtype=np.float64)
         self.alpha = alpha
         self.n_modes = fields[0].n_modes
-        self._modes = np.arange(1, self.n_modes + 1, dtype=np.float64)
-        self._coeffs = np.empty((len(fields), 2, self.n_modes, self.n_modes))
+        self._coeffs = np.empty((2 * len(fields), self.n_modes, self.n_modes))
         for k, f in enumerate(fields):
-            u1c, u2c = velocity_coefficients(f, alpha)
-            self._coeffs[k, 0] = u1c.coeffs
-            self._coeffs[k, 1] = u2c.coeffs.T
+            self._coeffs[2 * k:2 * k + 2] = [u.coeffs for u in velocity_coefficients(f, alpha)]
 
     def __call__(self, x, t: float) -> np.ndarray:
         ts = self.times
         if t <= ts[0] or t >= ts[-1]:
-            lo = hi = 0 if t <= ts[0] else len(ts) - 1
-        else:
-            hi = int(np.searchsorted(ts, t, side="right"))
-            lo = hi - 1
-            th = (t - ts[lo]) / (ts[hi] - ts[lo])
-        angles = np.multiply.outer(x, self._modes)
-        # rows [sin(m x1), sin(m x2)] on the left, [cos(m x2), cos(m x1)] on
-        # the right: u[k, j] is component j at snapshot lo + k
-        u = (np.sin(angles)[:, None, :] @ self._coeffs[lo:hi + 1]
-             @ np.cos(angles)[::-1, :, None])[..., 0, 0]
-        if hi == lo:
-            return u[0]
-        return (1.0 - th) * u[0] + th * u[1]
+            k = 0 if t <= ts[0] else len(ts) - 1
+            return evaluate_points(self._coeffs[2 * k:2 * k + 2], _VELOCITY_PARITIES, x)
+        hi = int(ts.searchsorted(t, side="right"))
+        th = float((t - ts[hi - 1]) / (ts[hi] - ts[hi - 1]))
+        # (u1, u2) at snapshot hi - 1, then at snapshot hi
+        a1, a2, b1, b2 = evaluate_points(self._coeffs[2 * hi - 2:2 * hi + 2],
+                                         _VELOCITY_PARITIES * 2, x).tolist()
+        return np.array([(1.0 - th) * a1 + th * b1, (1.0 - th) * a2 + th * b2])
 
 
 def trace(start, velocity_source, t_end: float, dt: float,
@@ -239,13 +230,11 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
             skipped += 1
             continue
         ratios[i] = -u1 * x[1] / (x[0] * u2)
-    out = TrajectoryState(trajectory.start, trajectory.times,
-                          trajectory.positions, trajectory.velocities,
-                          ratios, trajectory.halted, trajectory.halt_note)
+    note = trajectory.halt_note
     if skipped:
-        out.halt_note = (trajectory.halt_note + f" [{skipped} ratio samples "
-                         "skipped: outside the medium-field regime]").strip()
-    return out
+        note = (note + f" [{skipped} ratio samples "
+                "skipped: outside the medium-field regime]").strip()
+    return replace(trajectory, ratios=ratios, halt_note=note)
 
 
 def fit_gamma(times, values, window: tuple | None = None,
@@ -305,11 +294,13 @@ def _line_fit(x, y):
 
 
 def transport_defect(trajectory: TrajectoryState, snapshots, omega0_at_start: float):
-    """max_t |omega(Phi_t, t) - omega0(start)| along a traced path."""
+    """max_t |omega(Phi_t, t) - omega0(start)| along a traced path, omega from
+    the snapshot nearest in time: one evaluate_points call per snapshot."""
     times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
+    nearest = np.abs(trajectory.times[:, None] - times).argmin(axis=1)
     worst = 0.0
-    for i, t in enumerate(trajectory.times):
-        j = int(np.argmin(np.abs(times - t)))
-        val = evaluate_offgrid(snapshots[j][1], trajectory.positions[i])
-        worst = max(worst, abs(float(val) - omega0_at_start))
+    for j in np.unique(nearest):
+        vals = evaluate_points(snapshots[j][1].coeffs[None], (("sin", "sin"),),
+                               trajectory.positions[nearest == j])
+        worst = max(worst, float(np.abs(vals - omega0_at_start).max()))
     return worst

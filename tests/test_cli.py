@@ -23,7 +23,7 @@ SMALL_CONFIG = "[run]\nN = 32\nNg = 64\nimage_radius = 2\n"
 # explained; a new numpy or scipy may move the last bits of a value.
 GOLDEN = {
     "run/diagnostics.csv": "bd13a5aed836ce479ebe407a6de0b8a7e24636c58261b6625b14a0c57d33637c",
-    "tr/trajectory.csv": "95430f596616200ac2ab2a25cf1b6c93b22866e140eeec5220442a2a8306c908",
+    "tr/trajectory.csv": "7836f898c0fe82a9c0e4c814b4cd9964a19269a3ab252be3b170c9344240c66c",
     "tr/trace_summary.json": "5cf1c28316fc997413f8237240a51e668ab46d3b67c5783ffad7b2b86f0a6e0c",
     "ver/report_kernel_asymptotics.json":
         "f108e9c95b75faffaad3e382aa86566de6efdd4563504af2c9f343297c8dcab8",
@@ -150,6 +150,19 @@ class TestTraceOfShortRun:
         assert written == {"growth.csv", "manifest.json", "trace_summary.json", "trajectory.csv"}
 
 
+class TestImageRadiusOne:
+    @pytest.mark.parametrize("which, estimate", [("far", "far_field"),
+                                                 ("decomposition", "decomposition")])
+    def test_verify_ends_in_a_report(self, tmp_path, which, estimate):
+        # image_radius 1 leaves the far region no image cell: its sums are zero
+        (tmp_path / "c.ini").write_text("[run]\nN = 32\nNg = 64\nimage_radius = 1\n")
+        res = _run_cli(tmp_path, "verify", "--config", "c.ini", "--which", which, "--out", "ver")
+        assert res.returncode in (cli.EXIT_OK, cli.EXIT_FAIL), res.stderr
+        assert "Traceback" not in res.stderr
+        report = json.loads((tmp_path / "ver" / f"report_{estimate}.json").read_text())
+        assert report["samples"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("flag", ["--seed", "--bogus"])
     def test_unknown_flag(self, tmp_path, capsys, flag):
@@ -194,6 +207,16 @@ class TestConfigFile:
         rc = cli.main(["make-data", "--config", str(path), "--out", str(tmp_path / "md")])
         assert rc == cli.EXIT_USAGE
         assert "32.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("N = 32.5", "config key 'N' in {path!r} must be int, got '32.5'"),
+        ("safety = half", "config key 'safety' in {path!r} must be float, got 'half'")])
+    def test_type_error_names_the_key(self, tmp_path, capsys, line, message):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[run]\n{line}\n")
+        rc = cli.main(["make-data", "--config", str(path), "--out", str(tmp_path / "md")])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message.format(path=str(path))}\n"
 
     @pytest.mark.parametrize("line", ["sede = 4", "seed = 0"])
     def test_unknown_key_rejected(self, tmp_path, capsys, line):

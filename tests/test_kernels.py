@@ -9,10 +9,9 @@ import pytest
 
 from msqglab import kernels
 from msqglab.kernels import (
-    CalibrationResult, KernelParams, QuadratureOracle, RegionSpec,
-    asymptotic_K, fit_calibration, kernel_K1, kernel_K2, relative_kernel_error,
-    riesz_velocity_prefactor)
-from msqglab.spectral import SineField, evaluate_offgrid, velocity_coefficients
+    KernelParams, QuadratureOracle, RegionSpec, asymptotic_K, kernel_K1, kernel_K2,
+    relative_kernel_error, riesz_velocity_prefactor)
+from msqglab.spectral import SineField, evaluate_offgrid, evaluate_points, velocity_coefficients
 
 RNG = np.random.default_rng(11)
 
@@ -149,11 +148,18 @@ class TestCalibration:
     def test_matches_riesz_normalization(self, single_mode, alpha):
         pts = np.column_stack([RNG.uniform(0.3, np.pi - 0.3, 6),
                                RNG.uniform(0.3, np.pi - 0.3, 6)])
-        params = KernelParams(alpha=alpha)
-        res = fit_calibration(single_mode, alpha, pts, params)
-        assert isinstance(res, CalibrationResult)
-        assert res.c_alpha == pytest.approx(riesz_velocity_prefactor(alpha), rel=5e-3)
-        assert res.max_rel_dev < 0.01
+        # the scalar c with spectral ~= c * full (least squares over both
+        # components at all points) is the Riesz prefactor, and that
+        # prefactor times full matches the spectral velocity at every point
+        oracle = QuadratureOracle(single_mode, KernelParams(alpha=alpha))
+        quad = np.array([oracle.velocity(p, RegionSpec("full")) for p in pts])
+        u1c, u2c = velocity_coefficients(single_mode, alpha)
+        spec = evaluate_points(np.stack([u1c.coeffs, u2c.coeffs]), (u1c.parity, u2c.parity),
+                               pts).T
+        c_alpha = riesz_velocity_prefactor(alpha)
+        assert np.sum(quad * spec) / np.sum(quad * quad) == pytest.approx(c_alpha, rel=5e-3)
+        dev = np.linalg.norm(c_alpha * quad - spec, axis=1) / np.linalg.norm(spec, axis=1)
+        assert dev.max() < 0.01
 
     def test_sqg_prefactor_value(self):
         assert riesz_velocity_prefactor(0.5) == pytest.approx(1 / (2 * np.pi), rel=1e-12)
@@ -186,6 +192,13 @@ class TestFarField:
         for j in (0, 1):
             allow = 3.0 * base.image_radius ** (-2 * alpha) * omega_sup * x[j]
             assert abs(u_2r[j] - u_r[j]) <= allow
+
+    def test_radius_one_has_no_image_cells(self, single_mode):
+        # the lattice [0, pi)^2 less the central cell is empty: far sums to zero
+        params = KernelParams(alpha=0.5, image_radius=1, cells_central=32, cells_far=16)
+        oracle = QuadratureOracle(single_mode, params)
+        assert oracle.velocity((0.4, 0.9), RegionSpec("far")) == (0.0, 0.0)
+        assert np.isfinite(oracle.velocity((0.4, 0.9), RegionSpec("full"))).all()
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="alpha"):

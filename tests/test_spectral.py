@@ -9,7 +9,7 @@ from scipy import fft as sfft
 
 from msqglab.spectral import (
     _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
-    GridField, GridMax, MixedParityField, SineField, evaluate_offgrid,
+    GridField, GridMax, MixedParityField, SineField, evaluate_offgrid, evaluate_points,
     forward_transform, fractional_inverse_laplacian, grid_coordinates, grid_max_abs,
     hessian_sup_norm, inverse_transform, l2_norm, spectral_derivative, velocity_coefficients)
 
@@ -89,25 +89,36 @@ class TestTransforms:
             assert grid_l2 == pytest.approx(l2_norm(f), rel=1e-10)
 
 
+PARITY_PAIRS = [("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")]
+
+
 class TestStackedEvaluation:
-    @pytest.mark.parametrize("parity", [("sin", "sin"), ("sin", "cos"),
-                                        ("cos", "sin"), ("cos", "cos")])
+    @pytest.mark.parametrize("parity", PARITY_PAIRS)
     def test_stack_equals_single_fields(self, parity):
-        # _eval_axis carries the stack axis along; each field of the stack
-        # matches its own evaluate, and that matches direct summation
+        # _eval_axis carries the stack axis along and each field of the stack
+        # matches its own evaluate; one evaluate_points call on a stack that
+        # mixes this parity with the other three matches the grid values of
+        # every entry, and evaluate_at (a stack of one) is its entry bit for bit
         rng = np.random.default_rng(8)
         coeffs = rng.normal(size=(2, 9, 9))
         n_grid = 27                        # odd, and 2 * 27 is not a power of two
         stacked = _eval_axis(_eval_axis(coeffs, parity[0], n_grid, -2), parity[1], n_grid, -1)
         assert stacked.shape == (2, n_grid, n_grid)
         x1, x2 = grid_xy(n_grid)
-        pts = np.stack([x1.ravel(), x2.ravel()], axis=1)
+        pts = np.stack([x1, x2], axis=-1)
+        others = [p for p in PARITY_PAIRS if p != parity]
+        mixed = np.concatenate([coeffs, rng.normal(size=(3, 9, 9))])
+        direct = evaluate_points(mixed, [parity, parity] + others, pts)
+        assert direct.shape == (5, n_grid, n_grid)
         for k in range(2):
             single = MixedParityField(coeffs[k], parity)
             np.testing.assert_allclose(stacked[k], single.evaluate(n_grid).values,
                                        rtol=0, atol=1e-14)
-            direct = single.evaluate_at(pts).reshape(n_grid, n_grid)
-            np.testing.assert_allclose(stacked[k], direct, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stacked[k], direct[k], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(single.evaluate_at(pts), direct[k])
+        for k, other in enumerate(others, start=2):
+            grid = MixedParityField(mixed[k], other).evaluate(n_grid).values
+            np.testing.assert_allclose(grid, direct[k], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("parity", ["sin", "cos"])
     @pytest.mark.parametrize("axis", [-2, -1])
@@ -148,6 +159,10 @@ class TestStackedEvaluation:
     def test_invalid_parity(self):
         with pytest.raises(ValueError, match="parity"):
             MixedParityField(np.zeros((4, 4)), ("sin", "tan"))
+        with pytest.raises(ValueError, match="parity"):
+            evaluate_points(np.zeros((1, 4, 4)), [("sin", "tan")], (0.1, 0.2))
+        with pytest.raises(ValueError, match="2 parity pairs for 1"):
+            evaluate_points(np.zeros((1, 4, 4)), PARITY_PAIRS[:2], (0.1, 0.2))
 
     @pytest.mark.parametrize("parity", ["sin", "cos"])
     def test_modes_must_fit_the_grid(self, parity):

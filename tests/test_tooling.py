@@ -1,6 +1,7 @@
 """Module hygiene by an ast walk: __all__ entries exist, top-level imports
 are used, the package imports nothing beyond the standard library, numpy,
-scipy.fft and scipy.special, and it reaches no LAPACK routine through numpy."""
+scipy.fft and scipy.special, it reaches no LAPACK routine through numpy, and
+only the point evaluator takes np.sin or np.cos of a series' angles."""
 
 import ast
 import importlib
@@ -104,22 +105,49 @@ def _dotted(node):
     return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
 
 
-def _lapack_uses(tree: ast.Module):
-    """(name, line) of every numpy.linalg name but norm and every numpy.polynomial
-    name, reached by attribute or by import, with numpy's aliases resolved."""
+def _nodes_with_owner(node, owner=None):
+    """Every node below node, with the name of the innermost def around it
+    (None at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, owner
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _nodes_with_owner(child, inner)
+
+
+def _resolved_names(tree: ast.Module):
+    """(name, line, def) of every attribute chain on a plain name and every
+    absolute import, with `from a import b` read as a.b and numpy's aliases
+    resolved; def is the innermost function around it, or None."""
     aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
                if isinstance(node, ast.Import) for alias in node.names}
-    names = [(_dotted(node), node.lineno) for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)]
-    names += list(_imported_modules(tree))
-    for name, line in names:
-        if name is None:
+    for node, owner in _nodes_with_owner(tree):
+        if isinstance(node, ast.Attribute):
+            names = [_dotted(node)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
             continue
-        head, _, rest = name.partition(".")
-        name = ".".join(filter(None, [aliases.get(head, head), rest]))
+        for name in filter(None, names):
+            head, _, rest = name.partition(".")
+            yield ".".join(filter(None, [aliases.get(head, head), rest])), node.lineno, owner
+
+
+def _lapack_uses(tree: ast.Module):
+    """(name, line) of every numpy.linalg name but norm and every numpy.polynomial
+    name, reached by attribute or by import."""
+    for name, line, _ in _resolved_names(tree):
         if (name.startswith("numpy.polynomial")
                 or name.startswith("numpy.linalg.") and name != "numpy.linalg.norm"):
             yield name, line
+
+
+def _trig_uses(tree: ast.Module):
+    """(def, line) of every use of numpy's sin or cos, called or not."""
+    for name, line, owner in _resolved_names(tree):
+        if name in ("numpy.sin", "numpy.cos"):
+            yield owner, line
 
 
 # numpy.linalg beyond norm, and numpy.polynomial (leggauss, fits), call
@@ -138,6 +166,28 @@ def test_lapack_check_sees_attributes_and_imports():
         ("numpy.linalg.lstsq", 3), ("numpy.linalg.solve", 2),
         ("numpy.polynomial", 5), ("numpy.polynomial.legendre", 5),
         ("numpy.polynomial.legendre.leggauss", 5)]
+
+
+# the one function per module that may take numpy's sin or cos: the point
+# evaluator, and two tables that evaluate no series (unit directions and the
+# Gauss-Legendre start); sin or cos anywhere else would begin another point
+# evaluator
+TRIG_OWNERS = {"spectral": "evaluate_points", "verify": "default_directions",
+               "kernels": "_gauss_legendre"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_sin_and_cos_only_in_the_point_evaluator(name):
+    used = [(owner, line) for owner, line in _trig_uses(_tree(name))
+            if owner != TRIG_OWNERS.get(name)]
+    assert not used, (f"msqglab/{name}.py takes np.sin or np.cos outside "
+                      f"{TRIG_OWNERS.get(name, 'its allowed function')} (def, line): {used}")
+
+
+def test_trig_check_sees_references_imports_and_their_function():
+    tree = ast.parse("import numpy as np\nfrom numpy import cos\nT = {'s': np.sin}\n"
+                     "def f(x):\n    return np.cosh(x) + np.sin(x)\n")
+    assert sorted(_trig_uses(tree), key=lambda use: use[1]) == [(None, 2), (None, 3), ("f", 5)]
 
 
 def test_principal_value_leaves_scipy_integrate_unloaded():

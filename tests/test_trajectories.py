@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec
-from msqglab.spectral import SineField, velocity_coefficients
+from msqglab.spectral import SineField, evaluate_offgrid, evaluate_points, velocity_coefficients
 from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, growth_fit,
-                                  medium_ratio_monitor, select_start, stopping_time, trace)
+                                  medium_ratio_monitor, select_start, stopping_time, trace,
+                                  transport_defect)
 
 ALPHA = 0.5
 RNG = np.random.default_rng(5)
@@ -41,6 +42,17 @@ def test_snapshot_times_match_spectral_velocity(snapshots, x):
     for t, field in snapshots:
         np.testing.assert_allclose(sampler(x, t), _spectral_velocity(field, x),
                                    rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("x", POINTS)
+def test_snapshot_times_equal_the_point_evaluator(snapshots, x):
+    # at a snapshot's own time the blend weights are 1 and 0, so the sampler
+    # returns that snapshot's entries of its stacked call bit for bit
+    sampler = VelocitySampler(snapshots, ALPHA)
+    for t, field in snapshots:
+        u1c, u2c = velocity_coefficients(field, ALPHA)
+        want = evaluate_points(np.stack([u1c.coeffs, u2c.coeffs]), (u1c.parity, u2c.parity), x)
+        np.testing.assert_array_equal(sampler(x, t), want)
 
 
 @pytest.mark.parametrize("x", POINTS)
@@ -105,8 +117,18 @@ class TestSamplerAtWorkloadSize:
             if isinstance(value, np.ndarray):
                 assert value.base is None
                 held += value.nbytes
-        # K * 2 * n^2 coefficients plus the K times and the n mode numbers
-        assert held == 8 * (k * 2 * n * n + k + n)
+        # K * 2 * n^2 coefficients plus the K times
+        assert held == 8 * (k * 2 * n * n + k)
+
+
+def test_transport_defect_is_the_largest_pointwise_defect(snapshots):
+    # one evaluate_points call per snapshot gives the largest |omega(x_i) - omega0|
+    # over the path, omega taken from the snapshot nearest to t_i
+    traj = trace((0.3, 1.1), VelocitySampler(snapshots, ALPHA), 0.5, 0.01)
+    times = np.array([t for t, _ in snapshots])
+    want = max(abs(evaluate_offgrid(snapshots[int(np.argmin(np.abs(times - t)))][1], x) - 0.37)
+               for t, x in zip(traj.times, traj.positions))
+    assert transport_defect(traj, snapshots, 0.37) == pytest.approx(want, rel=1e-12)
 
 
 def test_single_snapshot_is_constant_in_time():
