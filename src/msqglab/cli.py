@@ -29,8 +29,8 @@ from .initial_data import (InitialDataSpec, build_omega0, check_degeneracy,
 from .kernels import KernelParams
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import inverse_transform
-from .trajectories import (VelocitySampler, growth_fit, medium_ratio_monitor,
-                           select_start, stopping_time, trace)
+from .trajectories import (MIN_FIT_SAMPLES, VelocitySampler, growth_fit,
+                           medium_ratio_monitor, select_start, stopping_time, trace)
 from .verify import (verify_background, verify_decomposition, verify_far_field,
                      verify_kernel_asymptotics, verify_medium_ratio,
                      verify_near_field, write_report_json, write_reports_csv)
@@ -181,13 +181,14 @@ def cmd_simulate(args) -> int:
         omega0, header = read_snapshot(args.initial)
         print(f"initial field from {args.initial} (t={header['time']})")
     result = run(config, omega0)
+    hess0, hess1 = result.diagnostics[0].hessian_sup, result.diagnostics[-1].hessian_sup
     summary = {
         "halt_reason": result.halt_reason,
         "final_time": result.state.time,
         "steps": result.state.step_count,
         "gamma": result.gamma,
         "gamma_r2": result.gamma_r2,
-        "hessian_growth": result.diagnostics[-1].hessian_sup / result.diagnostics[0].hessian_sup,
+        "hessian_growth": hess1 / hess0 if hess0 else None,     # null for a zero omega0
         "notes": result.notes,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -274,6 +275,8 @@ def _load_run_dir(run_dir: Path):
 
 
 def cmd_trace(args) -> int:
+    if (args.x1 is None) != (args.x2 is None):
+        raise UsageError("--x1 and --x2 must be given together")
     cfg = _settings(args)
     t0 = time.time()
     run_dir = Path(args.run_dir)
@@ -286,7 +289,7 @@ def cmd_trace(args) -> int:
 
     grid_floor = 4 * np.pi / n_grid
     start = select_start(t_end, cfg["delta"], alpha, cfg["beta"], grid_floor)
-    if args.x1 is not None and args.x2 is not None:
+    if args.x1 is not None:
         start_pt = (args.x1, args.x2)
         scaled = False
         note = "explicit start point"
@@ -306,7 +309,7 @@ def cmd_trace(args) -> int:
     if len(hess):
         threshold = cfg["growth_threshold_factor"] * hess[0]
         t_stop, reason = stopping_time(traj, times, hess, t_end, start_pt[0], threshold)
-        if len(hess) >= 10:
+        if len(hess) >= MIN_FIT_SAMPLES:
             with open(out / "growth.csv", "w", newline="") as fh:
                 fh.write("time,hessian_sup\n")
                 for t, h in zip(times, hess):

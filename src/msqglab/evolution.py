@@ -56,6 +56,15 @@ from .trajectories import growth_fit
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
            "nonlinear_term", "step_rk4", "cfl_dt", "run"]
 
+# a CFL step is clipped to [DT_MIN, DT_MAX]: the floor bounds a run's step
+# count by t_final / DT_MIN, the cap sets the step where the velocity is zero
+DT_MIN = 1e-7
+DT_MAX = 0.05
+# halt when grid omega-max grows faster than this per step; a heuristic
+# only, since the truncated scheme has no max principle and its Gibbs
+# ripple can trip it
+MAX_GROWTH_PER_STEP = 1.10
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -66,8 +75,6 @@ class ExperimentConfig:
     dt_policy: str = "cfl"          # "cfl" or "fixed"
     dt: float = 1e-3                # step for the fixed policy
     cfl_safety: float = 0.4
-    dt_min: float = 1e-7
-    dt_max: float = 0.05
     delta: float = 0.25
     L: float = 8.0
     beta: float = 5.0
@@ -75,10 +82,6 @@ class ExperimentConfig:
     snapshot_every: int = 10
     out_dir: str | None = None
     preserve_degeneracy: bool = True
-    # halt when grid omega-max grows faster than this per step; a heuristic
-    # only, since the truncated scheme has no max principle and its Gibbs
-    # ripple can trip it
-    max_growth_per_step: float = 1.10
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -129,8 +132,8 @@ class RunResult:
     snapshots has one (time, path) pair per snapshot, path None when the
     run has no out_dir.  The snapshot fields are not kept: a long run would
     hold every one of them, so they are read back from their files
-    (snapshots.read_snapshot).  paths names the diagnostics and metadata
-    files written to out_dir.
+    (snapshots.read_snapshot).  With an out_dir, run() also writes
+    diagnostics.csv and metadata.json there.
     """
 
     state: SimState
@@ -140,7 +143,6 @@ class RunResult:
     gamma: float | None = None
     gamma_r2: float | None = None
     notes: list = field(default_factory=list)
-    paths: dict = field(default_factory=dict)
 
 
 class _Rhs:
@@ -251,7 +253,7 @@ def nonlinear_term(omega: SineField, alpha: float, n_grid: int,
 
 
 def cfl_dt(umax: float, n_grid: int, safety: float,
-           dt_min: float = 1e-7, dt_max: float = 0.05) -> float:
+           dt_min: float = DT_MIN, dt_max: float = DT_MAX) -> float:
     """dt = safety * (pi / n_grid) / umax, clipped to [dt_min, dt_max].
 
     umax is the grid maximum of |u1| and |u2|.  NaN if umax is NaN;
@@ -364,7 +366,7 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
             _velocity_into(state.omega.coeffs, workspace.rhs.symbol, u1, u2)
             # np.maximum, unlike the builtin, keeps a NaN
             umax = np.maximum(grid_max(u1, ("sin", "cos")), grid_max(u2, ("cos", "sin")))
-            dt = cfl_dt(umax, config.n_grid, config.cfl_safety, config.dt_min, config.dt_max)
+            dt = cfl_dt(umax, config.n_grid, config.cfl_safety)
         else:
             dt = config.dt
         dt = min(dt, config.t_final - state.time)
@@ -382,10 +384,10 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
 
         if state.step_count % config.diag_every == 0 or state.time >= config.t_final - 1e-14:
             _, grew = record(dt)
-            if grew is not None and grew > config.max_growth_per_step:
+            if grew is not None and grew > MAX_GROWTH_PER_STEP:
                 notes.append(
                     f"omega-max growth {grew:.3f}/step at t={state.time:.6f} exceeds "
-                    f"the growth heuristic {config.max_growth_per_step:g}/step "
+                    f"the growth heuristic {MAX_GROWTH_PER_STEP:g}/step "
                     "(Gibbs ripple of the truncated scheme can also trip it)")
                 halt = "resolution_exhausted"
         if state.step_count % config.snapshot_every == 0:
@@ -405,19 +407,17 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     state = replace(state, workspace=None)
     result = RunResult(state, diagnostics, snapshots, halt, gamma, gamma_r2, notes)
     if out:
-        result.paths = _write_outputs(out, config, result, _time.time() - t_wall)
+        _write_outputs(out, config, result, _time.time() - t_wall)
     return result
 
 
 def _write_outputs(out: Path, config: ExperimentConfig, result: RunResult,
-                   wall: float) -> dict:
-    diag_path = out / "diagnostics.csv"
-    with open(diag_path, "w", newline="") as fh:
+                   wall: float) -> None:
+    with open(out / "diagnostics.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DiagnosticsRecord.CSV_FIELDS)
         for rec in result.diagnostics:
             w.writerow([f"{getattr(rec, f):.17g}" for f in DiagnosticsRecord.CSV_FIELDS])
-    meta_path = out / "metadata.json"
     meta = {
         "config": asdict(config),
         "provenance": f"msqglab-{__version__}",
@@ -428,5 +428,4 @@ def _write_outputs(out: Path, config: ExperimentConfig, result: RunResult,
         "preserve_degeneracy": config.preserve_degeneracy,
         "notes": result.notes,
     }
-    meta_path.write_text(json.dumps(meta, indent=2) + "\n")
-    return {"diagnostics": str(diag_path), "metadata": str(meta_path)}
+    (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")

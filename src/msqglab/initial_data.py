@@ -2,10 +2,10 @@
 
 On [0, pi)^2 the field is a tensor product w0(x1, x2) = u(x1) v(x2) of 1D
 profiles that
-  * equal (t/delta)^3 resp. t/delta up to the origin patch, so
-    w0 = delta^-4 x1^3 x2 holds exactly on [0, patch]^2 (and in particular
-    on the quarter-disk |x| <= patch),
-  * blend monotonically to 1 across [patch, delta] with a C^blend_order
+  * equal (t/delta)^3 resp. t/delta up to the origin patch delta/2, so
+    w0 = delta^-4 x1^3 x2 holds exactly on [0, delta/2]^2 (and in particular
+    on the quarter-disk |x| <= delta/2),
+  * blend monotonically to 1 across [delta/2, delta] with a C^blend_order
     polynomial smoothstep,
   * equal 1 on [delta, pi - delta],
   * fall back to 0 across [pi - delta, pi] with the same smoothstep.
@@ -34,6 +34,10 @@ __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction", "recorded_warnings"]
 
 DELTA_HARD_MAX = np.pi / 4
+# plateau_deficit_fraction counts the cells where omega < 1 - PLATEAU_TOL;
+# the tolerance absorbs the series-truncation ripple on the plateau
+# (otherwise half the plateau cells sit marginally below 1)
+PLATEAU_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -41,14 +45,13 @@ class InitialDataSpec:
     """Parameters of the plateau construction.
 
     delta is the boundary strip width; delta_max (default pi/8, hard cap
-    pi/4) guards the plateau margin.  origin_patch_radius (default
-    delta/2) bounds the region where the monomial formula is exact.
+    pi/4) guards the plateau margin.  The monomial formula is exact on the
+    origin patch [0, delta/2]^2.
     """
 
     delta: float
     n_modes: int
     n_grid: int
-    origin_patch_radius: float | None = None
     blend_order: int = 4
     delta_max: float = np.pi / 8
 
@@ -58,10 +61,6 @@ class InitialDataSpec:
         if not 0.0 < self.delta <= self.delta_max:
             raise ValueError(
                 f"delta must lie in (0, delta_max={self.delta_max:.4g}], got {self.delta}")
-        patch = self.patch
-        if not 0.0 < patch <= self.delta / 2 * (1 + 1e-12):
-            raise ValueError(
-                f"origin_patch_radius must lie in (0, delta/2], got {patch}")
         if self.blend_order < 1:
             raise ValueError("blend_order must be >= 1")
         if self.n_grid < 2 * self.n_modes:
@@ -70,10 +69,6 @@ class InitialDataSpec:
             warnings.warn(
                 f"delta={self.delta:.4g} spans fewer than 8 grid cells at "
                 f"n_grid={self.n_grid}; construction is under-resolved")
-
-    @property
-    def patch(self) -> float:
-        return self.delta / 2 if self.origin_patch_radius is None else self.origin_patch_radius
 
 
 @contextmanager
@@ -109,12 +104,11 @@ def smoothstep(u, order: int):
     return u ** (n + 1) * acc
 
 
-def _axis_profile(t: np.ndarray, delta: float, patch: float, order: int,
-                  power: int) -> np.ndarray:
-    """1D profile: (t/delta)^power up to patch, blend to 1 by delta,
+def _axis_profile(t: np.ndarray, delta: float, order: int, power: int) -> np.ndarray:
+    """1D profile: (t/delta)^power up to delta/2, blend to 1 by delta,
     plateau, smoothstep descent to 0 on [pi - delta, pi]."""
     rise = (t / delta) ** power
-    s = smoothstep((t - patch) / (delta - patch), order)
+    s = smoothstep((t - delta / 2) / (delta / 2), order)
     out = np.where(t < delta, rise * (1.0 - s) + s, 1.0)
     fall = smoothstep((np.pi - t) / delta, order)
     return np.where(t > np.pi - delta, fall, out)
@@ -137,8 +131,8 @@ def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -
 def build_omega0(spec: InitialDataSpec) -> SineField:
     """Construct the initial vorticity as a SineField."""
     x = grid_coordinates(spec.n_grid)
-    u = _axis_profile(x, spec.delta, spec.patch, spec.blend_order, 3)
-    v = _axis_profile(x, spec.delta, spec.patch, spec.blend_order, 1)
+    u = _axis_profile(x, spec.delta, spec.blend_order, 3)
+    v = _axis_profile(x, spec.delta, spec.blend_order, 1)
     coeffs = forward_transform(GridField(np.outer(u, v)), spec.n_modes).coeffs
     _project_degeneracy(coeffs)
     return SineField(coeffs)
@@ -163,10 +157,7 @@ def gradient_sup_norm(omega: SineField, n_grid: int) -> float:
     return float(np.max([grid_max(d.coeffs, d.parity) for d in derivs]))
 
 
-def plateau_deficit_fraction(omega: SineField, n_grid: int, tol: float = 1e-3) -> float:
-    """Fraction of collocation cells where omega < 1 - tol.
-
-    tol absorbs the series-truncation ripple on the plateau (otherwise
-    half the plateau cells sit marginally below 1)."""
+def plateau_deficit_fraction(omega: SineField, n_grid: int) -> float:
+    """Fraction of collocation cells where omega < 1 - PLATEAU_TOL."""
     vals = inverse_transform(omega, n_grid).values
-    return float(np.count_nonzero(vals < 1.0 - tol)) / vals.size
+    return float(np.count_nonzero(vals < 1.0 - PLATEAU_TOL)) / vals.size

@@ -540,7 +540,7 @@ class QuadratureOracle:
         self.params = params
         self._central_cache = None
         self._far_cache = None
-        self._lin = None            # (stack, parities) of omega and its gradient
+        self._grad = None           # (stack, parities) of d1 omega and d2 omega
         self._work_cache = None
         self._slots = None          # (slots, 3 * cells_panel^2) omega samples
         self._slot_keys = []        # (key, samples held) per slot, or None
@@ -612,13 +612,13 @@ class QuadratureOracle:
         return arrays
 
     def _linearization(self, x):
-        """omega(x) and grad omega(x), from one evaluate_points call on the
-        stack [omega, d1 omega, d2 omega], built on the first call."""
-        if self._lin is None:
+        """omega(x) from its coefficients and grad omega(x) from the stack
+        [d1 omega, d2 omega], built on the first call, by evaluate_points."""
+        if self._grad is None:
             d1, d2 = (spectral_derivative(self.omega, axis, 1) for axis in (1, 2))
-            self._lin = (np.stack([self.omega.coeffs, d1.coeffs, d2.coeffs]),
-                         (("sin", "sin"), d1.parity, d2.parity))
-        return tuple(evaluate_points(*self._lin, x).tolist())
+            self._grad = (np.stack([d1.coeffs, d2.coeffs]), (d1.parity, d2.parity))
+        (w,) = evaluate_points(self.omega.coeffs[None], (("sin", "sin"),), x).tolist()
+        return (w, *evaluate_points(*self._grad, x).tolist())
 
     # -- singular rectangle sum ------------------------------------------
 

@@ -26,7 +26,8 @@ __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
            "trace", "select_start", "stopping_time", "medium_ratio_monitor",
            "fit_gamma", "growth_fit", "transport_defect"]
 
-QUADRANT = (0.0, np.pi)
+QUADRANT_TOL = 1e-6        # how far past [0, pi)^2 trace lets a path step
+MIN_FIT_SAMPLES = 10       # of a growth fit: fit_gamma, growth_fit, growth.csv
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,8 @@ class VelocitySampler:
         return np.array([(1.0 - th) * a1 + th * b1, (1.0 - th) * a2 + th * b2])
 
 
-def trace(start, velocity_source, t_end: float, dt: float,
-          t_start: float = 0.0, pos_tol: float = 1e-6) -> TrajectoryState:
-    """RK4 integration of the characteristic ODE, history at every step.
+def trace(start, velocity_source, t_end: float, dt: float) -> TrajectoryState:
+    """RK4 integration of the characteristic ODE from t = 0, history at every step.
 
     velocity_source(x, t) is called 4 n + 1 times for n steps: once at the
     start, then 3 stages and the end-of-step sample per step, since the
@@ -114,21 +114,22 @@ def trace(start, velocity_source, t_end: float, dt: float,
     1.2e-2 away when they are 40 apart.
 
     Halts with a diagnostic if the position leaves [0, pi)^2 by more than
-    pos_tol (the quadrant is invariant for the exact flow; leaving it
+    QUADRANT_TOL (the quadrant is invariant for the exact flow; leaving it
     signals interpolation/resolution loss).
     """
-    if dt <= 0 or t_end < t_start:
-        raise ValueError("need dt > 0 and t_end >= t_start")
+    if dt <= 0 or t_end < 0:
+        raise ValueError("need dt > 0 and t_end >= 0")
     x = np.array(start, dtype=np.float64)
     if not (0 < x[0] < np.pi and 0 < x[1] < np.pi):
         raise ValueError(f"start {tuple(x)} outside the open quadrant")
-    times = [t_start]
+    t = 0.0
+    times = [t]
     pos = [x.copy()]
-    vel = [np.asarray(velocity_source(x, t_start), dtype=np.float64)]
+    vel = [np.asarray(velocity_source(x, t), dtype=np.float64)]
     halted = False
     note = ""
-    t = t_start
-    n_steps = int(np.ceil((t_end - t_start) / dt - 1e-12))
+    n_steps = int(np.ceil(t_end / dt - 1e-12))
+    lo, hi = -QUADRANT_TOL, np.pi + QUADRANT_TOL
     for _ in range(n_steps):
         h = min(dt, t_end - t)
         k1 = vel[-1]
@@ -140,19 +141,17 @@ def trace(start, velocity_source, t_end: float, dt: float,
         times.append(t)
         pos.append(x.copy())
         vel.append(np.asarray(velocity_source(x, t)))
-        if (x[0] < QUADRANT[0] - pos_tol or x[1] < QUADRANT[0] - pos_tol
-                or x[0] > QUADRANT[1] + pos_tol or x[1] > QUADRANT[1] + pos_tol):
+        if x[0] < lo or x[1] < lo or x[0] > hi or x[1] > hi:
             halted = True
             note = (f"trajectory left [0, pi)^2 at t={t:.6f}, x={tuple(x)}; "
                     "quadrant invariance violated beyond tolerance")
             break
-    traj = TrajectoryState(
+    return TrajectoryState(
         start=tuple(np.atleast_1d(start)[:2]),
         times=np.array(times), positions=np.array(pos),
         velocities=np.array(vel),
         ratios=np.full(len(times), np.nan),
         halted=halted, halt_note=note)
-    return traj
 
 
 def select_start(T: float, delta: float, alpha: float, beta: float,
@@ -237,13 +236,12 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
     return replace(trajectory, ratios=ratios, halt_note=note)
 
 
-def fit_gamma(times, values, window: tuple | None = None,
-              min_samples: int = 10) -> GrowthRecord:
+def fit_gamma(times, values, window: tuple | None = None) -> GrowthRecord:
     """Least-squares slope of log(values) vs time on the fit window.
 
-    Default window drops the first 10% of the series as transient.  The
-    fit is affine-equivariant: scaling values by a positive constant does
-    not change gamma.
+    Default window drops the first 10% of the series as transient; a
+    window holds at least MIN_FIT_SAMPLES samples.  The fit is affine-
+    equivariant: scaling values by a positive constant does not change gamma.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -252,10 +250,10 @@ def fit_gamma(times, values, window: tuple | None = None,
     if window is None:
         window = (times[0] + 0.1 * (times[-1] - times[0]), times[-1])
     sel = (times >= window[0]) & (times <= window[1])
-    if int(np.count_nonzero(sel)) < min_samples:
+    if int(np.count_nonzero(sel)) < MIN_FIT_SAMPLES:
         raise ValueError(
             f"only {int(np.count_nonzero(sel))} samples in fit window "
-            f"[{float(window[0]):.6g}, {float(window[1]):.6g}]; need >= {min_samples}")
+            f"[{float(window[0]):.6g}, {float(window[1]):.6g}]; need >= {MIN_FIT_SAMPLES}")
     gamma, _, r2 = _line_fit(times[sel], np.log(values[sel]))
     return GrowthRecord(times[sel], values[sel], gamma,
                         (float(window[0]), float(window[1])), r2)
@@ -264,11 +262,11 @@ def fit_gamma(times, values, window: tuple | None = None,
 def growth_fit(times, values, notes: list):
     """(gamma, R^2) of fit_gamma on a run's Hessian record, else (None, None).
 
-    A record of fewer than 10 samples is not fit.  A fit that fit_gamma
+    A record of fewer than MIN_FIT_SAMPLES samples is not fit.  A fit that fit_gamma
     rejects (a non-positive value, too few samples in its window) appends
     "growth fit skipped: <reason>" to notes.
     """
-    if len(values) < 10:
+    if len(values) < MIN_FIT_SAMPLES:
         return None, None
     try:
         g = fit_gamma(times, values)

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from msqglab import cli
+from msqglab.snapshots import write_snapshot
+from msqglab.spectral import SineField
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -150,6 +152,18 @@ class TestTraceOfShortRun:
         assert written == {"growth.csv", "manifest.json", "trace_summary.json", "trajectory.csv"}
 
 
+class TestZeroInitialField:
+    def test_simulate_writes_summary_and_manifest(self, tmp_path):
+        # the Hessian starts at 0, so there is no growth ratio to report
+        write_snapshot(tmp_path / "zero.msqg", SineField.zeros(16), 32, 0.5, 0.0)
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", "--N", "16", "--Ng", "32", "--T", "0.01",
+                       "--initial", str(tmp_path / "zero.msqg"), "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["hessian_growth"] is None
+        assert (out / "manifest.json").exists()
+
+
 class TestImageRadiusOne:
     @pytest.mark.parametrize("which, estimate", [("far", "far_field"),
                                                  ("decomposition", "decomposition")])
@@ -171,6 +185,15 @@ class TestUsageErrors:
     def test_bad_which(self, tmp_path, capsys):
         assert cli.main(["verify", "--which", "everything", "--out", str(tmp_path)]) == \
             cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--x1", "--x2"])
+    def test_one_start_coordinate(self, tmp_path, capsys, flag):
+        rc = cli.main(["trace", "--run-dir", str(tmp_path), flag, "0.1",
+                       "--out", str(tmp_path / "tr")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--x1" in err and "--x2" in err
+        assert not (tmp_path / "tr").exists()
 
     def test_run_dir_without_snapshots(self, tmp_path, capsys):
         rc = cli.main(["trace", "--run-dir", str(tmp_path), "--out", str(tmp_path / "tr")])

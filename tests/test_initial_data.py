@@ -26,10 +26,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="delta_max"):
             InitialDataSpec(delta=0.2, n_modes=64, n_grid=128, delta_max=1.0)
 
-    def test_patch_bounds(self):
-        with pytest.raises(ValueError, match="origin_patch_radius"):
-            InitialDataSpec(delta=0.2, n_modes=64, n_grid=128, origin_patch_radius=0.15)
-
     def test_underresolved_warning(self):
         with pytest.warns(UserWarning, match="under-resolved"):
             InitialDataSpec(delta=0.1, n_modes=32, n_grid=64)

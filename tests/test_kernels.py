@@ -11,7 +11,8 @@ from msqglab import kernels
 from msqglab.kernels import (
     KernelParams, QuadratureOracle, RegionSpec, asymptotic_K, kernel_K1, kernel_K2,
     relative_kernel_error, riesz_velocity_prefactor)
-from msqglab.spectral import SineField, evaluate_offgrid, evaluate_points, velocity_coefficients
+from msqglab.spectral import (SineField, evaluate_offgrid, evaluate_points, spectral_derivative,
+                              velocity_coefficients)
 
 RNG = np.random.default_rng(11)
 
@@ -619,6 +620,21 @@ class TestReuseAcrossCalls:
         assert sums[0] == 1                     # the central cell only
         np.testing.assert_array_equal(far, self._fresh(omega, x, RegionSpec("far")))
         np.testing.assert_array_equal(full, self._fresh(omega, x, RegionSpec("full")))
+
+    def test_linearization_holds_the_gradient_only(self, omega):
+        # omega(x) comes from the field's own coefficients: the oracle holds
+        # [d1 omega, d2 omega] and no copy of omega, and every value is the
+        # one a single call on [omega, d1 omega, d2 omega] gives
+        oracle = QuadratureOracle(omega, self.PARAMS)
+        x = (0.03, 0.04)
+        oracle.velocity(x, RegionSpec("near", 4.0))     # x inside the near square
+        n = omega.n_modes
+        assert sum(a.nbytes for a in oracle._grad if isinstance(a, np.ndarray)) == 2 * n * n * 8
+        d1, d2 = (spectral_derivative(omega, axis, 1) for axis in (1, 2))
+        stack = np.stack([omega.coeffs, d1.coeffs, d2.coeffs])
+        for y in (x, (1.1, 0.4)):
+            expected = evaluate_points(stack, (("sin", "sin"), d1.parity, d2.parity), y)
+            assert oracle._linearization(y) == tuple(expected.tolist())
 
     def test_slot_holds_floored_frame(self, omega):
         # at cells_panel = 16 the top frame [2.9, pi] of s = 0.725 has

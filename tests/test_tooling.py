@@ -1,10 +1,13 @@
 """Module hygiene by an ast walk: __all__ entries exist, top-level imports
 are used, the package imports nothing beyond the standard library, numpy,
-scipy.fft and scipy.special, it reaches no LAPACK routine through numpy, and
-only the point evaluator takes np.sin or np.cos of a series' angles."""
+scipy.fft and scipy.special, it reaches no LAPACK routine through numpy,
+only the point evaluator takes np.sin or np.cos of a series' angles, and the
+config objects and public entry points take the pinned options only."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -212,3 +215,43 @@ def test_principal_value_leaves_scipy_integrate_unloaded():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# the fields of each config object and the keyword parameters of each public
+# verifier and tracer; a value no caller sets is a module constant instead,
+# so adding an option takes a deliberate edit here
+OPTIONS = {
+    "evolution.ExperimentConfig": (
+        "alpha", "n_modes", "n_grid", "t_final", "dt_policy", "dt", "cfl_safety", "delta",
+        "L", "beta", "diag_every", "snapshot_every", "out_dir", "preserve_degeneracy"),
+    "initial_data.InitialDataSpec": ("delta", "n_modes", "n_grid", "blend_order", "delta_max"),
+    "kernels.KernelParams": ("alpha", "image_radius", "cells_central", "cells_panel",
+                             "cells_far"),
+    "verify.verify_kernel_asymptotics": ("n_directions",),
+    "verify.verify_near_field": ("params", "n_directions"),
+    "verify.verify_medium_ratio": ("params", "n_directions"),
+    "verify.verify_far_field": ("params",),
+    "verify.verify_background": ("L", "params"),
+    "verify.verify_decomposition": ("params",),
+    "trajectories.trace": (),
+    "trajectories.fit_gamma": ("window",),
+}
+
+
+def _options(qualname: str) -> tuple:
+    module, name = qualname.split(".")
+    obj = getattr(importlib.import_module(f"msqglab.{module}"), name)
+    if dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj))
+    return tuple(p.name for p in inspect.signature(obj).parameters.values()
+                 if p.default is not p.empty)
+
+
+def test_every_public_verifier_pinned():
+    verifiers = {f"verify.{n}" for n in _declared_all(_tree("verify")) if n.startswith("verify_")}
+    assert verifiers == {name for name in OPTIONS if name.startswith("verify.")}
+
+
+@pytest.mark.parametrize("qualname", sorted(OPTIONS))
+def test_option_inventory(qualname):
+    assert _options(qualname) == OPTIONS[qualname]
