@@ -3,10 +3,18 @@
 Configuration comes from defaults, overridden by an INI-style config file
 (flat key = value under a [run] section; keys are the names in DEFAULTS,
 matched case-insensitively, and any other key is a usage error), overridden
-by command-line flags.  Every run writes a manifest.json listing all
-emitted files with sha256 hashes (written last).  Exit codes: 0 ok, 1
-assertion/halt failure, 2 usage or validation error.  MSQGLAB_THREADS
-bounds FFT worker threads.
+by command-line flags.  One config file serves the whole pipeline, so every
+subcommand accepts every key, but it takes flags only for settings it reads:
+  make-data  out, alpha, delta, N, Ng, blend_order
+  simulate   all but which, image_radius and growth_threshold_factor
+  verify     out, alpha, delta, L, N, Ng, blend_order, image_radius, which
+  trace      out, dt, image_radius, growth_threshold_factor; alpha, Ng,
+             delta and beta only where the run's metadata.json lacks them
+make-data, simulate and verify build omega0 from one spec, _initial_spec,
+which simulate's metadata.json records.  Every run writes a manifest.json
+listing all emitted files with sha256 hashes (written last).  Exit codes:
+0 ok, 1 assertion/halt failure, 2 usage or validation error.
+MSQGLAB_THREADS bounds FFT worker threads.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import ExperimentConfig, run
-from .initial_data import (InitialDataSpec, build_omega0, check_degeneracy,
+from .initial_data import (DELTA_HARD_MAX, InitialDataSpec, build_omega0, check_degeneracy,
                            gradient_sup_norm, plateau_deficit_fraction, recorded_warnings)
 from .kernels import KernelParams
 from .snapshots import read_snapshot, write_snapshot
@@ -57,6 +65,8 @@ DEFAULTS = {
     "snapshot_every": 10,
     "growth_threshold_factor": 1e3,
 }
+
+WHICH = ("kernels", "near", "medium", "far", "background", "decomposition", "all")
 
 # configparser lowercases keys; map them back to their DEFAULTS names
 _CONFIG_KEYS = {key.lower(): key for key in DEFAULTS}
@@ -127,15 +137,18 @@ def _kernel_params(cfg: dict, alpha: float) -> KernelParams:
     return KernelParams(alpha=alpha, image_radius=int(cfg["image_radius"]))
 
 
+def _initial_spec(cfg: dict, delta: float | None = None) -> InitialDataSpec:
+    """The omega0 these settings mean, at delta if given; any delta to the hard cap is valid."""
+    return InitialDataSpec(delta=cfg["delta"] if delta is None else delta, n_modes=cfg["N"],
+                           n_grid=cfg["Ng"], blend_order=cfg["blend_order"],
+                           delta_max=DELTA_HARD_MAX)
+
+
 def cmd_make_data(args) -> int:
     cfg = _settings(args)
     t0 = time.time()
     with recorded_warnings() as warned:
-        spec = InitialDataSpec(delta=cfg["delta"], n_modes=cfg["N"], n_grid=cfg["Ng"],
-                               blend_order=cfg["blend_order"],
-                               delta_max=max(np.pi / 8,
-                                             min(cfg["delta"] * 1.0001, np.pi / 4 * 0.999)))
-        omega = build_omega0(spec)
+        omega = build_omega0(_initial_spec(cfg))
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     write_snapshot(out / "omega0.msqg", omega, cfg["Ng"], cfg["alpha"], 0.0)
@@ -176,10 +189,11 @@ def cmd_simulate(args) -> int:
         delta=cfg["delta"], L=cfg["L"], beta=cfg["beta"],
         diag_every=cfg["diag_every"], snapshot_every=cfg["snapshot_every"],
         out_dir=str(out))
-    omega0 = None
-    if getattr(args, "initial", None):
+    if args.initial:
         omega0, header = read_snapshot(args.initial)
         print(f"initial field from {args.initial} (t={header['time']})")
+    else:
+        omega0 = _initial_spec(cfg)
     result = run(config, omega0)
     hess0, hess1 = result.diagnostics[0].hessian_sup, result.diagnostics[-1].hessian_sup
     summary = {
@@ -197,19 +211,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if result.halt_reason == "horizon" else EXIT_FAIL
 
 
-def _verify_fields(cfg: dict):
-    spec = InitialDataSpec(delta=cfg["delta"], n_modes=cfg["N"], n_grid=cfg["Ng"],
-                           blend_order=cfg["blend_order"])
-    return build_omega0(spec)
-
-
 def cmd_verify(args) -> int:
     cfg = _settings(args)
     t0 = time.time()
     which = cfg["which"]
-    choices = ("kernels", "near", "medium", "far", "background", "decomposition", "all")
-    if which not in choices:
-        raise UsageError(f"--which must be one of {choices}, got {which!r}")
+    if which not in WHICH:
+        raise UsageError(f"--which must be one of {WHICH}, got {which!r}")
     alpha = cfg["alpha"]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -217,9 +224,8 @@ def cmd_verify(args) -> int:
     reports = []
 
     need = lambda name: which in (name, "all")
-    omega = None
     if any(need(n) for n in ("near", "medium", "far", "decomposition")):
-        omega = _verify_fields(cfg)
+        omega = build_omega0(_initial_spec(cfg))
 
     if need("kernels"):
         reports.append(verify_kernel_asymptotics(alpha))
@@ -231,11 +237,7 @@ def cmd_verify(args) -> int:
     if need("far"):
         reports.append(verify_far_field(omega, alpha, np.geomspace(0.001, 0.01, 5), params))
     if need("background"):
-        fields = {}
-        for delta in (0.1, 0.2, 0.4):
-            sp = InitialDataSpec(delta=delta, n_modes=cfg["N"], n_grid=cfg["Ng"],
-                                 blend_order=cfg["blend_order"], delta_max=0.6)
-            fields[delta] = build_omega0(sp)
+        fields = {d: build_omega0(_initial_spec(cfg, d)) for d in (0.1, 0.2, 0.4)}
         reports.append(verify_background(fields, alpha, cfg["L"], params))
     if need("decomposition"):
         pts = [(0.05, 0.08), (0.02, 0.01), (0.004, 0.009)]
@@ -268,10 +270,9 @@ def _load_run_dir(run_dir: Path):
             for row in csv.DictReader(fh):
                 times.append(float(row["time"]))
                 hess.append(float(row["hessian_sup"]))
-    meta = {}
-    if (run_dir / "metadata.json").exists():
-        meta = json.loads((run_dir / "metadata.json").read_text())
-    return snaps, np.array(times), np.array(hess), meta
+    meta_path = run_dir / "metadata.json"
+    ran = json.loads(meta_path.read_text())["config"] if meta_path.exists() else {}
+    return snaps, np.array(times), np.array(hess), ran
 
 
 def cmd_trace(args) -> int:
@@ -279,21 +280,18 @@ def cmd_trace(args) -> int:
         raise UsageError("--x1 and --x2 must be given together")
     cfg = _settings(args)
     t0 = time.time()
-    run_dir = Path(args.run_dir)
-    snaps, times, hess, meta = _load_run_dir(run_dir)
-    alpha = meta.get("config", {}).get("alpha", cfg["alpha"])
-    n_grid = meta.get("config", {}).get("n_grid", cfg["Ng"])
+    # the run's own settings; this command's are the fallback without metadata.json
+    snaps, times, hess, ran = _load_run_dir(Path(args.run_dir))
+    alpha, n_grid = ran.get("alpha", cfg["alpha"]), ran.get("n_grid", cfg["Ng"])
+    delta, beta = ran.get("delta", cfg["delta"]), ran.get("beta", cfg["beta"])
     t_end = snaps[-1][0]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
 
-    grid_floor = 4 * np.pi / n_grid
-    start = select_start(t_end, cfg["delta"], alpha, cfg["beta"], grid_floor)
     if args.x1 is not None:
-        start_pt = (args.x1, args.x2)
-        scaled = False
-        note = "explicit start point"
-    else:
+        start_pt, scaled, note = (args.x1, args.x2), False, "explicit start point"
+    else:       # the grid floor is 4 cells of the run's grid
+        start = select_start(t_end, delta, alpha, beta, 4 * np.pi / n_grid)
         start_pt, scaled, note = start.point, start.scaled_regime, start.note
 
     sampler = VelocitySampler(snaps, alpha)
@@ -307,7 +305,8 @@ def cmd_trace(args) -> int:
     notes = []
     gamma, r2 = growth_fit(times, hess, notes)
     if len(hess):
-        threshold = cfg["growth_threshold_factor"] * hess[0]
+        # a zero initial Hessian sets no threshold: nothing can grow from it
+        threshold = cfg["growth_threshold_factor"] * hess[0] if hess[0] else np.inf
         t_stop, reason = stopping_time(traj, times, hess, t_end, start_pt[0], threshold)
         if len(hess) >= MIN_FIT_SAMPLES:
             with open(out / "growth.csv", "w", newline="") as fh:
@@ -349,45 +348,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"msqglab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    number = dict(type=float)
+    flags = {"alpha": number, "delta": number, "L": number, "beta": number,
+             "N": dict(type=int, help="sine truncation order"),
+             "Ng": dict(type=int, help="diagnostic grid size (>= 2N): initial data, CFL "
+                                       "step, grid maxima and snapshots; the RK4 tendency "
+                                       "uses its own 3/2-rule grid derived from N"),
+             "dt": dict(type=float, help="fixed step; omit/0 for CFL policy"),
+             "T": dict(type=float, help="time horizon")}
+
+    def subcommand(name, func, help, reads):
+        # no abbreviations, so that a flag a subcommand does not read is an error
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--config", help="INI config file ([run] section, key = value)")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--L", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--N", type=int, help="sine truncation order")
-        p.add_argument("--Ng", type=int,
-                       help="diagnostic grid size (>= 2N): initial data, CFL step, "
-                            "grid maxima and snapshots; the RK4 tendency uses its "
-                            "own 3/2-rule grid derived from N")
-        p.add_argument("--dt", type=float, help="fixed step; omit/0 for CFL policy")
-        p.add_argument("--T", type=float, help="time horizon")
+        for key in reads:
+            p.add_argument(f"--{key}", **flags[key])
         p.add_argument("--out", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("make-data", help="build and check the initial vorticity")
-    common(p)
-    p.set_defaults(func=cmd_make_data)
-
-    p = sub.add_parser("simulate", help="integrate the transport equation")
-    common(p)
+    subcommand("make-data", cmd_make_data, "build and check the initial vorticity",
+               ("alpha", "delta", "N", "Ng"))
+    p = subcommand("simulate", cmd_simulate, "integrate the transport equation", flags)
     p.add_argument("--initial", help="snapshot file to start from")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="run estimate verifier sweeps")
-    common(p)
-    p.add_argument("--which",
-                   choices=["kernels", "near", "medium", "far", "background",
-                            "decomposition", "all"])
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("trace", help="trace characteristics through stored snapshots")
-    common(p)
+    p = subcommand("verify", cmd_verify, "run estimate verifier sweeps",
+                   ("alpha", "delta", "L", "N", "Ng"))
+    p.add_argument("--which", choices=WHICH)
+    p = subcommand("trace", cmd_trace, "trace characteristics through stored snapshots",
+                   ("alpha", "delta", "beta", "Ng", "dt"))
     p.add_argument("--run-dir", required=True, help="simulate output directory")
     p.add_argument("--x1", type=float, help="explicit start x1")
     p.add_argument("--x2", type=float, help="explicit start x2")
     p.add_argument("--monitor-L", type=float, default=0.0,
                    help="medium-ratio monitor scale (0 disables)")
-    p.set_defaults(func=cmd_trace)
     return parser
 
 

@@ -75,6 +75,7 @@ class ExperimentConfig:
     dt_policy: str = "cfl"          # "cfl" or "fixed"
     dt: float = 1e-3                # step for the fixed policy
     cfl_safety: float = 0.4
+    # not read by run(): metadata.json records them, and trace reads delta and beta back
     delta: float = 0.25
     L: float = 8.0
     beta: float = 5.0
@@ -129,11 +130,12 @@ class DiagnosticsRecord:
 class RunResult:
     """What run() returns.
 
-    snapshots has one (time, path) pair per snapshot, path None when the
-    run has no out_dir.  The snapshot fields are not kept: a long run would
-    hold every one of them, so they are read back from their files
-    (snapshots.read_snapshot).  With an out_dir, run() also writes
-    diagnostics.csv and metadata.json there.
+    state is where run()'s omega0, passed in or built from a spec, got to;
+    notes begin with that build's warnings.  snapshots has one (time, path)
+    pair per snapshot, path None when the run has no out_dir.  The snapshot
+    fields are not kept: a long run would hold every one of them, so they
+    are read back from their files (snapshots.read_snapshot).  With an
+    out_dir, run() also writes diagnostics.csv and metadata.json there.
     """
 
     state: SimState
@@ -302,18 +304,19 @@ def step_rk4(state: SimState, dt: float) -> SimState:
                     state.workspace)
 
 
-def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
-    """Integrate to t_final or a halt condition; emit diagnostics/snapshots.
+def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunResult:
+    """Integrate omega0 to t_final or a halt condition; emit diagnostics/snapshots.
 
-    Partial output remains valid on halt.  Exit state is reported via
-    halt_reason; growth-rate fitting uses the recorded hessian series.
+    omega0 is the initial field or the InitialDataSpec to build it from; the
+    build's warnings go into the notes, and metadata.json records the spec as
+    "initial_data" (null for a field).  Partial output remains valid on halt.
+    Exit state is reported via halt_reason; growth-rate fitting uses the
+    recorded hessian series.
     """
-    notes = []
-    if omega0 is None:
-        with recorded_warnings() as messages:
-            omega0 = build_omega0(InitialDataSpec(
-                delta=config.delta, n_modes=config.n_modes, n_grid=config.n_grid))
-        notes.extend(f"warning: {message}" for message in messages)
+    spec = omega0 if isinstance(omega0, InitialDataSpec) else None
+    with recorded_warnings() as messages:
+        omega0 = build_omega0(spec) if spec else omega0
+    notes = [f"warning: {message}" for message in messages]
     if omega0.n_modes != config.n_modes:
         raise ValueError("omega0 truncation order disagrees with config")
     out = Path(config.out_dir) if config.out_dir else None
@@ -407,12 +410,12 @@ def run(config: ExperimentConfig, omega0: SineField | None = None) -> RunResult:
     state = replace(state, workspace=None)
     result = RunResult(state, diagnostics, snapshots, halt, gamma, gamma_r2, notes)
     if out:
-        _write_outputs(out, config, result, _time.time() - t_wall)
+        _write_outputs(out, config, spec, result, _time.time() - t_wall)
     return result
 
 
-def _write_outputs(out: Path, config: ExperimentConfig, result: RunResult,
-                   wall: float) -> None:
+def _write_outputs(out: Path, config: ExperimentConfig, spec: InitialDataSpec | None,
+                   result: RunResult, wall: float) -> None:
     with open(out / "diagnostics.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DiagnosticsRecord.CSV_FIELDS)
@@ -420,6 +423,7 @@ def _write_outputs(out: Path, config: ExperimentConfig, result: RunResult,
             w.writerow([f"{getattr(rec, f):.17g}" for f in DiagnosticsRecord.CSV_FIELDS])
     meta = {
         "config": asdict(config),
+        "initial_data": asdict(spec) if spec else None,
         "provenance": f"msqglab-{__version__}",
         "wall_seconds": wall,
         "halt_reason": result.halt_reason,

@@ -45,8 +45,9 @@ class InitialDataSpec:
     """Parameters of the plateau construction.
 
     delta is the boundary strip width; delta_max (default pi/8, hard cap
-    pi/4) guards the plateau margin.  The monomial formula is exact on the
-    origin patch [0, delta/2]^2.
+    DELTA_HARD_MAX = pi/4) only bounds the accepted delta and never changes
+    the built field.  The monomial formula is exact on the origin patch
+    [0, delta/2]^2.
     """
 
     delta: float
@@ -65,10 +66,6 @@ class InitialDataSpec:
             raise ValueError("blend_order must be >= 1")
         if self.n_grid < 2 * self.n_modes:
             raise ValueError(f"n_grid={self.n_grid} < 2*N={2 * self.n_modes}")
-        if self.n_grid * self.delta / np.pi < 8:
-            warnings.warn(
-                f"delta={self.delta:.4g} spans fewer than 8 grid cells at "
-                f"n_grid={self.n_grid}; construction is under-resolved")
 
 
 @contextmanager
@@ -129,7 +126,10 @@ def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -
 
 
 def build_omega0(spec: InitialDataSpec) -> SineField:
-    """Construct the initial vorticity as a SineField."""
+    """Construct the initial vorticity as a SineField; warns if it is under-resolved."""
+    if spec.n_grid * spec.delta / np.pi < 8:
+        warnings.warn(f"delta={spec.delta:.4g} spans fewer than 8 grid cells at "
+                      f"n_grid={spec.n_grid}; construction is under-resolved")
     x = grid_coordinates(spec.n_grid)
     u = _axis_profile(x, spec.delta, spec.blend_order, 3)
     v = _axis_profile(x, spec.delta, spec.blend_order, 1)

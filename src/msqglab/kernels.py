@@ -135,6 +135,13 @@ class KernelParams:
                 raise ValueError(f"{name} must be >= 8")
 
 
+def _params_for(alpha: float, params: KernelParams | None) -> KernelParams:
+    """params, or the default KernelParams at alpha; ValueError if params has another alpha."""
+    if params is not None and params.alpha != alpha:
+        raise ValueError(f"params.alpha={params.alpha} disagrees with alpha={alpha}")
+    return params or KernelParams(alpha=alpha)
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Integration region; L (>= 2) sets the near/medium split at L|x|."""

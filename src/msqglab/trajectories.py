@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import KernelParams, QuadratureOracle, RegionSpec
+from .kernels import KernelParams, QuadratureOracle, RegionSpec, _params_for
 from .spectral import _VELOCITY_PARITIES, evaluate_points, velocity_coefficients
 
 __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
@@ -210,7 +210,7 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
     is alive at a time: it is replaced when the nearest snapshot changes,
     which along a forward path happens once per snapshot.
     """
-    params = params or KernelParams(alpha=alpha)
+    params = _params_for(alpha, params)
     times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
     oracle = current = None
     skipped = 0

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .initial_data import recorded_warnings
-from .kernels import (KernelParams, QuadratureOracle, RegionSpec,
+from .kernels import (KernelParams, QuadratureOracle, RegionSpec, _params_for,
                       relative_kernel_error)
 from .spectral import SineField, grid_max_abs, hessian_sup_norm
 from .trajectories import _line_fit
@@ -150,7 +150,7 @@ def verify_near_field(omega: SineField, alpha: float, magnitudes, L: float,
     Fits the |x| exponent of |u_j^near|/x_j pooled over directions and both
     components; the empirical constant is the worst measured/bound ratio.
     """
-    params = params or KernelParams(alpha=alpha)
+    params = _params_for(alpha, params)
     hess = hessian_sup_norm(omega, 2 * omega.n_modes)
     oracle = QuadratureOracle(omega, params)
     dirs = default_directions(n_directions)
@@ -206,7 +206,7 @@ def verify_medium_ratio(omega: SineField, alpha: float, L_values,
     L|x| in MEDIUM_CUTOFF_FRACTIONS; the envelope is fitted against L.  The
     empirical B is max |r - 1| * L.
     """
-    params = params or KernelParams(alpha=alpha)
+    params = _params_for(alpha, params)
     oracle = QuadratureOracle(omega, params)
     dirs = default_directions(n_directions, margin=0.2)
     rows = []
@@ -254,7 +254,7 @@ def verify_far_field(omega: SineField, alpha: float, magnitudes,
     coordinate fixed at FAR_OTHER_COORD) and that doubling the image radius
     moves the result by at most FAR_TAIL_CONSTANT * R^(-2a) * ||omega||_inf * x_j.
     """
-    params = params or KernelParams(alpha=alpha)
+    params = _params_for(alpha, params)
     omega_sup = grid_max_abs(omega, 2 * omega.n_modes)
     oracle = QuadratureOracle(omega, params)
     big = replace(params, image_radius=2 * params.image_radius)
@@ -306,17 +306,13 @@ def verify_background(fields_by_delta, alpha: float, L: float = 8.0,
     Samples x = delta/(2L) * (1, 1) per delta (plus sign checks at smaller
     magnitudes); rejects samples violating L|x| <= delta.
     """
-    params_alpha = params.alpha if params else alpha
-    if params and abs(params_alpha - alpha) > 1e-12:
-        raise ValueError("params.alpha disagrees with alpha")
+    params = _params_for(alpha, params)
     rows = []
     notes = []
     deltas, scaled = [], []
     sign_ok = True
     for delta in sorted(fields_by_delta):
-        omega = fields_by_delta[delta]
-        p = params or KernelParams(alpha=alpha)
-        oracle = QuadratureOracle(omega, p)
+        oracle = QuadratureOracle(fields_by_delta[delta], params)
         measured_here = []
         for frac in (1.0, 0.5):
             x = (frac * delta / (2 * L), frac * delta / (2 * L))
@@ -352,7 +348,7 @@ def verify_background(fields_by_delta, alpha: float, L: float = 8.0,
 def verify_decomposition(omega: SineField, alpha: float, x_samples, L: float,
                          params: KernelParams | None = None) -> BoundReport:
     """near + medium + far must reproduce the full-region quadrature."""
-    params = params or KernelParams(alpha=alpha)
+    params = _params_for(alpha, params)
     oracle = QuadratureOracle(omega, params)
     rows = []
     worst = 0.0

@@ -1,8 +1,10 @@
 """Command line: config files, exit codes, manifests and a pinned small pipeline."""
 
+import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +13,9 @@ from pathlib import Path
 import pytest
 
 from msqglab import cli
-from msqglab.snapshots import write_snapshot
+from msqglab.snapshots import read_snapshot, write_snapshot
 from msqglab.spectral import SineField
+from msqglab.trajectories import select_start
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -142,8 +145,7 @@ class TestTraceOfShortRun:
                        "--out", "run")
         assert sim.returncode == 0, sim.stderr
         assert len((tmp_path / "run" / "diagnostics.csv").read_text().splitlines()) == 11
-        tr = _run_cli(tmp_path, "trace", "--N", "32", "--Ng", "64", "--run-dir", "run",
-                      "--out", "tr")
+        tr = _run_cli(tmp_path, "trace", "--Ng", "64", "--run-dir", "run", "--out", "tr")
         assert tr.returncode == 0, tr.stderr
         summary = json.loads((tmp_path / "tr" / "trace_summary.json").read_text())
         assert summary["gamma"] is None and summary["gamma_r2"] is None
@@ -153,15 +155,68 @@ class TestTraceOfShortRun:
 
 
 class TestZeroInitialField:
-    def test_simulate_writes_summary_and_manifest(self, tmp_path):
-        # the Hessian starts at 0, so there is no growth ratio to report
+    @pytest.fixture
+    def zero_run(self, tmp_path):
         write_snapshot(tmp_path / "zero.msqg", SineField.zeros(16), 32, 0.5, 0.0)
         out = tmp_path / "run"
         rc = cli.main(["simulate", "--N", "16", "--Ng", "32", "--T", "0.01",
                        "--initial", str(tmp_path / "zero.msqg"), "--out", str(out)])
+        return rc, out
+
+    def test_simulate_writes_summary_and_manifest(self, zero_run):
+        # the Hessian starts at 0, so there is no growth ratio to report
+        rc, out = zero_run
         assert rc == cli.EXIT_OK
         assert json.loads((out / "summary.json").read_text())["hessian_growth"] is None
         assert (out / "manifest.json").exists()
+        # a field passed in is not built from a spec
+        assert json.loads((out / "metadata.json").read_text())["initial_data"] is None
+
+    def test_trace_sets_no_hessian_threshold(self, zero_run):
+        # nothing grows from a zero Hessian: the path runs to the horizon
+        _, out = zero_run
+        tr = out.parent / "tr"
+        assert cli.main(["trace", "--run-dir", str(out), "--out", str(tr)]) == cli.EXIT_OK
+        summary = json.loads((tr / "trace_summary.json").read_text())
+        assert (summary["T0"], summary["reason"]) == (pytest.approx(0.01), "horizon")
+
+
+class TestOneInitialSpec:
+    """make-data, simulate, verify and trace agree on what the settings mean."""
+
+    @pytest.mark.parametrize("config", ["blend_order = 7", "delta = 0.5"])
+    def test_simulate_starts_from_the_make_data_field(self, tmp_path, config):
+        (tmp_path / "c.ini").write_text(f"[run]\nN = 32\nNg = 128\n{config}\n")
+        base = ["--config", str(tmp_path / "c.ini")]
+        assert cli.main(["make-data", *base, "--out", str(tmp_path / "md")]) in (
+            cli.EXIT_OK, cli.EXIT_FAIL)
+        assert cli.main(["simulate", *base, "--T", "0.01", "--out", str(tmp_path / "run")]) == \
+            cli.EXIT_OK
+        made = (tmp_path / "md" / "omega0.msqg").read_bytes()
+        assert (tmp_path / "run" / "snap_0000000.msqg").read_bytes() == made
+        spec = json.loads((tmp_path / "run" / "metadata.json").read_text())["initial_data"]
+        key, value = config.split(" = ")
+        assert spec[key] == type(spec[key])(value)
+        assert (spec["n_modes"], spec["n_grid"]) == (32, 128)
+
+    def test_verify_accepts_what_make_data_accepts(self, tmp_path, capsys):
+        # delta = 0.5 lies above the spec's default delta_max pi/8
+        (tmp_path / "c.ini").write_text("[run]\nN = 32\nNg = 64\nimage_radius = 2\n")
+        rc = cli.main(["verify", "--config", str(tmp_path / "c.ini"), "--which", "near",
+                       "--delta", "0.5", "--out", str(tmp_path / "ver")])
+        assert rc in (cli.EXIT_OK, cli.EXIT_FAIL), capsys.readouterr().err
+        assert json.loads((tmp_path / "ver" / "report_near_field.json").read_text())["samples"]
+
+    def test_trace_starts_from_the_run_settings(self, tmp_path):
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--N", "32", "--Ng", "96", "--T", "0.2", "--delta", "0.3",
+                         "--beta", "3", "--out", str(run)]) == cli.EXIT_OK
+        assert cli.main(["trace", "--run-dir", str(run), "--out", str(tmp_path / "tr")]) == \
+            cli.EXIT_OK
+        summary = json.loads((tmp_path / "tr" / "trace_summary.json").read_text())
+        t_end = read_snapshot(sorted(run.glob("snap_*.msqg"))[-1])[1]["time"]
+        start = select_start(t_end, 0.3, 0.5, 3.0, 4 * math.pi / 96)
+        assert summary["start"] == list(start.point)
 
 
 class TestImageRadiusOne:
@@ -195,10 +250,39 @@ class TestUsageErrors:
         assert "--x1" in err and "--x2" in err
         assert not (tmp_path / "tr").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("make-data", "--L"), ("make-data", "--beta"), ("make-data", "--dt"),
+        ("make-data", "--T"), ("verify", "--beta"), ("verify", "--dt"), ("verify", "--T"),
+        ("trace", "--N"), ("trace", "--L"), ("trace", "--T")])
+    def test_flag_the_command_does_not_read(self, tmp_path, capsys, command, flag):
+        # not even as an abbreviation: trace's --N is no --Ng
+        run_dir = ["--run-dir", str(tmp_path)] if command == "trace" else []
+        rc = cli.main([command, flag, "16", *run_dir, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 16" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_dir_without_snapshots(self, tmp_path, capsys):
         rc = cli.main(["trace", "--run-dir", str(tmp_path), "--out", str(tmp_path / "tr")])
         assert rc == cli.EXIT_USAGE
         assert "no snapshots" in capsys.readouterr().err
+
+
+# the flags of each subcommand: --config, --out and the settings it reads
+FLAGS = {
+    "make-data": "--config --out --alpha --delta --N --Ng",
+    "simulate": "--config --out --alpha --delta --L --beta --N --Ng --dt --T --initial",
+    "verify": "--config --out --alpha --delta --L --N --Ng --which",
+    "trace": "--config --out --alpha --delta --beta --Ng --dt --run-dir --x1 --x2 --monitor-L",
+}
+
+
+def test_flags_per_subcommand():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings}
+             for name, sub in subparsers.choices.items()}
+    assert flags == {name: set(f"-h --help {names}".split()) for name, names in FLAGS.items()}
 
 
 class TestConfigFile:

@@ -436,7 +436,7 @@ class TestRun:
 
         cfg = make_config(n_modes=32, n_grid=64, t_final=0.01, out_dir=str(tmp_path))
         with pytest.warns(UserWarning, match="under-resolved") as caught:
-            res = run(cfg)
+            res = run(cfg, InitialDataSpec(delta=0.25, n_modes=32, n_grid=64))
         message = "delta=0.25 spans fewer than 8 grid cells at n_grid=64; " \
                   "construction is under-resolved"
         assert [str(w.message) for w in caught] == [message]

@@ -28,7 +28,7 @@ class TestSpecValidation:
 
     def test_underresolved_warning(self):
         with pytest.warns(UserWarning, match="under-resolved"):
-            InitialDataSpec(delta=0.1, n_modes=32, n_grid=64)
+            build_omega0(InitialDataSpec(delta=0.1, n_modes=32, n_grid=64))
 
     def test_resolution_precondition(self):
         with pytest.raises(ValueError, match="n_grid"):

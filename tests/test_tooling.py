@@ -255,3 +255,25 @@ def test_every_public_verifier_pinned():
 @pytest.mark.parametrize("qualname", sorted(OPTIONS))
 def test_option_inventory(qualname):
     assert _options(qualname) == OPTIONS[qualname]
+
+
+def _calls_of(tree: ast.Module, name: str):
+    """(def, line) of every call of `name`, as a plain name or an attribute."""
+    for node, owner in _nodes_with_owner(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                yield owner, node.lineno
+
+
+def test_initial_data_spec_built_in_one_place():
+    # every subcommand asks cli._initial_spec which omega0 its settings mean
+    sites = [(name, owner) for name in MODULES
+             for owner, _ in _calls_of(_tree(name), "InitialDataSpec")]
+    assert sites == [("cli", "_initial_spec")]
+
+
+def test_call_check_sees_names_and_attributes():
+    tree = ast.parse("import m\nfrom m import f\nf(1)\ndef g():\n    return m.f(2)\n"
+                     "h = f\n")
+    assert list(_calls_of(tree, "f")) == [(None, 3), ("g", 5)]

@@ -276,6 +276,10 @@ class TestMediumRatioMonitor:
         # CLI-default central cell; the peak is about 0.18 MB
         assert peak(6) < 256 * 1024
 
+    def test_params_at_another_alpha_rejected(self):
+        with pytest.raises(ValueError, match="disagrees with alpha"):
+            medium_ratio_monitor(self._arc(), self._snapshots(2), 0.25, self.L, self.PARAMS)
+
 
 class TestStoppingTime:
     HESS_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

@@ -45,6 +45,23 @@ def test_default_directions_in_quadrant():
     np.testing.assert_allclose(np.hypot(d[:, 0], d[:, 1]), 1.0)
 
 
+# each verifier that takes params, called with the arguments before it
+TAKE_PARAMS = {
+    verify_near_field: lambda om: (om, 0.5, [0.01], 8.0),
+    verify_medium_ratio: lambda om: (om, 0.5, [8.0]),
+    verify_far_field: lambda om: (om, 0.5, [0.005]),
+    verify_background: lambda om: ({0.3: om}, 0.5, 8.0),
+    verify_decomposition: lambda om: (om, 0.5, [(0.05, 0.08)], 8.0),
+}
+
+
+@pytest.mark.parametrize("verifier", TAKE_PARAMS, ids=lambda v: v.__name__)
+def test_params_at_another_alpha_rejected(single_mode, verifier):
+    # the oracle and the bound must use the same alpha
+    with pytest.raises(ValueError, match="params.alpha=0.25 disagrees with alpha=0.5"):
+        verifier(*TAKE_PARAMS[verifier](single_mode), params=KernelParams(alpha=0.25))
+
+
 class TestKernelAsymptoticsReport:
     def test_scaled_maxima_decay(self):
         rep = verify_kernel_asymptotics(0.5)
