@@ -144,6 +144,14 @@ def _initial_spec(cfg: dict, delta: float | None = None) -> InitialDataSpec:
                            delta_max=DELTA_HARD_MAX)
 
 
+def _fixed_dt(cfg: dict) -> float:
+    """The configured fixed step, 0 for the subcommand's default step."""
+    dt = cfg["dt"]
+    if not dt >= 0:
+        raise UsageError(f"dt must be >= 0 (0 selects the default step), got {dt}")
+    return dt
+
+
 def cmd_make_data(args) -> int:
     cfg = _settings(args)
     t0 = time.time()
@@ -182,10 +190,10 @@ def cmd_simulate(args) -> int:
     cfg = _settings(args)
     t0 = time.time()
     out = Path(cfg["out"])
-    dt_policy = "fixed" if cfg["dt"] > 0 else "cfl"
+    dt = _fixed_dt(cfg)
     config = ExperimentConfig(
         alpha=cfg["alpha"], n_modes=cfg["N"], n_grid=cfg["Ng"], t_final=cfg["T"],
-        dt_policy=dt_policy, dt=cfg["dt"] or 1e-3, cfl_safety=cfg["safety"],
+        dt_policy="fixed" if dt else "cfl", dt=dt or 1e-3, cfl_safety=cfg["safety"],
         delta=cfg["delta"], L=cfg["L"], beta=cfg["beta"],
         diag_every=cfg["diag_every"], snapshot_every=cfg["snapshot_every"],
         out_dir=str(out))
@@ -280,6 +288,7 @@ def cmd_trace(args) -> int:
         raise UsageError("--x1 and --x2 must be given together")
     cfg = _settings(args)
     t0 = time.time()
+    dt = _fixed_dt(cfg)
     # the run's own settings; this command's are the fallback without metadata.json
     snaps, times, hess, ran = _load_run_dir(Path(args.run_dir))
     alpha, n_grid = ran.get("alpha", cfg["alpha"]), ran.get("n_grid", cfg["Ng"])
@@ -295,8 +304,7 @@ def cmd_trace(args) -> int:
         start_pt, scaled, note = start.point, start.scaled_regime, start.note
 
     sampler = VelocitySampler(snaps, alpha)
-    dt = cfg["dt"] if cfg["dt"] > 0 else max(t_end / 2000.0, 1e-4)
-    traj = trace(start_pt, sampler, t_end, dt)
+    traj = trace(start_pt, sampler, t_end, dt or max(t_end / 2000.0, 1e-4))
     if args.monitor_L > 0:
         traj = medium_ratio_monitor(traj, snaps, alpha, args.monitor_L,
                                     _kernel_params(cfg, alpha))
@@ -354,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
              "Ng": dict(type=int, help="diagnostic grid size (>= 2N): initial data, CFL "
                                        "step, grid maxima and snapshots; the RK4 tendency "
                                        "uses its own 3/2-rule grid derived from N"),
-             "dt": dict(type=float, help="fixed step; omit/0 for CFL policy"),
+             "dt": dict(type=float, help="fixed step (>= 0); omit/0 for the default, "
+                                         "in simulate the CFL policy"),
              "T": dict(type=float, help="time horizon")}
 
     def subcommand(name, func, help, reads):

@@ -11,15 +11,21 @@ finer grid.  The configured n_grid (>= 2N) is the diagnostic grid: the CFL
 step, the grid maxima in diagnostics.csv and the snapshot headers use it.
 The odd-odd symmetry class is exact by representation.
 
-A step runs in an _Rk4Workspace: the tendency evaluator, whose two buffers
-hold every grid of a stage and in which the transforms run in place, its
-Laplacian symbol, the four stage tendencies and the stage input.  run()
-builds one workspace and holds it for the whole run, so a step allocates
-no grid-sized array except the new coefficients.  Between steps the stage
-arrays are free, and run() forms in them the CFL velocity coefficients and
-the Hessian entries of each diagnostic record.  The CFL speed and the grid
-maxima of every record (omega-max and the three Hessian entries) go
-through one spectral.GridMax that run() also holds for the whole run.
+A step runs in an _Rk4Workspace, which holds the Laplacian symbol, the
+current stage tendency, the stage input and one flat scratch: the tendency
+evaluator's three M x M grids live there during a step, and run()'s GridMax
+buffers between steps.  The step sums its four stage tendencies into one
+fresh array, which becomes the new coefficients, so a step allocates no
+other grid-sized array.  run() builds one workspace and holds it for the
+whole run; between steps it forms the CFL velocity coefficients in the two
+stage arrays and the Hessian entries of each diagnostic record in the
+first, and takes the CFL speed and every grid maximum of a record
+(omega-max and the three Hessian entries) from the workspace's GridMax.
+The workspace holds
+
+    8 * (max(3 M^2, (Ng+1)(N+Ng)) + 3 N^2) bytes,
+
+5.4 MB at N=256, Ng=512 (M=400) and 87 MB at N=1024, Ng=2048 (M=1600).
 
 No dissipation is applied (the equation is conservative).  Loss of
 resolution is a reportable outcome ("resolution_exhausted"), not an error.
@@ -159,14 +165,20 @@ class _Rhs:
     transforms double every mode on each axis; those four factors 2 and the
     1/M per axis of the projection meet in one final division by -16 M^2.
 
-    Every grid of a call lives in two buffers allocated once in __init__,
-    one per parity pair, and each transform runs in place in them: the
-    velocity and gradient coefficients are written straight into the mode
-    slots of the first axis, whose output lands in the mode slots of the
-    second, and the finiteness tests write into one held mask.  So a call
-    allocates no grid-sized array, and with out= not the tendency either.
-    The buffers take about 5 MB at N=256; an _Rk4Workspace holds one
-    evaluator for as long as it lives, which in run() is the whole run.
+    Every grid of a call lives in three M x M grids, views of scratch, a
+    flat float64 array of at least scratch_size(M) = 3 M^2 entries (3.84 MB
+    at N=256, 61 MB at N=1024), allocated when None.  Each transform runs
+    in place there.  [u1, d2 omega] are evaluated as one stack in the first
+    two grids and u2 alone in the third, which then takes u2 * d2 omega;
+    d1 omega goes into the second grid, freed by that product, and the
+    third adds d1 omega * u1 and is projected.  The coefficients are
+    written straight into the mode slots of the first axis, whose output
+    lands in the mode slots of the second, and the finiteness tests write
+    into a bool mask laid over the second grid.  So a call allocates no
+    grid-sized array, and with out= not the tendency either.  A call writes
+    every entry of the grids it reads, so nothing passes from one call to
+    the next, and the scratch may serve other work between calls; an
+    _Rk4Workspace lends it to run()'s GridMax.
 
     With preserve_degeneracy, each tendency is projected onto the subspace
     where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
@@ -177,7 +189,7 @@ class _Rhs:
     """
 
     def __init__(self, alpha: float, n_modes: int, n_grid: int,
-                 preserve_degeneracy: bool = False):
+                 preserve_degeneracy: bool = False, scratch: np.ndarray | None = None):
         self.n_modes = n_modes
         self.n_grid = n_grid
         self.preserve_degeneracy = preserve_degeneracy
@@ -186,57 +198,73 @@ class _Rhs:
         self._rows, self._cols = modes[:, None], modes[None, :]
         self.symbol = _laplacian_power(n, alpha)        # psi = omega / symbol
         self._workers = get_workers()
-        self._sc = np.empty((2, m, m))            # [u1, d2 omega] in (sin, cos)
-        self._cs = np.empty((2, m, m))            # [u2, d1 omega] in (cos, sin), then u . grad omega
-        self._finite = np.empty((m, m), dtype=bool)
+        if scratch is None:
+            scratch = np.empty(self.scratch_size(m))
+        self._grids = grids = scratch[:self.scratch_size(m)].reshape(3, m, m)
+        # a bool mask over the first M^2 bytes of the second grid, which is
+        # free whenever a finiteness test runs
+        self._finite = grids[1].reshape(-1).view(np.bool_)[:m * m].reshape(m, m)
         # second-axis mode slots, where the first-axis transforms run, and
-        # their first-axis mode slots, where the coefficients go
-        self._sc_cols = _midpoint_slot(self._sc, "cos", n, -1)
+        # their first-axis mode slots, where the coefficients go:
+        # [u1, d2 omega] in (sin, cos) in the first two grids, and
+        # [d1 omega, u2] in (cos, sin) in the last two
+        self._sc_cols = _midpoint_slot(grids[:2], "cos", n, -1)
         self._sc_modes = _midpoint_slot(self._sc_cols, "sin", n, -2)
-        self._cs_cols = _midpoint_slot(self._cs, "sin", n, -1)
+        self._cs_cols = _midpoint_slot(grids[1:], "sin", n, -1)
         self._cs_modes = _midpoint_slot(self._cs_cols, "cos", n, -2)
+
+    @staticmethod
+    def scratch_size(n_grid: int) -> int:
+        return 3 * n_grid * n_grid
 
     def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, m, w = self.n_modes, self.n_grid, self._workers
         _check_finite(coeffs, "coefficient array", self._finite[:n, :n])
-        sc, cs = self._sc, self._cs
+        u1_grid, grad, adv = grids = self._grids
         # velocity and gradient as velocity_coefficients / spectral_derivative form them
-        (u1, d2), (u2, d1) = self._sc_modes, self._cs_modes
+        (u1, d2), (d1, u2) = self._sc_modes, self._cs_modes
         _velocity_into(coeffs, self.symbol, u1, u2)
         np.multiply(coeffs, self._cols, out=d2)
         _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
-        _eval_midpoint_axis(sc, "cos", n, -1, w)
+        _eval_midpoint_axis(grids[:2], "cos", n, -1, w)
+        _eval_midpoint_axis(self._cs_cols[1], "cos", n, -2, w)
+        _eval_midpoint_axis(adv, "sin", n, -1, w)
+        adv *= grad                                   # u2 * d2 omega
         np.multiply(coeffs, self._rows, out=d1)
-        _eval_midpoint_axis(self._cs_cols, "cos", n, -2, w)
-        _eval_midpoint_axis(cs, "sin", n, -1, w)
-        adv = cs[1]
-        adv *= sc[0]
-        cs[0] *= sc[1]
-        adv += cs[0]
+        _eval_midpoint_axis(self._cs_cols[0], "cos", n, -2, w)
+        _eval_midpoint_axis(grad, "sin", n, -1, w)
+        grad *= u1_grid                               # d1 omega * u1
+        adv += grad
         _check_finite(adv, "advection product", self._finite)
         sfft.dst(adv, type=2, axis=-1, overwrite_x=True, workers=w)
         kept = adv[:, :n]
         sfft.dst(kept, type=2, axis=0, overwrite_x=True, workers=w)
         tend = np.divide(kept[:n], -16.0 * m * m, out=out)
         if self.preserve_degeneracy:
-            _project_degeneracy(tend, scratch=sc[0, :n, :n])
+            _project_degeneracy(tend, scratch=u1_grid[:n, :n])
         return tend
 
 
 class _Rk4Workspace:
-    """Every array an RK4 step writes except the new coefficients.
+    """Every array an RK4 step writes except the new coefficients, and run()'s GridMax.
 
-    The tendency evaluator (its transform buffers and Laplacian symbol), the
-    four stage tendencies and the stage input, for one (alpha, N,
-    preserve_degeneracy).  Nothing is carried from one step to the next, so
-    a step gives the same bits in a held workspace as in a fresh one, also
-    after a step in it raised.
+    For one (alpha, N, preserve_degeneracy), and the n_grid of run()'s
+    grid maxima: the tendency evaluator (its Laplacian symbol and its three
+    M x M grids, M = dealias_grid(N)), the current stage tendency and the
+    stage input.  The tendency's grids and the GridMax buffers are views of
+    one flat scratch sized for the larger of the two, since a step and a
+    grid maximum never run at once.  Nothing is carried from one step to the
+    next, so a step gives the same bits in a held workspace as in a fresh
+    one, also after a step in it raised or a GridMax call.
     """
 
-    def __init__(self, alpha: float, n_modes: int, preserve_degeneracy: bool):
+    def __init__(self, alpha: float, n_modes: int, n_grid: int, preserve_degeneracy: bool):
         self.key = (alpha, n_modes, preserve_degeneracy)
-        self.rhs = _Rhs(alpha, n_modes, dealias_grid(n_modes), preserve_degeneracy)
-        self.stages = np.empty((4, n_modes, n_modes))
+        m = dealias_grid(n_modes)
+        scratch = np.empty(max(_Rhs.scratch_size(m), GridMax.scratch_size(n_modes, n_grid)))
+        self.rhs = _Rhs(alpha, n_modes, m, preserve_degeneracy, scratch)
+        self.grid_max = GridMax(n_modes, n_grid, scratch)
+        self.stage = np.empty((n_modes, n_modes))
         self.stage_input = np.empty((n_modes, n_modes))
 
 
@@ -280,27 +308,28 @@ def step_rk4(state: SimState, dt: float) -> SimState:
     n = state.omega.n_modes
     ws = state.workspace
     if ws is None:
-        ws = _Rk4Workspace(cfg.alpha, n, cfg.preserve_degeneracy)
+        ws = _Rk4Workspace(cfg.alpha, n, cfg.n_grid, cfg.preserve_degeneracy)
     elif ws.key != (cfg.alpha, n, cfg.preserve_degeneracy):
         raise ValueError(f"workspace for (alpha, N, preserve_degeneracy) = {ws.key}, "
                          f"state needs {(cfg.alpha, n, cfg.preserve_degeneracy)}")
     rhs = ws.rhs
     c = state.omega.coeffs
-    k1, k2, k3, k4 = k = ws.stages
-    y = ws.stage_input
-    rhs(c, out=k1)
-    for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        np.multiply(k[i - 1], h, out=y)       # stage input c + h * k_i
+    k, y = ws.stage, ws.stage_input
+    # k1, then k1 + 2 k2 + 2 k3 + k4 summed left to right, then the new coefficients
+    acc = rhs(c)
+    np.multiply(acc, 0.5 * dt, out=y)         # stage input c + h * k_i
+    y += c
+    for h in (0.5 * dt, dt):
+        rhs(y, out=k)
+        np.multiply(k, h, out=y)
         y += c
-        rhs(y, out=k[i])
-    # c + dt/6 * (k1 + 2 k2 + 2 k3 + k4), summed left to right
-    k2 *= 2.0
-    k3 *= 2.0
-    k1 += k2
-    k1 += k3
-    k1 += k4
-    k1 *= dt / 6.0
-    return SimState(SineField(c + k1), state.time + dt, state.step_count + 1, cfg,
+        k *= 2.0
+        acc += k
+    rhs(y, out=k)
+    acc += k
+    acc *= dt / 6.0
+    acc += c
+    return SimState(SineField(acc), state.time + dt, state.step_count + 1, cfg,
                     state.workspace)
 
 
@@ -323,12 +352,14 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    workspace = _Rk4Workspace(config.alpha, config.n_modes, config.preserve_degeneracy)
+    workspace = _Rk4Workspace(config.alpha, config.n_modes, config.n_grid,
+                              config.preserve_degeneracy)
     state = SimState(omega0, 0.0, 0, config, workspace)
-    grid_max = GridMax(config.n_modes, config.n_grid)
-    # the stage arrays are free between steps: the CFL velocity coefficients
-    # go into the first two, and each record's Hessian entries into the first
-    u1, u2 = workspace.stages[:2]
+    # the stage arrays and the scratch are free between steps: the CFL
+    # velocity coefficients go into the stage arrays, each record's Hessian
+    # entries into the first, and the grid maxima run in the scratch
+    grid_max = workspace.grid_max
+    u1, u2 = workspace.stage, workspace.stage_input
     diagnostics = []
     snapshots = []
     halt = "horizon"

@@ -16,8 +16,11 @@ parity along one axis: it zero-pads the halved modes into a buffer and runs
 the DST-I or DCT-I there in place (overwrite_x).  MixedParityField.evaluate
 makes one call per axis in buffers it allocates; every max|f| on the grid
 goes through GridMax, which makes the same two calls in two buffers that it
-holds: a caller that keeps one, as the time stepper does for its CFL speed
-and its diagnostics, allocates no grid-sized array per maximum.
+holds, (n_grid+1)(N+n_grid) doubles: 3.2 MB at N=256, n_grid=512 and
+50 MB at N=1024, n_grid=2048.  A caller that keeps one, as the time stepper
+does for its CFL speed and its diagnostics, allocates no grid-sized array
+per maximum; the stepper's GridMax runs, between steps, in the scratch that
+its RK4 tendency uses during them.
 
 Off the grid, evaluate_points sums a stack of series, each in its own
 parity pair, at arbitrary points: one np.sin and one np.cos table of m*x,
@@ -70,9 +73,12 @@ MIN_MODES = 4
 def get_workers() -> int:
     """Thread count for FFT work, from MSQGLAB_THREADS (default: all cores)."""
     env = os.environ.get("MSQGLAB_THREADS", "")
-    if env.strip():
+    if not env.strip():
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"MSQGLAB_THREADS must be an integer, got {env!r}") from None
 
 
 def _check_finite(arr: np.ndarray, what: str, mask: np.ndarray | None = None) -> None:
@@ -386,14 +392,25 @@ class GridMax:
     bit for bit (NaN if the grid holds a NaN).  The first-axis transform runs
     in an (n_grid+1, N) buffer and the second-axis one in an
     (n_grid, n_grid+1) buffer, which fit every parity pair, so one instance
-    serves a whole run and a call allocates no grid-sized array.
+    serves a whole run and a call allocates no grid-sized array.  The two
+    buffers are views of scratch, a flat float64 array of at least
+    scratch_size(N, n_grid) = (n_grid+1)(N+n_grid) entries, allocated when
+    None.  A call writes every entry it reads, so the scratch may serve
+    other work between calls, as the time stepper's does.
     """
 
-    def __init__(self, n_modes: int, n_grid: int):
+    def __init__(self, n_modes: int, n_grid: int, scratch: np.ndarray | None = None):
         self.n_grid = n_grid
         self._workers = get_workers()
-        self._first = np.empty((n_grid + 1, n_modes))
-        self._grid = np.empty((n_grid, n_grid + 1))
+        size, first = self.scratch_size(n_modes, n_grid), (n_grid + 1) * n_modes
+        if scratch is None:
+            scratch = np.empty(size)
+        self._first = scratch[:first].reshape(n_grid + 1, n_modes)
+        self._grid = scratch[first:size].reshape(n_grid, n_grid + 1)
+
+    @staticmethod
+    def scratch_size(n_modes: int, n_grid: int) -> int:
+        return (n_grid + 1) * (n_modes + n_grid)
 
     def __call__(self, coeffs: np.ndarray, parity: tuple) -> float:
         if tuple(parity) not in _PARITIES:

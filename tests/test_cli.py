@@ -262,6 +262,18 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {flag} 16" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, source", [
+        ("simulate", "flag"), ("simulate", "config"), ("trace", "flag"), ("trace", "config")])
+    def test_negative_dt(self, tmp_path, capsys, command, source):
+        (tmp_path / "c.ini").write_text("[run]\ndt = -0.01\n")
+        dt = ["--dt", "-0.01"] if source == "flag" else ["--config", str(tmp_path / "c.ini")]
+        run_dir = ["--run-dir", str(tmp_path)] if command == "trace" else []
+        rc = cli.main([command, *dt, *run_dir, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: dt must be >= 0 (0 selects the default step), got -0.01\n"
+        assert not (tmp_path / "o").exists()
+
     def test_run_dir_without_snapshots(self, tmp_path, capsys):
         rc = cli.main(["trace", "--run-dir", str(tmp_path), "--out", str(tmp_path / "tr")])
         assert rc == cli.EXIT_USAGE

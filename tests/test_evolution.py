@@ -11,7 +11,8 @@ from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, _Rk4Workspace, 
                                nonlinear_term, run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
 from msqglab.snapshots import read_snapshot
-from msqglab.spectral import SineField, _max_abs, dealias_grid, velocity_coefficients
+from msqglab.spectral import (GridMax, SineField, _max_abs, dealias_grid,
+                              velocity_coefficients)
 
 
 def make_config(**kw):
@@ -264,7 +265,7 @@ class TestRk4Workspace:
 
     @pytest.mark.parametrize("preserve_degeneracy", [False, True])
     def test_held_workspace_matches_fresh_steps(self, preserve_degeneracy):
-        ws = _Rk4Workspace(0.5, 32, preserve_degeneracy)
+        ws = _Rk4Workspace(0.5, 32, 64, preserve_degeneracy)
         held = self.plateau_state(preserve_degeneracy, ws)
         fresh = self.plateau_state(preserve_degeneracy)
         for dt in (2e-3, 1e-3, 3e-3):
@@ -274,7 +275,7 @@ class TestRk4Workspace:
         assert fresh.workspace is None
 
     def test_workspace_reusable_after_raised_step(self):
-        ws = _Rk4Workspace(0.5, 32, True)
+        ws = _Rk4Workspace(0.5, 32, 64, True)
         wild = SimState(SineField(np.full((32, 32), 1e200)), 0.0, 0,
                         make_config(n_modes=32, n_grid=64), ws)
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -286,9 +287,25 @@ class TestRk4Workspace:
 
     def test_mismatched_workspace_rejected(self):
         with pytest.raises(ValueError, match="workspace"):
-            step_rk4(self.plateau_state(workspace=_Rk4Workspace(0.3, 32, True)), 1e-3)
+            step_rk4(self.plateau_state(workspace=_Rk4Workspace(0.3, 32, 64, True)), 1e-3)
         with pytest.raises(ValueError, match="workspace"):
-            step_rk4(self.plateau_state(workspace=_Rk4Workspace(0.5, 32, False)), 1e-3)
+            step_rk4(self.plateau_state(workspace=_Rk4Workspace(0.5, 32, 64, False)), 1e-3)
+
+    # (N, Ng): GridMax's share of the scratch is the larger at (9, 64), the
+    # tendency's at (16, 32)
+    @pytest.mark.parametrize("n_modes, n_grid", [(9, 64), (16, 32)])
+    def test_grid_max_shares_the_scratch(self, n_modes, n_grid):
+        ws = _Rk4Workspace(0.5, n_modes, n_grid, True)
+        assert np.shares_memory(ws.grid_max._grid, ws.rhs._grids)
+        rng = np.random.default_rng(n_modes)
+        fresh_rhs, fresh_max = _Rhs(0.5, n_modes, dealias_grid(n_modes), True), \
+            GridMax(n_modes, n_grid)
+        for parity in (("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")):
+            for _ in range(2):      # tendency, max, tendency, max
+                c = rng.normal(size=(n_modes, n_modes))
+                np.testing.assert_array_equal(ws.rhs(c), fresh_rhs(c))
+                c = rng.normal(size=(n_modes, n_modes))
+                assert ws.grid_max(c, parity) == fresh_max(c, parity)
 
 
 def grid_speed(omega, alpha, n_grid):
@@ -464,7 +481,7 @@ class TestRun:
         res = run(make_config(t_final=0.1, n_modes=8, n_grid=16),
                   SineField.from_modes({(1, 1): 1.0, (2, 1): 0.3}, 8))
         assert res.state.step_count > 1
-        assert built == [(0.5, 8, True)]
+        assert built == [(0.5, 8, 16, True)]
 
     def test_memory_does_not_grow_with_steps(self):
         # every step reuses the run's workspace: 20 steps peak where 5 do
@@ -484,6 +501,24 @@ class TestRun:
         (short, n_short), (long, n_long) = peak(5), peak(20)
         assert (n_short, n_long) == (5, 20)
         assert long - short < 64 * 64 * 8
+
+    def test_traced_peak_is_the_held_arrays(self):
+        # the workspace holds max(3 M^2, (Ng+1)(N+Ng)) + 3 N^2 doubles; above
+        # that a step holds the state's coefficients and the new ones, and
+        # numpy's ufuncs at most two iteration buffers of np.getbufsize() entries
+        n, n_grid, m = 64, 128, dealias_grid(64)
+        om = build_omega0(InitialDataSpec(delta=0.35, n_modes=n, n_grid=144))
+        cfg = make_config(n_modes=n, n_grid=n_grid, t_final=0.05, diag_every=2,
+                          snapshot_every=3)
+        tracemalloc.start()
+        try:
+            res = run(cfg, om)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.state.step_count > 4
+        held = 8 * (max(3 * m * m, (n_grid + 1) * (n + n_grid)) + 3 * n * n)
+        assert held < peak <= held + 8 * (2 * n * n + 2 * np.getbufsize())
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="truncation order"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from scipy import fft as sfft
 from msqglab.spectral import (
     _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
     GridField, GridMax, MixedParityField, SineField, evaluate_offgrid, evaluate_points,
-    forward_transform, fractional_inverse_laplacian, grid_coordinates, grid_max_abs,
-    hessian_sup_norm, inverse_transform, l2_norm, spectral_derivative, velocity_coefficients)
+    forward_transform, fractional_inverse_laplacian, get_workers, grid_coordinates,
+    grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm, spectral_derivative,
+    velocity_coefficients)
 
 
 def grid_xy(n):
@@ -528,3 +530,17 @@ def test_grid_max_abs_keeps_nan(overflowing_field):
 def test_hessian_sup_norm_keeps_nan(overflowing_field):
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(hessian_sup_norm(overflowing_field, 8))
+
+
+@pytest.mark.parametrize("value, workers", [("3", 3), ("0", 1), (" ", None)])
+def test_get_workers_reads_the_thread_variable(monkeypatch, value, workers):
+    monkeypatch.setenv("MSQGLAB_THREADS", value)
+    assert get_workers() == (workers or os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_get_workers_names_a_bad_value(monkeypatch, value):
+    monkeypatch.setenv("MSQGLAB_THREADS", value)
+    with pytest.raises(ValueError) as caught:
+        get_workers()
+    assert str(caught.value) == f"MSQGLAB_THREADS must be an integer, got {value!r}"

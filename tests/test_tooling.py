@@ -1,8 +1,9 @@
 """Module hygiene by an ast walk: __all__ entries exist, top-level imports
 are used, the package imports nothing beyond the standard library, numpy,
 scipy.fft and scipy.special, it reaches no LAPACK routine through numpy,
-only the point evaluator takes np.sin or np.cos of a series' angles, and the
-config objects and public entry points take the pinned options only."""
+only the point evaluator takes np.sin or np.cos of a series' angles, the
+time stepper allocates its arrays in its workspace only, and the config
+objects and public entry points take the pinned options only."""
 
 import ast
 import dataclasses
@@ -277,3 +278,73 @@ def test_call_check_sees_names_and_attributes():
     tree = ast.parse("import m\nfrom m import f\nf(1)\ndef g():\n    return m.f(2)\n"
                      "h = f\n")
     assert list(_calls_of(tree, "f")) == [(None, 3), ("g", 5)]
+
+
+ALLOCATORS = {f"numpy.{name}{like}" for name in ("empty", "zeros", "ones", "full")
+              for like in ("", "_like")}
+
+
+def _none_tested(test) -> str | None:
+    """name for a test `name is None`, else None."""
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and [type(op) for op in test.ops] == [ast.Is]
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None):
+        return test.left.id
+    return None
+
+
+def _allocations(tree: ast.Module):
+    """(scope, guards, line) of every call of numpy's empty, zeros, ones or
+    full, or their _like forms: scope is the dotted path of the classes and
+    defs around the call, guards the names n of the `if n is None:` bodies
+    it lies in."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            aliases.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+
+    def visit(node, scope, guards):
+        if isinstance(node, ast.Call) and (name := _dotted(node.func)):
+            head, _, rest = name.partition(".")
+            if ".".join(filter(None, [aliases.get(head, head), rest])) in ALLOCATORS:
+                yield ".".join(scope), guards, node.lineno
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.If):
+            tested = _none_tested(node.test)
+            inner = guards | {tested} if tested else guards
+            for child, child_guards in ([(node.test, guards)] + [(c, inner) for c in node.body]
+                                        + [(c, guards) for c in node.orelse]):
+                yield from visit(child, scope, child_guards)
+            return
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope, guards)
+
+    yield from visit(tree, (), frozenset())
+
+
+# where the time stepper may allocate an array, and the name that must be
+# None there: every array it allocates is an N x N or a grid-sized one, and
+# run() holds them all in one _Rk4Workspace, whose tendency evaluator takes
+# its grids from the workspace's scratch; a _Rhs allocates its own only
+# when built without one, for nonlinear_term
+EVOLUTION_ALLOCATIONS = {"_Rk4Workspace.__init__": None, "_Rhs.__init__": "scratch"}
+
+
+def test_evolution_allocates_only_in_its_workspace():
+    stray = [(scope, line) for scope, guards, line in _allocations(_tree("evolution"))
+             if scope not in EVOLUTION_ALLOCATIONS
+             or EVOLUTION_ALLOCATIONS[scope] not in guards | {None}]
+    assert not stray, f"msqglab/evolution.py allocates outside its workspace (def, line): {stray}"
+
+
+def test_allocation_check_sees_scopes_and_none_guards():
+    tree = ast.parse("import numpy as np\nfrom numpy import zeros\n"
+                     "class A:\n    def __init__(self, s=None):\n        if s is None:\n"
+                     "            s = np.empty(3)\n        else:\n            t = zeros(2)\n"
+                     "def f(x):\n    return np.full_like(x, 0) + np.asarray(x)\n")
+    assert list(_allocations(tree)) == [("A.__init__", {"s"}, 6), ("A.__init__", set(), 8),
+                                        ("f", set(), 10)]
