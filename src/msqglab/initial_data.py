@@ -20,12 +20,12 @@ residual).
 
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .spectral import (GridField, GridMax, SineField, _eval_axis, _max_abs, forward_transform,
                        grid_coordinates, inverse_transform, spectral_derivative)
@@ -97,7 +97,7 @@ def smoothstep(u, order: int):
     n = order
     acc = np.zeros_like(u)
     for j in range(n + 1):
-        acc += comb(n + j, j, exact=True) * comb(2 * n + 1, n - j, exact=True) * (-u) ** j
+        acc += math.comb(n + j, j) * math.comb(2 * n + 1, n - j) * (-u) ** j
     return u ** (n + 1) * acc
 
 

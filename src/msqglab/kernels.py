@@ -19,7 +19,8 @@ Quadrature is the midpoint rule on axis-aligned rectangles.  Regions:
                rectangles whose node multiset is swap-symmetric, summed as
                two tensor grids)
     far:       periodic image cells [0, R*pi)^2 minus the central cell (the
-               neglected tail falls as R^(-2-2a))
+               neglected tail falls as R^(-2-2a); image_tail sums the cells
+               between R and 2R directly)
     full:      central cell + far
 
 One private helper, _four_terms, writes the four-term formula in factored
@@ -55,7 +56,8 @@ cost more than its arithmetic wherever glibc maps allocations of 128 KiB
 and up afresh and faults in their pages on every call.
 The image cells reuse one sample grid of the central cell, flipped by
 parity, laid out as one row of cells that every row of the image lattice
-sums in one call.  An oracle also reuses samples across calls: those of
+sums in one call, for any range of whole cells (the far region or its
+tail).  An oracle also reuses samples across calls: those of
 its last near square, keyed on the exact side s = L|x|, and those of each
 medium frame, keyed on the exact (lo, hi, na, nb) and held in one slot per
 frame counted down from pi, so that s and s/2, whose frames differ only in
@@ -87,11 +89,11 @@ two first derivatives.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .spectral import SineField, evaluate_points, spectral_derivative
 
@@ -114,6 +116,8 @@ class KernelParams:
     image_radius is the number of periodic image cells summed per
     direction; the neglected tail falls as image_radius^(-2-2alpha), by
     2^(2+2alpha) per doubling as measured at alpha = 0.25, 0.5 and 0.75.
+    QuadratureOracle.image_tail sums the cells between image_radius and
+    twice it, which is how verify_far_field checks the tail.
     cells_central, cells_panel and cells_far are the midpoint cells per
     axis of the central cell, of a near square or medium frame, and of
     each image cell.
@@ -346,7 +350,7 @@ def riesz_velocity_prefactor(alpha: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(2.0 * _gamma(1.0 + alpha) / (4.0 ** (1.0 - alpha) * np.pi * _gamma(1.0 - alpha)))
+    return 2.0 * math.gamma(1.0 + alpha) / (4.0 ** (1.0 - alpha) * np.pi * math.gamma(1.0 - alpha))
 
 
 # Modes per block of a sine table (see _sines)
@@ -525,8 +529,8 @@ class QuadratureOracle:
     the floor on both).  The buffer is allocated on the first near or
     medium call and grown, keeping what it holds, when a call has more
     frames than it has slots; no per-frame array outlives a call.  The last
-    far sum is kept with its point and returned again for a far or full
-    call at exactly that point.
+    image-cell sum is kept with its point and range and returned again for
+    a far or full call at exactly that point.
 
     Every grid is summed by _node_sums, with its cell areas as column
     weights: per row block of at most _BLOCK_NODES entries across the four
@@ -546,12 +550,12 @@ class QuadratureOracle:
         self.omega = omega
         self.params = params
         self._central_cache = None
-        self._far_cache = None
+        self._strip = None          # samples of an even row of image cells
         self._grad = None           # (stack, parities) of d1 omega and d2 omega
         self._work_cache = None
         self._slots = None          # (slots, 3 * cells_panel^2) omega samples
         self._slot_keys = []        # (key, samples held) per slot, or None
-        self._far_memo = None       # (x, (u1, u2)) of the last far sum
+        self._far_memo = None       # ((x, inner, outer), (u1, u2)) of the last _image_cells
 
     # -- omega sampling -------------------------------------------------
 
@@ -560,17 +564,6 @@ class QuadratureOracle:
             y, h = _midpoints(0.0, np.pi, self.params.cells_central)
             self._central_cache = (y, h, _tensor_samples(self.omega.coeffs, y, y))
         return self._central_cache
-
-    def _far_base(self):
-        """Midpoints t, their spacing and the samples of an even row of image
-        cells: cell q holds (-1)^q omega, flipped in y2 for odd q."""
-        if self._far_cache is None:
-            t, h = _midpoints(0.0, np.pi, self.params.cells_far)
-            base = _tensor_samples(self.omega.coeffs, t, t)
-            strip = np.hstack([-base[:, ::-1] if q % 2 else base
-                               for q in range(self.params.image_radius)])
-            self._far_cache = (t, h, strip)
-        return self._far_cache
 
     def _work(self, room: int):
         """Scratch for the node sums and the sample fills: three buffers of
@@ -733,25 +726,42 @@ class QuadratureOracle:
         v1, v2 = self._grid_sums(x, yb, ya, w_b, hb * ha)
         return u1 + v1, u2 + v2
 
-    def _far(self, x):
+    def _image_cells(self, x, inner: int, outer: int):
+        """(u1, u2) of the image cells [p pi, (p+1) pi) x [q pi, (q+1) pi)
+        with inner <= max(p, q) < outer: (1, R) is the far region.
+
+        Row p is one sum over the strip of an even row, cell q of which holds
+        (-1)^q omega flipped in y2 for odd q, in the columns q >= inner if
+        p < inner, else all q < outer; an odd row holds the strip flipped in
+        y1 and negated.  The strip grows when a larger outer is asked for.
+        """
         x = (float(x[0]), float(x[1]))
-        if self._far_memo is not None and self._far_memo[0] == x:
+        key = (x, inner, outer)
+        if self._far_memo is not None and self._far_memo[0] == key:
             return self._far_memo[1]
-        R = self.params.image_radius
-        t, h, strip = self._far_base()
-        n = len(t)
-        y2 = (np.pi * np.arange(R)[:, None] + t).ravel()
+        n = self.params.cells_far
+        t, h = _midpoints(0.0, np.pi, n)
+        strip = self._strip
+        if strip is None or strip.shape[1] < outer * n:
+            base = _tensor_samples(self.omega.coeffs, t, t) if strip is None else strip[:, :n]
+            strip = np.hstack([-base[:, ::-1] if q % 2 else base for q in range(outer)])
+            self._strip = strip
+        y2 = (np.pi * np.arange(outer)[:, None] + t).ravel()
         u1 = u2 = 0.0
-        # one row of image cells per sum; an odd row holds the even row
-        # flipped in y1 and negated, and row 0 leaves out the central cell
-        for pcell in range(R):
-            w, sgn = (strip[::-1], -1.0) if pcell % 2 else (strip, 1.0)
-            skip = n if pcell == 0 else 0
-            du1, du2 = self._grid_sums(x, pcell * np.pi + t, y2[skip:], w[:, skip:], h * h)
+        for p in range(outer):
+            w, sgn = (strip[::-1], -1.0) if p % 2 else (strip, 1.0)
+            cols = slice(inner * n if p < inner else 0, outer * n)
+            du1, du2 = self._grid_sums(x, p * np.pi + t, y2[cols], w[:, cols], h * h)
             u1 += sgn * du1
             u2 += sgn * du2
-        self._far_memo = (x, (u1, u2))
+        self._far_memo = (key, (u1, u2))
         return u1, u2
+
+    def image_tail(self, x):
+        """(u1, u2) of the image cells between image_radius R and 2R: the far
+        velocity at radius 2R less that at R, summed directly."""
+        R = self.params.image_radius
+        return self._image_cells(x, R, 2 * R)
 
     def _central(self, x):
         y, h, w = self._central_nodes()
@@ -773,8 +783,9 @@ class QuadratureOracle:
             return self._near(x, region.L)
         if region.kind == "medium":
             return self._medium(x, region.L)
+        R = self.params.image_radius
         if region.kind == "far":
-            return self._far(x)
+            return self._image_cells(x, 1, R)
         c1, c2 = self._central(x)
-        f1, f2 = self._far(x)
+        f1, f2 = self._image_cells(x, 1, R)
         return c1 + f1, c2 + f2

@@ -201,6 +201,62 @@ class TestFarField:
         assert oracle.velocity((0.4, 0.9), RegionSpec("far")) == (0.0, 0.0)
         assert np.isfinite(oracle.velocity((0.4, 0.9), RegionSpec("full"))).all()
 
+    @pytest.fixture(scope="class")
+    def fields(self):
+        from msqglab.initial_data import InitialDataSpec, build_omega0
+
+        rng = np.random.default_rng(5)
+        rough = rng.standard_normal((64, 64)) / np.add.outer(np.arange(64), np.arange(64) + 1)
+        return {"plateau": build_omega0(InitialDataSpec(delta=0.25, n_modes=64, n_grid=128)),
+                "random": SineField(rough)}
+
+    @pytest.mark.parametrize("name", ["plateau", "random"])
+    def test_far_plus_tail_is_far_at_twice_the_radius(self, fields, name):
+        # the tail sums the cells R <= max(p, q) < 2R that a 2R oracle's far
+        # sum adds; only the grouping of the row sums differs
+        params = KernelParams(alpha=0.5)
+        oracle = QuadratureOracle(fields[name], params)
+        double = QuadratureOracle(fields[name], replace(params, image_radius=16))
+        for x in [(0.001, 0.02), (0.02, 0.01), (1.2, 0.7)]:
+            got = np.add(oracle.velocity(x, RegionSpec("far")), oracle.image_tail(x))
+            want = double.velocity(x, RegionSpec("far"))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_tail_from_radius_one_is_far_at_radius_two(self, single_mode):
+        # far(1) has no cell, so tail(1 -> 2) makes the very sums of far(2)
+        one = KernelParams(alpha=0.5, image_radius=1, cells_far=16)
+        x = (0.4, 0.9)
+        tail = QuadratureOracle(single_mode, one).image_tail(x)
+        far = QuadratureOracle(single_mode, replace(one, image_radius=2)).velocity(
+            x, RegionSpec("far"))
+        assert tail == far
+
+    def test_far_unmoved_by_an_earlier_tail(self, fields):
+        # the tail extends the oracle's strip of image cells; far sums read
+        # the same cells from it
+        params = KernelParams(alpha=0.5, image_radius=3, cells_far=16)
+        x = (0.05, 0.08)
+        fresh = QuadratureOracle(fields["random"], params).velocity(x, RegionSpec("far"))
+        oracle = QuadratureOracle(fields["random"], params)
+        oracle.image_tail(x)
+        assert oracle.velocity(x, RegionSpec("far")) == fresh
+
+    def test_verify_far_field_builds_one_oracle(self, single_mode, monkeypatch):
+        from msqglab import verify
+
+        built = []
+
+        class Counted(QuadratureOracle):
+            def __init__(self, omega, params):
+                built.append(params)
+                super().__init__(omega, params)
+
+        monkeypatch.setattr(verify, "QuadratureOracle", Counted)
+        params = KernelParams(alpha=0.5, image_radius=2, cells_far=16)
+        rep = verify.verify_far_field(single_mode, 0.5, [0.005, 0.01], params)
+        assert built == [params]
+        assert not any("tail check failed" in note for note in rep.notes)
+
     def test_params_validation(self):
         with pytest.raises(ValueError, match="alpha"):
             KernelParams(alpha=0.0)

@@ -1,6 +1,6 @@
 """Module hygiene by an ast walk: __all__ entries exist, top-level imports
-are used, the package imports nothing beyond the standard library, numpy,
-scipy.fft and scipy.special, it reaches no LAPACK routine through numpy,
+are used, the package imports nothing beyond the standard library, numpy
+and scipy.fft, it reaches no LAPACK routine through numpy,
 only the point evaluator takes np.sin or np.cos of a series' angles, the
 time stepper allocates its arrays in its workspace only, and the config
 objects and public entry points take the pinned options only."""
@@ -71,7 +71,7 @@ def test_top_level_imports_used(name):
 
 # third-party modules the package may import; scipy.integrate, for one, would
 # pull in scipy.linalg, optimize, sparse and spatial
-ALLOWED_THIRD_PARTY = ("numpy", "scipy.fft", "scipy.special")
+ALLOWED_THIRD_PARTY = ("numpy", "scipy.fft")
 
 
 def _imported_modules(tree: ast.Module):
