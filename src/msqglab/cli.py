@@ -12,8 +12,9 @@ subcommand accepts every key, but it takes flags only for settings it reads:
              delta and beta only where the run's metadata.json lacks them
 make-data, simulate and verify build omega0 from one spec, _initial_spec,
 which simulate's metadata.json records.  Every run writes a manifest.json
-listing all emitted files with sha256 hashes (written last).  Exit codes:
-0 ok, 1 assertion/halt failure, 2 usage or validation error.
+listing all emitted files with sha256 hashes (written last); it and
+simulate's metadata.json carry the block of spectral.environment.  Exit
+codes: 0 ok, 1 assertion/halt failure, 2 usage or validation error.
 MSQGLAB_THREADS bounds FFT worker threads.
 """
 
@@ -36,7 +37,7 @@ from .initial_data import (DELTA_HARD_MAX, InitialDataSpec, build_omega0, check_
                            gradient_sup_norm, plateau_deficit_fraction, recorded_warnings)
 from .kernels import KernelParams
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import inverse_transform
+from .spectral import environment, inverse_transform
 from .trajectories import (MIN_FIT_SAMPLES, VelocitySampler, growth_fit,
                            medium_ratio_monitor, select_start, stopping_time, trace)
 from .verify import (verify_background, verify_decomposition, verify_far_field,
@@ -125,6 +126,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: dict, t0: float) -> None:
     manifest = {
         "subcommand": subcommand,
         "version": __version__,
+        "environment": environment(),
         "config": cfg,
         "wall_seconds": time.time() - t0,
         "files": [{"path": str(p.relative_to(out)), "sha256": _sha256(p),

@@ -18,7 +18,8 @@ buffers between steps.  The step sums its four stage tendencies into one
 fresh array, which becomes the new coefficients, so a step allocates no
 other grid-sized array.  run() builds one workspace and holds it for the
 whole run; between steps it forms the CFL velocity coefficients in the two
-stage arrays and the Hessian entries of each diagnostic record in the
+stage arrays (with the scratch's first N^2 entries as the factor of
+_velocity_into) and the Hessian entries of each diagnostic record in the
 first, and takes the CFL speed and every grid maximum of a record
 (omega-max and the three Hessian entries) from the workspace's GridMax.
 The workspace holds
@@ -48,15 +49,15 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import __version__
 from .initial_data import (InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy,
                            recorded_warnings)
 from .snapshots import write_snapshot
 from .spectral import (GridMax, SineField, _check_finite, _eval_midpoint_axis,
-                       _laplacian_power, _midpoint_slot, _velocity_into, dealias_grid,
-                       get_workers, hessian_sup_norm, l2_norm)
+                       _laplacian_power, _midpoint_slot, _mode_numbers, _pocketfft,
+                       _velocity_into, dealias_grid, environment, get_workers,
+                       hessian_sup_norm, l2_norm)
 from .trajectories import growth_fit
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
@@ -172,13 +173,17 @@ class _Rhs:
     two grids and u2 alone in the third, which then takes u2 * d2 omega;
     d1 omega goes into the second grid, freed by that product, and the
     third adds d1 omega * u1 and is projected.  The coefficients are
-    written straight into the mode slots of the first axis, whose output
-    lands in the mode slots of the second, and the finiteness tests write
-    into a bool mask laid over the second grid.  So a call allocates no
-    grid-sized array, and with out= not the tendency either.  A call writes
-    every entry of the grids it reads, so nothing passes from one call to
-    the next, and the scratch may serve other work between calls; an
-    _Rk4Workspace lends it to run()'s GridMax.
+    copied into the mode slots of the first axis, whose output lands in
+    the mode slots of the second, and the finiteness tests write into a
+    bool mask laid over the second grid.  The products with the mode
+    numbers are formed before that copy in C-contiguous N x N arrays: out,
+    and the first N^2 entries of a grid while it is free, which also take
+    the _mode_numbers operand.  So no ufunc of a call takes a numpy
+    iteration buffer, a call allocates no grid-sized array, and with out=
+    not the tendency either; out must not share memory with coeffs.  A
+    call writes every entry of the grids it reads, so nothing passes from
+    one call to the next, and the scratch may serve other work between
+    calls; an _Rk4Workspace lends it to run()'s GridMax.
 
     With preserve_degeneracy, each tendency is projected onto the subspace
     where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
@@ -194,16 +199,18 @@ class _Rhs:
         self.n_grid = n_grid
         self.preserve_degeneracy = preserve_degeneracy
         n, m = n_modes, n_grid
-        modes = np.arange(1, n + 1, dtype=np.float64)
-        self._rows, self._cols = modes[:, None], modes[None, :]
         self.symbol = _laplacian_power(n, alpha)        # psi = omega / symbol
         self._workers = get_workers()
         if scratch is None:
             scratch = np.empty(self.scratch_size(m))
         self._grids = grids = scratch[:self.scratch_size(m)].reshape(3, m, m)
-        # a bool mask over the first M^2 bytes of the second grid, which is
-        # free whenever a finiteness test runs
-        self._finite = grids[1].reshape(-1).view(np.bool_)[:m * m].reshape(m, m)
+        # bool masks over the first M^2 and N^2 bytes of the second grid,
+        # which is free whenever a finiteness test runs
+        flags = grids[1].reshape(-1).view(np.bool_)
+        self._finite, self._coeffs_finite = flags[:m * m].reshape(m, m), flags[:n * n].reshape(n, n)
+        # the first N^2 entries of each grid as an N x N array, for the
+        # products with the mode numbers and their factor
+        self._squares = grids.reshape(3, -1)[:, :n * n].reshape(3, n, n)
         # second-axis mode slots, where the first-axis transforms run, and
         # their first-axis mode slots, where the coefficients go:
         # [u1, d2 omega] in (sin, cos) in the first two grids, and
@@ -219,30 +226,39 @@ class _Rhs:
 
     def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         n, m, w = self.n_modes, self.n_grid, self._workers
-        _check_finite(coeffs, "coefficient array", self._finite[:n, :n])
+        _check_finite(coeffs, "coefficient array", self._coeffs_finite)
+        if out is None:
+            out = np.empty_like(coeffs)
+        elif np.may_share_memory(out, coeffs):
+            raise ValueError("out must not share memory with the coefficients")
         u1_grid, grad, adv = grids = self._grids
-        # velocity and gradient as velocity_coefficients / spectral_derivative form them
+        # velocity and gradient as velocity_coefficients / spectral_derivative
+        # form them, in out and the third grid's square, then their slots
         (u1, d2), (d1, u2) = self._sc_modes, self._cs_modes
-        _velocity_into(coeffs, self.symbol, u1, u2)
-        np.multiply(coeffs, self._cols, out=d2)
+        _, factor, product = self._squares
+        _velocity_into(coeffs, self.symbol, product, out, factor)
+        np.copyto(u1, product)
+        np.copyto(d2, np.multiply(coeffs, factor, out=product))
+        np.copyto(u2, out)
         _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
         _eval_midpoint_axis(grids[:2], "cos", n, -1, w)
         _eval_midpoint_axis(self._cs_cols[1], "cos", n, -2, w)
         _eval_midpoint_axis(adv, "sin", n, -1, w)
         adv *= grad                                   # u2 * d2 omega
-        np.multiply(coeffs, self._rows, out=d1)
+        np.copyto(d1, np.multiply(coeffs, _mode_numbers(n, 0, factor), out=out))
         _eval_midpoint_axis(self._cs_cols[0], "cos", n, -2, w)
         _eval_midpoint_axis(grad, "sin", n, -1, w)
         grad *= u1_grid                               # d1 omega * u1
         adv += grad
         _check_finite(adv, "advection product", self._finite)
-        sfft.dst(adv, type=2, axis=-1, overwrite_x=True, workers=w)
+        _pocketfft.dst(adv, 2, (-1,), inorm=0, out=adv, nthreads=w)
         kept = adv[:, :n]
-        sfft.dst(kept, type=2, axis=0, overwrite_x=True, workers=w)
-        tend = np.divide(kept[:n], -16.0 * m * m, out=out)
+        _pocketfft.dst(kept, 2, (0,), inorm=0, out=kept, nthreads=w)
+        np.copyto(out, kept[:n])
+        out /= -16.0 * m * m
         if self.preserve_degeneracy:
-            _project_degeneracy(tend, scratch=u1_grid[:n, :n])
-        return tend
+            _project_degeneracy(out, scratch=self._squares[:2])
+        return out
 
 
 class _Rk4Workspace:
@@ -251,11 +267,12 @@ class _Rk4Workspace:
     For one (alpha, N, preserve_degeneracy), and the n_grid of run()'s
     grid maxima: the tendency evaluator (its Laplacian symbol and its three
     M x M grids, M = dealias_grid(N)), the current stage tendency and the
-    stage input.  The tendency's grids and the GridMax buffers are views of
-    one flat scratch sized for the larger of the two, since a step and a
-    grid maximum never run at once.  Nothing is carried from one step to the
-    next, so a step gives the same bits in a held workspace as in a fresh
-    one, also after a step in it raised or a GridMax call.
+    stage input.  The tendency's grids, the GridMax buffers and factor, the
+    _mode_numbers operand of run()'s CFL velocity, are views of one flat
+    scratch sized for the larger of the first two, since a step, a grid
+    maximum and that velocity never run at once.  Nothing is carried from
+    one step to the next, so a step gives the same bits in a held workspace
+    as in a fresh one, also after a step in it raised or a GridMax call.
     """
 
     def __init__(self, alpha: float, n_modes: int, n_grid: int, preserve_degeneracy: bool):
@@ -264,6 +281,8 @@ class _Rk4Workspace:
         scratch = np.empty(max(_Rhs.scratch_size(m), GridMax.scratch_size(n_modes, n_grid)))
         self.rhs = _Rhs(alpha, n_modes, m, preserve_degeneracy, scratch)
         self.grid_max = GridMax(n_modes, n_grid, scratch)
+        # the _velocity_into factor of run()'s CFL speed, before its grid maxima
+        self.factor = scratch[:n_modes * n_modes].reshape(n_modes, n_modes)
         self.stage = np.empty((n_modes, n_modes))
         self.stage_input = np.empty((n_modes, n_modes))
 
@@ -397,7 +416,7 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
 
     while state.time < config.t_final - 1e-14:
         if config.dt_policy == "cfl":
-            _velocity_into(state.omega.coeffs, workspace.rhs.symbol, u1, u2)
+            _velocity_into(state.omega.coeffs, workspace.rhs.symbol, u1, u2, workspace.factor)
             # np.maximum, unlike the builtin, keeps a NaN
             umax = np.maximum(grid_max(u1, ("sin", "cos")), grid_max(u2, ("cos", "sin")))
             dt = cfl_dt(umax, config.n_grid, config.cfl_safety)
@@ -456,6 +475,7 @@ def _write_outputs(out: Path, config: ExperimentConfig, spec: InitialDataSpec | 
         "config": asdict(config),
         "initial_data": asdict(spec) if spec else None,
         "provenance": f"msqglab-{__version__}",
+        "environment": environment(),
         "wall_seconds": wall,
         "halt_reason": result.halt_reason,
         "gamma": result.gamma,

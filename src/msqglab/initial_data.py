@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (GridField, GridMax, SineField, _eval_axis, _max_abs, forward_transform,
-                       grid_coordinates, inverse_transform, spectral_derivative)
+from .spectral import (GridField, GridMax, SineField, _eval_axis, _max_abs, _mode_numbers,
+                       forward_transform, grid_coordinates, inverse_transform,
+                       spectral_derivative)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction", "recorded_warnings"]
@@ -116,11 +117,16 @@ def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -
 
     d1 f(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2), so this removes the
     component of each coefficient column along the mode-number vector.
-    scratch, if given, is an array shaped like coeffs that receives the
-    correction.
+    scratch, if given, is a pair of C-contiguous arrays shaped like coeffs,
+    which receive the correction np.outer(m, m @ coeffs) and the
+    _mode_numbers it is formed with, so that no product takes an iteration
+    buffer.
     """
-    m = np.arange(1, coeffs.shape[0] + 1, dtype=np.float64)
-    corr = np.outer(m, m @ coeffs, out=scratch)
+    n = coeffs.shape[0]
+    m = np.arange(1, n + 1, dtype=np.float64)
+    corr, factor = (np.empty_like(coeffs), None) if scratch is None else scratch
+    np.copyto(corr, m @ coeffs)
+    corr *= _mode_numbers(n, 0, factor)
     corr /= float(np.sum(m * m))
     coeffs -= corr
 

@@ -53,7 +53,15 @@ A medium frame takes one sine table on [yb | ya], its midpoints across
 the oracle's scratch: the two grids ya x [yb | ya] and yb x ya are row
 blocks of that product times the table.  A fresh array that size would
 cost more than its arithmetic wherever glibc maps allocations of 128 KiB
-and up afresh and faults in their pages on every call.
+and up afresh and faults in their pages on every call.  The complex
+powers and factors the table is built from go into the same scratch, and
+a node sum's row and column factors into a second, smaller one, so that
+a warm call makes no transient array of more than a few rows.  Smaller
+transients cost faults too: freed at the top of glibc's heap, they are
+handed back to the system once 128 KiB is free there, and fault in again
+on the next call.
+The near square, the central cell and the image cells' base grid are
+sampled alike, as (S @ c) @ S.T on y x y (_square_samples).
 The image cells reuse one sample grid of the central cell, flipped by
 parity, laid out as one row of cells that every row of the image lattice
 sums in one call, for any range of whole cells (the far region or its
@@ -215,7 +223,22 @@ def _block_rows(n1: int, n2: int) -> int:
     return min(n1, max(1, _BLOCK_NODES // (4 * n2)))
 
 
-def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
+def _carve(buf, *shapes):
+    """Consecutive views of the flat array buf, one of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
+def _factor_room(n1: int, n2: int) -> int:
+    """Entries of the row and column factors of _node_sums over n1 x n2 nodes."""
+    return 10 * n1 + 15 * n2
+
+
+def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None, factors=None):
     """(sum K1 w cw, sum K2 w cw) over the tensor grid y1 x y2 with samples w.
 
     y1 and y2 are ascending, and cw weights the columns (a scalar, or one
@@ -230,7 +253,10 @@ def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
         (e2 cw, cw) of each s2, then dots with the row factors (1, e1).
     The kernels are never formed on the nodes.  A block has _block_rows
     rows, and work is a (3, room) array with room for its 4 r c entries,
-    where d, P and the singular weights live.  With
+    where d, P and the singular weights live.  The row and column factors
+    go into factors, a flat array of at least _factor_room(n1, n2) entries
+    (125 KB at most at the CLI defaults, so glibc serves it from the heap
+    under the benchmark's mmap threshold), allocated when None.  With
     lin = (w0, g1, g2) the singular term is weighted by the residual of the
     linearization w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at
     y = x contributes no singular term.
@@ -238,28 +264,30 @@ def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
     x1, x2 = x
     n1, n2 = w.shape
     rows = _block_rows(n1, n2)
-    e1 = _image_factors(x1, y1)
-    e2 = _image_factors(x2, y2)
-    left = np.empty((2, n1, 2))
-    left[..., 0] = e1 * e1
+    if factors is None:
+        factors = np.empty(_factor_room(n1, n2))
+    e1, e2, left, right, cols, row_factors, column = _carve(
+        factors, (2, n1), (2, n2), (2, n1, 2), (2, 2, n2), (2, n2, 2, 2), (2, 2, n1), (n2,))
+    for e, x_, y in ((e1, x1, y1), (e2, x2, y2)):      # x - s y, as _image_factors
+        np.subtract(x_, y, out=e[0])
+        np.add(x_, y, out=e[1])
+    np.multiply(e1, e1, out=left[..., 0])
     left[..., 1] = 1.0
-    right = np.empty((2, 2, n2))
     right[0] = 1.0
-    right[1] = e2 * e2
+    np.multiply(e2, e2, out=right[1])
     right = right.reshape(2, 2 * n2)
-    cols = np.zeros((2, n2, 2, 2))
+    cols[...] = 0.0
     for s in (0, 1):
-        cols[s, :, s, 0] = e2[s] * cw
+        cols[s, :, s, 0] = np.multiply(e2[s], cw, out=column)
         cols[s, :, s, 1] = cw
     cols = cols.reshape(2 * n2, 4)
-    row_factors = np.empty((2, 2, n1))
     row_factors[:, 0] = 1.0
     row_factors[:, 1] = e1
     hits = y1[0] <= x1 <= y1[-1] and y2[0] <= x2 <= y2[-1]
     hit_cols = np.flatnonzero(y2 == x2) if hits else ()
     if lin is not None:
         w0, g1, g2 = lin
-        taylor_cols = g2 * (y2 - x2)
+        taylor_cols = np.multiply(g2, np.subtract(y2, x2, out=column), out=column)
     sums = np.zeros((2, 2, 4))
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(0, n1, rows):
@@ -272,15 +300,20 @@ def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
             _inverse_powers(d, p, alpha)
             terms = p.reshape(2, nr, 2, n2)
             singular = terms[0, :, 0]
-            if lin is None:
-                np.divide(wb[:, None], terms, out=terms)
-            else:
-                ws = work[2, :wb.size].reshape(wb.shape)
-                np.add(w0 + g1 * (y1[block, None] - x1), taylor_cols, out=ws)
+            # d is spent: its row takes the samples, tiled like a term
+            # row [s2, j], so that each divide runs on contiguous operands
+            if lin is not None:
+                ws, taylor = work[2, :wb.size].reshape(wb.shape), work[0, :wb.size].reshape(wb.shape)
+                np.copyto(ws, w0 + g1 * (y1[block, None] - x1))
+                np.copyto(taylor, taylor_cols)
+                ws += taylor
                 np.subtract(wb, ws, out=ws)
-                np.divide(wb[:, None], terms[1], out=terms[1])
-                np.divide(wb, terms[0, :, 1], out=terms[0, :, 1])
-                np.divide(ws, singular, out=singular)
+            tiled = work[0, :2 * wb.size].reshape(nr, 2, n2)
+            np.copyto(tiled, wb[:, None])
+            np.divide(tiled, terms[1], out=terms[1])
+            if lin is not None:
+                tiled[:, 0] = ws
+            np.divide(tiled, terms[0], out=terms[0])
             hit_rows = np.flatnonzero(y1[block] == x1) if len(hit_cols) else ()
             if len(hit_rows):
                 singular[np.ix_(hit_rows, hit_cols)] = 0.0
@@ -357,14 +390,13 @@ def riesz_velocity_prefactor(alpha: float) -> float:
 _SINE_BLOCK = 16
 
 
-def _powers(z, k: int) -> np.ndarray:
-    """z^0, z^1, ..., z^k along a new last axis.
+def _powers(z, k: int, out: np.ndarray) -> np.ndarray:
+    """z^0, z^1, ..., z^k along a new last axis of out, a complex array.
 
     Each power above z is the product of two lower ones: z^(h+j) = z^j z^h
     for the highest power z^h so far and j = 1..h, so k powers take about
     log2(k) array products.
     """
-    out = np.empty(np.shape(z) + (k + 1,), dtype=np.complex128)
     out[..., 0] = 1.0
     if k:
         out[..., 1] = z
@@ -377,7 +409,12 @@ def _powers(z, k: int) -> np.ndarray:
     return out
 
 
-def _sines(y: np.ndarray, n_modes: int, out=None) -> np.ndarray:
+def _sine_scratch(n_points: int, n_modes: int) -> int:
+    """Entries of the scratch of _sines on n_points coordinates."""
+    return n_points * (4 * _SINE_BLOCK + 2 + 4 * -(-n_modes // _SINE_BLOCK))
+
+
+def _sines(y: np.ndarray, n_modes: int, out=None, scratch=None) -> np.ndarray:
     """Sine matrix sin(m y), one row per coordinate, m = 1..n_modes.
 
     Built from z = exp(i y), one complex exponential per coordinate, by
@@ -387,7 +424,9 @@ def _sines(y: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     ceil(n_modes/b) blocks are one (blocks, 2) @ (2, b) product, and the
     table is cut to n_modes columns.  With out, a 1-D array with room for
     the table rounded up to whole blocks, the table is written there and
-    is a view of it.
+    is a view of it.  The powers and the two factors of that product are
+    formed in scratch, a 1-D array of at least _sine_scratch(len(y),
+    n_modes) entries, allocated when None.
 
     These tables serve the oracle's tensor grids; spectral.evaluate_points
     takes np.sin and np.cos.  Measured on one thread of a 2-core x86-64
@@ -400,19 +439,19 @@ def _sines(y: np.ndarray, n_modes: int, out=None) -> np.ndarray:
     b = _SINE_BLOCK
     blocks = -(-n_modes // b)
     y = np.asarray(y, dtype=np.float64)
-    step = _powers(np.exp(1j * y), b)[:, 1:]
-    base = _powers(step[:, -1], blocks - 1)
-    left = np.stack([base.imag, base.real], axis=-1)
-    right = np.stack([step.real, step.imag], axis=1)
+    n = len(y)
+    if scratch is None:
+        scratch = np.empty(_sine_scratch(n, n_modes))
+    complex_room = 2 * n * (b + 1 + blocks)
+    steps, bases = _carve(scratch[:complex_room].view(np.complex128), (n, b + 1), (n, blocks))
+    left, right = _carve(scratch[complex_room:], (n, blocks, 2), (n, 2, b))
+    step = _powers(np.exp(1j * y), b, steps)[:, 1:]
+    base = _powers(step[:, -1], blocks - 1, bases)
+    left[..., 0], left[..., 1] = base.imag, base.real
+    right[:, 0], right[:, 1] = step.real, step.imag
     if out is not None:
         out = out[:len(y) * blocks * b].reshape(len(y), blocks, b)
     return np.matmul(left, right, out=out).reshape(len(y), blocks * b)[:, :n_modes]
-
-
-def _tensor_samples(coeffs: np.ndarray, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
-    """The sine series on the tensor grid y1 x y2, shape (len(y1), len(y2))."""
-    n = coeffs.shape[0]
-    return _sines(y1, n) @ coeffs @ _sines(y2, n).T
 
 
 def _midpoints(a: float, b: float, n: int):
@@ -541,9 +580,11 @@ class QuadratureOracle:
     nodes.  On the rectangle that holds x the singular term is weighted by
     omega minus its linearization at x instead.  One scratch array held by
     the oracle, grown when a block or sine table needs more room, carries
-    the blocks and, before a near square's or a medium frame's sums, its
-    sine table and coefficient product, so an oracle is not to be shared
-    between threads.  Sums are deterministic for a fixed partition.
+    the blocks and, before a grid's sums, its sine table, the powers it is
+    built from and the coefficient product; a second one holds a node
+    sum's row and column factors, with room for any near square or medium
+    frame from the start.  So an oracle is not to be shared between
+    threads.  Sums are deterministic for a fixed partition.
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
@@ -553,6 +594,7 @@ class QuadratureOracle:
         self._strip = None          # samples of an even row of image cells
         self._grad = None           # (stack, parities) of d1 omega and d2 omega
         self._work_cache = None
+        self._factor_cache = None
         self._slots = None          # (slots, 3 * cells_panel^2) omega samples
         self._slot_keys = []        # (key, samples held) per slot, or None
         self._far_memo = None       # ((x, inner, outer), (u1, u2)) of the last _image_cells
@@ -562,7 +604,7 @@ class QuadratureOracle:
     def _central_nodes(self):
         if self._central_cache is None:
             y, h = _midpoints(0.0, np.pi, self.params.cells_central)
-            self._central_cache = (y, h, _tensor_samples(self.omega.coeffs, y, y))
+            self._central_cache = (y, h, self._square_samples(y))
         return self._central_cache
 
     def _work(self, room: int):
@@ -578,14 +620,31 @@ class QuadratureOracle:
         if not w.size:      # row 0 of the image cells at image_radius 1
             return 0.0, 0.0
         work = self._work(4 * n2 * _block_rows(n1, n2))
-        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin)
+        room = _factor_room(n1, n2)
+        if self._factor_cache is None or self._factor_cache.size < room:
+            # at least room for any near square or medium frame (na, nb <=
+            # cells_panel), so that warm calls at other scales do not grow it
+            panel = _factor_room(self.params.cells_panel, 2 * self.params.cells_panel)
+            self._factor_cache = np.empty(max(room, panel))
+        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin,
+                          factors=self._factor_cache)
 
     def _sine_products(self, y):
         """The sine table S of y and S @ coeffs, written into the scratch."""
         coeffs = self.omega.coeffs
-        work = self._work(len(y) * -(-coeffs.shape[0] // _SINE_BLOCK) * _SINE_BLOCK)
-        s = _sines(y, coeffs.shape[0], work[0])
+        n = coeffs.shape[0]
+        # a medium frame has at most 2 cells_panel coordinates: room for
+        # that many keeps warm calls at other scales from growing the scratch
+        work = self._work(max(len(y) * -(-n // _SINE_BLOCK) * _SINE_BLOCK,
+                              _sine_scratch(max(len(y), 2 * self.params.cells_panel), n)))
+        s = _sines(y, n, work[0], work[1])
         return s, np.matmul(s, coeffs, out=work[1, :s.size].reshape(s.shape))
+
+    def _square_samples(self, y, out=None):
+        """omega on the grid y x y, (S @ coeffs) @ S.T from _sine_products,
+        into out if given."""
+        sy, cy = self._sine_products(y)
+        return np.matmul(cy, sy.T, out=out)
 
     def _samples(self, slot, key, shapes, fill):
         """Arrays of the given shapes in one slot of the sample buffer.
@@ -600,11 +659,8 @@ class QuadratureOracle:
                     grown[i, :entry[1]] = self._slots[i, :entry[1]]
             self._slots = grown
             self._slot_keys += [None] * (slot + 1 - len(self._slot_keys))
-        arrays, used = [], 0
-        for a, b in shapes:
-            arrays.append(self._slots[slot, used:used + a * b].reshape(a, b))
-            used += a * b
-        entry = (key, used)
+        arrays = _carve(self._slots[slot], *shapes)
+        entry = (key, sum(a.size for a in arrays))
         if self._slot_keys[slot] != entry:
             self._slot_keys[slot] = None
             fill(*arrays)
@@ -660,11 +716,7 @@ class QuadratureOracle:
         n = self.params.cells_panel
         y, _ = _midpoints(0.0, s, n)
 
-        def fill(w):
-            sy, cy = self._sine_products(y)
-            np.matmul(cy, sy.T, out=w)
-
-        (w,) = self._samples(0, s, [(n, n)], fill)
+        (w,) = self._samples(0, s, [(n, n)], lambda w: self._square_samples(y, w))
         rect = (0.0, s, 0.0, s)
         return self._sum_rect(x, rect, y, y, w, pv=self._inside(x, rect))
 
@@ -743,8 +795,11 @@ class QuadratureOracle:
         t, h = _midpoints(0.0, np.pi, n)
         strip = self._strip
         if strip is None or strip.shape[1] < outer * n:
-            base = _tensor_samples(self.omega.coeffs, t, t) if strip is None else strip[:, :n]
-            strip = np.hstack([-base[:, ::-1] if q % 2 else base for q in range(outer)])
+            base = self._square_samples(t) if strip is None else strip[:, :n]
+            flipped = -base[:, ::-1]
+            strip = np.empty((n, outer * n))
+            for q, cell in enumerate(np.moveaxis(strip.reshape(n, outer, n), 1, 0)):
+                np.copyto(cell, flipped if q % 2 else base)
             self._strip = strip
         y2 = (np.pi * np.arange(outer)[:, None] + t).ravel()
         u1 = u2 = 0.0

@@ -8,14 +8,26 @@ which makes them odd in both coordinates and 2*pi-periodic by construction.
 The collocation grid is the uniform grid x_i = pi*i/N_g, i = 0..N_g-1 of
 [0, pi)^2; grid values on the boundary rows x1 = 0 / x2 = 0 vanish exactly.
 
-Transforms on the collocation grid are DST-I/DCT-I based (scipy.fft), so a
-grid of N_g points maps to FFTs of length 2*N_g.  Derivatives flip the
-parity of the differentiated axis (sin -> cos for odd order), tracked by
+Every transform is one call of pocketfft, the compiled extension
+scipy/fft/_pocketfft/pypocketfft that scipy.fft's dst and dct dispatch
+to: _load_pocketfft finds it beside scipy and loads it alone, without
+scipy.fft's import chain (scipy.special and the array-API shim, which
+loads numpy.f2py, numpy.testing, numpy.random and numpy.ma), and falls
+back to importing it through scipy.fft only when it is not there.  On a
+2-core x86-64 machine with numpy 2.4.6 and scipy 1.17.1 the direct load
+takes about 13 ms with this module, where importing scipy.fft after numpy
+takes 280 ms, and `msqglab --help` fell from 0.53 to 0.22 s (medians of 8
+runs).  The calls are unnormalised (inorm=0) and run in place through
+out=, the arithmetic scipy.fft's dst/dct(norm=None, overwrite_x=True) do.
+
+Transforms on the collocation grid are DST-I/DCT-I based, so a grid of
+N_g points maps to FFTs of length 2*N_g.  Derivatives flip the parity of
+the differentiated axis (sin -> cos for odd order), tracked by
 MixedParityField.  One routine, _eval_axis, evaluates a series of either
 parity along one axis: it zero-pads the halved modes into a buffer and runs
-the DST-I or DCT-I there in place (overwrite_x).  MixedParityField.evaluate
-makes one call per axis in buffers it allocates; every max|f| on the grid
-goes through GridMax, which makes the same two calls in two buffers that it
+the DST-I or DCT-I there in place, and _eval_grid makes one call per axis.
+MixedParityField.evaluate calls it in buffers it allocates; every max|f|
+on the grid goes through GridMax, which calls it in two buffers that it
 holds, (n_grid+1)(N+n_grid) doubles: 3.2 MB at N=256, n_grid=512 and
 50 MB at N=1024, n_grid=2048.  A caller that keeps one, as the time stepper
 does for its CFL speed and its diagnostics, allocates no grid-sized array
@@ -35,17 +47,19 @@ function is projected onto sine modes by a DST-II, all real FFTs of length
 M.  Sine mode k aliases to 2M - k on that grid, so a product of two band-N
 fields keeps its band exact once M > 3N/2 (the 3/2 rule); dealias_grid
 picks the smallest such M that is 5-smooth (no prime factor above 5;
-scipy.fft.next_fast_len).
+pocketfft's good_size, as scipy.fft.next_fast_len(real=True)).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from pathlib import Path
 
 import numpy as np
-from scipy import fft as sfft
 
 __all__ = [
     "SineField",
@@ -65,9 +79,38 @@ __all__ = [
     "grid_max_abs",
     "grid_coordinates",
     "get_workers",
+    "environment",
 ]
 
 MIN_MODES = 4
+
+
+def _scipy_roots() -> list:
+    """The directories of the scipy package, found without importing it."""
+    spec = importlib.util.find_spec("scipy")
+    return list(spec.submodule_search_locations or ()) if spec else []
+
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft extension, and how it was loaded.
+
+    The extension is found in scipy's fft/_pocketfft directory and executed
+    on its own ("direct"); importlib.util.find_spec("scipy") locates that
+    directory without importing scipy.  Only if it is not there is it
+    imported through scipy.fft ("scipy.fft"), which loads the same
+    extension behind scipy.fft's whole import chain.
+    """
+    dirs = [os.path.join(root, "fft", "_pocketfft") for root in _scipy_roots()]
+    spec = importlib.machinery.PathFinder.find_spec("pypocketfft", dirs)
+    if spec is None:
+        from scipy.fft._pocketfft import pypocketfft
+        return pypocketfft, "scipy.fft"
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module, "direct"
+
+
+_pocketfft, POCKETFFT_LOADER = _load_pocketfft()
 
 
 def get_workers() -> int:
@@ -79,6 +122,35 @@ def get_workers() -> int:
         return max(1, int(env))
     except ValueError:
         raise ValueError(f"MSQGLAB_THREADS must be an integer, got {env!r}") from None
+
+
+@lru_cache(maxsize=None)
+def _scipy_version() -> str | None:
+    """scipy's installed version, None if not found.
+
+    Read from the Version field of the scipy-*.dist-info/METADATA beside the
+    package.  Neither scipy nor importlib.metadata is imported: the latter
+    brings in email and socket, 20 ms and 2.4 MB of resident memory
+    measured in a process that had loaded numpy.
+    """
+    for root in _scipy_roots():
+        for metadata in sorted(Path(root).parent.glob("scipy-*.dist-info/METADATA")):
+            with open(metadata, encoding="utf-8") as fh:
+                for line in fh:
+                    if line.startswith("Version:"):
+                        return line.split(":", 1)[1].strip()
+    return None
+
+
+def environment() -> dict:
+    """What this process computes with, as manifests and metadata record it.
+
+    numpy's and scipy's versions, how pocketfft was loaded
+    (POCKETFFT_LOADER), the FFT thread count of get_workers and
+    os.cpu_count().
+    """
+    return {"numpy": np.__version__, "scipy": _scipy_version(), "pocketfft": POCKETFFT_LOADER,
+            "fft_threads": get_workers(), "cpu_count": os.cpu_count()}
 
 
 def _check_finite(arr: np.ndarray, what: str, mask: np.ndarray | None = None) -> None:
@@ -158,7 +230,8 @@ def _axis_index(ndim: int, axis: int, sl) -> tuple:
 
 
 def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
-               buf: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
+               buf: np.ndarray | None = None, workers: int | None = None,
+               halved: bool = False) -> np.ndarray:
     """Evaluate a sine or cosine expansion along one axis on the collocation grid.
 
     Input length along `axis` is the number of modes m = 1..n; output length
@@ -167,7 +240,8 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
     modes fill entries 1..n and zeros the rest, and the _TYPE1 transform runs
     there in place.  buf, shaped like coeffs but at least n_grid (sine) or
     n_grid + 1 (cosine) long along `axis`, is allocated when None; the
-    result is a view of it.
+    result is a view of it.  With halved, coeffs holds the halved modes
+    already and is copied as it is (see _eval_grid).
     """
     transform, first, extra = _TYPE1[parity]
     n = coeffs.shape[axis]
@@ -179,11 +253,31 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
         buf = np.empty(shape)
     at = partial(_axis_index, coeffs.ndim, axis)
     buf[at(slice(0, 1))] = 0.0
-    np.multiply(coeffs, 0.5, out=buf[at(slice(1, n + 1))])
+    modes = buf[at(slice(1, n + 1))]
+    if halved:
+        np.copyto(modes, coeffs)
+    else:
+        np.multiply(coeffs, 0.5, out=modes)
     buf[at(slice(n + 1, n_grid + extra))] = 0.0
-    transform(buf[at(slice(first, n_grid + extra))], type=1, axis=axis, overwrite_x=True,
-              workers=get_workers() if workers is None else workers)
+    view = buf[at(slice(first, n_grid + extra))]
+    transform(view, 1, (axis,), inorm=0, out=view,
+              nthreads=get_workers() if workers is None else workers)
     return buf[at(slice(0, n_grid))]
+
+
+def _eval_grid(coeffs: np.ndarray, parity: tuple, n_grid: int, first: np.ndarray | None = None,
+               grid: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
+    """A mixed sin/cos series on the n_grid x n_grid collocation grid.
+
+    _eval_axis along the first axis, in first, then along the second, in
+    grid (either allocated when None).  The first axis's output is halved
+    in place for the second: along the last axis the modes' slot is
+    strided, and a ufunc writing there takes numpy iteration buffers, where
+    one on the contiguous output takes none.
+    """
+    rows = _eval_axis(coeffs, parity[0], n_grid, -2, first, workers)
+    rows *= 0.5
+    return _eval_axis(rows, parity[1], n_grid, -1, grid, workers, halved=True)
 
 
 def _midpoint_slot(buf: np.ndarray, parity: str, n_modes: int, axis: int) -> np.ndarray:
@@ -200,16 +294,16 @@ def _eval_midpoint_axis(buf: np.ndarray, parity: str, n_modes: int, axis: int,
     """Twice a sine or cosine expansion along one axis at the midpoints pi*(j+1/2)/M.
 
     M is the length of buf along `axis`, and the n_modes coefficients are
-    already in its _midpoint_slot.  The rest of the axis is zeroed and a
-    DST-III or DCT-III of length M runs in place; buf is returned.  scipy's
-    unnormalised type III doubles every mode, and the factor 1/2 is left to
-    the caller.
+    already in its _midpoint_slot.  The rest of the axis is zeroed and
+    pocketfft's DST-III or DCT-III of length M runs in place (out=buf);
+    buf is returned.  The unnormalised (inorm=0) type III doubles every
+    mode, and the factor 1/2 is left to the caller.
     """
     transform, lead = _TYPE3[parity]
     at = partial(_axis_index, buf.ndim, axis)
     buf[at(slice(0, lead))] = 0.0
     buf[at(slice(lead + n_modes, None))] = 0.0
-    transform(buf, type=3, axis=axis, overwrite_x=True, workers=workers)
+    transform(buf, 3, (axis,), inorm=0, out=buf, nthreads=workers)
     return buf
 
 
@@ -218,9 +312,9 @@ _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
 _VELOCITY_PARITIES = (("sin", "cos"), ("cos", "sin"))
 # collocation transform per parity, the first entry it runs on, and how many
 # entries past n_grid (the DCT-I's extra one is x = pi)
-_TYPE1 = {"sin": (sfft.dst, 1, 0), "cos": (sfft.dct, 0, 1)}
+_TYPE1 = {"sin": (_pocketfft.dst, 1, 0), "cos": (_pocketfft.dct, 0, 1)}
 # midpoint transform per parity, and where its mode 1 sits (the DCT's entry 0 is the constant)
-_TYPE3 = {"sin": (sfft.dst, 0), "cos": (sfft.dct, 1)}
+_TYPE3 = {"sin": (_pocketfft.dst, 0), "cos": (_pocketfft.dct, 1)}
 
 
 def dealias_grid(n_modes: int) -> int:
@@ -229,9 +323,11 @@ def dealias_grid(n_modes: int) -> int:
     On the midpoints pi*(j+1/2)/M, sine mode k aliases to 2M - k.  The
     product of two fields of band N has modes up to 2N, so its modes <= N
     are exact once 2M - 2N > N (the 3/2 rule, Orszag 1971).  The type-II/III
-    transforms there are real FFTs of length M, and M is 5-smooth.
+    transforms there are real FFTs of length M, and M is 5-smooth (no prime
+    factor above 5): pocketfft's good_size(n, True), the function that
+    scipy.fft.next_fast_len(n, real=True) calls.
     """
-    return sfft.next_fast_len(3 * n_modes // 2 + 1, real=True)
+    return _pocketfft.good_size(3 * n_modes // 2 + 1, True)
 
 
 @dataclass(frozen=True)
@@ -253,8 +349,7 @@ class MixedParityField:
 
     def evaluate(self, n_grid: int) -> GridField:
         """Evaluate on the N_g x N_g collocation grid."""
-        rows = _eval_axis(self.coeffs, self.parity[0], n_grid, -2)
-        return GridField(_eval_axis(rows, self.parity[1], n_grid, -1))
+        return GridField(_eval_grid(self.coeffs, self.parity, n_grid))
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """evaluate_points at points (..., 2) on a stack of one: a float for a
@@ -312,17 +407,27 @@ def forward_transform(grid: GridField, n_modes: int) -> SineField:
     n_grid = grid.n_grid
     if n_grid < 2 * n_modes:
         raise ValueError(f"n_grid={n_grid} < 2*N={2 * n_modes}")
-    interior = grid.values[1:, 1:]
-    full = sfft.dstn(interior, type=1, workers=get_workers()) / n_grid**2
-    return SineField(full[:n_modes, :n_modes].copy())
+    workers = get_workers()
+    # axis 0 on every column, then axis 1 on the kept rows only: dstn's
+    # order, and each row's transform does not depend on the others
+    rows = _pocketfft.dst(grid.values[1:, 1:], 1, (0,), inorm=0, nthreads=workers)[:n_modes]
+    _pocketfft.dst(rows, 1, (1,), inorm=0, out=rows, nthreads=workers)
+    return SineField(rows[:, :n_modes] / n_grid**2)
 
 
+@lru_cache(maxsize=8)
 def _laplacian_power(n_modes: int, alpha: float) -> np.ndarray:
-    """The symbol (m^2+n^2)^(1-alpha) that fractional_inverse_laplacian divides by."""
+    """The symbol (m^2+n^2)^(1-alpha) that fractional_inverse_laplacian divides by.
+
+    Held per (N, alpha) and read-only: the trace sampler asks for it once
+    per snapshot, and the time stepper's workspace holds the same array.
+    """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     m = np.arange(1, n_modes + 1)
-    return (m[:, None] ** 2 + m[None, :] ** 2) ** (1.0 - alpha)
+    symbol = (m[:, None] ** 2 + m[None, :] ** 2) ** (1.0 - alpha)
+    symbol.flags.writeable = False
+    return symbol
 
 
 def fractional_inverse_laplacian(field: SineField, alpha: float) -> SineField:
@@ -353,17 +458,39 @@ def spectral_derivative(field: SineField, axis: int, order: int) -> MixedParityF
     return MixedParityField(-field.coeffs * fac**2, ("sin", "sin"))
 
 
+def _mode_numbers(n_modes: int, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The mode numbers 1..N along axis 0 or 1 of an N x N array: written
+    into out, an N x N array, if given, else a view that broadcasts.
+
+    A ufunc with a broadcast operand, a strided one or a strided out= takes
+    numpy's iteration buffers, up to np.getbufsize() entries (64 KiB) per
+    operand and call; one on same-shape C-contiguous arrays takes none, and
+    neither does np.copyto.  So a product with the mode numbers of one axis
+    that must not take buffers multiplies by a filled out.
+    """
+    modes = np.arange(1, n_modes + 1, dtype=np.float64)
+    view = modes[:, None] if axis == 0 else modes
+    if out is None:
+        return view
+    np.copyto(out, view)
+    return out
+
+
 def _velocity_into(coeffs: np.ndarray, symbol: np.ndarray, u1: np.ndarray,
-                   u2: np.ndarray) -> None:
+                   u2: np.ndarray, factor: np.ndarray | None = None) -> None:
     """Write the velocity coefficients of psi = coeffs / symbol into u1 and u2.
 
     u1 = -d2 psi in the (sin, cos) basis and u2 = d1 psi in the (cos, sin)
-    basis; symbol is _laplacian_power(N, alpha).  psi is formed once, in u1.
+    basis; symbol is _laplacian_power(N, alpha).  psi is formed once, in
+    u1.  factor, if given, is the out of both _mode_numbers (of axis 0, then
+    of axis 1, which it keeps); with u1 and u2 it must be C-contiguous, and
+    then no product takes an iteration buffer.
     """
-    modes = np.arange(1, coeffs.shape[-1] + 1, dtype=np.float64)
+    n = coeffs.shape[-1]
     np.divide(coeffs, symbol, out=u1)
-    np.multiply(u1, modes[:, None], out=u2)
-    u1 *= -modes
+    np.multiply(u1, _mode_numbers(n, 0, factor), out=u2)
+    np.multiply(u1, _mode_numbers(n, 1, factor), out=u1)
+    np.negative(u1, out=u1)                 # psi * -m, rounded alike
 
 
 def velocity_coefficients(omega: SineField, alpha: float):
@@ -392,7 +519,9 @@ class GridMax:
     bit for bit (NaN if the grid holds a NaN).  The first-axis transform runs
     in an (n_grid+1, N) buffer and the second-axis one in an
     (n_grid, n_grid+1) buffer, which fit every parity pair, so one instance
-    serves a whole run and a call allocates no grid-sized array.  The two
+    serves a whole run and a call allocates no grid-sized array; it takes
+    no numpy iteration buffer either, as _eval_grid halves in place and the
+    maximum runs over the whole contiguous second buffer.  The two
     buffers are views of scratch, a flat float64 array of at least
     scratch_size(N, n_grid) = (n_grid+1)(N+n_grid) entries, allocated when
     None.  A call writes every entry it reads, so the scratch may serve
@@ -416,8 +545,12 @@ class GridMax:
         if tuple(parity) not in _PARITIES:
             raise ValueError(f"invalid parity pair {parity}")
         g, w = self.n_grid, self._workers
-        rows = _eval_axis(coeffs, parity[0], g, -2, self._first, w)
-        return _max_abs(_eval_axis(rows, parity[1], g, -1, self._grid, w))
+        _eval_grid(coeffs, parity, g, self._first, self._grid, w)
+        # over the whole contiguous buffer, which numpy reduces without an
+        # iteration buffer: a zero in the column past the grid leaves
+        # max(max, -min), which is never negative, as it is
+        self._grid[:, g] = 0.0
+        return _max_abs(self._grid)
 
 
 def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None,

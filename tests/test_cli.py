@@ -10,7 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from msqglab import cli
 from msqglab.snapshots import read_snapshot, write_snapshot
@@ -117,6 +119,15 @@ class TestPipeline:
             path = root / out / entry["path"]
             assert entry["sha256"] == _sha256(path), entry["path"]
             assert entry["bytes"] == path.stat().st_size
+
+    def test_environment_recorded(self, pipeline):
+        # _run_cli pins MSQGLAB_THREADS=1
+        root, _ = pipeline
+        want = {"numpy": np.__version__, "scipy": scipy.__version__, "pocketfft": "direct",
+                "fft_threads": 1, "cpu_count": os.cpu_count()}
+        for name in ("md/manifest.json", "run/manifest.json", "run/metadata.json",
+                     "tr/manifest.json", "ver/manifest.json"):
+            assert json.loads((root / name).read_text())["environment"] == want, name
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_outputs(self, pipeline, name):

@@ -1,19 +1,28 @@
 """Sine-basis transforms, derivatives, velocity law, and norms."""
 
+import importlib.machinery
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy import fft as sfft
+from scipy.fft._pocketfft import pypocketfft
 
+from msqglab import spectral
 from msqglab.spectral import (
     _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
     GridField, GridMax, MixedParityField, SineField, evaluate_offgrid, evaluate_points,
-    forward_transform, fractional_inverse_laplacian, get_workers, grid_coordinates,
-    grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm, spectral_derivative,
-    velocity_coefficients)
+    dealias_grid, environment, forward_transform, fractional_inverse_laplacian, get_workers,
+    grid_coordinates, grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm,
+    spectral_derivative, velocity_coefficients)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def grid_xy(n):
@@ -544,3 +553,105 @@ def test_get_workers_names_a_bad_value(monkeypatch, value):
     with pytest.raises(ValueError) as caught:
         get_workers()
     assert str(caught.value) == f"MSQGLAB_THREADS must be an integer, got {value!r}"
+
+
+class TestPocketfftSeam:
+    """The package's transforms call scipy's pocketfft extension directly;
+    each must give scipy.fft's bits."""
+
+    def test_loaded_without_scipy_fft(self):
+        assert spectral.POCKETFFT_LOADER == "direct"
+        assert spectral._pocketfft.__name__ == "pypocketfft"
+
+    # every transform type and parity along both axes of a strided view of a
+    # stack, in place, as _eval_axis, _eval_midpoint_axis and _Rhs run them
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("axis", [-2, -1])
+    @pytest.mark.parametrize("kind", ["dst", "dct"])
+    @pytest.mark.parametrize("type_", [1, 2, 3])
+    def test_in_place_on_a_strided_view_matches_scipy(self, type_, kind, axis, workers):
+        buf = np.random.default_rng(type_).standard_normal((2, 37, 41))
+        index = np.s_[:, 2:35, 3:38]
+        mine, ref = buf.copy(), buf.copy()
+        view = mine[index]
+        assert getattr(spectral._pocketfft, kind)(view, type_, (axis,), inorm=0, out=view,
+                                                  nthreads=workers) is view
+        ref[index] = getattr(sfft, kind)(ref[index], type=type_, axis=axis, workers=workers)
+        assert mine.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("parity", ["sin", "cos"])
+    def test_eval_axis_on_one_axis_matches_scipy(self, parity):
+        # check_degeneracy evaluates a 1-D series
+        c = np.random.default_rng(4).standard_normal(21)
+        n_grid = 64
+        transform, first, extra = spectral._TYPE1[parity]
+        buf = np.zeros(n_grid + extra)
+        buf[1:22] = 0.5 * c
+        want = getattr(sfft, transform.__name__)(buf[first:], type=1)
+        got = _eval_axis(c, parity, n_grid, 0)
+        assert got[first:].tobytes() == want[:n_grid - first].tobytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("n_modes, n_grid", [(8, 16), (13, 40), (32, 64)])
+    def test_forward_transform_matches_dstn(self, n_modes, n_grid, workers, monkeypatch):
+        monkeypatch.setenv("MSQGLAB_THREADS", workers)
+        g = np.random.default_rng(n_grid).standard_normal((n_grid, n_grid))
+        want = (sfft.dstn(g[1:, 1:], type=1, workers=int(workers)) / n_grid**2)[:n_modes, :n_modes]
+        assert forward_transform(GridField(g), n_modes).coeffs.tobytes() == want.tobytes()
+
+    def test_good_size_is_next_fast_len(self):
+        sizes = range(1, 2049)
+        assert ([spectral._pocketfft.good_size(n, True) for n in sizes]
+                == [sfft.next_fast_len(n, real=True) for n in sizes])
+        assert all(dealias_grid(n) == sfft.next_fast_len(3 * n // 2 + 1, real=True)
+                   for n in range(4, 1366))
+
+    def test_falls_back_to_scipy_fft(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            classmethod(lambda cls, *args, **kwargs: None))
+        module, how = spectral._load_pocketfft()
+        assert (module, how) == (pypocketfft, "scipy.fft")
+        x = np.random.default_rng(5).standard_normal((7, 12))
+        assert module.dst(x, 2, (-1,)).tobytes() == spectral._pocketfft.dst(x, 2, (-1,)).tobytes()
+
+    def test_scipy_fft_imports_after_the_package(self):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from msqglab import spectral\n"
+            "assert 'scipy.fft' not in sys.modules\n"
+            "import scipy.fft\n"
+            "x = np.random.default_rng(0).standard_normal((6, 10))\n"
+            "for t in (1, 2, 3):\n"
+            "    for kind in ('dst', 'dct'):\n"
+            "        want = getattr(scipy.fft, kind)(x, type=t)\n"
+            "        got = getattr(spectral._pocketfft, kind)(x, t, (-1,))\n"
+            "        assert want.tobytes() == got.tobytes()\n"
+            "print(spectral.POCKETFFT_LOADER)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "direct"
+
+
+class TestEnvironment:
+    def test_block(self):
+        assert environment() == {
+            "numpy": np.__version__, "scipy": scipy.__version__, "pocketfft": "direct",
+            "fft_threads": get_workers(), "cpu_count": os.cpu_count()}
+
+    def test_scipy_version_from_dist_info(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "_scipy_roots", lambda: [str(tmp_path / "scipy")])
+        spectral._scipy_version.cache_clear()
+        try:
+            assert spectral._scipy_version() is None
+            spectral._scipy_version.cache_clear()
+            info = tmp_path / "scipy-9.8.7.dist-info"
+            info.mkdir()
+            (info / "METADATA").write_text("Metadata-Version: 2.1\nName: scipy\n"
+                                           "Version: 9.8.7\n\nVersion: 0\n")
+            assert spectral._scipy_version() == "9.8.7"
+        finally:
+            spectral._scipy_version.cache_clear()

@@ -1,9 +1,11 @@
 """Module hygiene by an ast walk: __all__ entries exist, top-level imports
 are used, the package imports nothing beyond the standard library, numpy
-and scipy.fft, it reaches no LAPACK routine through numpy,
-only the point evaluator takes np.sin or np.cos of a series' angles, the
-time stepper allocates its arrays in its workspace only, and the config
-objects and public entry points take the pinned options only."""
+and scipy's pocketfft extension (and importing the command line loads
+neither scipy.fft nor what its import chain brings), it reaches no LAPACK
+routine through numpy, only the point evaluator takes np.sin or np.cos of
+a series' angles, the time stepper allocates its arrays in its workspace
+only, and the config objects and public entry points take the pinned
+options only."""
 
 import ast
 import dataclasses
@@ -69,9 +71,11 @@ def test_top_level_imports_used(name):
     assert not unused, f"msqglab/{name}.py imports unused names (name: line): {unused}"
 
 
-# third-party modules the package may import; scipy.integrate, for one, would
-# pull in scipy.linalg, optimize, sparse and spatial
-ALLOWED_THIRD_PARTY = ("numpy", "scipy.fft")
+# third-party modules the package may import: numpy, and scipy's pocketfft
+# extension, which spectral loads on its own and imports through scipy.fft
+# only as a fallback; scipy.fft itself would pull in scipy.special and the
+# array-API shim, scipy.integrate scipy.linalg, optimize, sparse and spatial
+ALLOWED_THIRD_PARTY = ("numpy", "scipy.fft._pocketfft")
 
 
 def _imported_modules(tree: ast.Module):
@@ -218,6 +222,23 @@ def test_principal_value_leaves_scipy_integrate_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_command_line_leaves_scipy_fft_unloaded():
+    # scipy.fft's import chain: scipy.special through _fftlog, and the
+    # array-API shim, which clones numpy and so loads numpy.f2py
+    script = (
+        "import sys\n"
+        "import msqglab.cli\n"
+        "from msqglab import spectral\n"
+        "heavy = ('scipy.fft', 'scipy.special', 'scipy._lib._array_api', 'numpy.f2py')\n"
+        "print(spectral.POCKETFFT_LOADER, sorted(m for m in heavy if m in sys.modules))\n")
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "direct []"
+
+
 # the fields of each config object and the keyword parameters of each public
 # verifier and tracer; a value no caller sets is a module constant instead,
 # so adding an option takes a deliberate edit here
@@ -330,8 +351,10 @@ def _allocations(tree: ast.Module):
 # None there: every array it allocates is an N x N or a grid-sized one, and
 # run() holds them all in one _Rk4Workspace, whose tendency evaluator takes
 # its grids from the workspace's scratch; a _Rhs allocates its own only
-# when built without one, for nonlinear_term
-EVOLUTION_ALLOCATIONS = {"_Rk4Workspace.__init__": None, "_Rhs.__init__": "scratch"}
+# when built without one, for nonlinear_term, and a tendency only when
+# given no out, as step_rk4's first stage is for the new coefficients
+EVOLUTION_ALLOCATIONS = {"_Rk4Workspace.__init__": None, "_Rhs.__init__": "scratch",
+                         "_Rhs.__call__": "out"}
 
 
 def test_evolution_allocates_only_in_its_workspace():
