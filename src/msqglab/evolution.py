@@ -21,12 +21,14 @@ whole run; between steps it forms the CFL velocity coefficients in the two
 stage arrays (with the scratch's first N^2 entries as the factor of
 _velocity_into) and the Hessian entries of each diagnostic record in the
 first, and takes the CFL speed and every grid maximum of a record
-(omega-max and the three Hessian entries) from the workspace's GridMax.
-The workspace holds
+(omega-max and the three Hessian entries) from the workspace's GridMax,
+which transforms the grid in blocks of min(128, Ng) rows.  The workspace
+holds
 
-    8 * (max(3 M^2, (Ng+1)(N+Ng)) + 3 N^2) bytes,
+    8 * (max(3 M^2, (Ng+1)(N + min(128, Ng))) + 3 N^2) bytes,
 
-5.4 MB at N=256, Ng=512 (M=400) and 87 MB at N=1024, Ng=2048 (M=1600).
+5.4 MB at N=256, Ng=512 (M=400) and 87 MB at N=1024, Ng=2048 (M=1600):
+the tendency's grids are the larger share at both.
 
 No dissipation is applied (the equation is conservative).  Loss of
 resolution is a reportable outcome ("resolution_exhausted"), not an error.

@@ -40,12 +40,16 @@ lays out all four terms as one array d[s1, i, s2, j]; its squared
 distances are one matrix product, its weighted powers omega * i three
 in-place array operations, and both contractions one product with the
 column factors followed by dots with the row factors.  A block holds at
-most 65,536 entries across its four terms (or one grid row, if that is
+most 32,768 entries across its four terms (or one grid row, if that is
 more), in three scratch buffers per oracle that grow to what its largest
 block or sine table needs, so the scratch stays bounded however many
-cells a grid has and small grids take small scratch.  At the CLI
-defaults a medium frame's grids and the near square are one block each,
-the 256^2 central cell is four and a row of image cells two.
+cells a grid has and small grids take small scratch: 0.8 MB at the CLI
+defaults, where a sine table's scratch is the largest need.  There a
+medium frame's grids are one block each, the near square two, the 256^2
+central cell eight and a row of image cells four.  Blocks of 65,536
+entries took 1.6 MB; with them image_tail at the CLI defaults took 14.1 ms
+and the central cell's principal-value sum 1.52 ms, against 14.2 and
+1.62 ms now (medians of 6, one thread, 2-core x86-64).
 
 Omega is sampled on tensor grids as (S1 @ c) @ S2.T from sine matrices S.
 A medium frame takes one sine table on [yb | ya], its midpoints across
@@ -60,12 +64,16 @@ a warm call makes no transient array of more than a few rows.  Smaller
 transients cost faults too: freed at the top of glibc's heap, they are
 handed back to the system once 128 KiB is free there, and fault in again
 on the next call.
-The near square, the central cell and the image cells' base grid are
-sampled alike, as (S @ c) @ S.T on y x y (_square_samples).
-The image cells reuse one sample grid of the central cell, flipped by
-parity, laid out as one row of cells that every row of the image lattice
-sums in one call, for any range of whole cells (the far region or its
-tail).  An oracle also reuses samples across calls: those of
+The near square and the image cells' base grid are sampled alike, as
+(S @ c) @ S.T on y x y (_square_samples).  The central cell, the
+cells_central midpoints of [0, pi] per axis, is sampled by spectral's
+midpoint transform instead (spectral.evaluate_midpoints, which folds the
+modes above cells_central onto the grid), with no sine table.  The base
+grid, cells_far midpoints of [0, pi], keeps its table, and so the far
+sums their bits.  The image cells reuse that one grid, flipped by parity,
+laid out as one row of cells that every row of the image lattice sums in
+one call, for any range of whole cells (the far region or its tail).  An
+oracle also reuses samples across calls: those of
 its last near square, keyed on the exact side s = L|x|, and those of each
 medium frame, keyed on the exact (lo, hi, na, nb) and held in one slot per
 frame counted down from pi, so that s and s/2, whose frames differ only in
@@ -91,8 +99,9 @@ distances from x to the edges.  The first moments are closed form and
 the zeroth are Gauss-Legendre sums after t = c sinh v, both to rounding,
 and a rectangle's eight (u, c) pairs take one array evaluation.  The
 linearization takes omega(x) and grad omega(x) from one
-spectral.evaluate_points call on a held (3, n, n) stack of omega and its
-two first derivatives.
+spectral.evaluate_points call on omega's own coefficients, with the two
+first derivatives as terms weighted by the mode numbers, so an oracle
+holds no derivative array.
 """
 
 from __future__ import annotations
@@ -103,7 +112,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SineField, evaluate_points, spectral_derivative
+from .spectral import SineField, Term, evaluate_midpoints, evaluate_points
 
 __all__ = [
     "KernelParams",
@@ -171,7 +180,7 @@ class RegionSpec:
 # Entries across the four image terms of a node-sum block, unless one grid
 # row takes more.  A block's temporaries live in the oracle's scratch, so
 # summing a block allocates no node-sized array and faults in no pages.
-_BLOCK_NODES = 65536
+_BLOCK_NODES = 32768
 
 # s1 s2 of the image term at (s1 y1, s2 y2), indexed [s1 < 0, s2 < 0]
 _SIGNS = ((1.0, -1.0), (-1.0, 1.0))
@@ -546,13 +555,17 @@ def _linear_pv_integrals(x, rect, alpha: float, w0: float, g1: float, g2: float)
     return float(i1), float(i2)
 
 
+# omega, d1 omega and d2 omega as terms of a stack of omega alone
+_LINEARIZATION = (Term(0, ("sin", "sin")), Term(0, ("cos", "sin"), (1, 0)),
+                  Term(0, ("sin", "cos"), (0, 1)))
+
+
 class QuadratureOracle:
     """Kernel-quadrature velocity for one vorticity field.
 
-    Caches the central-cell sample grid, one row of image-cell sample grids
-    and the stack of omega and its gradient that the principal-value
-    linearization evaluates, so sweeps over many evaluation points reuse
-    the omega sampling.  A medium
+    Caches the central-cell sample grid and one row of image-cell sample
+    grids, so sweeps over many evaluation points reuse the omega sampling;
+    the principal-value linearization reads omega's own coefficients.  A medium
     frame is sampled as two tensor grids, ya x [yb | ya] (its rectangle
     [lo,hi] x [0,lo] and the corner [lo,hi]^2 share their rows) and
     yb x ya, from one sine table on [yb | ya] and one product with the
@@ -592,7 +605,6 @@ class QuadratureOracle:
         self.params = params
         self._central_cache = None
         self._strip = None          # samples of an even row of image cells
-        self._grad = None           # (stack, parities) of d1 omega and d2 omega
         self._work_cache = None
         self._factor_cache = None
         self._slots = None          # (slots, 3 * cells_panel^2) omega samples
@@ -602,9 +614,12 @@ class QuadratureOracle:
     # -- omega sampling -------------------------------------------------
 
     def _central_nodes(self):
+        """The central cell's midpoints of [0, pi], their spacing and omega on
+        them, by spectral's midpoint transform."""
         if self._central_cache is None:
-            y, h = _midpoints(0.0, np.pi, self.params.cells_central)
-            self._central_cache = (y, h, self._square_samples(y))
+            n = self.params.cells_central
+            y, h = _midpoints(0.0, np.pi, n)
+            self._central_cache = (y, h, evaluate_midpoints(self.omega.coeffs, n))
         return self._central_cache
 
     def _work(self, room: int):
@@ -668,13 +683,9 @@ class QuadratureOracle:
         return arrays
 
     def _linearization(self, x):
-        """omega(x) from its coefficients and grad omega(x) from the stack
-        [d1 omega, d2 omega], built on the first call, by evaluate_points."""
-        if self._grad is None:
-            d1, d2 = (spectral_derivative(self.omega, axis, 1) for axis in (1, 2))
-            self._grad = (np.stack([d1.coeffs, d2.coeffs]), (d1.parity, d2.parity))
-        (w,) = evaluate_points(self.omega.coeffs[None], (("sin", "sin"),), x).tolist()
-        return (w, *evaluate_points(*self._grad, x).tolist())
+        """(omega, d1 omega, d2 omega) at x, by one evaluate_points call on
+        omega's own coefficients."""
+        return tuple(evaluate_points(self.omega.coeffs[None], _LINEARIZATION, x).tolist())
 
     # -- singular rectangle sum ------------------------------------------
 

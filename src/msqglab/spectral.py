@@ -25,20 +25,26 @@ N_g points maps to FFTs of length 2*N_g.  Derivatives flip the parity of
 the differentiated axis (sin -> cos for odd order), tracked by
 MixedParityField.  One routine, _eval_axis, evaluates a series of either
 parity along one axis: it zero-pads the halved modes into a buffer and runs
-the DST-I or DCT-I there in place, and _eval_grid makes one call per axis.
+the DST-I or DCT-I there in place, and _eval_grid makes one call along the
+first axis and one per block of grid rows along the second.
 MixedParityField.evaluate calls it in buffers it allocates; every max|f|
 on the grid goes through GridMax, which calls it in two buffers that it
-holds, (n_grid+1)(N+n_grid) doubles: 3.2 MB at N=256, n_grid=512 and
-50 MB at N=1024, n_grid=2048.  A caller that keeps one, as the time stepper
-does for its CFL speed and its diagnostics, allocates no grid-sized array
-per maximum; the stepper's GridMax runs, between steps, in the scratch that
-its RK4 tendency uses during them.
+holds, the first axis's output and a block of _GRID_MAX_ROWS grid rows:
+(n_grid+1)(N+128) doubles, 1.6 MB at N=256, n_grid=512 and 19 MB at
+N=1024, n_grid=2048.  A caller that keeps one, as the time stepper does for
+its CFL speed and its diagnostics, allocates no grid-sized array per
+maximum; the stepper's GridMax runs, between steps, in the scratch that its
+RK4 tendency uses during them.
 
-Off the grid, evaluate_points sums a stack of series, each in its own
-parity pair, at arbitrary points: one np.sin and one np.cos table of m*x,
-each entry's rows picked from them, one batched matmul.  evaluate_at and
-evaluate_offgrid pass it a stack of one; the trace sampler, the oracle's
-linearization and transport_defect pass theirs.
+Off the grid, evaluate_points sums series of a coefficient stack at
+arbitrary points.  Each series is a Term: an entry of the stack, its parity
+pair and the powers of the mode numbers that weight it on each axis, so a
+derivative is a term on the field's own coefficients.  One np.sin and one
+np.cos table of m*x serve a call; the terms on one entry take their
+weighted rows of it, and one matmul reads the entry once for all of them.
+evaluate_at and evaluate_offgrid pass it a stack of one; the trace sampler
+(d2 and d1 of each stream function), the oracle's linearization (omega and
+its gradient) and transport_defect pass theirs.
 
 The pointwise products of the time stepper are formed on a second,
 staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
@@ -48,6 +54,11 @@ M.  Sine mode k aliases to 2M - k on that grid, so a product of two band-N
 fields keeps its band exact once M > 3N/2 (the 3/2 rule); dealias_grid
 picks the smallest such M that is 5-smooth (no prime factor above 5;
 pocketfft's good_size, as scipy.fft.next_fast_len(real=True)).
+evaluate_midpoints samples a sine series of any band on M midpoints per
+axis the same way, for the quadrature's central cell: the DST-III takes
+mode M once where it doubles the others, so mode M goes in at twice their
+weight, and the modes above M are folded onto the grid, where
+sin((2Mq + r) x_j) = (-1)^q sin(r x_j).
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +86,8 @@ __all__ = [
     "velocity_coefficients",
     "evaluate_offgrid",
     "evaluate_points",
+    "evaluate_midpoints",
+    "Term",
     "hessian_sup_norm",
     "l2_norm",
     "grid_max_abs",
@@ -266,18 +280,26 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
 
 
 def _eval_grid(coeffs: np.ndarray, parity: tuple, n_grid: int, first: np.ndarray | None = None,
-               grid: np.ndarray | None = None, workers: int | None = None) -> np.ndarray:
-    """A mixed sin/cos series on the n_grid x n_grid collocation grid.
+               block: np.ndarray | None = None, workers: int | None = None):
+    """A mixed sin/cos series on the n_grid x n_grid collocation grid, in
+    blocks of grid rows.
 
-    _eval_axis along the first axis, in first, then along the second, in
-    grid (either allocated when None).  The first axis's output is halved
-    in place for the second: along the last axis the modes' slot is
-    strided, and a ufunc writing there takes numpy iteration buffers, where
-    one on the contiguous output takes none.
+    _eval_axis along the first axis, in first, then along the second for
+    each block of len(block) rows, in block; the blocks are yielded in
+    order, each a view of block.  With block None the grid is one block, in
+    an array _eval_axis allocates (first too is allocated when None).  Each
+    row's transform is the same arithmetic in a block as in the whole grid.
+    The first axis's output is halved in place for the second: along the
+    last axis the modes' slot is strided, and a ufunc writing there takes
+    numpy iteration buffers, where one on the contiguous output takes none.
     """
     rows = _eval_axis(coeffs, parity[0], n_grid, -2, first, workers)
     rows *= 0.5
-    return _eval_axis(rows, parity[1], n_grid, -1, grid, workers, halved=True)
+    size = n_grid if block is None else len(block)
+    for r in range(0, n_grid, size):
+        part = rows[r:r + size]
+        buf = None if block is None else block[:len(part)]
+        yield _eval_axis(part, parity[1], n_grid, -1, buf, workers, halved=True)
 
 
 def _midpoint_slot(buf: np.ndarray, parity: str, n_modes: int, axis: int) -> np.ndarray:
@@ -297,7 +319,10 @@ def _eval_midpoint_axis(buf: np.ndarray, parity: str, n_modes: int, axis: int,
     already in its _midpoint_slot.  The rest of the axis is zeroed and
     pocketfft's DST-III or DCT-III of length M runs in place (out=buf);
     buf is returned.  The unnormalised (inorm=0) type III doubles every
-    mode, and the factor 1/2 is left to the caller.
+    mode, and the factor 1/2 is left to the caller.  A sine series may also
+    fill the slot's entry M - 1, its mode M, which _midpoint_slot does not
+    offer: the DST-III takes that one once, not twice, and sin(M x_j) is
+    (-1)^j (evaluate_midpoints).
     """
     transform, lead = _TYPE3[parity]
     at = partial(_axis_index, buf.ndim, axis)
@@ -305,6 +330,48 @@ def _eval_midpoint_axis(buf: np.ndarray, parity: str, n_modes: int, axis: int,
     buf[at(slice(lead + n_modes, None))] = 0.0
     transform(buf, 3, (axis,), inorm=0, out=buf, nthreads=workers)
     return buf
+
+
+def _fold_modes(coeffs: np.ndarray, n_mid: int, axis: int) -> np.ndarray:
+    """coeffs with its sine modes folded onto 1..n_mid along axis, as they
+    alias on the midpoints x_j = pi*(j+1/2)/M, M = n_mid.
+
+    There sin((2 M q + r) x_j) = (-1)^q sin(r x_j), so mode m goes to
+    r = min(t, 2M - t), t = m mod 2M, with the sign (-1)^q of q = m // 2M;
+    the modes with t = 0 vanish.  The folded modes are summed in order.
+    """
+    m = np.arange(1, coeffs.shape[axis] + 1)
+    t, q = m % (2 * n_mid), m // (2 * n_mid)
+    c = np.moveaxis(coeffs, axis, 0)
+    folded = np.zeros((n_mid + 1,) + c.shape[1:])       # row 0 takes the vanishing modes
+    np.add.at(folded, np.minimum(t, 2 * n_mid - t), np.where(q % 2, -1.0, 1.0)[:, None] * c)
+    return np.moveaxis(folded[1:], 0, axis)
+
+
+def evaluate_midpoints(coeffs: np.ndarray, n_mid: int) -> np.ndarray:
+    """A double sine series at the M x M midpoints pi*(j+1/2)/M, M = n_mid.
+
+    coeffs is N x N.  Modes above M are folded onto 1..M (_fold_modes), so
+    any N fits; then one DST-III per axis runs in place in the M x M result,
+    by _eval_midpoint_axis, first along the first axis on the min(N, M)
+    columns that hold modes.  The unnormalised type III takes modes 1..M-1
+    twice and mode M once, so the coefficients go in at a quarter, and
+    those of mode M on either axis at twice that: every scaling is by a
+    power of two, and so exact.
+    """
+    n = coeffs.shape[0]
+    k = min(n, n_mid)
+    out = np.empty((n_mid, n_mid))
+    if n > n_mid:
+        coeffs = _fold_modes(_fold_modes(coeffs, n_mid, 0), n_mid, 1)
+    modes = out[:k, :k]
+    np.multiply(coeffs, 0.25, out=modes)
+    if k == n_mid:
+        modes[-1] *= 2.0
+        modes[:, -1] *= 2.0
+    workers = get_workers()
+    _eval_midpoint_axis(out[:, :k], "sin", k, -2, workers)
+    return _eval_midpoint_axis(out, "sin", k, -1, workers)
 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
@@ -349,45 +416,85 @@ class MixedParityField:
 
     def evaluate(self, n_grid: int) -> GridField:
         """Evaluate on the N_g x N_g collocation grid."""
-        return GridField(_eval_grid(self.coeffs, self.parity, n_grid))
+        (grid,) = _eval_grid(self.coeffs, self.parity, n_grid)
+        return GridField(grid)
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """evaluate_points at points (..., 2) on a stack of one: a float for a
         single point, else an array of shape (...)."""
-        vals = evaluate_points(self.coeffs[None], (self.parity,), points)[0]
+        vals = evaluate_points(self.coeffs[None], (Term(0, self.parity),), points)[0]
         return float(vals) if vals.ndim == 0 else vals
 
 
+class Term(NamedTuple):
+    """One series that evaluate_points sums: entry `entry` of the coefficient
+    stack in the parity pair `parity`, its mode (m, n) weighted by
+    m^p1 n^p2 for powers = (p1, p2).  Powers (1, 0) in the (cos, sin) pair
+    give d1 of a sine series, (0, 1) in (sin, cos) give d2."""
+
+    entry: int
+    parity: tuple
+    powers: tuple = (0, 0)
+
+
 @lru_cache(maxsize=None)
-def _table_layout(parities: tuple, n_modes: int):
-    """Mode numbers 1..n_modes, and the table rows of each entry's left and of
-    its right factors: row 2 t + c holds sin (t = 0) or cos (t = 1) of m x_c."""
-    if not set(parities) <= _PARITIES:
-        raise ValueError(f"invalid parity pair in {parities}")
+def _term_layout(terms: tuple, n_modes: int):
+    """How evaluate_points lays out terms: the mode numbers 1..n_modes, the
+    first entry named and the number of entries, the highest power of any
+    term, and the table rows of each term's left and right factors (row
+    4 q + 2 t + c holds m^q times sin (t = 0) or cos (t = 1) of m x_c).
+
+    ValueError unless the terms name consecutive entries in order, the same
+    number of terms each.
+    """
     trig = {"sin": 0, "cos": 1}
-    left = np.array([2 * trig[p] for p, _ in parities])
-    return np.arange(1.0, n_modes + 1), left, np.array([2 * trig[q] + 1 for _, q in parities])
+    terms = [Term(*t) for t in terms]
+    for term in terms:
+        if tuple(term.parity) not in _PARITIES:
+            raise ValueError(f"invalid parity pair {term.parity}")
+    first, count = terms[0].entry, len({term.entry for term in terms})
+    per_entry = len(terms) // count
+    if [term.entry for term in terms] != [first + k // per_entry for k in range(len(terms))]:
+        raise ValueError("terms must name consecutive entries in order, the same number each")
+    rows = [np.array([4 * t.powers[c] + 2 * trig[t.parity[c]] + c for t in terms])
+            for c in (0, 1)]
+    top = max(max(t.powers) for t in terms)
+    return np.arange(1.0, n_modes + 1), first, count, top, *rows
 
 
-def evaluate_points(coeffs: np.ndarray, parities, points) -> np.ndarray:
-    """Direct sums of a stack of mixed sin/cos series at points (..., 2).
+def evaluate_points(coeffs: np.ndarray, terms, points) -> np.ndarray:
+    """Direct sums of series of a coefficient stack at points (..., 2).
 
-    coeffs is (S, n, n) and parities S pairs; returns shape (S, ...).  Each
-    entry's rows of one (4, P, n) table of sin and cos of m x are contracted
-    with it by one batched matmul, a product and a sum over modes, in
-    arithmetic that does not depend on the rest of the stack.
+    coeffs is (S, n, n) and terms a sequence of Terms: k of them on each of
+    consecutive entries, in order.  Returns one value per term and point,
+    shape (len(terms), ...).  One table holds m^q sin and m^q cos of m x for
+    both coordinates of every point and each power q up to the highest a
+    term asks for.  Every term's left rows are taken from it at once, and
+    one batched matmul contracts each entry with its terms' rows, a
+    (k P, n) @ (n, n) product that reads the entry once; the products times
+    the terms' right rows are summed over modes.  So a derivative costs no
+    coefficient array, and an entry's values are the same arithmetic
+    whatever other entries a call names.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if len(parities) != len(coeffs):
-        raise ValueError(f"{len(parities)} parity pairs for {len(coeffs)} coefficient arrays")
-    modes, left, right = _table_layout(tuple(parities), coeffs.shape[-1])
-    angles = np.multiply.outer(pts.reshape(-1, 2).T, modes)
-    table = np.empty((4,) + angles.shape[1:])
-    np.sin(angles, out=table[:2])
-    np.cos(angles, out=table[2:])
-    vals = np.matmul(table.take(left, axis=0), coeffs)
-    vals *= table.take(right, axis=0)
-    return np.add.reduce(vals, axis=-1).reshape((len(coeffs),) + pts.shape[:-1])
+    modes, first, count, top, left, right = _term_layout(tuple(terms), coeffs.shape[-1])
+    if first < 0 or first + count > len(coeffs):
+        raise ValueError(f"terms name entries {first}..{first + count - 1} "
+                         f"of a stack of {len(coeffs)}")
+    xs = pts.reshape(-1, 2).T
+    table = np.empty((4 * (top + 1), xs.shape[1], len(modes)))
+    # the angles m x go into the sine rows, and sin and cos are taken from there
+    angles = np.multiply.outer(xs, modes, out=table[:2])
+    np.cos(angles, out=table[2:4])
+    np.sin(angles, out=angles)
+    for q in range(1, top + 1):
+        np.multiply(table[4 * q - 4:4 * q], modes, out=table[4 * q:4 * q + 4])
+    # the left rows are freed before the right ones are taken
+    prod = np.matmul(table.take(left, axis=0).reshape(count, -1, len(modes)),
+                     coeffs[first:first + count])
+    prod = prod.reshape((len(terms),) + table.shape[1:])
+    prod *= table.take(right, axis=0)
+    return np.add.reduce(prod, axis=-1).reshape((len(terms),) + pts.shape[:-1])
 
 
 def inverse_transform(field: SineField, n_grid: int) -> GridField:
@@ -511,21 +618,29 @@ def evaluate_offgrid(field: SineField, x) -> np.ndarray:
     return MixedParityField(field.coeffs, ("sin", "sin")).evaluate_at(x)
 
 
+# Grid rows per block of GridMax's second-axis transform
+_GRID_MAX_ROWS = 128
+
+
 class GridMax:
     """max|f| on the n_grid x n_grid collocation grid, in two held buffers.
 
     A call takes the N x N coefficients of a mixed sin/cos series and its
     parity pair, and returns the _max_abs of MixedParityField.evaluate's grid
     bit for bit (NaN if the grid holds a NaN).  The first-axis transform runs
-    in an (n_grid+1, N) buffer and the second-axis one in an
-    (n_grid, n_grid+1) buffer, which fit every parity pair, so one instance
-    serves a whole run and a call allocates no grid-sized array; it takes
-    no numpy iteration buffer either, as _eval_grid halves in place and the
-    maximum runs over the whole contiguous second buffer.  The two
-    buffers are views of scratch, a flat float64 array of at least
-    scratch_size(N, n_grid) = (n_grid+1)(N+n_grid) entries, allocated when
-    None.  A call writes every entry it reads, so the scratch may serve
-    other work between calls, as the time stepper's does.
+    in an (n_grid+1, N) buffer, and the second-axis one in blocks of
+    _GRID_MAX_ROWS grid rows in a (min(_GRID_MAX_ROWS, n_grid), n_grid+1)
+    buffer; each row's transform is the same arithmetic in a block as in
+    the whole grid, and the maximum is that of the blocks' maxima.  Both
+    buffers fit every parity pair, so one instance serves a whole run and a
+    call allocates no grid-sized array; it takes no numpy iteration buffer
+    either, as the first axis's output is halved in place and each block's
+    maximum runs over its whole contiguous buffer.  The two buffers are
+    views of scratch, a flat float64 array of at least scratch_size(N,
+    n_grid) = (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid)) entries, allocated
+    when None: 1.6 MB at N=256, n_grid=512, where a whole second-axis grid
+    would take 3.2 MB.  A call writes every entry it reads, so the scratch
+    may serve other work between calls, as the time stepper's does.
     """
 
     def __init__(self, n_modes: int, n_grid: int, scratch: np.ndarray | None = None):
@@ -535,22 +650,26 @@ class GridMax:
         if scratch is None:
             scratch = np.empty(size)
         self._first = scratch[:first].reshape(n_grid + 1, n_modes)
-        self._grid = scratch[first:size].reshape(n_grid, n_grid + 1)
+        self._grid = scratch[first:size].reshape(-1, n_grid + 1)
 
     @staticmethod
     def scratch_size(n_modes: int, n_grid: int) -> int:
-        return (n_grid + 1) * (n_modes + n_grid)
+        return (n_grid + 1) * (n_modes + min(_GRID_MAX_ROWS, n_grid))
 
     def __call__(self, coeffs: np.ndarray, parity: tuple) -> float:
         if tuple(parity) not in _PARITIES:
             raise ValueError(f"invalid parity pair {parity}")
-        g, w = self.n_grid, self._workers
-        _eval_grid(coeffs, parity, g, self._first, self._grid, w)
-        # over the whole contiguous buffer, which numpy reduces without an
-        # iteration buffer: a zero in the column past the grid leaves
-        # max(max, -min), which is never negative, as it is
-        self._grid[:, g] = 0.0
-        return _max_abs(self._grid)
+        g = self.n_grid
+        best = 0.0
+        for rows in _eval_grid(coeffs, parity, g, self._first, self._grid, self._workers):
+            # over the rows' whole contiguous buffer, which numpy reduces
+            # without an iteration buffer: a zero in the column past the
+            # grid leaves max(max, -min), which is never negative, as it is
+            buf = self._grid[:len(rows)]
+            buf[:, g] = 0.0
+            # np.maximum, unlike the builtin, keeps a NaN of any block
+            best = np.maximum(best, _max_abs(buf))
+        return float(best)
 
 
 def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None,

@@ -7,9 +7,10 @@ construction's stopping rule, and fits exponential growth rates.
 
 A traced step evaluates the velocity 4 times: the velocity recorded at the
 end of a step is the next step's first RK4 stage.  VelocitySampler holds
-u1 and u2 of all snapshots in one (2K, n, n) stack, and a call is one
-spectral.evaluate_points call on the entries of the snapshots that bracket
-t.  transport_defect makes one such call per snapshot, over the path points
+the stream function psi of all snapshots in one (K, n, n) stack, and a
+call is one spectral.evaluate_points call on the entries of the snapshots
+that bracket t, with d2 psi and d1 psi as terms of each.
+transport_defect makes one such call per snapshot, over the path points
 nearest to it in time.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import KernelParams, QuadratureOracle, RegionSpec, _params_for
-from .spectral import _VELOCITY_PARITIES, evaluate_points, velocity_coefficients
+from .spectral import _VELOCITY_PARITIES, Term, _laplacian_power, evaluate_points
 
 __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
            "trace", "select_start", "stopping_time", "medium_ratio_monitor",
@@ -62,16 +63,22 @@ class GrowthRecord:
     fit_r2: float
 
 
+# d2 psi and d1 psi of stack entry 0, -u1 and u2 in the parities of
+# velocity_coefficients; then those of entry 0 and of entry 1
+_ONE_SNAPSHOT = (Term(0, _VELOCITY_PARITIES[0], (0, 1)), Term(0, _VELOCITY_PARITIES[1], (1, 0)))
+_TWO_SNAPSHOTS = _ONE_SNAPSHOT + tuple(term._replace(entry=1) for term in _ONE_SNAPSHOT)
+
+
 class VelocitySampler:
     """u(x, t) from a time-ordered list of (time, omega) snapshots.
 
-    Velocity coefficients are precomputed per snapshot (diagonal work) and
-    held in one (2K, n, n) stack, [U1_k, U2_k] for snapshot k, in the
-    (sin, cos) and (cos, sin) parities velocity_coefficients gives them.  A
-    call evaluates both components at both bracketing snapshots in one
-    evaluate_points call on 4 entries of the stack, then blends them
-    linearly in time.  Outside the snapshot times the nearest snapshot is
-    used, and the call takes its 2 entries.
+    The stream function psi = omega / (m^2+n^2)^(1-alpha) of each snapshot
+    is held in one (K, n, n) stack, K n^2 floats.  A call evaluates
+    d2 psi and d1 psi at both bracketing snapshots in one evaluate_points
+    call on their 2 entries, each read once for both terms, then blends
+    them linearly in time and takes u1 = -d2 psi and u2 = d1 psi.  Outside
+    the snapshot times the nearest snapshot is used, and the call takes
+    its entry alone.
     """
 
     def __init__(self, snapshots, alpha: float):
@@ -81,21 +88,22 @@ class VelocitySampler:
         self.times = np.asarray(times, dtype=np.float64)
         self.alpha = alpha
         self.n_modes = fields[0].n_modes
-        self._coeffs = np.empty((2 * len(fields), self.n_modes, self.n_modes))
+        symbol = _laplacian_power(self.n_modes, alpha)
+        self._psi = np.empty((len(fields), self.n_modes, self.n_modes))
         for k, f in enumerate(fields):
-            self._coeffs[2 * k:2 * k + 2] = [u.coeffs for u in velocity_coefficients(f, alpha)]
+            np.divide(f.coeffs, symbol, out=self._psi[k])
 
     def __call__(self, x, t: float) -> np.ndarray:
         ts = self.times
         if t <= ts[0] or t >= ts[-1]:
             k = 0 if t <= ts[0] else len(ts) - 1
-            return evaluate_points(self._coeffs[2 * k:2 * k + 2], _VELOCITY_PARITIES, x)
+            d2, d1 = evaluate_points(self._psi[k:k + 1], _ONE_SNAPSHOT, x).tolist()
+            return np.array([-d2, d1])
         hi = int(ts.searchsorted(t, side="right"))
         th = float((t - ts[hi - 1]) / (ts[hi] - ts[hi - 1]))
-        # (u1, u2) at snapshot hi - 1, then at snapshot hi
-        a1, a2, b1, b2 = evaluate_points(self._coeffs[2 * hi - 2:2 * hi + 2],
-                                         _VELOCITY_PARITIES * 2, x).tolist()
-        return np.array([(1.0 - th) * a1 + th * b1, (1.0 - th) * a2 + th * b2])
+        # (d2 psi, d1 psi) at snapshot hi - 1, then at snapshot hi
+        a2, a1, b2, b1 = evaluate_points(self._psi[hi - 1:hi + 1], _TWO_SNAPSHOTS, x).tolist()
+        return np.array([-((1.0 - th) * a2 + th * b2), (1.0 - th) * a1 + th * b1])
 
 
 def trace(start, velocity_source, t_end: float, dt: float) -> TrajectoryState:
@@ -298,7 +306,7 @@ def transport_defect(trajectory: TrajectoryState, snapshots, omega0_at_start: fl
     nearest = np.abs(trajectory.times[:, None] - times).argmin(axis=1)
     worst = 0.0
     for j in np.unique(nearest):
-        vals = evaluate_points(snapshots[j][1].coeffs[None], (("sin", "sin"),),
+        vals = evaluate_points(snapshots[j][1].coeffs[None], (Term(0, ("sin", "sin")),),
                                trajectory.positions[nearest == j])
         worst = max(worst, float(np.abs(vals - omega0_at_start).max()))
     return worst

@@ -30,18 +30,18 @@ SMALL_CONFIG = "[run]\nN = 32\nNg = 64\nimage_radius = 2\n"
 # explained; a new numpy or scipy may move the last bits of a value.
 GOLDEN = {
     "run/diagnostics.csv": "bd13a5aed836ce479ebe407a6de0b8a7e24636c58261b6625b14a0c57d33637c",
-    "tr/trajectory.csv": "7836f898c0fe82a9c0e4c814b4cd9964a19269a3ab252be3b170c9344240c66c",
+    "tr/trajectory.csv": "a3bb1d695cc112fb02ed24c01d8ae7681f5f3bd71304ed18de9575d3453e14a3",
     "tr/trace_summary.json": "5cf1c28316fc997413f8237240a51e668ab46d3b67c5783ffad7b2b86f0a6e0c",
     "ver/report_kernel_asymptotics.json":
         "f108e9c95b75faffaad3e382aa86566de6efdd4563504af2c9f343297c8dcab8",
-    "ver/report_near_field.json": "49025d5e912cd7989f2bca6600571ff5262abb49185baa4a7226b822b5693c5a",
+    "ver/report_near_field.json": "c9bff38a2e3d310ebc722fa01a43f217c30db706a3997b625b497b9aa846d936",
     "ver/report_medium_ratio.json":
         "6f2179b6e3fc2f5718f4e7a8cb3cb55ce1e8d00d7d12e478f87706a1def3bf79",
     "ver/report_far_field.json": "6177b63ccd8326de170426df220046f0f1506ed803345338e450c935da093837",
     "ver/report_background.json": "8ef235dfa9417b84fe4ec123cd23f14f6f94e884c23f30a43b2396dede93d301",
     "ver/report_decomposition.json":
-        "b965f5cfd20c981926a98603537f1d85ee9663f5af3f609c73d3b924044f6416",
-    "ver/verify_summary.csv": "03eb8e03dfc26a2722956712aacb51d3e6947ad253e9b8592b32176d1b1fbefe",
+        "7ba331bebb6421918e13dd499def5d8ac5ee3c39a22ee379c44a903b1baf309a",
+    "ver/verify_summary.csv": "275c8395404803d28760b0e819d8ff393486709fe47f12300dc369d8340144c1",
 }
 
 

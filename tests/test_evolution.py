@@ -503,7 +503,7 @@ class TestRun:
         assert long - short < 64 * 64 * 8
 
     def test_traced_peak_is_the_held_arrays(self):
-        # the workspace holds max(3 M^2, (Ng+1)(N+Ng)) + 3 N^2 doubles; above
+        # the workspace holds max(3 M^2, (Ng+1)(N+min(128, Ng))) + 3 N^2 doubles; above
         # that a step holds the state's coefficients and the new ones, and
         # under 24 KiB of small arrays and Python objects (14.6 KiB measured).
         # No ufunc of a step or a grid maximum takes a numpy iteration
@@ -519,7 +519,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert res.state.step_count > 4
-        held = 8 * (max(3 * m * m, (n_grid + 1) * (n + n_grid)) + 3 * n * n)
+        held = 8 * (max(3 * m * m, (n_grid + 1) * (n + min(128, n_grid))) + 3 * n * n)
         assert held < peak <= held + 8 * 2 * n * n + 24 * 1024
 
     def test_mode_mismatch_rejected(self):

@@ -11,8 +11,8 @@ from msqglab import kernels
 from msqglab.kernels import (
     KernelParams, QuadratureOracle, RegionSpec, asymptotic_K, kernel_K1, kernel_K2,
     relative_kernel_error, riesz_velocity_prefactor)
-from msqglab.spectral import (SineField, evaluate_offgrid, evaluate_points, spectral_derivative,
-                              velocity_coefficients)
+from msqglab.spectral import (SineField, Term, evaluate_offgrid, evaluate_points,
+                              spectral_derivative, velocity_coefficients)
 
 RNG = np.random.default_rng(11)
 
@@ -155,8 +155,7 @@ class TestCalibration:
         oracle = QuadratureOracle(single_mode, KernelParams(alpha=alpha))
         quad = np.array([oracle.velocity(p, RegionSpec("full")) for p in pts])
         u1c, u2c = velocity_coefficients(single_mode, alpha)
-        spec = evaluate_points(np.stack([u1c.coeffs, u2c.coeffs]), (u1c.parity, u2c.parity),
-                               pts).T
+        spec = np.stack([u1c.evaluate_at(pts), u2c.evaluate_at(pts)], axis=-1)
         c_alpha = riesz_velocity_prefactor(alpha)
         assert np.sum(quad * spec) / np.sum(quad * quad) == pytest.approx(c_alpha, rel=5e-3)
         dev = np.linalg.norm(c_alpha * quad - spec, axis=1) / np.linalg.norm(spec, axis=1)
@@ -445,6 +444,36 @@ class TestFactoredNodeSums:
             tracemalloc.stop()
         assert peak <= 2**20
 
+    # x inside the near square, and inside the central cell: both take the
+    # principal value.  Measured on x86-64 with numpy 2.4.6: 1.27 and
+    # 2.16 MB, where the held (2, N, N) gradient stack, its transients and
+    # the central cell's sine table took 3.82 and 4.22 MB
+    @pytest.mark.parametrize("region, bound", [(RegionSpec("near", 8.0), 1.5 * 2**20),
+                                               (RegionSpec("full"), 2.5 * 2**20)],
+                             ids=["near", "full"])
+    def test_principal_value_first_call_allocates_little(self, region, bound):
+        om = SineField(np.random.default_rng(2).standard_normal((256, 256)) / 256.0)
+        QuadratureOracle(om, KernelParams(alpha=0.5)).velocity((0.03, 0.04), region)
+        tracemalloc.start()
+        try:
+            QuadratureOracle(om, KernelParams(alpha=0.5)).velocity((0.03, 0.04), region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    # N < M, N = M and N > M, past 2M: the central cell's samples by the
+    # midpoint transform against the oracle's own sine tables on its nodes
+    @pytest.mark.parametrize("n_modes, cells", [(24, 32), (32, 32), (40, 16)])
+    def test_central_cell_against_sine_tables(self, n_modes, cells):
+        om = SineField(np.random.default_rng(n_modes).standard_normal((n_modes, n_modes)))
+        oracle = QuadratureOracle(om, KernelParams(alpha=0.5, cells_central=cells))
+        y, h, w = oracle._central_nodes()
+        assert h == np.pi / cells and w.shape == (cells, cells)
+        table = kernels._sines(y, n_modes)
+        want = table @ om.coeffs @ table.T
+        np.testing.assert_allclose(w, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
     # a node sum's row and column factors live in the oracle, and the divides
     # run on tiled samples, so a warm image-cell sum allocates almost nothing:
     # 14.2 and 26.0 KiB measured (x86-64, numpy 2.4.6), against 135 and
@@ -697,19 +726,25 @@ class TestReuseAcrossCalls:
         np.testing.assert_array_equal(full, self._fresh(omega, x, RegionSpec("full")))
 
     def test_linearization_holds_the_gradient_only(self, omega):
-        # omega(x) comes from the field's own coefficients: the oracle holds
-        # [d1 omega, d2 omega] and no copy of omega, and every value is the
-        # one a single call on [omega, d1 omega, d2 omega] gives
+        # omega(x) and grad omega(x) come from the field's own coefficients:
+        # after a principal-value call the oracle holds no n x n array but
+        # omega's own, every value is the one a single evaluate_points call
+        # with the three terms gives, and the gradient is that of the
+        # spectral_derivative fields to rounding
         oracle = QuadratureOracle(omega, self.PARAMS)
         x = (0.03, 0.04)
         oracle.velocity(x, RegionSpec("near", 4.0))     # x inside the near square
         n = omega.n_modes
-        assert sum(a.nbytes for a in oracle._grad if isinstance(a, np.ndarray)) == 2 * n * n * 8
+        held = [a for a in vars(oracle).values() if isinstance(a, np.ndarray)]
+        assert not [a.shape for a in held if a.shape[-2:] == (n, n)]
+        terms = (Term(0, ("sin", "sin")), Term(0, ("cos", "sin"), (1, 0)),
+                 Term(0, ("sin", "cos"), (0, 1)))
         d1, d2 = (spectral_derivative(omega, axis, 1) for axis in (1, 2))
-        stack = np.stack([omega.coeffs, d1.coeffs, d2.coeffs])
         for y in (x, (1.1, 0.4)):
-            expected = evaluate_points(stack, (("sin", "sin"), d1.parity, d2.parity), y)
-            assert oracle._linearization(y) == tuple(expected.tolist())
+            got = oracle._linearization(y)
+            assert got == tuple(evaluate_points(omega.coeffs[None], terms, y).tolist())
+            want = (evaluate_offgrid(omega, y), d1.evaluate_at(y), d2.evaluate_at(y))
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
     def test_slot_holds_floored_frame(self, omega):
         # at cells_panel = 16 the top frame [2.9, pi] of s = 0.725 has

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,9 @@ from scipy.fft._pocketfft import pypocketfft
 from msqglab import spectral
 from msqglab.spectral import (
     _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
-    GridField, GridMax, MixedParityField, SineField, evaluate_offgrid, evaluate_points,
-    dealias_grid, environment, forward_transform, fractional_inverse_laplacian, get_workers,
-    grid_coordinates, grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm,
+    GridField, GridMax, MixedParityField, SineField, Term, evaluate_midpoints, evaluate_offgrid,
+    evaluate_points, dealias_grid, environment, forward_transform, fractional_inverse_laplacian,
+    get_workers, grid_coordinates, grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm,
     spectral_derivative, velocity_coefficients)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -119,7 +120,8 @@ class TestStackedEvaluation:
         pts = np.stack([x1, x2], axis=-1)
         others = [p for p in PARITY_PAIRS if p != parity]
         mixed = np.concatenate([coeffs, rng.normal(size=(3, 9, 9))])
-        direct = evaluate_points(mixed, [parity, parity] + others, pts)
+        terms = [Term(k, p) for k, p in enumerate([parity, parity] + others)]
+        direct = evaluate_points(mixed, terms, pts)
         assert direct.shape == (5, n_grid, n_grid)
         for k in range(2):
             single = MixedParityField(coeffs[k], parity)
@@ -162,6 +164,40 @@ class TestStackedEvaluation:
         assert _eval_midpoint_axis(buf, parity, 9, axis, 1) is buf
         np.testing.assert_allclose(buf, expect, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n_modes, n_mid", [(20, 32), (32, 32), (45, 16), (100, 16)])
+    def test_midpoint_grid_against_sine_tables(self, n_modes, n_mid):
+        # N < M; N = M, whose mode M the type III takes once; N > M, whose
+        # modes above M fold onto the grid, from past 2M too at N = 45, 100
+        rng = np.random.default_rng(n_modes)
+        coeffs = rng.normal(size=(n_modes, n_modes))
+        y = np.pi * (np.arange(n_mid) + 0.5) / n_mid
+        table = np.sin(np.outer(y, np.arange(1, n_modes + 1)))
+        want = table @ coeffs @ table.T
+        np.testing.assert_allclose(evaluate_midpoints(coeffs, n_mid), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+    def test_powers_give_the_derivatives(self):
+        # m^p1 n^p2 on the table rows: d1, d2, d11 and d12 of a sine series
+        # to rounding; an entry's values are the same bits whatever other
+        # entries the call names
+        rng = np.random.default_rng(17)
+        f = SineField(rng.normal(size=(9, 9)))
+        pts = rng.uniform(0.0, np.pi, (5, 2))
+        terms = [Term(0, ("cos", "sin"), (1, 0)), Term(0, ("sin", "cos"), (0, 1)),
+                 Term(0, ("sin", "sin"), (2, 0)), Term(0, ("cos", "cos"), (1, 1))]
+        m = np.arange(1.0, 10.0)
+        want = [spectral_derivative(f, 1, 1).evaluate_at(pts),
+                spectral_derivative(f, 2, 1).evaluate_at(pts),
+                -spectral_derivative(f, 1, 2).evaluate_at(pts),
+                MixedParityField(f.coeffs * np.outer(m, m), ("cos", "cos")).evaluate_at(pts)]
+        alone = evaluate_points(f.coeffs[None], terms, pts)
+        np.testing.assert_allclose(alone, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        stack = np.stack([rng.normal(size=(9, 9)), f.coeffs])
+        both = evaluate_points(stack, terms + [t._replace(entry=1) for t in terms], pts)
+        np.testing.assert_array_equal(both[4:], alone)
+        with pytest.raises(ValueError, match="consecutive entries"):
+            evaluate_points(stack, terms[:1] + [t._replace(entry=1) for t in terms], pts)
+
     def test_midpoint_slot_needs_more_points_than_modes(self):
         assert _midpoint_slot(np.empty((4, 5)), "cos", 4, -1).shape == (4, 4)
         with pytest.raises(ValueError, match="midpoints"):
@@ -171,9 +207,10 @@ class TestStackedEvaluation:
         with pytest.raises(ValueError, match="parity"):
             MixedParityField(np.zeros((4, 4)), ("sin", "tan"))
         with pytest.raises(ValueError, match="parity"):
-            evaluate_points(np.zeros((1, 4, 4)), [("sin", "tan")], (0.1, 0.2))
-        with pytest.raises(ValueError, match="2 parity pairs for 1"):
-            evaluate_points(np.zeros((1, 4, 4)), PARITY_PAIRS[:2], (0.1, 0.2))
+            evaluate_points(np.zeros((1, 4, 4)), [Term(0, ("sin", "tan"))], (0.1, 0.2))
+        with pytest.raises(ValueError, match="entries 0..1 of a stack of 1"):
+            terms = [Term(0, PARITY_PAIRS[0]), Term(1, PARITY_PAIRS[1])]
+            evaluate_points(np.zeros((1, 4, 4)), terms, (0.1, 0.2))
 
     @pytest.mark.parametrize("parity", ["sin", "cos"])
     def test_modes_must_fit_the_grid(self, parity):
@@ -208,6 +245,61 @@ class TestGridMax:
     def test_invalid_parity(self):
         with pytest.raises(ValueError, match="parity"):
             GridMax(4, 8)(np.zeros((4, 4)), ("sin", "tan"))
+
+    @pytest.mark.parametrize("parity", ORDER[:4])
+    @pytest.mark.parametrize("rows", [1, 7, 128, 160])
+    def test_row_blocks_give_the_same_bits(self, parity, rows, monkeypatch):
+        # the second-axis transform in blocks of 1, 7 (the last one of 6),
+        # 128 (then 32) and all 160 grid rows: the maximum of the grid that
+        # MixedParityField.evaluate allocates, bit for bit
+        n_modes, n_grid = 48, 160
+        coeffs = np.random.default_rng(15).normal(size=(n_modes, n_modes))
+        expect = _max_abs(MixedParityField(coeffs, parity).evaluate(n_grid).values)
+        monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", rows)
+        grid_max = GridMax(n_modes, n_grid)
+        assert grid_max._grid.shape == (rows, n_grid + 1)
+        assert grid_max(coeffs, parity) == expect
+
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_nan_in_any_block_gives_nan(self, block, monkeypatch):
+        # a NaN in the first, the middle or the last of three blocks of rows
+        monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", 8)
+        grid_max = GridMax(4, 24)
+        real, blocks = spectral._eval_axis, []
+
+        def poisoned(*args, halved=False):
+            out = real(*args, halved=halved)
+            if halved:                  # the second axis, one call per block
+                if len(blocks) == block:
+                    out[3, 5] = np.nan
+                blocks.append(out.shape)
+            return out
+
+        monkeypatch.setattr(spectral, "_eval_axis", poisoned)
+        assert math.isnan(grid_max(np.ones((4, 4)), ("sin", "sin")))
+        assert blocks == [(8, 24)] * 3
+
+    def test_one_off_scratch_is_one_block_of_rows(self):
+        # (Ng+1)(N+128) doubles at N=256, Ng=512, 1.58 MB; the whole
+        # second-axis grid took (Ng+1)(N+Ng), 3.15 MB
+        assert 8 * GridMax.scratch_size(256, 512) <= 1.6e6
+        assert GridMax(256, 512)._grid.shape == (128, 513)
+        assert GridMax.scratch_size(8, 20) == 21 * (8 + 20)
+
+    def test_one_off_hessian_sup_norm_allocates_its_scratch_only(self):
+        # a GridMax's scratch and the N x N Hessian-entry array, and under
+        # 128 KiB more (70 KiB measured on x86-64, numpy 2.4.6); the
+        # whole-grid layout peaked at 3.75 MB
+        om = SineField(np.random.default_rng(16).standard_normal((256, 256)) / 256.0)
+        hessian_sup_norm(om, 512)
+        tracemalloc.start()
+        try:
+            hessian_sup_norm(om, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 8 * (GridMax.scratch_size(256, 512) + 256 * 256)
+        assert held < peak <= held + 128 * 1024
 
     def test_hessian_sup_norm_takes_held_evaluator(self):
         om = SineField(np.random.default_rng(13).normal(size=(8, 8)))

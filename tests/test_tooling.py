@@ -3,8 +3,9 @@ are used, the package imports nothing beyond the standard library, numpy
 and scipy's pocketfft extension (and importing the command line loads
 neither scipy.fft nor what its import chain brings), it reaches no LAPACK
 routine through numpy, only the point evaluator takes np.sin or np.cos of
-a series' angles, the time stepper allocates its arrays in its workspace
-only, and the config objects and public entry points take the pinned
+a series' angles, only the transform layer and the time stepper call
+pocketfft's transforms, the time stepper allocates its arrays in its
+workspace only, and the config objects and public entry points take the pinned
 options only."""
 
 import ast
@@ -196,6 +197,37 @@ def test_trig_check_sees_references_imports_and_their_function():
     tree = ast.parse("import numpy as np\nfrom numpy import cos\nT = {'s': np.sin}\n"
                      "def f(x):\n    return np.cosh(x) + np.sin(x)\n")
     assert sorted(_trig_uses(tree), key=lambda use: use[1]) == [(None, 2), (None, 3), ("f", 5)]
+
+
+# the modules that may call pocketfft's transforms: the transform layer and
+# the time stepper's tendency; the quadrature samples the central cell
+# through spectral's midpoint evaluator, not by a transform of its own
+TRANSFORM_OWNERS = ("spectral", "evolution")
+
+
+def _transform_uses(tree: ast.Module):
+    """(name, line) of every reference to pocketfft's dst or dct, by attribute
+    or by import."""
+    for name, line, _ in _resolved_names(tree):
+        if name.rpartition(".")[2] in ("dst", "dct") and "pocketfft" in name:
+            yield name, line
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in TRANSFORM_OWNERS])
+def test_pocketfft_transforms_only_in_the_transform_layer(name):
+    used = dict(_transform_uses(_tree(name)))
+    assert not used, (f"msqglab/{name}.py calls pocketfft's dst or dct outside "
+                      f"{TRANSFORM_OWNERS} (name: line): {used}")
+
+
+def test_transform_check_sees_attributes_and_imports():
+    tree = ast.parse("from .spectral import _pocketfft\nfrom . import spectral\n"
+                     "_pocketfft.dst(a, 3)\nspectral._pocketfft.dct\n"
+                     "from scipy.fft._pocketfft.pypocketfft import dst\n_pocketfft.good_size\n")
+    assert sorted(_transform_uses(tree), key=lambda use: use[1]) == [
+        ("_pocketfft.dst", 3), ("spectral._pocketfft.dct", 4),
+        ("scipy.fft._pocketfft.pypocketfft.dst", 5)]
+    assert len(list(_transform_uses(_tree("spectral")))) > 0
 
 
 def test_principal_value_leaves_scipy_integrate_unloaded():

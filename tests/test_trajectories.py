@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec
-from msqglab.spectral import SineField, evaluate_offgrid, evaluate_points, velocity_coefficients
+from msqglab.spectral import (SineField, Term, _laplacian_power, evaluate_offgrid, evaluate_points,
+                              velocity_coefficients)
 from msqglab.trajectories import (TrajectoryState, VelocitySampler, fit_gamma, growth_fit,
                                   medium_ratio_monitor, select_start, stopping_time, trace,
                                   transport_defect)
@@ -47,12 +48,16 @@ def test_snapshot_times_match_spectral_velocity(snapshots, x):
 @pytest.mark.parametrize("x", POINTS)
 def test_snapshot_times_equal_the_point_evaluator(snapshots, x):
     # at a snapshot's own time the blend weights are 1 and 0, so the sampler
-    # returns that snapshot's entries of its stacked call bit for bit
+    # returns that snapshot's terms of its stacked call bit for bit: -d2 psi
+    # and d1 psi of psi = omega / (m^2+n^2)^(1-alpha), in the parities of
+    # velocity_coefficients
     sampler = VelocitySampler(snapshots, ALPHA)
     for t, field in snapshots:
         u1c, u2c = velocity_coefficients(field, ALPHA)
-        want = evaluate_points(np.stack([u1c.coeffs, u2c.coeffs]), (u1c.parity, u2c.parity), x)
-        np.testing.assert_array_equal(sampler(x, t), want)
+        psi = field.coeffs / _laplacian_power(field.n_modes, ALPHA)
+        terms = (Term(0, u1c.parity, (0, 1)), Term(0, u2c.parity, (1, 0)))
+        d2, d1 = evaluate_points(psi[None], terms, x)
+        np.testing.assert_array_equal(sampler(x, t), [-d2, d1])
 
 
 @pytest.mark.parametrize("x", POINTS)
@@ -117,8 +122,8 @@ class TestSamplerAtWorkloadSize:
             if isinstance(value, np.ndarray):
                 assert value.base is None
                 held += value.nbytes
-        # K * 2 * n^2 coefficients plus the K times
-        assert held == 8 * (k * 2 * n * n + k)
+        # K * n^2 stream-function coefficients plus the K times
+        assert held == 8 * (k * n * n + k)
 
 
 def test_transport_defect_is_the_largest_pointwise_defect(snapshots):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from msqglab import kernels
 from msqglab.initial_data import InitialDataSpec, build_omega0
 from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec, relative_kernel_error
 from msqglab.spectral import SineField
@@ -175,6 +176,33 @@ class TestFarField:
                                params)
         assert rep.passed, rep.notes
         assert rep.fitted_exponent == pytest.approx(1.0, abs=0.1)
+
+    def test_unflipped_image_cells_fail_the_tail_check(self, plateau_small, monkeypatch):
+        # a tail summed over image cells that all hold omega itself, not its
+        # odd reflections, falls like R^(-2a), not R^(-2-2a): at R = 8 it
+        # reads about 1.9 R^(-3) ||omega||_inf x_j, the true tail 0.12 of that
+        params = KernelParams(alpha=0.5, cells_far=32, image_radius=8)
+        magnitudes = np.geomspace(0.001, 0.01, 3)
+        assert verify_far_field(plateau_small, 0.5, magnitudes, params).passed
+        real = QuadratureOracle.image_tail
+
+        def unflipped_tail(oracle, x):
+            n, R = oracle.params.cells_far, oracle.params.image_radius
+            held = oracle._strip
+            t, _ = kernels._midpoints(0.0, np.pi, n)
+            oracle._strip = np.tile(oracle._square_samples(t), (1, 2 * R))
+            oracle._far_memo = None
+            try:
+                return real(oracle, x)
+            finally:     # the far sums of the next sample see the true cells
+                oracle._strip, oracle._far_memo = held, None
+
+        monkeypatch.setattr(QuadratureOracle, "image_tail", unflipped_tail)
+        rep = verify_far_field(plateau_small, 0.5, magnitudes, params)
+        assert not rep.passed
+        assert rep.fitted_exponent == pytest.approx(1.0, abs=0.1)
+        failed = [note for note in rep.notes if note.startswith("tail check failed")]
+        assert len(failed) == 2 * len(magnitudes), rep.notes
 
     def test_zero_field(self):
         params = KernelParams(alpha=0.5, cells_far=16, image_radius=2)
