@@ -41,46 +41,41 @@ distances are one matrix product, its weighted powers omega * i three
 in-place array operations, and both contractions one product with the
 column factors followed by dots with the row factors.  A block holds at
 most 32,768 entries across its four terms (or one grid row, if that is
-more), in three scratch buffers per oracle that grow to what its largest
-block or sine table needs, so the scratch stays bounded however many
-cells a grid has and small grids take small scratch: 0.8 MB at the CLI
-defaults, where a sine table's scratch is the largest need.  There a
-medium frame's grids are one block each, the near square two, the 256^2
-central cell eight and a row of image cells four.  Blocks of 65,536
-entries took 1.6 MB; with them image_tail at the CLI defaults took 14.1 ms
-and the central cell's principal-value sum 1.52 ms, against 14.2 and
-1.62 ms now (medians of 6, one thread, 2-core x86-64).
+more), so a node sum's scratch is bounded however many cells its grid has.
+At the CLI defaults a medium frame's grids are one block each, the near
+square two, the 256^2 central cell eight and a row of image cells four.
 
-Omega is sampled on tensor grids as (S1 @ c) @ S2.T from sine matrices S.
-A medium frame takes one sine table on [yb | ya], its midpoints across
-[0, lo] and [lo, hi], and one product with the coefficients, written into
-the oracle's scratch: the two grids ya x [yb | ya] and yb x ya are row
-blocks of that product times the table.  A fresh array that size would
-cost more than its arithmetic wherever glibc maps allocations of 128 KiB
-and up afresh and faults in their pages on every call.  The complex
-powers and factors the table is built from go into the same scratch, and
-a node sum's row and column factors into a second, smaller one, so that
-a warm call makes no transient array of more than a few rows.  Smaller
-transients cost faults too: freed at the top of glibc's heap, they are
-handed back to the system once 128 KiB is free there, and fault in again
-on the next call.
-The near square and the image cells' base grid are sampled alike, as
-(S @ c) @ S.T on y x y (_square_samples).  The central cell, the
-cells_central midpoints of [0, pi] per axis, is sampled by spectral's
-midpoint transform instead (spectral.evaluate_midpoints, which folds the
-modes above cells_central onto the grid), with no sine table.  The base
-grid, cells_far midpoints of [0, pi], keeps its table, and so the far
-sums their bits.  The image cells reuse that one grid, flipped by parity,
-laid out as one row of cells that every row of the image lattice sums in
-one call, for any range of whole cells (the far region or its tail).  An
-oracle also reuses samples across calls: those of
-its last near square, keyed on the exact side s = L|x|, and those of each
-medium frame, keyed on the exact (lo, hi, na, nb) and held in one slot per
-frame counted down from pi, so that s and s/2, whose frames differ only in
-the lowest one, share every other slot.  All of them live in one buffer
-per oracle, grown when a call needs more slots.  A far sum at the point of
-the previous one is returned again.  A reused value is the same arithmetic
-on the same floats, so reuse never changes a result.
+An oracle holds four kinds of buffer, each with one rule:
+  * work: four rows of scratch, grown (never shrunk) to the largest room a
+    call asks for.  A node sum's blocks take the first three rows and its
+    row and column factors the fourth; before a grid's sums, a sine table,
+    the complex powers it is built from and its product with the
+    coefficients take the first two.  A fresh array of that size would
+    cost more than its arithmetic wherever glibc maps allocations of
+    128 KiB and up afresh and faults in their pages on every call, so a
+    warm call makes no transient array of more than a few rows.  About
+    1.1 MB at the CLI defaults.
+  * whole cells: omega on the n x n midpoints of [0, pi], by spectral's
+    midpoint transform (spectral.evaluate_midpoints, which folds the modes
+    above n onto the grid), kept per n.  The central cell (cells_central)
+    and the image cells' base grid (cells_far) both read it.
+  * the image-cell strip: the base grid flipped by parity, laid out as one
+    row of cells that every row of the image lattice sums in one call, for
+    any range of whole cells (the far region or its tail); rebuilt wider
+    when a larger range is asked for.
+  * sample slots: one array of 3 cells_panel^2 samples per slot, allocated
+    when the slot is first asked for and refilled when its key changes.
+    Slot 0 holds the last near square, keyed on its exact side s = L|x|;
+    slot k >= 1 the k-th medium frame counted down from pi, keyed on its
+    exact (lo, hi, na, nb), so that s and s/2, whose frames differ only in
+    the lowest one, share every other slot.  Both are sampled on
+    sub-intervals of [0, pi] as (S1 @ c) @ S2.T from sine tables S: a
+    medium frame takes one table on [yb | ya], its midpoints across
+    [0, lo] and [lo, hi], and the two grids ya x [yb | ya] and yb x ya are
+    row blocks of its product with the coefficients times the table.
+A far sum at the point of the previous one is returned again.  A reused
+value is the same arithmetic on the same floats, so reuse never changes a
+result.
 
 A sine matrix sin(m y) is built by angle addition from one complex
 exponential z = exp(i y) per coordinate: for m = q b + r with b = 16 it
@@ -242,12 +237,13 @@ def _carve(buf, *shapes):
     return views
 
 
-def _factor_room(n1: int, n2: int) -> int:
-    """Entries of the row and column factors of _node_sums over n1 x n2 nodes."""
-    return 10 * n1 + 15 * n2
+def _node_room(n1: int, n2: int) -> int:
+    """Entries per row of the work array of _node_sums over n1 x n2 nodes:
+    the four terms of a block, or the row and column factors if more."""
+    return max(4 * n2 * _block_rows(n1, n2), 10 * n1 + 15 * n2)
 
 
-def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None, factors=None):
+def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
     """(sum K1 w cw, sum K2 w cw) over the tensor grid y1 x y2 with samples w.
 
     y1 and y2 are ascending, and cw weights the columns (a scalar, or one
@@ -261,22 +257,18 @@ def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None, factors=None):
       * both contractions are one product with the (2c x 4) column factors
         (e2 cw, cw) of each s2, then dots with the row factors (1, e1).
     The kernels are never formed on the nodes.  A block has _block_rows
-    rows, and work is a (3, room) array with room for its 4 r c entries,
-    where d, P and the singular weights live.  The row and column factors
-    go into factors, a flat array of at least _factor_room(n1, n2) entries
-    (125 KB at most at the CLI defaults, so glibc serves it from the heap
-    under the benchmark's mmap threshold), allocated when None.  With
-    lin = (w0, g1, g2) the singular term is weighted by the residual of the
-    linearization w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at
-    y = x contributes no singular term.
+    rows, and work is a (4, room) array with room = _node_room(n1, n2):
+    d, P and the singular weights live in its first three rows, and the
+    row and column factors in the fourth.  With lin = (w0, g1, g2) the
+    singular term is weighted by the residual of the linearization
+    w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at y = x contributes
+    no singular term.
     """
     x1, x2 = x
     n1, n2 = w.shape
     rows = _block_rows(n1, n2)
-    if factors is None:
-        factors = np.empty(_factor_room(n1, n2))
     e1, e2, left, right, cols, row_factors, column = _carve(
-        factors, (2, n1), (2, n2), (2, n1, 2), (2, 2, n2), (2, n2, 2, 2), (2, 2, n1), (n2,))
+        work[3], (2, n1), (2, n2), (2, n1, 2), (2, 2, n2), (2, n2, 2, 2), (2, 2, n1), (n2,))
     for e, x_, y in ((e1, x1, y1), (e2, x2, y2)):      # x - s y, as _image_factors
         np.subtract(x_, y, out=e[0])
         np.add(x_, y, out=e[1])
@@ -437,9 +429,11 @@ def _sines(y: np.ndarray, n_modes: int, out=None, scratch=None) -> np.ndarray:
     formed in scratch, a 1-D array of at least _sine_scratch(len(y),
     n_modes) entries, allocated when None.
 
-    These tables serve the oracle's tensor grids; spectral.evaluate_points
-    takes np.sin and np.cos.  Measured on one thread of a 2-core x86-64
-    machine, mmap threshold pinned, n_modes = 128: on 64 and 256
+    These tables serve the oracle's grids on sub-intervals of [0, pi], the
+    near squares and medium frames; a whole cell is sampled by the midpoint
+    transform, and spectral.evaluate_points takes np.sin and np.cos.
+    Measured on one thread of a 2-core x86-64 machine, mmap threshold
+    pinned, n_modes = 128: on 64 and 256
     coordinates a blocked table takes 85 and 242 us against 192 and 1153 us
     for np.sin plus np.cos, and it fills the oracle's scratch through out.
     On 2 coordinates the complex powers take 47 us against 15 us, so the
@@ -563,24 +557,23 @@ _LINEARIZATION = (Term(0, ("sin", "sin")), Term(0, ("cos", "sin"), (1, 0)),
 class QuadratureOracle:
     """Kernel-quadrature velocity for one vorticity field.
 
-    Caches the central-cell sample grid and one row of image-cell sample
-    grids, so sweeps over many evaluation points reuse the omega sampling;
-    the principal-value linearization reads omega's own coefficients.  A medium
-    frame is sampled as two tensor grids, ya x [yb | ya] (its rectangle
-    [lo,hi] x [0,lo] and the corner [lo,hi]^2 share their rows) and
-    yb x ya, from one sine table on [yb | ya] and one product with the
-    coefficients.
+    Every whole cell [0, pi]^2 is omega on its midpoints from
+    _cell_samples, kept per cell count: the central cell (cells_central)
+    and the base grid of the image cells (cells_far), whose strip of
+    parity-flipped copies the oracle holds, so sweeps over many evaluation
+    points reuse the omega sampling.  The principal-value linearization
+    reads omega's own coefficients.
 
-    Samples are also reused from earlier calls.  Slot 0 of one sample
-    buffer holds the last near square's samples, keyed on its exact side
-    s = L|x|.  Slot k >= 1 holds the two sample grids of the k-th medium
-    frame counted down from pi, na (nb + na) + nb na samples keyed on its
-    exact (lo, hi, na, nb); the frames of s/2 are those of s plus one below
-    them, so both share slots.  Each slot has room for 3 * cells_panel^2
-    samples, since na and nb never exceed cells_panel (which is at least 8,
-    the floor on both).  The buffer is allocated on the first near or
-    medium call and grown, keeping what it holds, when a call has more
-    frames than it has slots; no per-frame array outlives a call.  The last
+    The near square and the medium frames are sampled from sine tables
+    into sample slots, one array of 3 cells_panel^2 samples per slot,
+    allocated when first asked for and never copied.  Slot 0 holds the last
+    near square, keyed on its exact side s = L|x|.  Slot k >= 1 holds the
+    two sample grids of the k-th medium frame counted down from pi,
+    ya x [yb | ya] (its rectangle [lo,hi] x [0,lo] and the corner
+    [lo,hi]^2 share their rows) and yb x ya, na (nb + na) + nb na samples
+    keyed on its exact (lo, hi, na, nb); na and nb never exceed
+    cells_panel (which is at least 8, the floor on both).  The frames of s/2
+    are those of s plus one below them, so both share slots.  The last
     image-cell sum is kept with its point and range and returned again for
     a far or full call at exactly that point.
 
@@ -591,61 +584,50 @@ class QuadratureOracle:
     and contracted with their row and column factors (x1 -+ y1),
     (x2 -+ y2) by two matrix products, so neither kernel is formed on the
     nodes.  On the rectangle that holds x the singular term is weighted by
-    omega minus its linearization at x instead.  One scratch array held by
-    the oracle, grown when a block or sine table needs more room, carries
-    the blocks and, before a grid's sums, its sine table, the powers it is
-    built from and the coefficient product; a second one holds a node
-    sum's row and column factors, with room for any near square or medium
-    frame from the start.  So an oracle is not to be shared between
-    threads.  Sums are deterministic for a fixed partition.
+    omega minus its linearization at x instead.  The blocks, the factors
+    and, before a grid's sums, its sine table live in one four-row scratch
+    held by the oracle and grown when a call needs more room, so an oracle
+    is not to be shared between threads.  Sums are deterministic for a
+    fixed partition.
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
         self.omega = omega
         self.params = params
-        self._central_cache = None
+        self._cells = {}            # n -> omega on the n x n midpoints of [0, pi]
         self._strip = None          # samples of an even row of image cells
         self._work_cache = None
-        self._factor_cache = None
-        self._slots = None          # (slots, 3 * cells_panel^2) omega samples
-        self._slot_keys = []        # (key, samples held) per slot, or None
+        self._slots = {}            # slot -> [key, samples]
         self._far_memo = None       # ((x, inner, outer), (u1, u2)) of the last _image_cells
 
     # -- omega sampling -------------------------------------------------
 
-    def _central_nodes(self):
-        """The central cell's midpoints of [0, pi], their spacing and omega on
-        them, by spectral's midpoint transform."""
-        if self._central_cache is None:
-            n = self.params.cells_central
-            y, h = _midpoints(0.0, np.pi, n)
-            self._central_cache = (y, h, evaluate_midpoints(self.omega.coeffs, n))
-        return self._central_cache
+    def _cell_samples(self, n: int):
+        """omega on the n x n midpoints of [0, pi], by spectral's midpoint
+        transform, kept per n."""
+        if n not in self._cells:
+            self._cells[n] = evaluate_midpoints(self.omega.coeffs, n)
+        return self._cells[n]
 
     def _work(self, room: int):
-        """Scratch for the node sums and the sample fills: three buffers of
-        at least room entries each, grown when a call needs more."""
+        """Scratch for the node sums and the sample fills: four buffers of
+        at least room entries each, grown when a call needs more.  The old
+        scratch is let go before the new one is made, so that a growth
+        never holds both."""
         if self._work_cache is None or self._work_cache.shape[1] < room:
-            self._work_cache = np.empty((3, room))
+            self._work_cache = None
+            self._work_cache = np.empty((4, room))
         return self._work_cache
 
     def _grid_sums(self, x, y1, y2, w, cw, lin=None):
         """_node_sums over the grid y1 x y2, in this oracle's scratch."""
-        n1, n2 = w.shape
         if not w.size:      # row 0 of the image cells at image_radius 1
             return 0.0, 0.0
-        work = self._work(4 * n2 * _block_rows(n1, n2))
-        room = _factor_room(n1, n2)
-        if self._factor_cache is None or self._factor_cache.size < room:
-            # at least room for any near square or medium frame (na, nb <=
-            # cells_panel), so that warm calls at other scales do not grow it
-            panel = _factor_room(self.params.cells_panel, 2 * self.params.cells_panel)
-            self._factor_cache = np.empty(max(room, panel))
-        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin,
-                          factors=self._factor_cache)
+        work = self._work(_node_room(*w.shape))
+        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin)
 
     def _sine_products(self, y):
-        """The sine table S of y and S @ coeffs, written into the scratch."""
+        """S @ coeffs and S.T for the sine table S of y, written into the scratch."""
         coeffs = self.omega.coeffs
         n = coeffs.shape[0]
         # a medium frame has at most 2 cells_panel coordinates: room for
@@ -653,33 +635,23 @@ class QuadratureOracle:
         work = self._work(max(len(y) * -(-n // _SINE_BLOCK) * _SINE_BLOCK,
                               _sine_scratch(max(len(y), 2 * self.params.cells_panel), n)))
         s = _sines(y, n, work[0], work[1])
-        return s, np.matmul(s, coeffs, out=work[1, :s.size].reshape(s.shape))
-
-    def _square_samples(self, y, out=None):
-        """omega on the grid y x y, (S @ coeffs) @ S.T from _sine_products,
-        into out if given."""
-        sy, cy = self._sine_products(y)
-        return np.matmul(cy, sy.T, out=out)
+        return np.matmul(s, coeffs, out=work[1, :s.size].reshape(s.shape)), s.T
 
     def _samples(self, slot, key, shapes, fill):
-        """Arrays of the given shapes in one slot of the sample buffer.
+        """Arrays of the given shapes in one sample slot, which holds
+        3 cells_panel^2 samples and is allocated when first asked for.
 
         Unless the slot already holds the samples keyed by key, fill(*arrays)
         writes them first.
         """
-        if self._slots is None or slot >= len(self._slots):
-            grown = np.empty((slot + 1, 3 * self.params.cells_panel ** 2))
-            for i, entry in enumerate(self._slot_keys):
-                if entry is not None:
-                    grown[i, :entry[1]] = self._slots[i, :entry[1]]
-            self._slots = grown
-            self._slot_keys += [None] * (slot + 1 - len(self._slot_keys))
-        arrays = _carve(self._slots[slot], *shapes)
-        entry = (key, sum(a.size for a in arrays))
-        if self._slot_keys[slot] != entry:
-            self._slot_keys[slot] = None
+        if slot not in self._slots:
+            self._slots[slot] = [None, np.empty(3 * self.params.cells_panel ** 2)]
+        held = self._slots[slot]
+        arrays = _carve(held[1], *shapes)
+        if held[0] != key:
+            held[0] = None          # a fill that raises leaves the slot unkeyed
             fill(*arrays)
-            self._slot_keys[slot] = entry
+            held[0] = key
         return arrays
 
     def _linearization(self, x):
@@ -727,7 +699,7 @@ class QuadratureOracle:
         n = self.params.cells_panel
         y, _ = _midpoints(0.0, s, n)
 
-        (w,) = self._samples(0, s, [(n, n)], lambda w: self._square_samples(y, w))
+        (w,) = self._samples(0, s, [(n, n)], lambda w: np.matmul(*self._sine_products(y), out=w))
         rect = (0.0, s, 0.0, s)
         return self._sum_rect(x, rect, y, y, w, pv=self._inside(x, rect))
 
@@ -778,9 +750,9 @@ class QuadratureOracle:
         y = np.concatenate([yb, ya])
 
         def fill(w_a, w_b):
-            sy, cy = self._sine_products(y)
-            np.matmul(cy[nb:], sy.T, out=w_a)
-            np.matmul(cy[:nb], sy[nb:].T, out=w_b)
+            cy, st = self._sine_products(y)
+            np.matmul(cy[nb:], st, out=w_a)
+            np.matmul(cy[:nb], st[:, nb:], out=w_b)
 
         w_a, w_b = self._samples(slot, (lo, hi, na, nb), [(na, nb + na), (nb, na)], fill)
         cw = np.full(nb + na, ha * ha)
@@ -806,7 +778,7 @@ class QuadratureOracle:
         t, h = _midpoints(0.0, np.pi, n)
         strip = self._strip
         if strip is None or strip.shape[1] < outer * n:
-            base = self._square_samples(t) if strip is None else strip[:, :n]
+            base = self._cell_samples(n)
             flipped = -base[:, ::-1]
             strip = np.empty((n, outer * n))
             for q, cell in enumerate(np.moveaxis(strip.reshape(n, outer, n), 1, 0)):
@@ -830,7 +802,9 @@ class QuadratureOracle:
         return self._image_cells(x, R, 2 * R)
 
     def _central(self, x):
-        y, h, w = self._central_nodes()
+        n = self.params.cells_central
+        y, h = _midpoints(0.0, np.pi, n)
+        w = self._cell_samples(n)
         if 0.0 < min(abs(x[0]), abs(x[1])) < 4.0 * h or np.hypot(x[0], x[1]) < 4.0 * h:
             warnings.warn(
                 f"evaluation point {tuple(x)} within 4 central cells of an axis; "

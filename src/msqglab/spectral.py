@@ -55,7 +55,8 @@ fields keeps its band exact once M > 3N/2 (the 3/2 rule); dealias_grid
 picks the smallest such M that is 5-smooth (no prime factor above 5;
 pocketfft's good_size, as scipy.fft.next_fast_len(real=True)).
 evaluate_midpoints samples a sine series of any band on M midpoints per
-axis the same way, for the quadrature's central cell: the DST-III takes
+axis the same way, for the quadrature oracle's whole cells (the central
+cell and the image cells' base grid): the DST-III takes
 mode M once where it doubles the others, so mode M goes in at twice their
 weight, and the modes above M are folded onto the grid, where
 sin((2Mq + r) x_j) = (-1)^q sin(r x_j).
@@ -338,14 +339,19 @@ def _fold_modes(coeffs: np.ndarray, n_mid: int, axis: int) -> np.ndarray:
 
     There sin((2 M q + r) x_j) = (-1)^q sin(r x_j), so mode m goes to
     r = min(t, 2M - t), t = m mod 2M, with the sign (-1)^q of q = m // 2M;
-    the modes with t = 0 vanish.  The folded modes are summed in order.
+    the modes with t = 0 vanish.  The modes are added (or subtracted) in
+    ascending order, one slice across the other axes at a time, in place:
+    the fold takes no array the size of coeffs, and on a 2-D array every
+    operand is 1-D, so no ufunc takes a numpy iteration buffer.
     """
-    m = np.arange(1, coeffs.shape[axis] + 1)
-    t, q = m % (2 * n_mid), m // (2 * n_mid)
     c = np.moveaxis(coeffs, axis, 0)
-    folded = np.zeros((n_mid + 1,) + c.shape[1:])       # row 0 takes the vanishing modes
-    np.add.at(folded, np.minimum(t, 2 * n_mid - t), np.where(q % 2, -1.0, 1.0)[:, None] * c)
-    return np.moveaxis(folded[1:], 0, axis)
+    folded = np.zeros((n_mid,) + c.shape[1:])
+    for m, modes in enumerate(c, start=1):
+        q, t = divmod(m, 2 * n_mid)
+        if t:
+            target = folded[min(t, 2 * n_mid - t) - 1]
+            (np.subtract if q % 2 else np.add)(target, modes, out=target)
+    return np.moveaxis(folded, 0, axis)
 
 
 def evaluate_midpoints(coeffs: np.ndarray, n_mid: int) -> np.ndarray:
@@ -638,9 +644,9 @@ class GridMax:
     maximum runs over its whole contiguous buffer.  The two buffers are
     views of scratch, a flat float64 array of at least scratch_size(N,
     n_grid) = (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid)) entries, allocated
-    when None: 1.6 MB at N=256, n_grid=512, where a whole second-axis grid
-    would take 3.2 MB.  A call writes every entry it reads, so the scratch
-    may serve other work between calls, as the time stepper's does.
+    when None: 1.6 MB at N=256, n_grid=512.  A call writes every entry it
+    reads, so the scratch may serve other work between calls, as the time
+    stepper's does.
     """
 
     def __init__(self, n_modes: int, n_grid: int, scratch: np.ndarray | None = None):

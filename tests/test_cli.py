@@ -37,11 +37,11 @@ GOLDEN = {
     "ver/report_near_field.json": "c9bff38a2e3d310ebc722fa01a43f217c30db706a3997b625b497b9aa846d936",
     "ver/report_medium_ratio.json":
         "6f2179b6e3fc2f5718f4e7a8cb3cb55ce1e8d00d7d12e478f87706a1def3bf79",
-    "ver/report_far_field.json": "6177b63ccd8326de170426df220046f0f1506ed803345338e450c935da093837",
+    "ver/report_far_field.json": "92c9b826dc39b0de29f254c7d58a903156da36ac1d8e9c9961ca20e39bd0eec4",
     "ver/report_background.json": "8ef235dfa9417b84fe4ec123cd23f14f6f94e884c23f30a43b2396dede93d301",
     "ver/report_decomposition.json":
-        "7ba331bebb6421918e13dd499def5d8ac5ee3c39a22ee379c44a903b1baf309a",
-    "ver/verify_summary.csv": "275c8395404803d28760b0e819d8ff393486709fe47f12300dc369d8340144c1",
+        "98cc66da4db83dbb3b28fa64911e2d0a544202b15fa00995774cfafc44836e26",
+    "ver/verify_summary.csv": "6f4255a6d18a461b3aaf12f2ca23b109d7328adda7e6c29f13501556963d8a34",
 }
 
 

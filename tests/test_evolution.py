@@ -201,6 +201,15 @@ class TestRhsWorkspace:
         with pytest.raises(ValueError, match="non-finite"):
             _Rhs(0.5, 8, dealias_grid(8))(c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coefficient_reaches_the_product_test(self, bad):
+        # the tendency tests its advection product only: the transforms
+        # carry one bad coefficient to all M^2 = 15^2 nodes
+        c = np.random.default_rng(4).normal(size=(8, 8))
+        c[2, 3] = bad
+        with pytest.raises(ValueError, match="advection product contains 225 non-finite"):
+            _Rhs(0.5, 8, dealias_grid(8))(c)
+
 
 class TestStepRK4:
     def test_in_place_sums_match_expression(self):
@@ -306,6 +315,57 @@ class TestRk4Workspace:
                 np.testing.assert_array_equal(ws.rhs(c), fresh_rhs(c))
                 c = rng.normal(size=(n_modes, n_modes))
                 assert ws.grid_max(c, parity) == fresh_max(c, parity)
+
+
+class TestTimeErrorPins:
+    """N=32, the delta=0.35 plateau, fixed dt, to T=0.25: pins that see the
+    RK4 error alone, each at dt = 1/64 and 1/128."""
+
+    DTS = (1.0 / 64, 1.0 / 128)
+
+    @pytest.fixture(scope="class")
+    def omega0(self):
+        return build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
+
+    @staticmethod
+    def advance(omega, dt, preserve_degeneracy=True):
+        cfg = make_config(n_modes=32, n_grid=64, t_final=0.25, dt_policy="fixed", dt=dt,
+                          diag_every=1000, snapshot_every=1000,
+                          preserve_degeneracy=preserve_degeneracy)
+        res = run(cfg, omega)
+        assert res.halt_reason == "horizon" and res.state.step_count == round(0.25 / dt)
+        return res.state.omega.coeffs
+
+    def test_time_reversal(self, omega0):
+        # the tendency is quadratic, so even in the coefficients, and the
+        # degeneracy projection is linear: if a(t) solves the truncated
+        # system, so does -a(T - t).  To T, negated, to T again and negated
+        # returns a(0) up to the time stepper, and any part of a step that is
+        # not even in the coefficients would leave a defect that does not
+        # fall like dt^4.  Measured: 3.3e-6 and 1.06e-7 (ratio 31)
+        defects = []
+        for dt in self.DTS:
+            back = -self.advance(SineField(-self.advance(omega0, dt)), dt)
+            defects.append(np.linalg.norm(back - omega0.coeffs) / np.linalg.norm(omega0.coeffs))
+        assert defects[0] / defects[1] >= 16
+        assert defects[1] <= 1e-6
+
+    def test_second_quadratic_invariant(self, omega0):
+        # H = sum a^2 / (m^2 + n^2)^(1 - alpha), the pairing of omega with
+        # its stream function, is kept by the alias-free Galerkin tendency,
+        # so without the degeneracy projection it drifts by the RK4 error
+        # only.  Measured: 5.4e-10 and 1.7e-11 relative (ratio 31); with the
+        # projection it drifts by 2.9e-5 at either dt
+        m = np.arange(1, 33)
+        weight = np.add.outer(m * m, m * m) ** -0.5
+
+        def energy(c):
+            return float(np.sum(weight * c * c))
+
+        h0 = energy(omega0.coeffs)
+        drifts = [abs(energy(self.advance(omega0, dt, False)) - h0) / h0 for dt in self.DTS]
+        assert drifts[0] / drifts[1] >= 16
+        assert drifts[1] <= 1e-10
 
 
 def grid_speed(omega, alpha, n_grid):

@@ -323,7 +323,7 @@ class TestRegionsAgainstDirectSums:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _unfactored_node_sums(x, y1, y2, w, cw, alpha, work=None, lin=None, factors=None):
+def _unfactored_node_sums(x, y1, y2, w, cw, alpha, work=None, lin=None):
     """Node sums of the four-term kernels times w and the column weights cw,
     unfactored, formed node by node:
     K1 = (x2-y2) i0 - (x2-y2) it - (x2+y2) ib + (x2+y2) ip and
@@ -405,7 +405,8 @@ class TestFactoredNodeSums:
             monkeypatch.setattr(kernels, "_BLOCK_NODES", room)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = kernels._node_sums(x, y1, y2, w, cw, 0.5, np.empty((3, room)), lin)
+                work = np.empty((4, kernels._node_room(9, 7)))
+                got = kernels._node_sums(x, y1, y2, w, cw, 0.5, work, lin)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -445,8 +446,8 @@ class TestFactoredNodeSums:
         assert peak <= 2**20
 
     # x inside the near square, and inside the central cell: both take the
-    # principal value.  Measured on x86-64 with numpy 2.4.6: 1.27 and
-    # 2.16 MB, where the held (2, N, N) gradient stack, its transients and
+    # principal value.  Measured on x86-64 with numpy 2.4.6: 1.44 and
+    # 1.83 MiB, where the held (2, N, N) gradient stack, its transients and
     # the central cell's sine table took 3.82 and 4.22 MB
     @pytest.mark.parametrize("region, bound", [(RegionSpec("near", 8.0), 1.5 * 2**20),
                                                (RegionSpec("full"), 2.5 * 2**20)],
@@ -468,8 +469,9 @@ class TestFactoredNodeSums:
     def test_central_cell_against_sine_tables(self, n_modes, cells):
         om = SineField(np.random.default_rng(n_modes).standard_normal((n_modes, n_modes)))
         oracle = QuadratureOracle(om, KernelParams(alpha=0.5, cells_central=cells))
-        y, h, w = oracle._central_nodes()
-        assert h == np.pi / cells and w.shape == (cells, cells)
+        w = oracle._cell_samples(cells)
+        assert w.shape == (cells, cells) and oracle._cell_samples(cells) is w
+        y, _ = kernels._midpoints(0.0, np.pi, cells)
         table = kernels._sines(y, n_modes)
         want = table @ om.coeffs @ table.T
         np.testing.assert_allclose(w, want, rtol=0, atol=1e-13 * np.abs(want).max())
@@ -704,7 +706,7 @@ class TestReuseAcrossCalls:
         sines = self._count(monkeypatch, "_sines")
         # s = 0.2, then s/2 (one new frame below the same upper frames), then
         # s/16, whose frames need more slots than the first two calls had,
-        # then s again: its frames survived the growth of the buffer
+        # then s again: its frames kept their slots
         points = [(0.03, 0.04), (0.015, 0.02), (0.001875, 0.0025), (0.04, 0.03)]
         got = []
         for x, new_frames in zip(points, (4, 1, 3, 0)):
@@ -714,6 +716,17 @@ class TestReuseAcrossCalls:
             assert sines[0] - before == new_frames
         for x, u in zip(points, got):
             np.testing.assert_array_equal(u, self._fresh(omega, x, region))
+
+    def test_new_slots_leave_held_ones_in_place(self, omega):
+        # s, then s/16 with more frames: each slot is its own array, so a
+        # call that needs more slots neither moves nor copies the held ones
+        oracle = QuadratureOracle(omega, self.PARAMS)
+        region = RegionSpec("medium", 4.0)
+        oracle.velocity((0.03, 0.04), region)
+        held = {slot: samples for slot, (_, samples) in oracle._slots.items()}
+        oracle.velocity((0.001875, 0.0025), region)
+        assert len(oracle._slots) > len(held)
+        assert all(oracle._slots[slot][1] is samples for slot, samples in held.items())
 
     def test_full_after_far_reuses_the_far_sum(self, omega, monkeypatch):
         oracle = QuadratureOracle(omega, self.PARAMS)

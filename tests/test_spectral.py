@@ -176,6 +176,37 @@ class TestStackedEvaluation:
         np.testing.assert_allclose(evaluate_midpoints(coeffs, n_mid), want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("n_modes, n_mid", [(45, 16), (100, 16), (256, 64)])
+    def test_fold_sums_each_target_in_mode_order(self, n_modes, n_mid, axis):
+        # bit for bit the sum 0 + s_1 c_1 + s_2 c_2 + ... over the modes
+        # that fold onto each target, in ascending order
+        coeffs = np.random.default_rng(n_modes).normal(size=(n_modes, n_modes))
+        m = np.arange(1, n_modes + 1)
+        t, q = m % (2 * n_mid), m // (2 * n_mid)
+        want = np.zeros((n_mid + 1, n_modes))
+        np.add.at(want, np.minimum(t, 2 * n_mid - t),
+                  np.where(q % 2, -1.0, 1.0)[:, None] * np.moveaxis(coeffs, axis, 0))
+        got = spectral._fold_modes(coeffs, n_mid, axis)
+        np.testing.assert_array_equal(got, np.moveaxis(want[1:], 0, axis))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_fold_allocates_its_output_only(self, axis):
+        # N = 256 modes onto the M = 64 midpoints of an image cell: the fold
+        # holds its M x N output and no N x N array, nor a numpy iteration
+        # buffer (each 1-D slice is one ufunc call).  Measured on x86-64 with
+        # numpy 2.4.6: 128.5 KiB, where an N x N signed copy of the
+        # coefficients took 718 KiB
+        coeffs = np.random.default_rng(3).normal(size=(256, 256))
+        spectral._fold_modes(coeffs, 64, axis)
+        tracemalloc.start()
+        try:
+            spectral._fold_modes(coeffs, 64, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 64 * 256 + 4096
+
     def test_powers_give_the_derivatives(self):
         # m^p1 n^p2 on the table rows: d1, d2, d11 and d12 of a sine series
         # to rounding; an entry's values are the same bits whatever other

@@ -327,6 +327,15 @@ def test_initial_data_spec_built_in_one_place():
     assert sites == [("cli", "_initial_spec")]
 
 
+def test_oracle_samples_whole_cells_one_way():
+    # the central cell and the image cells' base grid are both omega on the
+    # midpoints of [0, pi] by the midpoint transform; sine tables serve the
+    # sub-interval grids (near squares and medium frames) only
+    tree = _tree("kernels")
+    assert [owner for owner, _ in _calls_of(tree, "evaluate_midpoints")] == ["_cell_samples"]
+    assert [owner for owner, _ in _calls_of(tree, "_sines")] == ["_sine_products"]
+
+
 def test_call_check_sees_names_and_attributes():
     tree = ast.parse("import m\nfrom m import f\nf(1)\ndef g():\n    return m.f(2)\n"
                      "h = f\n")

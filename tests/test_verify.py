@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from msqglab import kernels
 from msqglab.initial_data import InitialDataSpec, build_omega0
 from msqglab.kernels import KernelParams, QuadratureOracle, RegionSpec, relative_kernel_error
 from msqglab.spectral import SineField
@@ -189,8 +188,7 @@ class TestFarField:
         def unflipped_tail(oracle, x):
             n, R = oracle.params.cells_far, oracle.params.image_radius
             held = oracle._strip
-            t, _ = kernels._midpoints(0.0, np.pi, n)
-            oracle._strip = np.tile(oracle._square_samples(t), (1, 2 * R))
+            oracle._strip = np.tile(oracle._cell_samples(n), (1, 2 * R))
             oracle._far_memo = None
             try:
                 return real(oracle, x)
