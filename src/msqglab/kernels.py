@@ -32,29 +32,32 @@ form,
 with i0, it, ib, ip the inverse powers |.|^(-2-2a) of the distances from y
 to x, x_tilde, x_bar and -x, from the four terms' contractions laid out as
 [s1, s2] for the image source at (s1 y1, s2 y2).  Each power is taken as
-1 / (d * d**a) for the squared distance d, and d**0.5 as a square root, so
-at the default a = 1/2 no pow call is made.  kernel_K1/kernel_K2 assemble
-K on the nodes.  A region sum never does: on a tensor grid (x2 -+ y2)
-depends on the column only and (x1 -+ y1) on the row only.  A row block
-lays out all four terms as one array d[s1, i, s2, j]; its squared
-distances are one matrix product, its weighted powers omega * i three
-in-place array operations, and both contractions one product with the
-column factors followed by dots with the row factors.  A block holds at
-most 32,768 entries across its four terms (or one grid row, if that is
-more), so a node sum's scratch is bounded however many cells its grid has.
+1 / (d * d**a) for the squared distance d, and d**0.5 as a square root
+taken from d straight into the powers' array, so at the default a = 1/2 no
+pow call is made.  kernel_K1/kernel_K2 assemble K on the nodes.  A region
+sum never does: on a tensor grid (x2 -+ y2) depends on the column only and
+(x1 -+ y1) on the row only.  A row block lays out all four terms as one
+array d[s1, i, s2, j]; its squared distances are one matrix product, its
+weighted powers omega * i three array operations written in place, and
+both contractions one product with the column factors followed by dots
+with the row factors.  A block holds at most 32,768 entries across its
+four terms (or one grid row, if that is more), so a node sum's scratch is
+bounded however many cells its grid has.
 At the CLI defaults a medium frame's grids are one block each, the near
 square two, the 256^2 central cell eight and a row of image cells four.
 
 An oracle holds four kinds of buffer, each with one rule:
-  * work: four rows of scratch, grown (never shrunk) to the largest room a
-    call asks for.  A node sum's blocks take the first three rows and its
-    row and column factors the fourth; before a grid's sums, a sine table,
-    the complex powers it is built from and its product with the
-    coefficients take the first two.  A fresh array of that size would
-    cost more than its arithmetic wherever glibc maps allocations of
-    128 KiB and up afresh and faults in their pages on every call, so a
-    warm call makes no transient array of more than a few rows.  About
-    1.1 MB at the CLI defaults.
+  * work: three rows of scratch and a factor row, each grown (never
+    shrunk) to the largest size a call asks for.  A node sum's blocks take
+    the three rows and its row and column factors the factor row, which
+    is sized to the factors (at least those of a cells_panel x
+    2 cells_panel grid, the largest near square or medium frame); before a
+    grid's sums, a sine table, the complex powers it is built from and its
+    product with the coefficients take the first two rows.  A fresh array
+    of that size would cost more than its arithmetic wherever glibc maps
+    allocations of 128 KiB and up afresh and faults in their pages on
+    every call, so a warm call makes no transient array of more than a
+    few rows.  About 0.83 MB at the CLI defaults.
   * whole cells: omega on the n x n midpoints of [0, pi], by spectral's
     midpoint transform (spectral.evaluate_midpoints, which folds the modes
     above n onto the grid), kept per n.  The central cell (cells_central)
@@ -189,11 +192,14 @@ def _image_factors(x, y):
 def _inverse_powers(d, p, alpha: float):
     """p = d * d**alpha into p, for squared distances d.
 
-    numpy's in-place ** takes d**0.5 as a square root, so at the default
-    alpha = 1/2 no pow call is made.
+    The root goes from d straight into p: np.sqrt at the default alpha =
+    1/2 (what numpy's in-place ** takes for that exponent), np.power
+    otherwise, so no pass copies d first.
     """
-    p[...] = d
-    p **= alpha
+    if alpha == 0.5:
+        np.sqrt(d, out=p)
+    else:
+        np.power(d, alpha, out=p)
     p *= d
 
 
@@ -238,12 +244,17 @@ def _carve(buf, *shapes):
 
 
 def _node_room(n1: int, n2: int) -> int:
-    """Entries per row of the work array of _node_sums over n1 x n2 nodes:
-    the four terms of a block, or the row and column factors if more."""
-    return max(4 * n2 * _block_rows(n1, n2), 10 * n1 + 15 * n2)
+    """Entries per row of the three block rows of _node_sums over n1 x n2
+    nodes: the four terms of a block."""
+    return 4 * n2 * _block_rows(n1, n2)
 
 
-def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
+def _factor_room(n1: int, n2: int) -> int:
+    """Entries of the factor row of _node_sums over n1 x n2 nodes."""
+    return 6 * n1 + 13 * n2 + 4
+
+
+def _node_sums(x, y1, y2, w, cw, alpha: float, work, factors, lin=None):
     """(sum K1 w cw, sum K2 w cw) over the tensor grid y1 x y2 with samples w.
 
     y1 and y2 are ascending, and cw weights the columns (a scalar, or one
@@ -252,73 +263,89 @@ def _node_sums(x, y1, y2, w, cw, alpha: float, work, lin=None):
     the block:
       * the squared distances are one product of [e1^2, 1] (rows) and
         [1, e2^2] (columns), each entry e1^2 + e2^2 rounded once;
-      * the weighted powers P = w / (d * d**alpha) take one in-place **,
+      * the weighted powers P = w / (d * d**alpha) take one root into P,
         one *= d and one divide of the samples, broadcast over the terms;
       * both contractions are one product with the (2c x 4) column factors
         (e2 cw, cw) of each s2, then dots with the row factors (1, e1).
     The kernels are never formed on the nodes.  A block has _block_rows
-    rows, and work is a (4, room) array with room = _node_room(n1, n2):
-    d, P and the singular weights live in its first three rows, and the
-    row and column factors in the fourth.  With lin = (w0, g1, g2) the
-    singular term is weighted by the residual of the linearization
-    w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at y = x contributes
-    no singular term.
+    rows, and work is a (3, room) array with room = _node_room(n1, n2)
+    that holds d, P and the singular weights.  The factors live in
+    factors, a 1-D array of _factor_room(n1, n2) entries, in four parts:
+    the rows e1^2, 1 and e1 of both s1, of which the first two read
+    transposed are the left operand of the distances and the last two the
+    row factors; the right operand [1, e2^2]; the column factors; and one
+    column of scratch.  So the fills are a handful of array operations,
+    and a call allocates nothing node-sized.  With lin = (w0, g1, g2)
+    the singular term is weighted by the residual of the linearization
+    w0 + g1 (y1-x1) + g2 (y2-x2) instead of w.  A node at y = x
+    contributes no singular term, and is not divided by its zero distance.
     """
     x1, x2 = x
     n1, n2 = w.shape
     rows = _block_rows(n1, n2)
-    e1, e2, left, right, cols, row_factors, column = _carve(
-        work[3], (2, n1), (2, n2), (2, n1, 2), (2, 2, n2), (2, n2, 2, 2), (2, 2, n1), (n2,))
+    at = 6 * n1 + 4 * n2
+    row_side = factors[:6 * n1].reshape(3, 2, n1)
+    right = factors[6 * n1:at].reshape(2, 2 * n2)
+    # cols[s2 j, s1 k] is (e2 cw, cw)[k] where s1 = s2 and 0 elsewhere;
+    # flat, that is entry s (4 n2 + 2) + 4 j + k, so with four spare
+    # entries after cols both diagonal blocks are one (2, n2, 4) view
+    cols = factors[at:at + 8 * n2]
+    diagonal = factors[at:at + 8 * n2 + 4].reshape(2, 4 * n2 + 2)[:, :4 * n2].reshape(2, n2, 4)
+    column = factors[at + 8 * n2 + 4:at + 9 * n2 + 4]
+    e1, e2 = row_side[2], right[1].reshape(2, n2)
     for e, x_, y in ((e1, x1, y1), (e2, x2, y2)):      # x - s y, as _image_factors
         np.subtract(x_, y, out=e[0])
         np.add(x_, y, out=e[1])
-    np.multiply(e1, e1, out=left[..., 0])
-    left[..., 1] = 1.0
-    right[0] = 1.0
-    np.multiply(e2, e2, out=right[1])
-    right = right.reshape(2, 2 * n2)
+    row_side[1] = 1.0
+    np.multiply(e1, e1, out=row_side[0])
+    row_side = row_side.transpose(1, 0, 2)
+    left, row_factors = row_side[:, :2].transpose(0, 2, 1), row_side[:, 1:]
     cols[...] = 0.0
-    for s in (0, 1):
-        cols[s, :, s, 0] = np.multiply(e2[s], cw, out=column)
-        cols[s, :, s, 1] = cw
+    np.multiply(e2, cw, out=diagonal[..., 0])
+    diagonal[..., 1] = cw
     cols = cols.reshape(2 * n2, 4)
-    row_factors[:, 0] = 1.0
-    row_factors[:, 1] = e1
+    np.multiply(e2, e2, out=e2)
+    right[0] = 1.0
     hits = y1[0] <= x1 <= y1[-1] and y2[0] <= x2 <= y2[-1]
     hit_cols = np.flatnonzero(y2 == x2) if hits else ()
     if lin is not None:
         w0, g1, g2 = lin
         taylor_cols = np.multiply(g2, np.subtract(y2, x2, out=column), out=column)
-    sums = np.zeros((2, 2, 4))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(0, n1, rows):
-            block = slice(r, r + rows)
-            wb = w[block]
-            nr = len(wb)
-            d = work[0, :4 * wb.size].reshape(2, nr, 2 * n2)
-            p = work[1, :4 * wb.size].reshape(2, nr, 2 * n2)
-            np.matmul(left[:, block], right, out=d)
-            _inverse_powers(d, p, alpha)
-            terms = p.reshape(2, nr, 2, n2)
-            singular = terms[0, :, 0]
-            # d is spent: its row takes the samples, tiled like a term
-            # row [s2, j], so that each divide runs on contiguous operands
-            if lin is not None:
-                ws, taylor = work[2, :wb.size].reshape(wb.shape), work[0, :wb.size].reshape(wb.shape)
-                np.copyto(ws, w0 + g1 * (y1[block, None] - x1))
-                np.copyto(taylor, taylor_cols)
-                ws += taylor
-                np.subtract(wb, ws, out=ws)
-            tiled = work[0, :2 * wb.size].reshape(nr, 2, n2)
-            np.copyto(tiled, wb[:, None])
+    sums = None
+    for r in range(0, n1, rows):
+        block = slice(r, r + rows)
+        wb = w[block]
+        nr = len(wb)
+        d = work[0, :4 * wb.size].reshape(2, nr, 2 * n2)
+        p = work[1, :4 * wb.size].reshape(2, nr, 2 * n2)
+        np.matmul(left[:, block], right, out=d)
+        _inverse_powers(d, p, alpha)
+        terms = p.reshape(2, nr, 2, n2)
+        singular = terms[0, :, 0]
+        # a node at y = x has d = 0: it is divided by 1, then dropped
+        hit_rows = np.flatnonzero(y1[block] == x1) if len(hit_cols) else ()
+        if len(hit_rows):
+            singular[np.ix_(hit_rows, hit_cols)] = 1.0
+        # d is spent: its row takes the samples, tiled like a term
+        # row [s2, j], so that each divide runs on contiguous operands
+        if lin is not None:
+            ws, taylor = work[2, :wb.size].reshape(wb.shape), work[0, :wb.size].reshape(wb.shape)
+            np.copyto(ws, w0 + g1 * (y1[block, None] - x1))
+            np.copyto(taylor, taylor_cols)
+            ws += taylor
+            np.subtract(wb, ws, out=ws)
+        tiled = work[0, :2 * wb.size].reshape(nr, 2, n2)
+        np.copyto(tiled, wb[:, None])
+        if lin is None:
+            np.divide(tiled, terms, out=terms)
+        else:
             np.divide(tiled, terms[1], out=terms[1])
-            if lin is not None:
-                tiled[:, 0] = ws
+            tiled[:, 0] = ws
             np.divide(tiled, terms[0], out=terms[0])
-            hit_rows = np.flatnonzero(y1[block] == x1) if len(hit_cols) else ()
-            if len(hit_rows):
-                singular[np.ix_(hit_rows, hit_cols)] = 0.0
-            sums += row_factors[:, :, block] @ (p @ cols)
+        if len(hit_rows):
+            singular[np.ix_(hit_rows, hit_cols)] = 0.0
+        part = row_factors[:, :, block] @ (p @ cols)
+        sums = part if sums is None else sums + part
     sums = sums.reshape(2, 2, 2, 2)
     return _four_terms(sums[:, 0, :, 0].tolist(), sums[:, 1, :, 1].tolist())
 
@@ -457,9 +484,13 @@ def _sines(y: np.ndarray, n_modes: int, out=None, scratch=None) -> np.ndarray:
     return np.matmul(left, right, out=out).reshape(len(y), blocks * b)[:, :n_modes]
 
 
-def _midpoints(a: float, b: float, n: int):
+def _midpoints(a: float, b: float, n: int, out=None):
+    """The n cell midpoints a + (k + 1/2) h of [a, b] (written into out, if
+    given) and the cell width h."""
     h = (b - a) / n
-    return a + (np.arange(n) + 0.5) * h, h
+    y = np.multiply(np.arange(0.5, n), h, out=out)
+    y += a
+    return y, h
 
 
 def _gauss_legendre(n: int):
@@ -584,11 +615,11 @@ class QuadratureOracle:
     and contracted with their row and column factors (x1 -+ y1),
     (x2 -+ y2) by two matrix products, so neither kernel is formed on the
     nodes.  On the rectangle that holds x the singular term is weighted by
-    omega minus its linearization at x instead.  The blocks, the factors
-    and, before a grid's sums, its sine table live in one four-row scratch
-    held by the oracle and grown when a call needs more room, so an oracle
-    is not to be shared between threads.  Sums are deterministic for a
-    fixed partition.
+    omega minus its linearization at x instead.  The blocks and, before a
+    grid's sums, its sine table live in a three-row scratch held by the
+    oracle, and the factors in a factor row beside it, both grown when a
+    call needs more room, so an oracle is not to be shared between
+    threads.  Sums are deterministic for a fixed partition.
     """
 
     def __init__(self, omega: SineField, params: KernelParams):
@@ -596,7 +627,8 @@ class QuadratureOracle:
         self.params = params
         self._cells = {}            # n -> omega on the n x n midpoints of [0, pi]
         self._strip = None          # samples of an even row of image cells
-        self._work_cache = None
+        self._work_cache = None     # (3, room) block rows
+        self._factor_cache = None   # the node sums' factor row
         self._slots = {}            # slot -> [key, samples]
         self._far_memo = None       # ((x, inner, outer), (u1, u2)) of the last _image_cells
 
@@ -609,22 +641,35 @@ class QuadratureOracle:
             self._cells[n] = evaluate_midpoints(self.omega.coeffs, n)
         return self._cells[n]
 
+    def _grown(self, name: str, shape: tuple):
+        """The scratch array held under name, grown along its last axis when
+        a call needs more than it holds.  The old array is let go before the
+        new one is made, so that a growth never holds both."""
+        held = getattr(self, name)
+        if held is None or held.shape[-1] < shape[-1]:
+            held = None
+            setattr(self, name, None)
+            held = np.empty(shape)
+            setattr(self, name, held)
+        return held
+
     def _work(self, room: int):
-        """Scratch for the node sums and the sample fills: four buffers of
-        at least room entries each, grown when a call needs more.  The old
-        scratch is let go before the new one is made, so that a growth
-        never holds both."""
-        if self._work_cache is None or self._work_cache.shape[1] < room:
-            self._work_cache = None
-            self._work_cache = np.empty((4, room))
-        return self._work_cache
+        """Scratch for the node sums' blocks and the sample fills: three
+        rows of at least room entries each."""
+        return self._grown("_work_cache", (3, room))
 
     def _grid_sums(self, x, y1, y2, w, cw, lin=None):
         """_node_sums over the grid y1 x y2, in this oracle's scratch."""
         if not w.size:      # row 0 of the image cells at image_radius 1
             return 0.0, 0.0
         work = self._work(_node_room(*w.shape))
-        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, lin)
+        # a near square or medium frame has at most cells_panel rows and
+        # 2 cells_panel columns: room for that keeps warm calls at other
+        # scales from growing the factor row
+        npanel = self.params.cells_panel
+        factors = self._grown("_factor_cache", (max(_factor_room(*w.shape),
+                                                    _factor_room(npanel, 2 * npanel)),))
+        return _node_sums(x, y1, y2, w, cw, self.params.alpha, work, factors, lin)
 
     def _sine_products(self, y):
         """S @ coeffs and S.T for the sine table S of y, written into the scratch."""
@@ -745,9 +790,12 @@ class QuadratureOracle:
         npanel = self.params.cells_panel
         na = max(8, int(round(npanel * (hi - lo) / hi)))
         nb = max(8, int(round(npanel * lo / hi)))
-        ya, ha = _midpoints(lo, hi, na)
-        yb, hb = _midpoints(0.0, lo, nb)
-        y = np.concatenate([yb, ya])
+        # [yb | ya] and the cell areas of the columns of ya x [yb | ya]
+        y, cw = np.empty((2, nb + na))
+        yb, hb = _midpoints(0.0, lo, nb, y[:nb])
+        ya, ha = _midpoints(lo, hi, na, y[nb:])
+        cw[:nb] = ha * hb
+        cw[nb:] = ha * ha
 
         def fill(w_a, w_b):
             cy, st = self._sine_products(y)
@@ -755,8 +803,6 @@ class QuadratureOracle:
             np.matmul(cy[:nb], st[:, nb:], out=w_b)
 
         w_a, w_b = self._samples(slot, (lo, hi, na, nb), [(na, nb + na), (nb, na)], fill)
-        cw = np.full(nb + na, ha * ha)
-        cw[:nb] = ha * hb
         u1, u2 = self._grid_sums(x, ya, y, w_a, cw)
         v1, v2 = self._grid_sums(x, yb, ya, w_b, hb * ha)
         return u1 + v1, u2 + v2

@@ -6,16 +6,22 @@ snapshots), monitors the component-ratio along the path, applies the
 construction's stopping rule, and fits exponential growth rates.
 
 A traced step evaluates the velocity 4 times: the velocity recorded at the
-end of a step is the next step's first RK4 stage.  VelocitySampler holds
-the stream function psi of all snapshots in one (K, n, n) stack, and a
-call is one spectral.evaluate_points call on the entries of the snapshots
-that bracket t, with d2 psi and d1 psi as terms of each.
+end of a step is the next step's first RK4 stage.  trace steps on Python
+floats and hands the source one new 2-vector per stage.  VelocitySampler
+holds the stream function psi of all snapshots in one (K, n, n) stack, and
+a call is one spectral.evaluate_points call on the entries of the
+snapshots that bracket t, with d2 psi and d1 psi as terms of each; the
+bracket lookup and the blend in time are float arithmetic.
 transport_defect makes one such call per snapshot, over the path points
-nearest to it in time.
+nearest to it in time.  Bad input (a start that is not a pair, a dt or
+horizon that is not finite, a NaN time, snapshots of unequal N, a
+monitor stride below 1) raises ValueError naming the argument.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,15 +82,23 @@ class VelocitySampler:
     is held in one (K, n, n) stack, K n^2 floats.  A call evaluates
     d2 psi and d1 psi at both bracketing snapshots in one evaluate_points
     call on their 2 entries, each read once for both terms, then blends
-    them linearly in time and takes u1 = -d2 psi and u2 = d1 psi.  Outside
+    them linearly in time and takes u1 = -d2 psi and u2 = d1 psi.  The
+    bracket lookup and the blend are arithmetic on Python floats.  Outside
     the snapshot times the nearest snapshot is used, and the call takes
-    its entry alone.
+    its entry alone.  Snapshot times must be finite and the fields of one
+    mode count; a NaN t is rejected.
     """
 
     def __init__(self, snapshots, alpha: float):
         if not snapshots:
             raise ValueError("no snapshots supplied")
+        bad = [t for t, _ in snapshots if not math.isfinite(t)]
+        if bad:
+            raise ValueError(f"snapshot times must be finite, got {bad}")
         times, fields = zip(*sorted(snapshots, key=lambda p: p[0]))
+        sizes = sorted({f.n_modes for f in fields})
+        if len(sizes) > 1:
+            raise ValueError(f"snapshots must share one mode count N, got N = {sizes}")
         self.times = np.asarray(times, dtype=np.float64)
         self.alpha = alpha
         self.n_modes = fields[0].n_modes
@@ -94,16 +108,19 @@ class VelocitySampler:
             np.divide(f.coeffs, symbol, out=self._psi[k])
 
     def __call__(self, x, t: float) -> np.ndarray:
-        ts = self.times
+        t = float(t)
+        if t != t:
+            raise ValueError("sampler time t is NaN")
+        ts = self.times.tolist()
         if t <= ts[0] or t >= ts[-1]:
             k = 0 if t <= ts[0] else len(ts) - 1
             d2, d1 = evaluate_points(self._psi[k:k + 1], _ONE_SNAPSHOT, x).tolist()
-            return np.array([-d2, d1])
-        hi = int(ts.searchsorted(t, side="right"))
-        th = float((t - ts[hi - 1]) / (ts[hi] - ts[hi - 1]))
+            return np.array((-d2, d1))
+        hi = bisect_right(ts, t)
+        th = (t - ts[hi - 1]) / (ts[hi] - ts[hi - 1])
         # (d2 psi, d1 psi) at snapshot hi - 1, then at snapshot hi
         a2, a1, b2, b1 = evaluate_points(self._psi[hi - 1:hi + 1], _TWO_SNAPSHOTS, x).tolist()
-        return np.array([-((1.0 - th) * a2 + th * b2), (1.0 - th) * a1 + th * b1])
+        return np.array((-((1.0 - th) * a2 + th * b2), (1.0 - th) * a1 + th * b1))
 
 
 def trace(start, velocity_source, t_end: float, dt: float) -> TrajectoryState:
@@ -112,7 +129,10 @@ def trace(start, velocity_source, t_end: float, dt: float) -> TrajectoryState:
     velocity_source(x, t) is called 4 n + 1 times for n steps: once at the
     start, then 3 stages and the end-of-step sample per step, since the
     sample recorded at (x, t) is the next step's first stage.  The source
-    must be deterministic.
+    must be deterministic; each call gets x as a new 2-vector, and returns
+    two velocity components.  The RK4 arithmetic itself runs on Python
+    floats, in the order of the 2-vector formula, so a path is the same to
+    the bit as one stepped on numpy 2-vectors.
 
     Through a VelocitySampler the path carries the error of the sampler's
     linear interpolation in time between snapshots, which is second order
@@ -123,40 +143,56 @@ def trace(start, velocity_source, t_end: float, dt: float) -> TrajectoryState:
 
     Halts with a diagnostic if the position leaves [0, pi)^2 by more than
     QUADRANT_TOL (the quadrant is invariant for the exact flow; leaving it
-    signals interpolation/resolution loss).
+    signals interpolation/resolution loss).  ValueError for a start that
+    is not a pair inside the open quadrant, and for a dt or t_end that is
+    not finite, dt <= 0 or t_end < 0.
     """
+    for name, value in (("dt", dt), ("t_end", t_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    dt, t_end = float(dt), float(t_end)
     if dt <= 0 or t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
-    x = np.array(start, dtype=np.float64)
-    if not (0 < x[0] < np.pi and 0 < x[1] < np.pi):
-        raise ValueError(f"start {tuple(x)} outside the open quadrant")
+        raise ValueError(f"need dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
+    try:
+        x1, x2 = (float(v) for v in start)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"start must be a pair of numbers, got {start!r}") from exc
+    start = (x1, x2)
+    if not (0 < x1 < np.pi and 0 < x2 < np.pi):
+        raise ValueError(f"start {start} outside the open quadrant")
+
+    def velocity(x1, x2, t):
+        return np.asarray(velocity_source(np.array((x1, x2)), t), dtype=np.float64).tolist()
+
     t = 0.0
     times = [t]
-    pos = [x.copy()]
-    vel = [np.asarray(velocity_source(x, t), dtype=np.float64)]
+    pos = [start]
+    k1 = velocity(x1, x2, t)
+    vel = [k1]
     halted = False
     note = ""
     n_steps = int(np.ceil(t_end / dt - 1e-12))
     lo, hi = -QUADRANT_TOL, np.pi + QUADRANT_TOL
     for _ in range(n_steps):
         h = min(dt, t_end - t)
-        k1 = vel[-1]
-        k2 = np.asarray(velocity_source(x + 0.5 * h * k1, t + 0.5 * h))
-        k3 = np.asarray(velocity_source(x + 0.5 * h * k2, t + 0.5 * h))
-        k4 = np.asarray(velocity_source(x + h * k3, t + h))
-        x = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a, b = 0.5 * h, h / 6.0
+        k2 = velocity(x1 + a * k1[0], x2 + a * k1[1], t + a)
+        k3 = velocity(x1 + a * k2[0], x2 + a * k2[1], t + a)
+        k4 = velocity(x1 + h * k3[0], x2 + h * k3[1], t + h)
+        x1 = x1 + b * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        x2 = x2 + b * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t = t + h
         times.append(t)
-        pos.append(x.copy())
-        vel.append(np.asarray(velocity_source(x, t)))
-        if x[0] < lo or x[1] < lo or x[0] > hi or x[1] > hi:
+        pos.append((x1, x2))
+        k1 = velocity(x1, x2, t)
+        vel.append(k1)
+        if x1 < lo or x2 < lo or x1 > hi or x2 > hi:
             halted = True
-            note = (f"trajectory left [0, pi)^2 at t={t:.6f}, x={tuple(x)}; "
+            note = (f"trajectory left [0, pi)^2 at t={t:.6f}, x={(x1, x2)}; "
                     "quadrant invariance violated beyond tolerance")
             break
     return TrajectoryState(
-        start=tuple(np.atleast_1d(start)[:2]),
-        times=np.array(times), positions=np.array(pos),
+        start=start, times=np.array(times), positions=np.array(pos),
         velocities=np.array(vel),
         ratios=np.full(len(times), np.nan),
         halted=halted, halt_note=note)
@@ -213,11 +249,14 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
                          every: int = 10) -> TrajectoryState:
     """Fill r(t) = -u1_med x2 / (x1 u2_med) along the path where L|x| <= 1.
 
-    Uses the snapshot nearest in time for the quadrature field; skipped
-    samples (L|x| > 1 or empty region) stay nan and are noted.  One oracle
-    is alive at a time: it is replaced when the nearest snapshot changes,
-    which along a forward path happens once per snapshot.
+    Every every-th sample (every >= 1) uses the snapshot nearest in time
+    for the quadrature field; skipped samples (L|x| > 1 or empty region)
+    stay nan and are noted.  One oracle is alive at a time: it is replaced
+    when the nearest snapshot changes, which along a forward path happens
+    once per snapshot.
     """
+    if every < 1:
+        raise ValueError(f"every must be >= 1, got {every}")
     params = _params_for(alpha, params)
     times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
     oracle = current = None

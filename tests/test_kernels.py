@@ -323,7 +323,7 @@ class TestRegionsAgainstDirectSums:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def _unfactored_node_sums(x, y1, y2, w, cw, alpha, work=None, lin=None):
+def _unfactored_node_sums(x, y1, y2, w, cw, alpha, work=None, factors=None, lin=None):
     """Node sums of the four-term kernels times w and the column weights cw,
     unfactored, formed node by node:
     K1 = (x2-y2) i0 - (x2-y2) it - (x2+y2) ib + (x2+y2) ip and
@@ -405,8 +405,9 @@ class TestFactoredNodeSums:
             monkeypatch.setattr(kernels, "_BLOCK_NODES", room)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                work = np.empty((4, kernels._node_room(9, 7)))
-                got = kernels._node_sums(x, y1, y2, w, cw, 0.5, work, lin)
+                work = np.empty((3, kernels._node_room(9, 7)))
+                factors = np.empty(kernels._factor_room(9, 7))
+                got = kernels._node_sums(x, y1, y2, w, cw, 0.5, work, factors, lin)
             assert np.all(np.isfinite(got))
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -810,3 +811,40 @@ class TestReuseAcrossCalls:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 1024
+
+    def test_warm_medium_calls_along_a_path_allocate_under_64_kib(self):
+        # the monitor's use at N = 128: each sample a new point whose frames
+        # are all new, so every frame fills its samples and sums two grids;
+        # a grid-sized temporary would add 64 KiB and more (a sine table is
+        # 136 KiB, a grid's weighted powers 256 KiB); 55 KiB measured
+        # (x86-64, numpy 2.4.6), most of it the sine tables' power products
+        om = SineField(np.random.default_rng(7).standard_normal((128, 128)) / 128.0)
+        oracle = QuadratureOracle(om, KernelParams(alpha=0.5))
+        region = RegionSpec("medium", 8.0)
+        oracle.velocity((0.0342, 0.0074), region)
+        peaks = []
+        for step in range(1, 4):
+            x = (0.0342 - 0.002 * step, 0.0074 + 0.003 * step)
+            tracemalloc.start()
+            try:
+                oracle.velocity(x, region)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 64 * 1024
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+def test_inverse_powers_same_bits_as_the_copied_power(alpha):
+    # the root goes straight from d into p; the result is that of copying d
+    # into p, raising it in place and multiplying by d, bit for bit
+    rng = np.random.default_rng(int(alpha * 100))
+    d = rng.uniform(0.0, 10.0, (4, 7, 33)) ** 3 * rng.uniform(1e-6, 1.0, (4, 7, 33))
+    d[0, 0, :3] = (0.0, 1.0, 4.0)
+    p = np.empty_like(d)
+    kernels._inverse_powers(d, p, alpha)
+    want = np.empty_like(d)
+    want[...] = d
+    want **= alpha
+    want *= d
+    assert np.array_equal(p.view(np.int64), want.view(np.int64))

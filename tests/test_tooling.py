@@ -5,8 +5,9 @@ neither scipy.fft nor what its import chain brings), it reaches no LAPACK
 routine through numpy, only the point evaluator takes np.sin or np.cos of
 a series' angles, only the transform layer and the time stepper call
 pocketfft's transforms, the time stepper allocates its arrays in its
-workspace only, and the config objects and public entry points take the pinned
-options only."""
+workspace only, the config objects and public entry points take the pinned
+options only, and no cache outlives a call but three that hold no field
+values."""
 
 import ast
 import dataclasses
@@ -412,3 +413,60 @@ def test_allocation_check_sees_scopes_and_none_guards():
                      "def f(x):\n    return np.full_like(x, 0) + np.asarray(x)\n")
     assert list(_allocations(tree)) == [("A.__init__", {"s"}, 6), ("A.__init__", set(), 8),
                                         ("f", set(), 10)]
+
+
+# the only state the package keeps from one call to the next: a version
+# string, the layout of a tuple of evaluate_points terms per mode count, and
+# the fractional Laplacian symbol per (N, alpha); none is keyed on field
+# values.  A benchmark repeats identical passes in one process, so a cache
+# of anything computed from a field would show a gain that no single run of
+# the program gets
+MODULE_CACHES = {"spectral._scipy_version", "spectral._term_layout", "spectral._laplacian_power"}
+CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+MUTATORS = {"append", "add", "update", "setdefault", "extend", "insert", "__setitem__"}
+
+
+def _cached_functions(name: str, tree: ast.Module):
+    """module.def of every def decorated by a functools cache."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if (_dotted(target) or "").split(".")[-1] in CACHE_DECORATORS:
+                    yield f"{name}.{node.name}"
+
+
+def _module_state_writes(tree: ast.Module):
+    """(def, line) of every global statement, and of every store into or
+    mutating call on a container bound at module level, inside a def."""
+    bound = {target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets if isinstance(target, ast.Name)}
+    for node, owner in _nodes_with_owner(tree):
+        if owner is None:
+            continue
+        if isinstance(node, ast.Global):
+            yield owner, node.lineno
+        elif (isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id in bound):
+            yield owner, node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS and isinstance(node.func.value, ast.Name)
+              and node.func.value.id in bound):
+            yield owner, node.lineno
+
+
+def test_module_caches_hold_no_field_values():
+    cached = {f for name in MODULES for f in _cached_functions(name, _tree(name))}
+    assert cached == MODULE_CACHES
+    writes = {name: list(_module_state_writes(_tree(name))) for name in MODULES}
+    assert not {name: w for name, w in writes.items() if w}, (
+        f"module-level state written inside a def (module: [(def, line)]): {writes}")
+
+
+def test_cache_check_sees_decorators_globals_and_container_writes():
+    tree = ast.parse("import functools\nfrom functools import lru_cache\nMEMO = {}\nN = 0\n"
+                     "@functools.cache\ndef f(x):\n    MEMO[x] = 1\n    return x\n"
+                     "@lru_cache(maxsize=2)\ndef g(x):\n    global N\n    MEMO.setdefault(x, 2)\n"
+                     "    return x\ndef h(x):\n    y = {}\n    y[x] = 1\n    return y\n")
+    assert sorted(_cached_functions("m", tree)) == ["m.f", "m.g"]
+    assert sorted(_module_state_writes(tree)) == [("f", 7), ("g", 11), ("g", 12)]

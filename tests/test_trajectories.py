@@ -149,6 +149,24 @@ def test_no_snapshots_rejected():
         VelocitySampler([], ALPHA)
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf], ids=["nan", "inf"])
+def test_snapshot_time_not_finite_rejected(time):
+    with pytest.raises(ValueError, match="snapshot times must be finite"):
+        VelocitySampler([(0.0, _field(1.0)), (time, _field(1.0))], ALPHA)
+
+
+def test_snapshots_of_unequal_mode_counts_rejected():
+    with pytest.raises(ValueError, match="one mode count"):
+        VelocitySampler([(0.0, _field(1.0)), (0.1, SineField(np.zeros((8, 8))))], ALPHA)
+
+
+@pytest.mark.parametrize("snaps", [1, 3], ids=["one-snapshot", "three-snapshots"])
+def test_nan_time_rejected(snapshots, snaps):
+    sampler = VelocitySampler(snapshots[:snaps], ALPHA)
+    with pytest.raises(ValueError, match="t is NaN"):
+        sampler(POINTS[0], np.nan)
+
+
 def _five_call_trace(start, velocity_source, t_end, dt):
     """The RK4 loop that calls the source at (x, t) for k1 again: positions,
     velocities."""
@@ -222,6 +240,47 @@ class TestTrace:
         with pytest.raises(ValueError, match="open quadrant"):
             trace((0.0, 1.0), lambda x, t: np.zeros(2), 1.0, 0.1)
 
+    @staticmethod
+    def _random_snapshots():
+        rng = np.random.default_rng(11)
+        k = np.arange(1, 17)
+        decay = 1.0 / np.add.outer(k, k) ** 2
+        return [(t, SineField(rng.standard_normal((16, 16)) * decay)) for t in (0.0, 0.13, 0.3)]
+
+    @pytest.mark.parametrize("snaps, start, t_end, dt", [
+        (_random_snapshots(), (0.3, 0.4), 0.3, 0.007),
+        (_random_snapshots(), (1.2, 2.7), 0.3, 0.007),
+        (_random_snapshots(), (0.05, 0.08), 0.3, 0.007),
+        ([(0.0, SineField.from_modes({(1, 1): 1.0}, 4))], (0.3, 0.2), 1.0, 1.0 / 96)],
+        ids=["sampler-interior", "sampler-upper", "sampler-near-origin", "single-mode"])
+    def test_same_bits_as_the_vector_loop(self, snaps, start, t_end, dt):
+        # the float loop adds and scales in the order of the 2-vector
+        # formula, so through a sampler that blends random snapshots, and
+        # through a steady single mode, it gives the vector loop's positions
+        # and velocities bit for bit
+        sampler = VelocitySampler(snaps, ALPHA)
+        traj = trace(start, sampler, t_end, dt)
+        pos, vel = _five_call_trace(start, sampler, t_end, dt)
+        assert len(traj.times) == len(pos) > 40
+        for got, want in ((traj.positions, pos), (traj.velocities, vel)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("t_end, dt, name", [
+        (1.0, np.nan, "dt"), (np.nan, 0.1, "t_end"), (np.inf, 0.1, "t_end"),
+        (1.0, np.inf, "dt"), (1.0, -np.inf, "dt"), (1.0, 0.0, "dt"), (-1.0, 0.1, "t_end")],
+        ids=["nan-dt", "nan-t_end", "inf-t_end", "inf-dt", "-inf-dt", "zero-dt", "negative-t_end"])
+    def test_bad_step_or_horizon_rejected(self, t_end, dt, name):
+        source = CountingSource(0.0)
+        with pytest.raises(ValueError, match=name):
+            trace((0.3, 0.4), source, t_end, dt)
+        assert source.calls == 0
+
+    @pytest.mark.parametrize("start", [(0.3,), (0.3, 0.4, 0.5), 0.3, "ab", [[0.3, 0.4]]],
+                             ids=["one", "three", "scalar", "text", "nested"])
+    def test_start_not_a_pair_rejected(self, start):
+        with pytest.raises(ValueError, match="start must be a pair"):
+            trace(start, lambda x, t: np.zeros(2), 1.0, 0.1)
+
 
 def _path(x2_values):
     n = len(x2_values)
@@ -284,6 +343,12 @@ class TestMediumRatioMonitor:
     def test_params_at_another_alpha_rejected(self):
         with pytest.raises(ValueError, match="disagrees with alpha"):
             medium_ratio_monitor(self._arc(), self._snapshots(2), 0.25, self.L, self.PARAMS)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_every_below_one_rejected(self, every):
+        with pytest.raises(ValueError, match="every must be >= 1"):
+            medium_ratio_monitor(self._arc(), self._snapshots(2), ALPHA, self.L, self.PARAMS,
+                                 every=every)
 
 
 class TestStoppingTime:
