@@ -44,7 +44,9 @@ with the row factors.  A block holds at most 32,768 entries across its
 four terms (or one grid row, if that is more), so a node sum's scratch is
 bounded however many cells its grid has.
 At the CLI defaults a medium frame's grids are one block each, the near
-square two, the 256^2 central cell eight and a row of image cells four.
+square two, the 256^2 central cell eight and a row of image cells four;
+the stale frames of a medium call share sine tables of up to 65,536
+entries, which at N = 128 is one table for up to four frames.
 
 An oracle holds four kinds of buffer, each with one rule:
   * work: three rows of scratch and a factor row, each grown (never
@@ -52,12 +54,14 @@ An oracle holds four kinds of buffer, each with one rule:
     the three rows and its row and column factors the factor row, which
     is sized to the factors (at least those of a cells_panel x
     2 cells_panel grid, the largest near square or medium frame); before a
-    grid's sums, a sine table, the complex powers it is built from and its
-    product with the coefficients take the first two rows.  A fresh array
-    of that size would cost more than its arithmetic wherever glibc maps
-    allocations of 128 KiB and up afresh and faults in their pages on
-    every call, so a warm call makes no transient array of more than a
-    few rows.  About 0.83 MB at the CLI defaults.
+    call's sums, a sine table takes the first row, and the complex powers
+    it is built from and its product with the coefficients the other two.
+    A fresh array of that size would cost more than its arithmetic
+    wherever glibc maps allocations of 128 KiB and up afresh and faults in
+    their pages on every call, so a warm call makes no transient array of
+    more than a few rows.  About 1.6 MB at the CLI defaults (a medium
+    call's shared table of 65,536 entries sets the rows), of which a call
+    touches the table's row and the first part of the next.
   * whole cells: omega on the n x n midpoints of [0, pi], by spectral's
     midpoint transform (spectral.evaluate_midpoints, which folds the modes
     above n onto the grid), kept per n.  The central cell (cells_central)
@@ -72,10 +76,12 @@ An oracle holds four kinds of buffer, each with one rule:
     slot k >= 1 the k-th medium frame counted down from pi, keyed on its
     exact (lo, hi, na, nb), so that s and s/2, whose frames differ only in
     the lowest one, share every other slot.  Both are sampled on
-    sub-intervals of [0, pi] as (S1 @ c) @ S2.T from sine tables S: a
-    medium frame takes one table on [yb | ya], its midpoints across
-    [0, lo] and [lo, hi], and the two grids ya x [yb | ya] and yb x ya are
-    row blocks of its product with the coefficients times the table.
+    sub-intervals of [0, pi] as (S1 @ c) @ S2.T from sine tables S: the
+    stale frames of a medium call take one table on their [yb | ya], each
+    frame's midpoints across [0, lo] and [lo, hi] one after another (as
+    many frames to a table as fit 65,536 entries), and a frame's two grids
+    ya x [yb | ya] and yb x ya are row blocks of the table's product with
+    the coefficients times the frame's columns of the table.
 A far sum at the point of the previous one is returned again.  A reused
 value is the same arithmetic on the same floats, so reuse never changes a
 result.
@@ -179,6 +185,11 @@ class RegionSpec:
 # row takes more.  A block's temporaries live in the oracle's scratch, so
 # summing a block allocates no node-sized array and faults in no pages.
 _BLOCK_NODES = 32768
+
+# Entries of a sine table shared by the stale frames of one medium call:
+# frames share a table up to this size (a frame larger than it takes one
+# of its own), so the scratch is bounded however many frames a call has.
+_TABLE_NODES = 2 * _BLOCK_NODES
 
 # s1 s2 of the image term at (s1 y1, s2 y2), indexed [s1 < 0, s2 < 0]
 _SIGNS = ((1.0, -1.0), (-1.0, 1.0))
@@ -418,12 +429,19 @@ def riesz_velocity_prefactor(alpha: float) -> float:
 _SINE_BLOCK = 16
 
 
-def _powers(z, k: int, out: np.ndarray) -> np.ndarray:
+def _powers(z, k: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """z^0, z^1, ..., z^k along a new last axis of out, a complex array.
 
     Each power above z is the product of two lower ones: z^(h+j) = z^j z^h
     for the highest power z^h so far and j = 1..h, so k powers take about
-    log2(k) array products.
+    log2(k) array products.  A product of one column is written in place:
+    numpy finds its operands disjoint from it and runs its scalar loop.  A
+    wider one has strided operands, which numpy would pass through
+    iteration buffers it allocates on every call, so it is formed in
+    scratch, a 1-D complex array of room for two such products, from
+    contiguous copies of its factors (the higher power repeated along the
+    row) and copied back.  That takes numpy's SIMD loop, as the buffers
+    did, so every power has the bits of the product written in place.
     """
     out[..., 0] = 1.0
     if k:
@@ -431,8 +449,15 @@ def _powers(z, k: int, out: np.ndarray) -> np.ndarray:
     have = 1
     while have < k:
         m = min(have, k - have)
-        np.multiply(out[..., 1:1 + m], out[..., have:have + 1],
-                    out=out[..., have + 1:have + 1 + m])
+        powers = out[..., have + 1:have + 1 + m]
+        if m == 1:
+            np.multiply(out[..., 1:2], out[..., have:have + 1], out=powers)
+        else:
+            low, high = _carve(scratch, powers.shape, powers.shape)
+            low[...] = out[..., 1:1 + m]
+            high[...] = out[..., have:have + 1]
+            np.multiply(low, high, out=low)
+            powers[...] = low
         have += m
     return out
 
@@ -474,9 +499,12 @@ def _sines(y: np.ndarray, n_modes: int, out=None, scratch=None) -> np.ndarray:
         scratch = np.empty(_sine_scratch(n, n_modes))
     complex_room = 2 * n * (b + 1 + blocks)
     steps, bases = _carve(scratch[:complex_room].view(np.complex128), (n, b + 1), (n, blocks))
+    # the powers' products go through the room of left and right, which
+    # are filled after them
+    products = scratch[complex_room:].view(np.complex128)
     left, right = _carve(scratch[complex_room:], (n, blocks, 2), (n, 2, b))
-    step = _powers(np.exp(1j * y), b, steps)[:, 1:]
-    base = _powers(step[:, -1], blocks - 1, bases)
+    step = _powers(np.exp(1j * y), b, steps, products)[:, 1:]
+    base = _powers(step[:, -1], blocks - 1, bases, products)
     left[..., 0], left[..., 1] = base.imag, base.real
     right[:, 0], right[:, 1] = step.real, step.imag
     if out is not None:
@@ -604,7 +632,10 @@ class QuadratureOracle:
     [lo,hi]^2 share their rows) and yb x ya, na (nb + na) + nb na samples
     keyed on its exact (lo, hi, na, nb); na and nb never exceed
     cells_panel (which is at least 8, the floor on both).  The frames of s/2
-    are those of s plus one below them, so both share slots.  The last
+    are those of s plus one below them, so both share slots.  A medium
+    call fills its stale slots together, from sine tables shared by its
+    frames (_TABLE_NODES entries at most, or one frame), and then sums each
+    frame's two grids, frame after frame from the lowest.  The last
     image-cell sum is kept with its point and range and returned again for
     a far or full call at exactly that point.
 
@@ -616,7 +647,7 @@ class QuadratureOracle:
     (x2 -+ y2) by two matrix products, so neither kernel is formed on the
     nodes.  On the rectangle that holds x the singular term is weighted by
     omega minus its linearization at x instead.  The blocks and, before a
-    grid's sums, its sine table live in a three-row scratch held by the
+    call's sums, its sine tables live in a three-row scratch held by the
     oracle, and the factors in a factor row beside it, both grown when a
     call needs more room, so an oracle is not to be shared between
     threads.  Sums are deterministic for a fixed partition.
@@ -675,28 +706,39 @@ class QuadratureOracle:
         """S @ coeffs and S.T for the sine table S of y, written into the scratch."""
         coeffs = self.omega.coeffs
         n = coeffs.shape[0]
-        # a medium frame has at most 2 cells_panel coordinates: room for
-        # that many keeps warm calls at other scales from growing the scratch
+        # the table takes the first row and its scratch the other two; a
+        # medium frame has at most 2 cells_panel coordinates, and room for
+        # the scratch of a whole number of frames keeps warm calls at other
+        # scales from growing it
+        frame = 2 * self.params.cells_panel
+        points = -(-len(y) // frame) * frame
         work = self._work(max(len(y) * -(-n // _SINE_BLOCK) * _SINE_BLOCK,
-                              _sine_scratch(max(len(y), 2 * self.params.cells_panel), n)))
-        s = _sines(y, n, work[0], work[1])
+                              -(-_sine_scratch(points, n) // 2)))
+        s = _sines(y, n, work[0], work[1:].reshape(-1))
         return np.matmul(s, coeffs, out=work[1, :s.size].reshape(s.shape)), s.T
 
-    def _samples(self, slot, key, shapes, fill):
-        """Arrays of the given shapes in one sample slot, which holds
-        3 cells_panel^2 samples and is allocated when first asked for.
+    def _samples(self, wanted, fill):
+        """The sample arrays of each (slot, key, shapes) in wanted, carved
+        from its slot, which holds 3 cells_panel^2 samples and is allocated
+        when first asked for.
 
-        Unless the slot already holds the samples keyed by key, fill(*arrays)
-        writes them first.
+        The slots that do not already hold the samples keyed by their key
+        are stale: fill(stale), with stale the list of (index in wanted,
+        arrays) of those, writes them first.
         """
-        if slot not in self._slots:
-            self._slots[slot] = [None, np.empty(3 * self.params.cells_panel ** 2)]
-        held = self._slots[slot]
-        arrays = _carve(held[1], *shapes)
-        if held[0] != key:
-            held[0] = None          # a fill that raises leaves the slot unkeyed
-            fill(*arrays)
-            held[0] = key
+        held, arrays = [], []
+        for slot, _, shapes in wanted:
+            if slot not in self._slots:
+                self._slots[slot] = [None, np.empty(3 * self.params.cells_panel ** 2)]
+            held.append(self._slots[slot])
+            arrays.append(_carve(held[-1][1], *shapes))
+        stale = [i for i, (_, key, _) in enumerate(wanted) if held[i][0] != key]
+        if stale:
+            for i in stale:
+                held[i][0] = None       # a fill that raises leaves the slot unkeyed
+            fill([(i, arrays[i]) for i in stale])
+            for i in stale:
+                held[i][0] = wanted[i][1]
         return arrays
 
     def _linearization(self, x):
@@ -744,7 +786,11 @@ class QuadratureOracle:
         n = self.params.cells_panel
         y, _ = _midpoints(0.0, s, n)
 
-        (w,) = self._samples(0, s, [(n, n)], lambda w: np.matmul(*self._sine_products(y), out=w))
+        def fill(stale):
+            ((_, (w,)),) = stale
+            np.matmul(*self._sine_products(y), out=w)
+
+        ((w,),) = self._samples([(0, s, [(n, n)])], fill)
         rect = (0.0, s, 0.0, s)
         return self._sum_rect(x, rect, y, y, w, pv=self._inside(x, rect))
 
@@ -766,46 +812,73 @@ class QuadratureOracle:
             raise ValueError("medium region requires x != 0")
         if s > 1.0:
             warnings.warn(f"L|x| = {s:.3g} > 1: medium-field scaling assumptions degrade")
-        x = (float(x[0]), float(x[1]))
-        frames = self._medium_frames(s)
         u1 = u2 = 0.0
-        for k, (lo, hi) in enumerate(frames):
-            # slots count frames down from pi: s and s/2 share all but one
-            du1, du2 = self._frame(x, len(frames) - k, lo, hi)
+        for du1, du2 in self._frames((float(x[0]), float(x[1])), self._medium_frames(s)):
             u1 += du1
             u2 += du2
         return u1, u2
 
-    def _frame(self, x, slot, lo, hi):
-        """Midpoint sum over the frame [0, hi)^2 \\ [0, lo)^2.
+    def _frames(self, x, frames):
+        """Midpoint sums over the frames [0, hi)^2 \\ [0, lo)^2, one (u1, u2)
+        per (lo, hi) in frames, lowest first.
 
-        The frame's rectangles [lo,hi] x [0,lo], [0,lo] x [lo,hi] and the
+        A frame's rectangles [lo,hi] x [0,lo], [0,lo] x [lo,hi] and the
         corner [lo,hi]^2 have na cells across [lo, hi] and nb across
         [0, lo], so their node multiset is swap-symmetric.  They are summed
         as two tensor grids, ya x [yb | ya] (the first and the corner share
-        their rows, and the cell areas are column weights) and yb x ya.
-        Both are sampled from one sine table on [yb | ya] and one product
-        with the coefficients, held in the given slot.
+        their rows, and the cell areas are column weights) and yb x ya,
+        sampled into the frame's slot, counted down from pi.  The stale
+        frames are sampled together (_fill_frames); then each frame's two
+        grids are summed, frame after frame.
         """
         npanel = self.params.cells_panel
-        na = max(8, int(round(npanel * (hi - lo) / hi)))
-        nb = max(8, int(round(npanel * lo / hi)))
-        # [yb | ya] and the cell areas of the columns of ya x [yb | ya]
-        y, cw = np.empty((2, nb + na))
-        yb, hb = _midpoints(0.0, lo, nb, y[:nb])
-        ya, ha = _midpoints(lo, hi, na, y[nb:])
-        cw[:nb] = ha * hb
-        cw[nb:] = ha * ha
+        grids = []
+        for lo, hi in frames:
+            na = max(8, int(round(npanel * (hi - lo) / hi)))
+            nb = max(8, int(round(npanel * lo / hi)))
+            # [yb | ya] and the cell areas of the columns of ya x [yb | ya]
+            y, cw = np.empty((2, nb + na))
+            _, hb = _midpoints(0.0, lo, nb, y[:nb])
+            _, ha = _midpoints(lo, hi, na, y[nb:])
+            cw[:nb] = ha * hb
+            cw[nb:] = ha * ha
+            grids.append((na, nb, y, cw, hb * ha))
+        samples = self._samples([(len(frames) - k, (lo, hi, na, nb), [(na, nb + na), (nb, na)])
+                                 for k, ((lo, hi), (na, nb, *_)) in enumerate(zip(frames, grids))],
+                                lambda stale: self._fill_frames(stale, grids))
+        sums = []
+        for (w_a, w_b), (na, nb, y, cw, area) in zip(samples, grids):
+            u1, u2 = self._grid_sums(x, y[nb:], y, w_a, cw)
+            v1, v2 = self._grid_sums(x, y[:nb], y[nb:], w_b, area)
+            sums.append((u1 + v1, u2 + v2))
+        return sums
 
-        def fill(w_a, w_b):
-            cy, st = self._sine_products(y)
-            np.matmul(cy[nb:], st, out=w_a)
-            np.matmul(cy[:nb], st[:, nb:], out=w_b)
+    def _fill_frames(self, stale, grids):
+        """Sample the stale frames, (index, (w_a, w_b)) with grids[index]
+        = (na, nb, [yb | ya], ...), from shared sine tables.
 
-        w_a, w_b = self._samples(slot, (lo, hi, na, nb), [(na, nb + na), (nb, na)], fill)
-        u1, u2 = self._grid_sums(x, ya, y, w_a, cw)
-        v1, v2 = self._grid_sums(x, yb, ya, w_b, hb * ha)
-        return u1 + v1, u2 + v2
+        One table on the frames' coordinates, one after another, and its
+        product with the coefficients serve as many frames as fit
+        _TABLE_NODES entries (at least one); a frame's two grids are row
+        blocks of that product times the frame's columns of the table, the
+        same operands as from a table of its own.
+        """
+        width = -(-self.omega.n_modes // _SINE_BLOCK) * _SINE_BLOCK
+        while stale:
+            count, room = 0, 0
+            for k, _ in stale:
+                room += len(grids[k][2]) * width
+                if count and room > _TABLE_NODES:
+                    break
+                count += 1
+            run, stale = stale[:count], stale[count:]
+            cy, st = self._sine_products(np.concatenate([grids[k][2] for k, _ in run]))
+            at = 0
+            for k, (w_a, w_b) in run:
+                na, nb = grids[k][:2]
+                np.matmul(cy[at + nb:at + nb + na], st[:, at:at + nb + na], out=w_a)
+                np.matmul(cy[at:at + nb], st[:, at + nb:at + nb + na], out=w_b)
+                at += nb + na
 
     def _image_cells(self, x, inner: int, outer: int):
         """(u1, u2) of the image cells [p pi, (p+1) pi) x [q pi, (q+1) pi)

@@ -339,18 +339,29 @@ def _fold_modes(coeffs: np.ndarray, n_mid: int, axis: int) -> np.ndarray:
 
     There sin((2 M q + r) x_j) = (-1)^q sin(r x_j), so mode m goes to
     r = min(t, 2M - t), t = m mod 2M, with the sign (-1)^q of q = m // 2M;
-    the modes with t = 0 vanish.  The modes are added (or subtracted) in
-    ascending order, one slice across the other axes at a time, in place:
-    the fold takes no array the size of coeffs, and on a 2-D array every
-    operand is 1-D, so no ufunc takes a numpy iteration buffer.
+    the modes with t = 0 vanish.  So each period 2M of modes is two runs,
+    t = 1..M onto targets 1..M and t = M+1..2M-1 onto M-1 down to 1, added
+    (or subtracted) run after run in place, so every target takes its modes
+    in ascending order and the fold takes no array the size of coeffs.  An
+    ascending run whose modes are contiguous rows (axis 0) is one slice
+    operation; every other run goes a mode at a time, since numpy would
+    iterate a reversed or strided 2-D slice through iteration buffers, and
+    on a 2-D array each such operand is 1-D.
     """
     c = np.moveaxis(coeffs, axis, 0)
     folded = np.zeros((n_mid,) + c.shape[1:])
-    for m, modes in enumerate(c, start=1):
-        q, t = divmod(m, 2 * n_mid)
-        if t:
-            target = folded[min(t, 2 * n_mid - t) - 1]
-            (np.subtract if q % 2 else np.add)(target, modes, out=target)
+    for start in range(0, len(c), 2 * n_mid):
+        op = np.subtract if start // (2 * n_mid) % 2 else np.add
+        ascending = c[start:start + n_mid]
+        if ascending.flags.c_contiguous:
+            target = folded[:len(ascending)]
+            op(target, ascending, out=target)
+        else:
+            for target, modes in zip(folded, ascending):
+                op(target, modes, out=target)
+        for k, modes in enumerate(c[start + n_mid:start + 2 * n_mid - 1]):
+            target = folded[n_mid - 2 - k]
+            op(target, modes, out=target)
     return np.moveaxis(folded, 0, axis)
 
 

@@ -258,6 +258,7 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
     params = _params_for(alpha, params)
+    region = RegionSpec("medium", L)
     times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
     oracle = current = None
     skipped = 0
@@ -271,7 +272,7 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
         j = int(np.argmin(np.abs(times - t)))
         if j != current:
             oracle, current = QuadratureOracle(snapshots[j][1], params), j
-        u1, u2 = oracle.velocity(x, RegionSpec("medium", L))
+        u1, u2 = oracle.velocity(x, region)
         if u2 == 0.0:
             skipped += 1
             continue

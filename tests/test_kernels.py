@@ -418,7 +418,7 @@ class TestFactoredNodeSums:
         params = self._params(0.5)
         oracle = QuadratureOracle(omega, params)
         x = (0.05, 0.08)
-        got = oracle._frame(x, 1, lo, hi)
+        (got,) = oracle._frames(x, [(lo, hi)])
         npanel = params.cells_panel
         na = max(8, int(round(npanel * (hi - lo) / hi)))
         nb = max(8, int(round(npanel * lo / hi)))
@@ -711,10 +711,13 @@ class TestReuseAcrossCalls:
         points = [(0.03, 0.04), (0.015, 0.02), (0.001875, 0.0025), (0.04, 0.03)]
         got = []
         for x, new_frames in zip(points, (4, 1, 3, 0)):
-            before = sines[0]
+            before, keys = sines[0], {slot: held[0] for slot, held in oracle._slots.items()}
             got.append(oracle.velocity(x, region))
-            # one sine table on [yb | ya] per frame
-            assert sines[0] - before == new_frames
+            # the frames filled are the slots whose key changed, and they
+            # share one sine table on their [yb | ya]
+            filled = [slot for slot, held in oracle._slots.items() if keys.get(slot) != held[0]]
+            assert len(filled) == new_frames
+            assert sines[0] - before == min(new_frames, 1)
         for x, u in zip(points, got):
             np.testing.assert_array_equal(u, self._fresh(omega, x, region))
 
@@ -816,8 +819,9 @@ class TestReuseAcrossCalls:
         # the monitor's use at N = 128: each sample a new point whose frames
         # are all new, so every frame fills its samples and sums two grids;
         # a grid-sized temporary would add 64 KiB and more (a sine table is
-        # 136 KiB, a grid's weighted powers 256 KiB); 55 KiB measured
-        # (x86-64, numpy 2.4.6), most of it the sine tables' power products
+        # 136 KiB, a grid's weighted powers 256 KiB); 33 KiB measured
+        # (x86-64, numpy 2.4.6) with all frames on one sine table, against
+        # 57 KiB when numpy buffered each frame's power products
         om = SineField(np.random.default_rng(7).standard_normal((128, 128)) / 128.0)
         oracle = QuadratureOracle(om, KernelParams(alpha=0.5))
         region = RegionSpec("medium", 8.0)
@@ -848,3 +852,115 @@ def test_inverse_powers_same_bits_as_the_copied_power(alpha):
     want **= alpha
     want *= d
     assert np.array_equal(p.view(np.int64), want.view(np.int64))
+
+
+def _per_frame_medium(omega, params, x, L):
+    """The medium sum frame by frame: each frame sampled from its own sine
+    table and summed as its two grids, the frames added lowest first."""
+    npanel, n = params.cells_panel, omega.n_modes
+    x = (float(x[0]), float(x[1]))
+    u1 = u2 = 0.0
+    for lo, hi in QuadratureOracle(omega, params)._medium_frames(L * float(np.hypot(*x))):
+        na = max(8, int(round(npanel * (hi - lo) / hi)))
+        nb = max(8, int(round(npanel * lo / hi)))
+        y, cw = np.empty((2, nb + na))
+        _, hb = kernels._midpoints(0.0, lo, nb, y[:nb])
+        _, ha = kernels._midpoints(lo, hi, na, y[nb:])
+        cw[:nb] = ha * hb
+        cw[nb:] = ha * ha
+        table = kernels._sines(y, n)
+        cy, st = table @ omega.coeffs, table.T
+        sums = []
+        for y1, y2, w, weights in ((y[nb:], y, cy[nb:] @ st, cw),
+                                   (y[:nb], y[nb:], cy[:nb] @ st[:, nb:], hb * ha)):
+            work = np.empty((3, kernels._node_room(*w.shape)))
+            factors = np.empty(kernels._factor_room(*w.shape))
+            sums.append(kernels._node_sums(x, y1, y2, w, weights, params.alpha, work, factors))
+        (a1, a2), (b1, b2) = sums
+        u1 += a1 + b1
+        u2 += a2 + b2
+    return u1, u2
+
+
+class TestMediumCallSamplesItsFramesTogether:
+    """A medium call samples its stale frames from shared sine tables; every
+    sum keeps the bits of sampling and summing frame by frame."""
+
+    @pytest.fixture(scope="class")
+    def omega(self):
+        rng = np.random.default_rng(11)
+        decay = np.add.outer(np.arange(20), np.arange(20) + 1)
+        return SineField(rng.standard_normal((20, 20)) / decay)
+
+    # one frame (s >= pi/2); dyadic frames below a clipped top; a floored
+    # top frame [2.9, pi] (na = 8 from 1 at cells_panel = 16); and s, then
+    # s/2, whose call holds every frame but the new lowest one
+    CASES = {"one_frame": (32, [(0.3, 0.4)]),
+             "dyadic_and_top": (32, [(0.021, 0.028)]),
+             "floored_top": (16, [(0.10875, 0.145)]),
+             "stale_and_held": (32, [(0.03, 0.04), (0.015, 0.02)])}
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bits_as_frame_by_frame(self, omega, case, alpha):
+        npanel, points = self.CASES[case]
+        params = KernelParams(alpha=alpha, cells_panel=npanel)
+        oracle = QuadratureOracle(omega, params)
+        for x in points:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")      # L|x| > 1 for one frame
+                got = oracle.velocity(x, RegionSpec("medium", 4.0))
+            assert got == _per_frame_medium(omega, params, x, 4.0)
+
+    def test_frames_split_over_tables_keep_their_bits(self, omega, monkeypatch):
+        # a table of room for one frame: every frame takes a table of its own
+        monkeypatch.setattr(kernels, "_TABLE_NODES", 1)
+        params = KernelParams(alpha=0.5, cells_panel=32)
+        x = (0.021, 0.028)
+        got = QuadratureOracle(omega, params).velocity(x, RegionSpec("medium", 4.0))
+        assert got == _per_frame_medium(omega, params, x, 4.0)
+
+    def test_four_frame_call_makes_one_sine_table(self, monkeypatch):
+        # the trace workload's monitor at N = 128, L = 8, |x| = 0.035: frames
+        # [0.28, 0.56], [0.56, 1.12], [1.12, 2.24] and [2.24, pi], 128
+        # coordinates each; frame by frame this took four tables
+        om = SineField(np.random.default_rng(4).standard_normal((128, 128)) / 128.0)
+        oracle = QuadratureOracle(om, KernelParams(alpha=0.5))
+        counts = {}
+        for name in ("_sines", "_node_sums"):
+            real = getattr(kernels, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        x = (0.035 * 0.6, 0.035 * 0.8)
+        assert len(oracle._medium_frames(8.0 * float(np.hypot(*x)))) == 4
+        oracle.velocity(x, RegionSpec("medium", 8.0))
+        assert counts == {"_sines": 1, "_node_sums": 8}
+
+
+def _copied_powers(z, k, out):
+    """The powers as numpy computes them written in place: each doubling
+    step's product straight into out."""
+    out[..., 0] = 1.0
+    if k:
+        out[..., 1] = z
+    have = 1
+    while have < k:
+        m = min(have, k - have)
+        np.multiply(out[..., 1:1 + m], out[..., have:have + 1], out=out[..., have + 1:have + 1 + m])
+        have += m
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 128, 512])
+def test_powers_same_bits_as_written_in_place(n):
+    # every power count up to a sine block, on as many coordinates as a
+    # medium call's shared table holds
+    z = np.exp(1j * np.random.default_rng(n).uniform(0.0, np.pi, n))
+    for k in range(kernels._SINE_BLOCK + 1):
+        want = _copied_powers(z, k, np.empty((n, k + 1), complex))
+        got = kernels._powers(z, k, np.empty((n, k + 1), complex), np.empty(n * k, complex))
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
