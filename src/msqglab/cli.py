@@ -288,6 +288,8 @@ def _load_run_dir(run_dir: Path):
 def cmd_trace(args) -> int:
     if (args.x1 is None) != (args.x2 is None):
         raise UsageError("--x1 and --x2 must be given together")
+    if not (args.monitor_L == 0 or args.monitor_L >= 2):
+        raise UsageError(f"--monitor-L must be 0 (off) or >= 2, got {args.monitor_L}")
     cfg = _settings(args)
     t0 = time.time()
     dt = _fixed_dt(cfg)
@@ -307,7 +309,7 @@ def cmd_trace(args) -> int:
 
     sampler = VelocitySampler(snaps, alpha)
     traj = trace(start_pt, sampler, t_end, dt or max(t_end / 2000.0, 1e-4))
-    if args.monitor_L > 0:
+    if args.monitor_L:
         traj = medium_ratio_monitor(traj, snaps, alpha, args.monitor_L,
                                     _kernel_params(cfg, alpha))
 
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=float, help="explicit start x1")
     p.add_argument("--x2", type=float, help="explicit start x2")
     p.add_argument("--monitor-L", type=float, default=0.0,
-                   help="medium-ratio monitor scale (0 disables)")
+                   help="medium-ratio monitor scale, >= 2 (0 disables)")
     return parser
 
 

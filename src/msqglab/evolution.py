@@ -17,13 +17,13 @@ evaluator's three M x M grids live there during a step, and run()'s GridMax
 buffers between steps.  The step sums its four stage tendencies into one
 fresh array, which becomes the new coefficients, so a step allocates no
 other grid-sized array.  run() builds one workspace and holds it for the
-whole run; between steps it forms the CFL velocity coefficients in the two
-stage arrays (with the scratch's first N^2 entries as the factor of
-_velocity_into) and the Hessian entries of each diagnostic record in the
-first, and takes the CFL speed and every grid maximum of a record
-(omega-max and the three Hessian entries) from the workspace's GridMax,
-which transforms the grid in blocks of min(128, Ng) rows.  The workspace
-holds
+whole run.  Between steps it divides omega by the symbol into the stage
+array, and takes the CFL speed from one call of the workspace's GridMax on
+that psi with VELOCITY_TERMS; each diagnostic record takes omega-max and
+hessian_sup_norm from the same GridMax on omega's own coefficients.  The
+GridMax weights the coefficients by the terms' mode numbers in its own
+buffers, so no velocity or Hessian coefficients are staged, and it
+transforms the grid in blocks of min(128, Ng) rows.  The workspace holds
 
     8 * (max(3 M^2, (Ng+1)(N + min(128, Ng))) + 3 N^2) bytes,
 
@@ -62,9 +62,9 @@ from . import __version__
 from .initial_data import (InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy,
                            recorded_warnings)
 from .snapshots import write_snapshot
-from .spectral import (GridMax, SineField, _check_finite, _eval_midpoint_axis,
-                       _laplacian_power, _midpoint_slot, _mode_numbers, _pocketfft,
-                       _velocity_into, dealias_grid, environment, get_workers,
+from .spectral import (VALUE_TERMS, VELOCITY_TERMS, GridMax, SineField, _check_finite,
+                       _eval_midpoint_axis, _laplacian_power, _midpoint_slot, _mode_numbers,
+                       _pocketfft, _velocity_into, dealias_grid, environment, get_workers,
                        hessian_sup_norm, l2_norm)
 from .trajectories import growth_fit
 
@@ -276,12 +276,12 @@ class _Rk4Workspace:
     For one (alpha, N, preserve_degeneracy), and the n_grid of run()'s
     grid maxima: the tendency evaluator (its Laplacian symbol and its three
     M x M grids, M = dealias_grid(N)), the current stage tendency and the
-    stage input.  The tendency's grids, the GridMax buffers and factor, the
-    _mode_numbers operand of run()'s CFL velocity, are views of one flat
-    scratch sized for the larger of the first two, since a step, a grid
-    maximum and that velocity never run at once.  Nothing is carried from
-    one step to the next, so a step gives the same bits in a held workspace
-    as in a fresh one, also after a step in it raised or a GridMax call.
+    stage input, which also holds the stream function of run()'s CFL speed
+    between steps.  The tendency's grids and the GridMax buffers are views
+    of one flat scratch sized for the larger of the two, since a step and a
+    grid maximum never run at once.  Nothing is carried from one step to
+    the next, so a step gives the same bits in a held workspace as in a
+    fresh one, also after a step in it raised or a GridMax call.
     """
 
     def __init__(self, alpha: float, n_modes: int, n_grid: int, preserve_degeneracy: bool):
@@ -290,8 +290,6 @@ class _Rk4Workspace:
         scratch = np.empty(max(_Rhs.scratch_size(m), GridMax.scratch_size(n_modes, n_grid)))
         self.rhs = _Rhs(alpha, n_modes, m, preserve_degeneracy, scratch)
         self.grid_max = GridMax(n_modes, n_grid, scratch)
-        # the _velocity_into factor of run()'s CFL speed, before its grid maxima
-        self.factor = scratch[:n_modes * n_modes].reshape(n_modes, n_modes)
         self.stage = np.empty((n_modes, n_modes))
         self.stage_input = np.empty((n_modes, n_modes))
 
@@ -383,11 +381,9 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
     workspace = _Rk4Workspace(config.alpha, config.n_modes, config.n_grid,
                               config.preserve_degeneracy)
     state = SimState(omega0, 0.0, 0, config, workspace)
-    # the stage arrays and the scratch are free between steps: the CFL
-    # velocity coefficients go into the stage arrays, each record's Hessian
-    # entries into the first, and the grid maxima run in the scratch
-    grid_max = workspace.grid_max
-    u1, u2 = workspace.stage, workspace.stage_input
+    # the stage array and the scratch are free between steps: the CFL
+    # stream function goes into the first, and the grid maxima run in the second
+    grid_max, psi = workspace.grid_max, workspace.stage
     diagnostics = []
     snapshots = []
     halt = "horizon"
@@ -397,10 +393,10 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
 
     def record(dt_now: float):
         nonlocal omax_prev, steps_since_diag
-        omax = grid_max(state.omega.coeffs, ("sin", "sin"))
+        omax = grid_max(state.omega.coeffs[None], VALUE_TERMS)
         rec = DiagnosticsRecord(
             time=state.time,
-            hessian_sup=hessian_sup_norm(state.omega, config.n_grid, grid_max, u1),
+            hessian_sup=hessian_sup_norm(state.omega, config.n_grid, grid_max),
             omega_max=omax,
             l2_norm=l2_norm(state.omega),
             degeneracy=check_degeneracy(state.omega),
@@ -425,10 +421,8 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
 
     while state.time < config.t_final - 1e-14:
         if config.dt_policy == "cfl":
-            _velocity_into(state.omega.coeffs, workspace.rhs.symbol, u1, u2, workspace.factor)
-            # np.maximum, unlike the builtin, keeps a NaN
-            umax = np.maximum(grid_max(u1, ("sin", "cos")), grid_max(u2, ("cos", "sin")))
-            dt = cfl_dt(umax, config.n_grid, config.cfl_safety)
+            np.divide(state.omega.coeffs, workspace.rhs.symbol, out=psi)
+            dt = cfl_dt(grid_max(psi[None], VELOCITY_TERMS), config.n_grid, config.cfl_safety)
         else:
             dt = config.dt
         dt = min(dt, config.t_final - state.time)

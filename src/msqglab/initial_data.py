@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (GridField, GridMax, SineField, _eval_axis, _max_abs, _mode_numbers,
-                       forward_transform, grid_coordinates, inverse_transform,
-                       spectral_derivative)
+from .spectral import (GRADIENT_TERMS, GridField, GridMax, SineField, _eval_axis, _max_abs,
+                       _mode_numbers, forward_transform, grid_coordinates, inverse_transform)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction", "recorded_warnings"]
@@ -157,10 +156,11 @@ def check_degeneracy(omega: SineField, n_samples: int = 2048) -> float:
 
 
 def gradient_sup_norm(omega: SineField, n_grid: int) -> float:
-    """Max over grid points of max(|d1 omega|, |d2 omega|); NaN if either holds one."""
-    grid_max = GridMax(omega.n_modes, n_grid)
-    derivs = (spectral_derivative(omega, axis, 1) for axis in (1, 2))
-    return float(np.max([grid_max(d.coeffs, d.parity) for d in derivs]))
+    """Max over grid points of max(|d1 omega|, |d2 omega|); NaN if either holds one.
+
+    One GridMax call on GRADIENT_TERMS, which forms no derivative array.
+    """
+    return GridMax(omega.n_modes, n_grid)(omega.coeffs[None], GRADIENT_TERMS)
 
 
 def plateau_deficit_fraction(omega: SineField, n_grid: int) -> float:

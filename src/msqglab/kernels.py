@@ -116,7 +116,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SineField, Term, evaluate_midpoints, evaluate_points
+from .spectral import GRADIENT_TERMS, VALUE_TERMS, SineField, evaluate_midpoints, evaluate_points
 
 __all__ = [
     "KernelParams",
@@ -609,8 +609,7 @@ def _linear_pv_integrals(x, rect, alpha: float, w0: float, g1: float, g2: float)
 
 
 # omega, d1 omega and d2 omega as terms of a stack of omega alone
-_LINEARIZATION = (Term(0, ("sin", "sin")), Term(0, ("cos", "sin"), (1, 0)),
-                  Term(0, ("sin", "cos"), (0, 1)))
+_LINEARIZATION = VALUE_TERMS + GRADIENT_TERMS
 
 
 class QuadratureOracle:

@@ -27,24 +27,35 @@ MixedParityField.  One routine, _eval_axis, evaluates a series of either
 parity along one axis: it zero-pads the halved modes into a buffer and runs
 the DST-I or DCT-I there in place, and _eval_grid makes one call along the
 first axis and one per block of grid rows along the second.
-MixedParityField.evaluate calls it in buffers it allocates; every max|f|
-on the grid goes through GridMax, which calls it in two buffers that it
-holds, the first axis's output and a block of _GRID_MAX_ROWS grid rows:
-(n_grid+1)(N+128) doubles, 1.6 MB at N=256, n_grid=512 and 19 MB at
-N=1024, n_grid=2048.  A caller that keeps one, as the time stepper does for
-its CFL speed and its diagnostics, allocates no grid-sized array per
-maximum; the stepper's GridMax runs, between steps, in the scratch that its
-RK4 tendency uses during them.
+MixedParityField.evaluate calls it in buffers it allocates.
 
-Off the grid, evaluate_points sums series of a coefficient stack at
-arbitrary points.  Each series is a Term: an entry of the stack, its parity
-pair and the powers of the mode numbers that weight it on each axis, so a
-derivative is a term on the field's own coefficients.  One np.sin and one
-np.cos table of m*x serve a call; the terms on one entry take their
-weighted rows of it, and one matmul reads the entry once for all of them.
-evaluate_at and evaluate_offgrid pass it a stack of one; the trace sampler
-(d2 and d1 of each stream function), the oracle's linearization (omega and
-its gradient) and transport_defect pass theirs.
+A derivative is named one way, on the grid and off it: as a Term, an entry
+of a coefficient stack, its parity pair and the powers of the mode numbers
+that weight it on each axis, so every derivative is a term on the field's
+own coefficients.  VALUE_TERMS, GRADIENT_TERMS, HESSIAN_TERMS and
+VELOCITY_TERMS are the ones the package takes.  Off the grid,
+evaluate_points sums the series of a stack's terms at arbitrary points:
+one np.sin and one np.cos table of m*x serve a call, the terms on one
+entry take their weighted rows of it, and one matmul reads the entry once
+for all of them.  evaluate_at and evaluate_offgrid pass it a stack of one;
+the trace sampler (the velocity of each stream function), the oracle's
+linearization (omega and its gradient) and transport_defect pass theirs.
+
+Every max|f| on the collocation grid is a GridMax call on the same stack
+and Terms: the largest |value| of any term, from _eval_grid in two buffers
+that the GridMax holds, the first axis's output and a block of
+_GRID_MAX_ROWS grid rows, (n_grid+1)(N+128) doubles, 1.6 MB at N=256,
+n_grid=512 and 19 MB at N=1024, n_grid=2048.  A term's weights live in the
+first of them: its entry is weighted in the mode slot, rows 1..N, by mode
+numbers filled into rows N+1..2N, which n_grid >= 2N leaves free until the
+transform zeroes them, so no product takes a numpy iteration buffer.  The
+grid maxima are omega-max (grid_max_abs), hessian_sup_norm, the
+gradient_sup_norm of make-data and the time stepper's CFL speed; a caller
+that keeps a GridMax, as the time stepper does for its CFL speed and its
+diagnostics, allocates no grid-sized array per maximum, and the stepper's
+runs, between steps, in the scratch that its RK4 tendency uses during them.
+Only that tendency, on the midpoint grid below, still forms derivative
+coefficient arrays, because its transforms run on them in place.
 
 The pointwise products of the time stepper are formed on a second,
 staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
@@ -256,7 +267,8 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
     there in place.  buf, shaped like coeffs but at least n_grid (sine) or
     n_grid + 1 (cosine) long along `axis`, is allocated when None; the
     result is a view of it.  With halved, coeffs holds the halved modes
-    already and is copied as it is (see _eval_grid).
+    already and is copied as it is (see _eval_grid); it may be the mode
+    slot of buf itself, as GridMax passes it, which np.copyto leaves in place.
     """
     transform, first, extra = _TYPE1[parity]
     n = coeffs.shape[axis]
@@ -281,7 +293,8 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
 
 
 def _eval_grid(coeffs: np.ndarray, parity: tuple, n_grid: int, first: np.ndarray | None = None,
-               block: np.ndarray | None = None, workers: int | None = None):
+               block: np.ndarray | None = None, workers: int | None = None,
+               halved: bool = False):
     """A mixed sin/cos series on the n_grid x n_grid collocation grid, in
     blocks of grid rows.
 
@@ -290,11 +303,13 @@ def _eval_grid(coeffs: np.ndarray, parity: tuple, n_grid: int, first: np.ndarray
     order, each a view of block.  With block None the grid is one block, in
     an array _eval_axis allocates (first too is allocated when None).  Each
     row's transform is the same arithmetic in a block as in the whole grid.
+    halved goes to the first axis's _eval_axis: GridMax passes the mode slot
+    of first itself, which holds the halved modes, and nothing is copied.
     The first axis's output is halved in place for the second: along the
     last axis the modes' slot is strided, and a ufunc writing there takes
     numpy iteration buffers, where one on the contiguous output takes none.
     """
-    rows = _eval_axis(coeffs, parity[0], n_grid, -2, first, workers)
+    rows = _eval_axis(coeffs, parity[0], n_grid, -2, first, workers, halved)
     rows *= 0.5
     size = n_grid if block is None else len(block)
     for r in range(0, n_grid, size):
@@ -392,8 +407,6 @@ def evaluate_midpoints(coeffs: np.ndarray, n_mid: int) -> np.ndarray:
 
 
 _PARITIES = {("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")}
-# parities of u1 and u2 from velocity_coefficients
-_VELOCITY_PARITIES = (("sin", "cos"), ("cos", "sin"))
 # collocation transform per parity, the first entry it runs on, and how many
 # entries past n_grid (the DCT-I's extra one is x = pi)
 _TYPE1 = {"sin": (_pocketfft.dst, 1, 0), "cos": (_pocketfft.dct, 0, 1)}
@@ -452,6 +465,19 @@ class Term(NamedTuple):
     entry: int
     parity: tuple
     powers: tuple = (0, 0)
+
+
+# The derivatives the package takes of a field f, as terms on entry 0 of a
+# stack: f itself; its gradient d1 f, d2 f; its Hessian entries -d11 f,
+# d12 f, -d22 f (the signs drop out of a grid maximum); and, on the stream
+# function psi, the velocity u = grad^perp psi as d2 psi = -u1 and
+# d1 psi = u2, in the parities of velocity_coefficients.  For omega >= 0 on
+# (0, pi)^2, u1 <= 0 <= u2 near the origin.
+VALUE_TERMS = (Term(0, ("sin", "sin")),)
+GRADIENT_TERMS = (Term(0, ("cos", "sin"), (1, 0)), Term(0, ("sin", "cos"), (0, 1)))
+HESSIAN_TERMS = (Term(0, ("sin", "sin"), (2, 0)), Term(0, ("cos", "cos"), (1, 1)),
+                 Term(0, ("sin", "sin"), (0, 2)))
+VELOCITY_TERMS = (Term(0, ("sin", "cos"), (0, 1)), Term(0, ("cos", "sin"), (1, 0)))
 
 
 @lru_cache(maxsize=None)
@@ -568,6 +594,8 @@ def spectral_derivative(field: SineField, axis: int, order: int) -> MixedParityF
 
     Odd order flips sin -> cos on the differentiated axis; the returned
     coefficients carry the mode-number factors (exact differentiation).
+    The package takes its derivatives as Terms (GRADIENT_TERMS,
+    HESSIAN_TERMS); this array form is the reference they are tested against.
     """
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
@@ -608,7 +636,8 @@ def _velocity_into(coeffs: np.ndarray, symbol: np.ndarray, u1: np.ndarray,
     basis; symbol is _laplacian_power(N, alpha).  psi is formed once, in
     u1.  factor, if given, is the out of both _mode_numbers (of axis 0, then
     of axis 1, which it keeps); with u1 and u2 it must be C-contiguous, and
-    then no product takes an iteration buffer.
+    then no product takes an iteration buffer.  The time stepper's tendency
+    and velocity_coefficients call it.
     """
     n = coeffs.shape[-1]
     np.divide(coeffs, symbol, out=u1)
@@ -621,12 +650,13 @@ def velocity_coefficients(omega: SineField, alpha: float):
     """Coefficient-space velocity u = grad^perp psi, psi = (-Lap)^(-1+alpha) omega.
 
     Returns (u1, u2) as MixedParityFields: u1 = -d2 psi in the (sin, cos)
-    basis, u2 = d1 psi in the (cos, sin) basis.  The sign convention makes
-    u1 <= 0, u2 >= 0 near the origin for omega >= 0 on (0, pi)^2.
+    basis, u2 = d1 psi in the (cos, sin) basis, the sign convention of
+    VELOCITY_TERMS.  The package takes the velocity as those terms on psi;
+    these arrays are the reference they are tested against.
     """
     u1, u2 = np.empty((2,) + omega.coeffs.shape)
     _velocity_into(omega.coeffs, _laplacian_power(omega.n_modes, alpha), u1, u2)
-    p1, p2 = _VELOCITY_PARITIES
+    p1, p2 = (term.parity for term in VELOCITY_TERMS)
     return MixedParityField(u1, p1), MixedParityField(u2, p2)
 
 
@@ -640,27 +670,36 @@ _GRID_MAX_ROWS = 128
 
 
 class GridMax:
-    """max|f| on the n_grid x n_grid collocation grid, in two held buffers.
+    """max|f| over Terms on the n_grid x n_grid collocation grid, in two held buffers.
 
-    A call takes the N x N coefficients of a mixed sin/cos series and its
-    parity pair, and returns the _max_abs of MixedParityField.evaluate's grid
-    bit for bit (NaN if the grid holds a NaN).  The first-axis transform runs
-    in an (n_grid+1, N) buffer, and the second-axis one in blocks of
+    A call takes what evaluate_points takes, a coefficient stack (S, N, N)
+    and a sequence of Terms, and returns the largest |value| of any term at
+    any grid point, NaN if any value is NaN.  Each term is its entry's
+    _max_abs of MixedParityField.evaluate's grid of the weighted
+    coefficients, bit for bit.  The weighting runs in the first-axis
+    buffer, (n_grid+1, N): the entry is copied into its mode slot, rows
+    1..N, and multiplied there by m^p1 and then n^p2, each filled by
+    _mode_numbers into rows N+1..2N, then halved; n_grid >= 2N leaves those
+    rows free until the transform zeroes them.  So every operand has the
+    slot's shape, and no product takes a numpy iteration buffer or any
+    array but the buffer.  The second-axis transform runs in blocks of
     _GRID_MAX_ROWS grid rows in a (min(_GRID_MAX_ROWS, n_grid), n_grid+1)
     buffer; each row's transform is the same arithmetic in a block as in
     the whole grid, and the maximum is that of the blocks' maxima.  Both
-    buffers fit every parity pair, so one instance serves a whole run and a
-    call allocates no grid-sized array; it takes no numpy iteration buffer
-    either, as the first axis's output is halved in place and each block's
-    maximum runs over its whole contiguous buffer.  The two buffers are
-    views of scratch, a flat float64 array of at least scratch_size(N,
-    n_grid) = (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid)) entries, allocated
-    when None: 1.6 MB at N=256, n_grid=512.  A call writes every entry it
-    reads, so the scratch may serve other work between calls, as the time
+    buffers fit every parity pair, so one instance serves a whole run, and
+    a call allocates no grid-sized array and takes no iteration buffer, as
+    the first axis's output is halved in place and each block's maximum
+    runs over its whole contiguous buffer.  The two buffers are views of
+    scratch, a flat float64 array of at least scratch_size(N, n_grid) =
+    (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid)) entries, allocated when
+    None: 1.6 MB at N=256, n_grid=512.  A call writes every entry it reads,
+    so the scratch may serve other work between calls, as the time
     stepper's does.
     """
 
     def __init__(self, n_modes: int, n_grid: int, scratch: np.ndarray | None = None):
+        if n_grid < 2 * n_modes:
+            raise ValueError(f"n_grid={n_grid} < 2*N={2 * n_modes}")
         self.n_grid = n_grid
         self._workers = get_workers()
         size, first = self.scratch_size(n_modes, n_grid), (n_grid + 1) * n_modes
@@ -673,48 +712,46 @@ class GridMax:
     def scratch_size(n_modes: int, n_grid: int) -> int:
         return (n_grid + 1) * (n_modes + min(_GRID_MAX_ROWS, n_grid))
 
-    def __call__(self, coeffs: np.ndarray, parity: tuple) -> float:
-        if tuple(parity) not in _PARITIES:
-            raise ValueError(f"invalid parity pair {parity}")
-        g = self.n_grid
+    def __call__(self, coeffs: np.ndarray, terms) -> float:
+        g, n = self.n_grid, coeffs.shape[-1]
+        # the mode slot of the first-axis buffer and the N rows past it,
+        # which hold the weights until the transform zeroes them
+        modes, weights = self._first[1:n + 1], self._first[n + 1:2 * n + 1]
         best = 0.0
-        for rows in _eval_grid(coeffs, parity, g, self._first, self._grid, self._workers):
-            # over the rows' whole contiguous buffer, which numpy reduces
-            # without an iteration buffer: a zero in the column past the
-            # grid leaves max(max, -min), which is never negative, as it is
-            buf = self._grid[:len(rows)]
-            buf[:, g] = 0.0
-            # np.maximum, unlike the builtin, keeps a NaN of any block
-            best = np.maximum(best, _max_abs(buf))
+        for entry, parity, powers in terms:
+            if tuple(parity) not in _PARITIES:
+                raise ValueError(f"invalid parity pair {parity}")
+            np.copyto(modes, coeffs[entry])
+            for axis, power in enumerate(powers):
+                if power:
+                    modes *= np.power(_mode_numbers(n, axis, weights), power, out=weights)
+            modes *= 0.5
+            for rows in _eval_grid(modes, parity, g, self._first, self._grid, self._workers,
+                                   halved=True):
+                # over the rows' whole contiguous buffer, which numpy reduces
+                # without an iteration buffer: a zero in the column past the
+                # grid leaves max(max, -min), which is never negative, as it is
+                buf = self._grid[:len(rows)]
+                buf[:, g] = 0.0
+                # np.maximum, unlike the builtin, keeps a NaN of any block
+                best = np.maximum(best, _max_abs(buf))
         return float(best)
 
 
-def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None,
-                     scratch: np.ndarray | None = None) -> float:
+def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None) -> float:
     """Max over grid points of the largest |entry| of the Hessian of omega.
 
     Collocation-grid maximization: a lower bound for the true sup norm that
-    converges as n_grid grows.  grid_max, a GridMax on n_grid, is the
-    evaluator to use; one is built when none is given.  scratch, an N x N
-    array, receives the coefficients of each Hessian entry in turn (-m^2 a,
-    m n a, -n^2 a); one is allocated when none is given.
+    converges as n_grid grows.  One call of grid_max, a GridMax on n_grid,
+    on HESSIAN_TERMS; one is built when none is given.  The call takes no
+    array but the GridMax's scratch, which it writes the weighted
+    coefficients into.
     """
     if grid_max is None:
         grid_max = GridMax(omega.n_modes, n_grid)
     elif grid_max.n_grid != n_grid:
         raise ValueError(f"GridMax on {grid_max.n_grid} points, not n_grid={n_grid}")
-    c = omega.coeffs
-    s = np.empty_like(c) if scratch is None else scratch
-    modes = np.arange(1, omega.n_modes + 1, dtype=np.float64)
-    m, n = modes[:, None], modes[None, :]
-    np.multiply(c, m**2, out=s)
-    d11 = grid_max(np.negative(s, out=s), ("sin", "sin"))
-    np.multiply(c, m, out=s)
-    d12 = grid_max(np.multiply(s, n, out=s), ("cos", "cos"))
-    np.multiply(c, n**2, out=s)
-    d22 = grid_max(np.negative(s, out=s), ("sin", "sin"))
-    # np.max, unlike the builtin, keeps a NaN
-    return float(np.max([d11, d12, d22]))
+    return grid_max(omega.coeffs[None], HESSIAN_TERMS)
 
 
 def l2_norm(field: SineField) -> float:
@@ -724,4 +761,4 @@ def l2_norm(field: SineField) -> float:
 
 def grid_max_abs(field: SineField, n_grid: int) -> float:
     """Max of |f| over the collocation grid."""
-    return GridMax(field.n_modes, n_grid)(field.coeffs, ("sin", "sin"))
+    return GridMax(field.n_modes, n_grid)(field.coeffs[None], VALUE_TERMS)

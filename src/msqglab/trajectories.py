@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import KernelParams, QuadratureOracle, RegionSpec, _params_for
-from .spectral import _VELOCITY_PARITIES, Term, _laplacian_power, evaluate_points
+from .spectral import VALUE_TERMS, VELOCITY_TERMS, _laplacian_power, evaluate_points
 
 __all__ = ["TrajectoryState", "GrowthRecord", "StartPoint", "VelocitySampler",
            "trace", "select_start", "stopping_time", "medium_ratio_monitor",
@@ -69,10 +69,8 @@ class GrowthRecord:
     fit_r2: float
 
 
-# d2 psi and d1 psi of stack entry 0, -u1 and u2 in the parities of
-# velocity_coefficients; then those of entry 0 and of entry 1
-_ONE_SNAPSHOT = (Term(0, _VELOCITY_PARITIES[0], (0, 1)), Term(0, _VELOCITY_PARITIES[1], (1, 0)))
-_TWO_SNAPSHOTS = _ONE_SNAPSHOT + tuple(term._replace(entry=1) for term in _ONE_SNAPSHOT)
+# d2 psi and d1 psi, -u1 and u2, of stack entry 0 and then of entry 1
+_TWO_SNAPSHOTS = VELOCITY_TERMS + tuple(term._replace(entry=1) for term in VELOCITY_TERMS)
 
 
 class VelocitySampler:
@@ -114,7 +112,7 @@ class VelocitySampler:
         ts = self.times.tolist()
         if t <= ts[0] or t >= ts[-1]:
             k = 0 if t <= ts[0] else len(ts) - 1
-            d2, d1 = evaluate_points(self._psi[k:k + 1], _ONE_SNAPSHOT, x).tolist()
+            d2, d1 = evaluate_points(self._psi[k:k + 1], VELOCITY_TERMS, x).tolist()
             return np.array((-d2, d1))
         hi = bisect_right(ts, t)
         th = (t - ts[hi - 1]) / (ts[hi] - ts[hi - 1])
@@ -346,7 +344,7 @@ def transport_defect(trajectory: TrajectoryState, snapshots, omega0_at_start: fl
     nearest = np.abs(trajectory.times[:, None] - times).argmin(axis=1)
     worst = 0.0
     for j in np.unique(nearest):
-        vals = evaluate_points(snapshots[j][1].coeffs[None], (Term(0, ("sin", "sin")),),
+        vals = evaluate_points(snapshots[j][1].coeffs[None], VALUE_TERMS,
                                trajectory.positions[nearest == j])
         worst = max(worst, float(np.abs(vals - omega0_at_start).max()))
     return worst

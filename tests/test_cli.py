@@ -285,6 +285,17 @@ class TestUsageErrors:
             "error: dt must be >= 0 (0 selects the default step), got -0.01\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
+    def test_bad_monitor_scale(self, tmp_path, capsys, value):
+        # 0 turns the monitor off and a scale is at least 2; anything else,
+        # NaN too, stops before the run directory is read
+        rc = cli.main(["trace", "--run-dir", str(tmp_path), "--monitor-L", value,
+                       "--out", str(tmp_path / "tr")])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: --monitor-L must be 0 (off) or >= 2, got {float(value)}\n"
+        assert not (tmp_path / "tr").exists()
+
     def test_run_dir_without_snapshots(self, tmp_path, capsys):
         rc = cli.main(["trace", "--run-dir", str(tmp_path), "--out", str(tmp_path / "tr")])
         assert rc == cli.EXIT_USAGE

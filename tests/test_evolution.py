@@ -11,7 +11,7 @@ from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, _Rk4Workspace, 
                                nonlinear_term, run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
 from msqglab.snapshots import read_snapshot
-from msqglab.spectral import (GridMax, SineField, _max_abs, dealias_grid,
+from msqglab.spectral import (GridMax, SineField, Term, _max_abs, dealias_grid,
                               velocity_coefficients)
 
 
@@ -314,7 +314,8 @@ class TestRk4Workspace:
                 c = rng.normal(size=(n_modes, n_modes))
                 np.testing.assert_array_equal(ws.rhs(c), fresh_rhs(c))
                 c = rng.normal(size=(n_modes, n_modes))
-                assert ws.grid_max(c, parity) == fresh_max(c, parity)
+                terms = [Term(0, parity, (1, 1))]
+                assert ws.grid_max(c[None], terms) == fresh_max(c[None], terms)
 
 
 class TestTimeErrorPins:
@@ -391,7 +392,7 @@ class TestCflDt:
 
     @pytest.mark.parametrize("component", [0, 1])
     def test_nan_velocity_gives_nan_step(self, component):
-        # run() combines the two component maxima with np.maximum, which keeps a NaN
+        # GridMax combines the two component maxima with np.maximum, which keeps a NaN
         maxima = [1.0, 1.0]
         maxima[component] = math.nan
         assert math.isnan(cfl_dt(np.maximum(*maxima), 8, 0.4))

@@ -18,7 +18,8 @@ from scipy.fft._pocketfft import pypocketfft
 from msqglab import spectral
 from msqglab.spectral import (
     _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
-    GridField, GridMax, MixedParityField, SineField, Term, evaluate_midpoints, evaluate_offgrid,
+    VELOCITY_TERMS, GridField, GridMax, MixedParityField, SineField, Term, evaluate_midpoints,
+    evaluate_offgrid,
     evaluate_points, dealias_grid, environment, forward_transform, fractional_inverse_laplacian,
     get_workers, grid_coordinates, grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm,
     spectral_derivative, velocity_coefficients)
@@ -254,61 +255,97 @@ class TestGridMax:
     # sin-last after cos-last and the reverse, so each pair finds the shared
     # (g, g+1) grid buffer holding another pair's values
     ORDER = [("sin", "cos"), ("cos", "sin"), ("sin", "sin"), ("cos", "cos"), ("sin", "cos")]
+    # the mode-number powers of every term the package takes a maximum of
+    POWERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    @staticmethod
+    def reference(coeffs, parity, powers, n_grid):
+        """The max over the grid that MixedParityField.evaluate allocates, of
+        the coefficients weighted by m^p1 and then by n^p2."""
+        m = np.arange(1.0, len(coeffs) + 1)
+        weighted = coeffs * m[:, None] ** powers[0] * m ** powers[1]
+        return _max_abs(MixedParityField(weighted, parity).evaluate(n_grid).values)
 
     @pytest.mark.parametrize("n_grid", [27, 64])
     def test_held_buffers_match_evaluate_grid(self, n_grid):
-        # the max over the grid that MixedParityField.evaluate allocates
+        # each term of a stack entry, bit for bit
         rng = np.random.default_rng(12)
         grid_max = GridMax(9, n_grid)
         for parity in self.ORDER:
-            coeffs = rng.normal(size=(9, 9))
-            expect = _max_abs(MixedParityField(coeffs, parity).evaluate(n_grid).values)
-            assert grid_max(coeffs, parity) == expect
+            for powers in self.POWERS:
+                stack = rng.normal(size=(2, 9, 9))
+                expect = self.reference(stack[1], parity, powers, n_grid)
+                assert grid_max(stack, [Term(1, parity, powers)]) == expect
+
+    def test_many_terms_give_the_largest(self):
+        # any order of entries and terms, the stack read in place
+        stack = np.random.default_rng(18).normal(size=(2, 9, 9))
+        before = stack.copy()
+        terms = [Term(1, ("cos", "sin"), (1, 0)), Term(0, ("cos", "cos"), (1, 1)),
+                 Term(1, ("sin", "sin"), (0, 2)), Term(0, ("sin", "cos"))]
+        grid_max = GridMax(9, 27)
+        assert grid_max(stack, terms) == max(grid_max(stack, [term]) for term in terms)
+        assert grid_max(stack, []) == 0.0
+        np.testing.assert_array_equal(stack, before)
 
     @pytest.mark.parametrize("parity", ORDER[:4])
     def test_nan_coefficient_gives_nan(self, parity):
+        # for every power, and before or after a finite term
         grid_max = GridMax(4, 8)
-        grid_max(np.ones((4, 4)), ("cos", "cos"))
-        coeffs = np.ones((4, 4))
-        coeffs[1, 2] = np.nan
-        assert math.isnan(grid_max(coeffs, parity))
+        grid_max(np.ones((1, 4, 4)), [Term(0, ("cos", "cos"))])
+        stack = np.ones((2, 4, 4))
+        stack[1, 1, 2] = np.nan
+        for powers in self.POWERS:
+            assert math.isnan(grid_max(stack, [Term(1, parity, powers)]))
+            finite, bad = Term(0, parity, powers), Term(1, parity, powers)
+            assert math.isnan(grid_max(stack, [finite, bad]))
+            assert math.isnan(grid_max(stack, [bad, finite]))
 
     def test_invalid_parity(self):
         with pytest.raises(ValueError, match="parity"):
-            GridMax(4, 8)(np.zeros((4, 4)), ("sin", "tan"))
+            GridMax(4, 8)(np.zeros((1, 4, 4)), [Term(0, ("sin", "tan"))])
+
+    def test_grid_holds_twice_the_modes(self):
+        # the weights take the N rows past the mode slot
+        assert GridMax(4, 8).n_grid == 8
+        with pytest.raises(ValueError, match="2\\*N"):
+            GridMax(4, 7)
 
     @pytest.mark.parametrize("parity", ORDER[:4])
     @pytest.mark.parametrize("rows", [1, 7, 128, 160])
     def test_row_blocks_give_the_same_bits(self, parity, rows, monkeypatch):
         # the second-axis transform in blocks of 1, 7 (the last one of 6),
         # 128 (then 32) and all 160 grid rows: the maximum of the grid that
-        # MixedParityField.evaluate allocates, bit for bit
+        # MixedParityField.evaluate allocates, bit for bit, for every power
         n_modes, n_grid = 48, 160
         coeffs = np.random.default_rng(15).normal(size=(n_modes, n_modes))
-        expect = _max_abs(MixedParityField(coeffs, parity).evaluate(n_grid).values)
         monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", rows)
         grid_max = GridMax(n_modes, n_grid)
         assert grid_max._grid.shape == (rows, n_grid + 1)
-        assert grid_max(coeffs, parity) == expect
+        for powers in self.POWERS:
+            expect = self.reference(coeffs, parity, powers, n_grid)
+            assert grid_max(coeffs[None], [Term(0, parity, powers)]) == expect
 
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_nan_in_any_block_gives_nan(self, block, monkeypatch):
-        # a NaN in the first, the middle or the last of three blocks of rows
+        # a NaN in the first, the middle or the last of three blocks of
+        # rows, for every power
         monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", 8)
         grid_max = GridMax(4, 24)
         real, blocks = spectral._eval_axis, []
 
-        def poisoned(*args, halved=False):
-            out = real(*args, halved=halved)
-            if halved:                  # the second axis, one call per block
-                if len(blocks) == block:
+        def poisoned(coeffs, parity, n_grid, axis, *args, **kwargs):
+            out = real(coeffs, parity, n_grid, axis, *args, **kwargs)
+            if axis == -1:              # the second axis, one call per block
+                if len(blocks) % 3 == block:
                     out[3, 5] = np.nan
                 blocks.append(out.shape)
             return out
 
         monkeypatch.setattr(spectral, "_eval_axis", poisoned)
-        assert math.isnan(grid_max(np.ones((4, 4)), ("sin", "sin")))
-        assert blocks == [(8, 24)] * 3
+        for powers in self.POWERS:
+            assert math.isnan(grid_max(np.ones((1, 4, 4)), [Term(0, ("sin", "sin"), powers)]))
+        assert blocks == [(8, 24)] * 3 * len(self.POWERS)
 
     def test_one_off_scratch_is_one_block_of_rows(self):
         # (Ng+1)(N+128) doubles at N=256, Ng=512, 1.58 MB; the whole
@@ -318,9 +355,8 @@ class TestGridMax:
         assert GridMax.scratch_size(8, 20) == 21 * (8 + 20)
 
     def test_one_off_hessian_sup_norm_allocates_its_scratch_only(self):
-        # a GridMax's scratch and the N x N Hessian-entry array, and under
-        # 128 KiB more (70 KiB measured on x86-64, numpy 2.4.6); the
-        # whole-grid layout peaked at 3.75 MB
+        # a GridMax's scratch, and under 128 KiB more (3.6 KiB measured on
+        # x86-64, numpy 2.4.6); the whole-grid layout peaked at 3.75 MB
         om = SineField(np.random.default_rng(16).standard_normal((256, 256)) / 256.0)
         hessian_sup_norm(om, 512)
         tracemalloc.start()
@@ -329,24 +365,32 @@ class TestGridMax:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = 8 * (GridMax.scratch_size(256, 512) + 256 * 256)
+        held = 8 * GridMax.scratch_size(256, 512)
         assert held < peak <= held + 128 * 1024
+
+    def test_warm_hessian_sup_norm_takes_no_iteration_buffer(self):
+        # with a held GridMax a call takes no numpy iteration buffer, 32 or
+        # 64 KiB each: the mode-number weights are same-shape operands in
+        # the GridMax's buffer.  Broadcast products of the mode numbers
+        # peaked at 71.3 kB; 3.0 KiB measured on x86-64 with numpy 2.4.6
+        om = SineField(np.random.default_rng(16).standard_normal((256, 256)) / 256.0)
+        grid_max = GridMax(256, 512)
+        hessian_sup_norm(om, 512, grid_max)
+        tracemalloc.start()
+        try:
+            hessian_sup_norm(om, 512, grid_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1024
 
     def test_hessian_sup_norm_takes_held_evaluator(self):
         om = SineField(np.random.default_rng(13).normal(size=(8, 8)))
         grid_max = GridMax(8, 20)
-        grid_max(np.ones((8, 8)), ("cos", "sin"))
+        grid_max(np.ones((1, 8, 8)), [Term(0, ("cos", "sin"))])
         assert hessian_sup_norm(om, 20, grid_max) == hessian_sup_norm(om, 20)
         with pytest.raises(ValueError, match="n_grid"):
             hessian_sup_norm(om, 24, grid_max)
-
-
-    def test_hessian_sup_norm_takes_held_scratch(self):
-        om = SineField(np.random.default_rng(14).normal(size=(8, 8)))
-        scratch = np.full((8, 8), np.nan)
-        assert hessian_sup_norm(om, 20, scratch=scratch) == hessian_sup_norm(om, 20)
-        n = np.arange(1, 9, dtype=np.float64)
-        np.testing.assert_array_equal(scratch, -om.coeffs * n**2)   # d22, written last
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_sin_axis_halving_before_the_transform_is_exact(self, axis):
@@ -439,6 +483,25 @@ class TestVelocity:
         assert u1c.evaluate_at(x) < 0
         assert u2c.evaluate_at(x) > 0
 
+    def test_velocity_terms_are_the_coefficients_velocity(self):
+        # VELOCITY_TERMS on psi give d2 psi = -u1 and d1 psi = u2 in the
+        # parities of velocity_coefficients, to rounding at points and bit
+        # for bit as a grid maximum, the CFL speed; near the origin of a
+        # positive mode d2 psi > 0, so u1 < 0 < u2
+        rng = np.random.default_rng(19)
+        om = SineField(rng.normal(size=(8, 8)))
+        u1c, u2c = velocity_coefficients(om, 0.3)
+        assert [term.parity for term in VELOCITY_TERMS] == [u1c.parity, u2c.parity]
+        psi = fractional_inverse_laplacian(om, 0.3).coeffs
+        pts = rng.uniform(0.0, np.pi, (5, 2))
+        d2, d1 = evaluate_points(psi[None], VELOCITY_TERMS, pts)
+        np.testing.assert_allclose(-d2, u1c.evaluate_at(pts), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(d1, u2c.evaluate_at(pts), rtol=1e-13, atol=1e-14)
+        speed = max(_max_abs(u.evaluate(20).values) for u in (u1c, u2c))
+        assert GridMax(8, 20)(psi[None], VELOCITY_TERMS) == speed
+        one = fractional_inverse_laplacian(SineField.from_modes({(1, 1): 1.0}, 4), 0.5).coeffs
+        assert all(evaluate_points(one[None], VELOCITY_TERMS, (0.05, 0.07)) > 0)
+
     def test_matches_stream_function_derivatives_exactly(self):
         om = SineField(np.random.default_rng(5).normal(size=(8, 8)))
         u1c, u2c = velocity_coefficients(om, 0.3)
@@ -499,6 +562,17 @@ class TestPointEvaluation:
 
 
 class TestHessianSupNorm:
+    def test_equals_the_array_references(self):
+        # the grid maxima of spectral_derivative's arrays and of the mixed
+        # derivative's, bit for bit
+        om = SineField(np.random.default_rng(20).normal(size=(9, 9)))
+        m = np.arange(1.0, 10.0)
+        entries = [spectral_derivative(om, 1, 2), spectral_derivative(om, 2, 2),
+                   MixedParityField(om.coeffs * m[:, None] * m, ("cos", "cos"))]
+        for n_grid in (18, 27, 64):
+            want = max(_max_abs(d.evaluate(n_grid).values) for d in entries)
+            assert hessian_sup_norm(om, n_grid) == want
+
     def test_single_mode(self):
         om = SineField.from_modes({(1, 1): 1.0}, 4)
         assert hessian_sup_norm(om, 16) == pytest.approx(1.0, rel=1e-12)

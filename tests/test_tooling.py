@@ -337,6 +337,40 @@ def test_oracle_samples_whole_cells_one_way():
     assert [owner for owner, _ in _calls_of(tree, "_sines")] == ["_sine_products"]
 
 
+def _terms_with_powers(tree: ast.Module):
+    """(def, line) of every Term call given a powers argument, by position
+    or by keyword."""
+    for node, owner in _nodes_with_owner(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Term" and (len(node.args) > 2
+                                   or any(k.arg == "powers" for k in node.keywords)):
+                yield owner, node.lineno
+
+
+def test_derivatives_named_in_one_module():
+    # every derivative of a grid maximum or a point is a Term with mode-number
+    # powers, and spectral makes them all; _velocity_into's arrays serve the
+    # tendency and velocity_coefficients only, and spectral_derivative is a
+    # reference for the tests
+    stray = {name: list(_terms_with_powers(_tree(name))) for name in MODULES
+             if name != "spectral"}
+    assert not {name: sites for name, sites in stray.items() if sites}, stray
+    assert list(_terms_with_powers(_tree("spectral")))
+    sites = sorted((name, owner) for name in MODULES
+                   for owner, _ in _calls_of(_tree(name), "_velocity_into"))
+    assert sites == [("evolution", "__call__"), ("spectral", "velocity_coefficients")]
+    assert not [(name, site) for name in MODULES
+                for site in _calls_of(_tree(name), "spectral_derivative")]
+
+
+def test_term_check_sees_positions_keywords_and_attributes():
+    tree = ast.parse("import m\nfrom m import Term\nTerm(0, p)\nTerm(0, p, (1, 0))\n"
+                     "def f():\n    return m.Term(0, p, powers=(0, 1))\n")
+    assert list(_terms_with_powers(tree)) == [(None, 4), ("f", 6)]
+
+
 def test_call_check_sees_names_and_attributes():
     tree = ast.parse("import m\nfrom m import f\nf(1)\ndef g():\n    return m.f(2)\n"
                      "h = f\n")
