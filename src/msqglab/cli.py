@@ -9,7 +9,8 @@ subcommand accepts every key, but it takes flags only for settings it reads:
   simulate   all but which, image_radius and growth_threshold_factor
   verify     out, alpha, delta, L, N, Ng, blend_order, image_radius, which
   trace      out, dt, image_radius, growth_threshold_factor; alpha, Ng,
-             delta and beta only where the run's metadata.json lacks them
+             delta and beta only where the run's metadata.json lacks them,
+             and a note in trace_summary.json names each one so taken
 make-data, simulate and verify build omega0 from one spec, _initial_spec,
 which simulate's metadata.json records.  Every run writes a manifest.json
 listing all emitted files with sha256 hashes (written last); it and
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import sys
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolution import ExperimentConfig, run
+from .evolution import ExperimentConfig, read_run_dir, run
 from .initial_data import (DELTA_HARD_MAX, InitialDataSpec, build_omega0, check_degeneracy,
                            gradient_sup_norm, plateau_deficit_fraction, recorded_warnings)
 from .kernels import KernelParams
@@ -166,7 +166,7 @@ def cmd_make_data(args) -> int:
     vals = inverse_transform(omega, cfg["Ng"]).values
     deg = check_degeneracy(omega)
     grad = gradient_sup_norm(omega, cfg["Ng"])
-    deficit = plateau_deficit_fraction(omega, cfg["Ng"])
+    deficit = plateau_deficit_fraction(vals)
     strip_bound = 4 * np.pi * cfg["delta"] / np.pi**2
     checks = {
         "grid_min": float(vals.min()),
@@ -266,25 +266,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def _load_run_dir(run_dir: Path):
-    snaps = []
-    for p in sorted(run_dir.glob("snap_*.msqg")):
-        field, header = read_snapshot(p)
-        snaps.append((float(header["time"]), field))
-    if not snaps:
-        raise UsageError(f"no snapshots found in {run_dir}")
-    diag_path = run_dir / "diagnostics.csv"
-    times, hess = [], []
-    if diag_path.exists():
-        with open(diag_path) as fh:
-            for row in csv.DictReader(fh):
-                times.append(float(row["time"]))
-                hess.append(float(row["hessian_sup"]))
-    meta_path = run_dir / "metadata.json"
-    ran = json.loads(meta_path.read_text())["config"] if meta_path.exists() else {}
-    return snaps, np.array(times), np.array(hess), ran
-
-
 def cmd_trace(args) -> int:
     if (args.x1 is None) != (args.x2 is None):
         raise UsageError("--x1 and --x2 must be given together")
@@ -293,10 +274,13 @@ def cmd_trace(args) -> int:
     cfg = _settings(args)
     t0 = time.time()
     dt = _fixed_dt(cfg)
-    # the run's own settings; this command's are the fallback without metadata.json
-    snaps, times, hess, ran = _load_run_dir(Path(args.run_dir))
-    alpha, n_grid = ran.get("alpha", cfg["alpha"]), ran.get("n_grid", cfg["Ng"])
-    delta, beta = ran.get("delta", cfg["delta"]), ran.get("beta", cfg["beta"])
+    snaps, times, hess, ran = read_run_dir(Path(args.run_dir))
+    # the run's own settings; this command's are the fallback, and a note
+    # names each one taken because the run's metadata.json does not give it
+    keys = {"alpha": "alpha", "n_grid": "Ng", "delta": "delta", "beta": "beta"}
+    alpha, n_grid, delta, beta = (ran.get(key, cfg[name]) for key, name in keys.items())
+    taken = ", ".join(f"{name}={cfg[name]}" for key, name in keys.items() if key not in ran)
+    notes = [f"from the trace settings, not the run's metadata: {taken}"] if taken else []
     t_end = snaps[-1][0]
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -314,7 +298,6 @@ def cmd_trace(args) -> int:
                                     _kernel_params(cfg, alpha))
 
     t_stop, reason = (t_end, "horizon")
-    notes = []
     gamma, r2 = growth_fit(times, hess, notes)
     if len(hess):
         # a zero initial Hessian sets no threshold: nothing can grow from it

@@ -61,7 +61,7 @@ import numpy as np
 from . import __version__
 from .initial_data import (InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy,
                            recorded_warnings)
-from .snapshots import write_snapshot
+from .snapshots import read_snapshot, write_snapshot
 from .spectral import (VALUE_TERMS, VELOCITY_TERMS, GridMax, SineField, _check_finite,
                        _eval_midpoint_axis, _laplacian_power, _midpoint_slot, _mode_numbers,
                        _pocketfft, _velocity_into, dealias_grid, environment, get_workers,
@@ -69,7 +69,7 @@ from .spectral import (VALUE_TERMS, VELOCITY_TERMS, GridMax, SineField, _check_f
 from .trajectories import growth_fit
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
-           "nonlinear_term", "step_rk4", "cfl_dt", "run"]
+           "nonlinear_term", "step_rk4", "cfl_dt", "run", "read_run_dir"]
 
 # a CFL step is clipped to [DT_MIN, DT_MAX]: the floor bounds a run's step
 # count by t_final / DT_MIN, the cap sets the step where the velocity is zero
@@ -79,6 +79,11 @@ DT_MAX = 0.05
 # only, since the truncated scheme has no max principle and its Gibbs
 # ripple can trip it
 MAX_GROWTH_PER_STEP = 1.10
+# the files of a run directory, which run() writes and read_run_dir reads;
+# the glob finds the snapshots alone, not a halted run's state_dump.msqg
+SNAPSHOT_FILE = "snap_{step:07d}.msqg"
+SNAPSHOT_GLOB = SNAPSHOT_FILE.replace("{step:07d}", "*")
+DIAGNOSTICS_FILE, METADATA_FILE, CONFIG_KEY = "diagnostics.csv", "metadata.json", "config"
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,8 @@ class RunResult:
     pair per snapshot, path None when the run has no out_dir.  The snapshot
     fields are not kept: a long run would hold every one of them, so they
     are read back from their files (snapshots.read_snapshot).  With an
-    out_dir, run() also writes diagnostics.csv and metadata.json there.
+    out_dir, run() also writes diagnostics.csv and metadata.json there, and
+    read_run_dir reads the directory back.
     """
 
     state: SimState
@@ -412,7 +418,7 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
     def snap():
         path = None
         if out:
-            path = out / f"snap_{state.step_count:07d}.msqg"
+            path = out / SNAPSHOT_FILE.format(step=state.step_count)
             write_snapshot(path, state.omega, config.n_grid, config.alpha, state.time)
         snapshots.append((state.time, path))
 
@@ -469,13 +475,13 @@ def run(config: ExperimentConfig, omega0: SineField | InitialDataSpec) -> RunRes
 
 def _write_outputs(out: Path, config: ExperimentConfig, spec: InitialDataSpec | None,
                    result: RunResult, wall: float) -> None:
-    with open(out / "diagnostics.csv", "w", newline="") as fh:
+    with open(out / DIAGNOSTICS_FILE, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DiagnosticsRecord.CSV_FIELDS)
         for rec in result.diagnostics:
             w.writerow([f"{getattr(rec, f):.17g}" for f in DiagnosticsRecord.CSV_FIELDS])
     meta = {
-        "config": asdict(config),
+        CONFIG_KEY: asdict(config),
         "initial_data": asdict(spec) if spec else None,
         "provenance": f"msqglab-{__version__}",
         "environment": environment(),
@@ -486,4 +492,27 @@ def _write_outputs(out: Path, config: ExperimentConfig, spec: InitialDataSpec | 
         "preserve_degeneracy": config.preserve_degeneracy,
         "notes": result.notes,
     }
-    (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (out / METADATA_FILE).write_text(json.dumps(meta, indent=2) + "\n")
+
+
+def read_run_dir(run_dir: Path):
+    """What run() wrote to run_dir: (snapshots, times, hessian_sup, config).
+
+    snapshots are its (time, SineField) pairs in step order; times and
+    hessian_sup are those columns of diagnostics.csv, empty arrays without
+    the file; config is metadata.json's "config" record, {} without the
+    file.  ValueError if run_dir holds no snapshot.
+    """
+    snaps = [(float(header["time"]), omega)
+             for omega, header in map(read_snapshot, sorted(run_dir.glob(SNAPSHOT_GLOB)))]
+    if not snaps:
+        raise ValueError(f"no snapshots found in {run_dir}")
+    records = []
+    if (run_dir / DIAGNOSTICS_FILE).exists():
+        with open(run_dir / DIAGNOSTICS_FILE) as fh:
+            records = [DiagnosticsRecord(**{f: float(r[f]) for f in DiagnosticsRecord.CSV_FIELDS})
+                       for r in csv.DictReader(fh)]
+    meta = run_dir / METADATA_FILE
+    config = json.loads(meta.read_text())[CONFIG_KEY] if meta.exists() else {}
+    return (snaps, np.array([rec.time for rec in records]),
+            np.array([rec.hessian_sup for rec in records]), config)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (GRADIENT_TERMS, GridField, GridMax, SineField, _eval_axis, _max_abs,
-                       _mode_numbers, forward_transform, grid_coordinates, inverse_transform)
+                       _mode_numbers, forward_transform, grid_coordinates)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction", "recorded_warnings"]
@@ -163,7 +163,7 @@ def gradient_sup_norm(omega: SineField, n_grid: int) -> float:
     return GridMax(omega.n_modes, n_grid)(omega.coeffs[None], GRADIENT_TERMS)
 
 
-def plateau_deficit_fraction(omega: SineField, n_grid: int) -> float:
-    """Fraction of collocation cells where omega < 1 - PLATEAU_TOL."""
-    vals = inverse_transform(omega, n_grid).values
-    return float(np.count_nonzero(vals < 1.0 - PLATEAU_TOL)) / vals.size
+def plateau_deficit_fraction(values: np.ndarray) -> float:
+    """Fraction of collocation cells where omega < 1 - PLATEAU_TOL, from
+    omega's grid values (inverse_transform(omega, n_grid).values)."""
+    return float(np.count_nonzero(values < 1.0 - PLATEAU_TOL)) / values.size

@@ -203,6 +203,14 @@ def select_start(T: float, delta: float, alpha: float, beta: float,
     The asymptotic choice underflows desk-scale grids quickly; when the
     resolvable-coordinate floor binds, x1 is clamped there and the result
     is flagged as the scaled regime.
+
+    No statement of arXiv 1903.07485 is cited for this law: PAPER.md holds
+    only the paper's abstract.  The rates measured near the origin follow
+    neither delta^(-a/2) nor the delta^(-a) of verify_background but lie
+    nearer delta^(-2a).  Over delta from 0.1 to 0.4, the strain -u1/x1 at
+    x = (1e-3, 1e-3), t = 0, N=256 has delta exponents -0.72 (a = 0.25)
+    and -1.10 (a = 0.5); a marker's compression rate from (0.004, 0.004)
+    over t in [0, 0.5], N=128, has -0.67 and -0.95 (ROADMAP item M).
     """
     raw = float(np.exp(-T * delta ** (-alpha / 2.0)))
     scaled = raw < grid_floor
@@ -242,6 +250,13 @@ def stopping_time(trajectory: TrajectoryState, hessian_times, hessian_values,
     return t_h, "hessian_threshold"
 
 
+def _nearest_snapshot(trajectory: TrajectoryState, snapshots) -> np.ndarray:
+    """Per path sample, the index of the (time, omega) snapshot nearest in
+    time; of two equally near, the earlier in the list."""
+    times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
+    return np.abs(trajectory.times[:, None] - times).argmin(axis=1)
+
+
 def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
                          L: float, params: KernelParams | None = None,
                          every: int = 10) -> TrajectoryState:
@@ -257,17 +272,16 @@ def medium_ratio_monitor(trajectory: TrajectoryState, snapshots, alpha: float,
         raise ValueError(f"every must be >= 1, got {every}")
     params = _params_for(alpha, params)
     region = RegionSpec("medium", L)
-    times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
+    nearest = _nearest_snapshot(trajectory, snapshots)
     oracle = current = None
     skipped = 0
     ratios = trajectory.ratios.copy()
     for i in range(0, len(trajectory.times), every):
         x = trajectory.positions[i]
-        t = trajectory.times[i]
         if L * float(np.hypot(*x)) > 1.0 or min(x) <= 0:
             skipped += 1
             continue
-        j = int(np.argmin(np.abs(times - t)))
+        j = int(nearest[i])
         if j != current:
             oracle, current = QuadratureOracle(snapshots[j][1], params), j
         u1, u2 = oracle.velocity(x, region)
@@ -340,8 +354,7 @@ def _line_fit(x, y):
 def transport_defect(trajectory: TrajectoryState, snapshots, omega0_at_start: float):
     """max_t |omega(Phi_t, t) - omega0(start)| along a traced path, omega from
     the snapshot nearest in time: one evaluate_points call per snapshot."""
-    times = np.asarray([t for t, _ in snapshots], dtype=np.float64)
-    nearest = np.abs(trajectory.times[:, None] - times).argmin(axis=1)
+    nearest = _nearest_snapshot(trajectory, snapshots)
     worst = 0.0
     for j in np.unique(nearest):
         vals = evaluate_points(snapshots[j][1].coeffs[None], VALUE_TERMS,

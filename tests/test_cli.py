@@ -229,6 +229,28 @@ class TestOneInitialSpec:
         start = select_start(t_end, 0.3, 0.5, 3.0, 4 * math.pi / 96)
         assert summary["start"] == list(start.point)
 
+    @pytest.mark.parametrize("dropped, taken", [(None, "alpha=0.5, Ng=48, delta=0.3, beta=3.0"),
+                                                (("delta", "beta"), "delta=0.3, beta=3.0")])
+    def test_trace_notes_the_settings_it_takes(self, tmp_path, dropped, taken):
+        # the run's delta and beta are 0.25 and 5, trace's 0.3 and 3; without
+        # metadata.json, or without those keys in it, trace's own are used
+        run = tmp_path / "run"
+        assert cli.main(["simulate", "--N", "16", "--Ng", "48", "--T", "0.02",
+                         "--out", str(run)]) == cli.EXIT_OK
+        meta = run / "metadata.json"
+        if dropped is None:
+            meta.unlink()
+        else:
+            ran = json.loads(meta.read_text())
+            meta.write_text(json.dumps({**ran, "config": {
+                k: v for k, v in ran["config"].items() if k not in dropped}}))
+        assert cli.main(["trace", "--run-dir", str(run), "--Ng", "48", "--delta", "0.3",
+                         "--beta", "3", "--out", str(tmp_path / "tr")]) == cli.EXIT_OK
+        summary = json.loads((tmp_path / "tr" / "trace_summary.json").read_text())
+        assert summary["notes"] == [f"from the trace settings, not the run's metadata: {taken}"]
+        t_end = read_snapshot(sorted(run.glob("snap_*.msqg"))[-1])[1]["time"]
+        assert summary["start"] == list(select_start(t_end, 0.3, 0.5, 3.0, 4 * math.pi / 48).point)
+
 
 class TestImageRadiusOne:
     @pytest.mark.parametrize("which, estimate", [("far", "far_field"),

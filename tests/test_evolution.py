@@ -1,6 +1,9 @@
 """Time stepping: tendency correctness, conservation, halts, cadences."""
 
+import dataclasses
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,9 +11,9 @@ import pytest
 
 from msqglab import evolution
 from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, _Rk4Workspace, cfl_dt,
-                               nonlinear_term, run, step_rk4)
+                               nonlinear_term, read_run_dir, run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
-from msqglab.snapshots import read_snapshot
+from msqglab.snapshots import read_snapshot, write_snapshot
 from msqglab.spectral import (GridMax, SineField, Term, _max_abs, dealias_grid,
                               velocity_coefficients)
 
@@ -502,16 +505,12 @@ class TestRun:
         assert len(list(tmp_path.glob("snap_*.msqg"))) >= 2
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header == "time,hessian_sup,omega_max,l2_norm,degeneracy,dt"
-        import json
-
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["preserve_degeneracy"] is True
         assert meta["halt_reason"] == res.halt_reason
 
     def test_initial_data_warning_in_notes_and_metadata(self, tmp_path):
         # the default delta = 0.25 spans about 5 cells of Ng = 64
-        import json
-
         cfg = make_config(n_modes=32, n_grid=64, t_final=0.01, out_dir=str(tmp_path))
         with pytest.warns(UserWarning, match="under-resolved") as caught:
             res = run(cfg, InitialDataSpec(delta=0.25, n_modes=32, n_grid=64))
@@ -586,3 +585,44 @@ class TestRun:
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="truncation order"):
             run(make_config(n_modes=16, n_grid=32), SineField.zeros(8))
+
+
+class TestReadRunDir:
+    """read_run_dir gives back what run() wrote."""
+
+    DT = 2.0 ** -6      # a power of two: shorter runs end exactly at a snapshot's time
+
+    def run_to(self, steps, out_dir=None):
+        om = SineField.from_modes({(1, 1): 1.0, (2, 1): 0.3, (3, 2): -0.2}, 8)
+        cfg = make_config(n_modes=8, n_grid=16, dt_policy="fixed", dt=self.DT,
+                          t_final=steps * self.DT, diag_every=1, snapshot_every=2,
+                          out_dir=out_dir)
+        return cfg, run(cfg, om)
+
+    def test_round_trip(self, tmp_path):
+        cfg, res = self.run_to(5, str(tmp_path))
+        # a halted run's dump is no snapshot
+        write_snapshot(tmp_path / "state_dump.msqg", SineField.zeros(8), 16, 0.5, 1.0)
+        snaps, times, hess, config = read_run_dir(tmp_path)
+        # steps 0, 2, 4 and the final step 5, in step order
+        assert [t for t, _ in snaps] == [t for t, _ in res.snapshots] == [
+            0.0, 2 * self.DT, 4 * self.DT, 5 * self.DT]
+        for (_, omega), steps in zip(snaps, (0, 2, 4, 5)):
+            np.testing.assert_array_equal(omega.coeffs, self.run_to(steps)[1].state.omega.coeffs)
+        np.testing.assert_array_equal(times, [d.time for d in res.diagnostics])
+        np.testing.assert_array_equal(hess, [d.hessian_sup for d in res.diagnostics])
+        assert times.dtype == hess.dtype == np.float64
+        assert config == dataclasses.asdict(cfg)
+
+    def test_snapshots_alone(self, tmp_path):
+        # without diagnostics.csv and metadata.json: no records and no config
+        _, res = self.run_to(2, str(tmp_path))
+        (tmp_path / "diagnostics.csv").unlink()
+        (tmp_path / "metadata.json").unlink()
+        snaps, times, hess, config = read_run_dir(tmp_path)
+        assert [t for t, _ in snaps] == [t for t, _ in res.snapshots]
+        assert times.shape == hess.shape == (0,) and config == {}
+
+    def test_empty_directory(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(f"no snapshots found in {tmp_path}")):
+            read_run_dir(tmp_path)

@@ -78,7 +78,7 @@ class TestConstruction:
         assert vals.max() < 1 + 1e-4
 
     def test_measure_defect(self, omega_quarter):
-        frac = plateau_deficit_fraction(omega_quarter, 384)
+        frac = plateau_deficit_fraction(inverse_transform(omega_quarter, 384).values)
         assert frac <= 4 * np.pi * 0.25 / np.pi**2 + 0.02
 
     def test_degeneracy(self, omega_quarter):

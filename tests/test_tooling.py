@@ -6,12 +6,14 @@ routine through numpy, only the point evaluator takes np.sin or np.cos of
 a series' angles, only the transform layer and the time stepper call
 pocketfft's transforms, the time stepper allocates its arrays in its
 workspace only, the config objects and public entry points take the pinned
-options only, and no cache outlives a call but three that hold no field
-values."""
+options only, no cache outlives a call but three that hold no field
+values, one module names the run directory's files, and every package name
+the benchmark imports or wraps exists."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "msqglab"
+BENCH = PACKAGE.parents[1] / "bench"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
@@ -504,3 +507,61 @@ def test_cache_check_sees_decorators_globals_and_container_writes():
                      "    return x\ndef h(x):\n    y = {}\n    y[x] = 1\n    return y\n")
     assert sorted(_cached_functions("m", tree)) == ["m.f", "m.g"]
     assert sorted(_module_state_writes(tree)) == [("f", 7), ("g", 11), ("g", 12)]
+
+
+RUN_DIR_NAMES = ("snap_", "diagnostics.csv", "metadata.json")
+
+
+def _run_dir_literals(tree: ast.Module):
+    """(line, text) of every string constant but a docstring that names a
+    run-directory file."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings and any(n in node.value for n in RUN_DIR_NAMES)):
+            yield node.lineno, node.value
+
+
+def test_run_directory_named_in_one_place():
+    # run() writes the run directory and read_run_dir reads it back, both by
+    # evolution's names; no other module spells a file name of its own
+    found = {name: list(_run_dir_literals(_tree(name))) for name in MODULES}
+    assert [text for _, text in found.pop("evolution")] == [
+        "snap_{step:07d}.msqg", "diagnostics.csv", "metadata.json"]
+    assert not {name: sites for name, sites in found.items() if sites}, found
+
+
+def test_run_directory_check_skips_docstrings():
+    tree = ast.parse('"""metadata.json"""\ndef f():\n    "snap_*"\n    return "diagnostics.csv"\n'
+                     'x = f"{d}/metadata.json"\n')
+    assert list(_run_dir_literals(tree)) == [(4, "diagnostics.csv"), (5, "/metadata.json")]
+
+
+def test_benchmark_imports_exist():
+    # a name the workloads import and the package lost would stop every
+    # benchmark run at its import
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("msqglab")
+                for alias in node.names]
+    assert imported
+    missing = [f"{module}.{name}" for module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, f"bench/workloads.py imports names msqglab lacks: {missing}"
+
+
+def test_benchmark_layers_exist(monkeypatch):
+    # the tracer looks each layer up as owner.__dict__[attribute], so an
+    # inherited or deleted attribute would make a traced run raise KeyError
+    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)     # for its dataclasses
+    spec.loader.exec_module(layers)
+    targets = layers._targets()
+    assert targets
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, *_ in targets
+               if attr not in owner.__dict__]
+    assert not missing, f"bench/layers.py wraps attributes msqglab lacks: {missing}"
