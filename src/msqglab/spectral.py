@@ -25,9 +25,9 @@ N_g points maps to FFTs of length 2*N_g.  Derivatives flip the parity of
 the differentiated axis (sin -> cos for odd order), tracked by
 MixedParityField.  One routine, _eval_axis, evaluates a series of either
 parity along one axis: it zero-pads the halved modes into a buffer and runs
-the DST-I or DCT-I there in place, and _eval_grid makes one call along the
-first axis and one per block of grid rows along the second.
-MixedParityField.evaluate calls it in buffers it allocates.
+the DST-I or DCT-I there in place.  MixedParityField.evaluate makes one
+call along the first axis and one along the second, in arrays they
+allocate; GridMax makes the same calls in buffers it holds.
 
 A derivative is named one way, on the grid and off it: as a Term, an entry
 of a coefficient stack, its parity pair and the powers of the mode numbers
@@ -42,18 +42,40 @@ the trace sampler (the velocity of each stream function), the oracle's
 linearization (omega and its gradient) and transport_defect pass theirs.
 
 Every max|f| on the collocation grid is a GridMax call on the same stack
-and Terms: the largest |value| of any term, from _eval_grid in two buffers
+and Terms: the largest |value| of any term, from _eval_axis in two buffers
 that the GridMax holds, the first axis's output and a block of
 _GRID_MAX_ROWS grid rows, (n_grid+1)(N+128) doubles, 1.6 MB at N=256,
 n_grid=512 and 19 MB at N=1024, n_grid=2048.  A term's weights live in the
 first of them: its entry is weighted in the mode slot, rows 1..N, by mode
 numbers filled into rows N+1..2N, which n_grid >= 2N leaves free until the
-transform zeroes them, so no product takes a numpy iteration buffer.  The
-grid maxima are omega-max (grid_max_abs), hessian_sup_norm, the
-gradient_sup_norm of make-data and the time stepper's CFL speed; a caller
-that keeps a GridMax, as the time stepper does for its CFL speed and its
-diagnostics, allocates no grid-sized array per maximum, and the stepper's
-runs, between steps, in the scratch that its RK4 tendency uses during them.
+transform zeroes them, so no product takes a numpy iteration buffer.  A
+call skips every transform that cannot raise the maximum it has found,
+by two upper bounds.  A term's values are bounded by the l1 norm of its
+weighted coefficients, sum m^p1 n^p2 |a_mn|; the terms are visited in
+descending order of it, with the maximum carried from term to term, and
+a term whose bound times 1 + _BOUND_MARGIN (1e-9) is at most that
+maximum runs no transform.  After a term's first-axis transform, grid
+row i is bounded by the l1 norm of its row modes; the rows are ranked in
+runs of _GRID_MAX_RUN (32), and only the runs whose bound, with the same
+margin, could beat the maximum are transformed along the second axis,
+highest first.  The margin lies far above the relative rounding of the
+l1 sums and of a length-2 N_g type-I transform, about 1e-13, so a skipped
+transform could not have raised the maximum: the result is the float of
+the exhaustive maximum, bit for bit, as a maximum does not depend on the
+order it is taken in.  A bound that is NaN, infinite or above
+_BOUND_CEILING rules nothing out, so a NaN or an overflow comes out as
+it did without the bounds.  On the plateau at N=256, n_grid=512 (one
+thread, 2-core x86-64, numpy 2.4.6), a HESSIAN_TERMS call fell from 7.8 to
+2.6 ms (the mixed entry's bound lies below the pure entries' maximum,
+and 4 % of the second-axis rows are transformed), a call on the stream
+function's VELOCITY_TERMS from 5.2 to 3.9 ms and a GRADIENT_TERMS call from
+5.2 to 2.8 ms, while omega-max, whose plateau holds its maximum in most
+rows, rose from 2.6 to 2.9 ms, the bounds' cost.  The grid maxima are
+omega-max (grid_max_abs), hessian_sup_norm, the gradient_sup_norm of
+make-data and the time stepper's CFL speed; a caller that keeps a
+GridMax, as the time stepper does for its CFL speed and its diagnostics,
+allocates no grid-sized array per maximum, and the stepper's runs,
+between steps, in the scratch that its RK4 tendency uses during them.
 Only that tendency, on the midpoint grid below, still forms derivative
 coefficient arrays, because its transforms run on them in place.
 
@@ -267,8 +289,9 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
     there in place.  buf, shaped like coeffs but at least n_grid (sine) or
     n_grid + 1 (cosine) long along `axis`, is allocated when None; the
     result is a view of it.  With halved, coeffs holds the halved modes
-    already and is copied as it is (see _eval_grid); it may be the mode
-    slot of buf itself, as GridMax passes it, which np.copyto leaves in place.
+    already and is copied as it is, as GridMax's rows are halved in place;
+    it may be the mode slot of buf itself, as GridMax passes it, which
+    np.copyto leaves in place.
     """
     transform, first, extra = _TYPE1[parity]
     n = coeffs.shape[axis]
@@ -290,32 +313,6 @@ def _eval_axis(coeffs: np.ndarray, parity: str, n_grid: int, axis: int,
     transform(view, 1, (axis,), inorm=0, out=view,
               nthreads=get_workers() if workers is None else workers)
     return buf[at(slice(0, n_grid))]
-
-
-def _eval_grid(coeffs: np.ndarray, parity: tuple, n_grid: int, first: np.ndarray | None = None,
-               block: np.ndarray | None = None, workers: int | None = None,
-               halved: bool = False):
-    """A mixed sin/cos series on the n_grid x n_grid collocation grid, in
-    blocks of grid rows.
-
-    _eval_axis along the first axis, in first, then along the second for
-    each block of len(block) rows, in block; the blocks are yielded in
-    order, each a view of block.  With block None the grid is one block, in
-    an array _eval_axis allocates (first too is allocated when None).  Each
-    row's transform is the same arithmetic in a block as in the whole grid.
-    halved goes to the first axis's _eval_axis: GridMax passes the mode slot
-    of first itself, which holds the halved modes, and nothing is copied.
-    The first axis's output is halved in place for the second: along the
-    last axis the modes' slot is strided, and a ufunc writing there takes
-    numpy iteration buffers, where one on the contiguous output takes none.
-    """
-    rows = _eval_axis(coeffs, parity[0], n_grid, -2, first, workers, halved)
-    rows *= 0.5
-    size = n_grid if block is None else len(block)
-    for r in range(0, n_grid, size):
-        part = rows[r:r + size]
-        buf = None if block is None else block[:len(part)]
-        yield _eval_axis(part, parity[1], n_grid, -1, buf, workers, halved=True)
 
 
 def _midpoint_slot(buf: np.ndarray, parity: str, n_modes: int, axis: int) -> np.ndarray:
@@ -445,9 +442,10 @@ class MixedParityField:
         object.__setattr__(self, "parity", tuple(self.parity))
 
     def evaluate(self, n_grid: int) -> GridField:
-        """Evaluate on the N_g x N_g collocation grid."""
-        (grid,) = _eval_grid(self.coeffs, self.parity, n_grid)
-        return GridField(grid)
+        """Evaluate on the N_g x N_g collocation grid: _eval_axis along the
+        first axis, then along the second, each in an array it allocates."""
+        rows = _eval_axis(self.coeffs, self.parity[0], n_grid, -2)
+        return GridField(_eval_axis(rows, self.parity[1], n_grid, -1))
 
     def evaluate_at(self, points: np.ndarray) -> np.ndarray:
         """evaluate_points at points (..., 2) on a stack of one: a float for a
@@ -665,8 +663,32 @@ def evaluate_offgrid(field: SineField, x) -> np.ndarray:
     return MixedParityField(field.coeffs, ("sin", "sin")).evaluate_at(x)
 
 
-# Grid rows per block of GridMax's second-axis transform
+# Grid rows per block of GridMax's second-axis transform, and per run of
+# rows that its row bounds rank
 _GRID_MAX_ROWS = 128
+_GRID_MAX_RUN = 32
+# A bound rules out a term or a run of rows only if the bound times
+# 1 + _BOUND_MARGIN is at most the maximum found so far and at most
+# _BOUND_CEILING.  The margin lies far above the relative rounding of an l1
+# sum and of a type-I transform, about 1e-13; the ceiling leaves 2^24 of
+# headroom, so no bound it admits can overflow in a transform's partial sums.
+_BOUND_MARGIN = 1e-9
+_BOUND_CEILING = 2.0 ** 1000
+
+
+@lru_cache(maxsize=None)
+def _mode_power(n_modes: int, power: int) -> np.ndarray:
+    """m^power for m = 1..n_modes, read-only: a weight of GridMax's term bounds."""
+    weights = np.arange(1.0, n_modes + 1) ** power
+    weights.flags.writeable = False
+    return weights
+
+
+def _ruled_out(limit: float, best) -> bool:
+    """Whether limit, a bound times 1 + _BOUND_MARGIN, shows that nothing it
+    bounds exceeds best: never for a NaN, an infinite limit or one above
+    _BOUND_CEILING."""
+    return limit <= best and limit <= _BOUND_CEILING
 
 
 class GridMax:
@@ -674,27 +696,53 @@ class GridMax:
 
     A call takes what evaluate_points takes, a coefficient stack (S, N, N)
     and a sequence of Terms, and returns the largest |value| of any term at
-    any grid point, NaN if any value is NaN.  Each term is its entry's
-    _max_abs of MixedParityField.evaluate's grid of the weighted
-    coefficients, bit for bit.  The weighting runs in the first-axis
-    buffer, (n_grid+1, N): the entry is copied into its mode slot, rows
-    1..N, and multiplied there by m^p1 and then n^p2, each filled by
-    _mode_numbers into rows N+1..2N, then halved; n_grid >= 2N leaves those
-    rows free until the transform zeroes them.  So every operand has the
-    slot's shape, and no product takes a numpy iteration buffer or any
-    array but the buffer.  The second-axis transform runs in blocks of
-    _GRID_MAX_ROWS grid rows in a (min(_GRID_MAX_ROWS, n_grid), n_grid+1)
-    buffer; each row's transform is the same arithmetic in a block as in
-    the whole grid, and the maximum is that of the blocks' maxima.  Both
-    buffers fit every parity pair, so one instance serves a whole run, and
-    a call allocates no grid-sized array and takes no iteration buffer, as
-    the first axis's output is halved in place and each block's maximum
-    runs over its whole contiguous buffer.  The two buffers are views of
-    scratch, a flat float64 array of at least scratch_size(N, n_grid) =
-    (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid)) entries, allocated when
-    None: 1.6 MB at N=256, n_grid=512.  A call writes every entry it reads,
-    so the scratch may serve other work between calls, as the time
-    stepper's does.
+    any grid point, NaN if any value is NaN: the _max_abs of
+    MixedParityField.evaluate's grids of the weighted coefficients, bit for
+    bit.  The weighting runs in the first-axis buffer, (n_grid+1, N): the
+    entry is copied into its mode slot, rows 1..N, and multiplied there by
+    m^p1 and then n^p2, each filled by _mode_numbers into rows N+1..2N, then
+    halved; n_grid >= 2N leaves those rows free until the transform zeroes
+    them.  So every operand has the slot's shape, and no product takes a
+    numpy iteration buffer or any array but the buffer.  The second-axis
+    transform runs on up to _GRID_MAX_ROWS grid rows at a time in a
+    (min(_GRID_MAX_ROWS, n_grid), n_grid+1) buffer; each row's transform is
+    the same arithmetic in a block as in the whole grid.  Both buffers fit
+    every parity pair, so one instance serves a whole run.
+
+    A call transforms only what could raise the maximum found so far:
+    - per term, |f| <= sum m^p1 n^p2 |a_mn|, the l1 norm of the weighted
+      coefficients, from |a| formed in rows N+1..2N and two products with
+      the mode numbers.  The terms are visited in descending order of this
+      bound, the maximum carried across them, and a term whose bound
+      _ruled_out runs no transform;
+    - per row, after a term's first-axis transform, grid row i is bounded
+      by twice the l1 norm of its halved row modes, formed by chunks in the
+      second-axis buffer into an n_grid array the GridMax holds.  The rows
+      go in runs of _GRID_MAX_RUN, each bounded by its largest row bound,
+      and the runs are visited from the highest bound down: the first one
+      alone, then each with the contiguous runs beside it that its bound
+      does not rule out either, as far as the buffer holds.  A run whose
+      bound is ruled out by then is not transformed.
+    A bound is ruled out when, times 1 + _BOUND_MARGIN (1e-9), it is at most
+    the running maximum.  The margin lies far above the relative rounding of
+    an l1 sum and of a length-2 n_grid type-I transform, about 1e-13, so a
+    skipped transform could not have raised the maximum, and a maximum does
+    not depend on the order it is taken in: the result is the exhaustive
+    one's float.  A bound that is NaN, infinite or above _BOUND_CEILING is
+    never ruled out, so a NaN and an overflow come out as they would
+    without the bounds.  Measured on the plateau at N=256, n_grid=512, one
+    thread: HESSIAN_TERMS 7.8 -> 2.6 ms a call, VELOCITY_TERMS on the
+    stream function 5.2 -> 3.9 ms, GRADIENT_TERMS 5.2 -> 2.8 ms and
+    VALUE_TERMS 2.6 -> 2.9 ms, where most rows hold the maximum and the
+    bounds cost about 0.3 ms.  A call allocates no grid-sized array and
+    takes no iteration buffer, as the first axis's output is halved in place
+    and each block's maximum runs over its whole contiguous buffer.
+
+    The two buffers are views of scratch, a flat float64 array of at least
+    scratch_size(N, n_grid) = (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid))
+    entries, allocated when None: 1.6 MB at N=256, n_grid=512.  A call
+    writes every entry it reads, so the scratch may serve other work
+    between calls, as the time stepper's does.
     """
 
     def __init__(self, n_modes: int, n_grid: int, scratch: np.ndarray | None = None):
@@ -707,35 +755,88 @@ class GridMax:
             scratch = np.empty(size)
         self._first = scratch[:first].reshape(n_grid + 1, n_modes)
         self._grid = scratch[first:size].reshape(-1, n_grid + 1)
+        self._row_bounds = np.empty(n_grid)
 
     @staticmethod
     def scratch_size(n_modes: int, n_grid: int) -> int:
         return (n_grid + 1) * (n_modes + min(_GRID_MAX_ROWS, n_grid))
 
     def __call__(self, coeffs: np.ndarray, terms) -> float:
-        g, n = self.n_grid, coeffs.shape[-1]
+        n = coeffs.shape[-1]
         # the mode slot of the first-axis buffer and the N rows past it,
         # which hold the weights until the transform zeroes them
         modes, weights = self._first[1:n + 1], self._first[n + 1:2 * n + 1]
-        best = 0.0
+        terms, limits = list(terms), []
         for entry, parity, powers in terms:
             if tuple(parity) not in _PARITIES:
                 raise ValueError(f"invalid parity pair {parity}")
+            np.abs(coeffs[entry], out=weights)
+            bound = _mode_power(n, powers[0]) @ weights @ _mode_power(n, powers[1])
+            limits.append(float(bound) * (1.0 + _BOUND_MARGIN))
+        best = 0.0
+        # sorted, not np.argsort, which allocates about 6 KiB even for a few entries
+        for k in sorted(range(len(terms)), key=limits.__getitem__, reverse=True):
+            if _ruled_out(limits[k], best):
+                continue
+            entry, parity, powers = terms[k]
             np.copyto(modes, coeffs[entry])
             for axis, power in enumerate(powers):
                 if power:
                     modes *= np.power(_mode_numbers(n, axis, weights), power, out=weights)
             modes *= 0.5
-            for rows in _eval_grid(modes, parity, g, self._first, self._grid, self._workers,
-                                   halved=True):
-                # over the rows' whole contiguous buffer, which numpy reduces
-                # without an iteration buffer: a zero in the column past the
-                # grid leaves max(max, -min), which is never negative, as it is
-                buf = self._grid[:len(rows)]
-                buf[:, g] = 0.0
-                # np.maximum, unlike the builtin, keeps a NaN of any block
-                best = np.maximum(best, _max_abs(buf))
+            # the mode slot holds the halved modes already, and nothing is copied
+            rows = _eval_axis(modes, parity[0], self.n_grid, -2, self._first, self._workers,
+                              halved=True)
+            # halved in place for the second axis: along the last axis the
+            # modes' slot is strided, and a ufunc writing there takes numpy
+            # iteration buffers, where one on the contiguous output takes none
+            rows *= 0.5
+            best = self._rows_max(rows, parity[1], best)
         return float(best)
+
+    def _rows_max(self, rows: np.ndarray, parity: str, best) -> float:
+        """The larger of best and every |value| of the halved grid rows,
+        transformed along the second axis in the parity, that could exceed it."""
+        g, n = rows.shape
+        flat, bounds = self._grid.reshape(-1), self._row_bounds
+        # each row's l1 norm, from |rows| formed in the second-axis buffer by chunks
+        step = len(flat) // n
+        for r in range(0, g, step):
+            part = rows[r:r + step]
+            np.abs(part, out=flat[:part.size].reshape(part.shape)).sum(axis=1,
+                                                                       out=bounds[r:r + len(part)])
+        run = min(_GRID_MAX_RUN, len(self._grid))
+        per_block = len(self._grid) // run
+        limits = (np.maximum.reduceat(bounds, np.arange(0, g, run))
+                  * (2.0 * (1.0 + _BOUND_MARGIN))).tolist()
+        done = [False] * len(limits)
+
+        def wanted(k):
+            # against best as it stands when asked
+            return 0 <= k < len(limits) and not done[k] and not _ruled_out(limits[k], best)
+
+        # the run of the highest bound goes alone, so that its maximum rules
+        # out what it can before any run is taken along with another
+        order = sorted(range(len(limits)), key=limits.__getitem__, reverse=True)
+        for k in order:
+            if not wanted(k):
+                continue
+            lo, hi = k, k + 1
+            while k != order[0] and hi - lo < per_block and wanted(hi):
+                hi += 1
+            while k != order[0] and hi - lo < per_block and wanted(lo - 1):
+                lo -= 1
+            done[lo:hi] = [True] * (hi - lo)
+            part = rows[lo * run:hi * run]
+            buf = self._grid[:len(part)]
+            _eval_axis(part, parity, g, -1, buf, self._workers, halved=True)
+            # over the rows' whole contiguous buffer, which numpy reduces
+            # without an iteration buffer: a zero in the column past the
+            # grid leaves max(max, -min), which is never negative, as it is
+            buf[:, g] = 0.0
+            # np.maximum, unlike the builtin, keeps a NaN of any block
+            best = np.maximum(best, _max_abs(buf))
+        return best
 
 
 def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = None) -> float:
@@ -745,7 +846,15 @@ def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = N
     converges as n_grid grows.  One call of grid_max, a GridMax on n_grid,
     on HESSIAN_TERMS; one is built when none is given.  The call takes no
     array but the GridMax's scratch, which it writes the weighted
-    coefficients into.
+    coefficients into.  The GridMax visits the three entries in descending
+    order of their l1 bounds sum m^p1 n^p2 |a_mn|, skips an entry whose
+    bound times 1 + 1e-9 is at most the maximum found so far, and
+    transforms along the second axis only the runs of 32 grid rows whose
+    row bounds could beat it; a NaN or infinite bound is never skipped,
+    and the result is the exhaustive maximum bit for bit (GridMax).  On the
+    plateau at N=256, n_grid=512 the mixed entry d12 runs no transform, 4 %
+    of the rows are transformed, and a call fell from 7.8 to 2.6 ms on one
+    thread.
     """
     if grid_max is None:
         grid_max = GridMax(omega.n_modes, n_grid)

@@ -81,7 +81,8 @@ class VelocitySampler:
     d2 psi and d1 psi at both bracketing snapshots in one evaluate_points
     call on their 2 entries, each read once for both terms, then blends
     them linearly in time and takes u1 = -d2 psi and u2 = d1 psi.  The
-    bracket lookup and the blend are arithmetic on Python floats.  Outside
+    bracket lookup and the blend are arithmetic on Python floats, the
+    bracket looked up in a list of the times built once.  Outside
     the snapshot times the nearest snapshot is used, and the call takes
     its entry alone.  Snapshot times must be finite and the fields of one
     mode count; a NaN t is rejected.
@@ -98,6 +99,7 @@ class VelocitySampler:
         if len(sizes) > 1:
             raise ValueError(f"snapshots must share one mode count N, got N = {sizes}")
         self.times = np.asarray(times, dtype=np.float64)
+        self._times = self.times.tolist()
         self.alpha = alpha
         self.n_modes = fields[0].n_modes
         symbol = _laplacian_power(self.n_modes, alpha)
@@ -109,7 +111,7 @@ class VelocitySampler:
         t = float(t)
         if t != t:
             raise ValueError("sampler time t is NaN")
-        ts = self.times.tolist()
+        ts = self._times
         if t <= ts[0] or t >= ts[-1]:
             k = 0 if t <= ts[0] else len(ts) - 1
             d2, d1 = evaluate_points(self._psi[k:k + 1], VELOCITY_TERMS, x).tolist()

@@ -506,7 +506,8 @@ class TestRun:
         header = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert header == "time,hessian_sup,omega_max,l2_norm,degeneracy,dt"
         meta = json.loads((tmp_path / "metadata.json").read_text())
-        assert meta["preserve_degeneracy"] is True
+        assert meta["config"]["preserve_degeneracy"] is True
+        assert "preserve_degeneracy" not in meta
         assert meta["halt_reason"] == res.halt_reason
 
     def test_initial_data_warning_in_notes_and_metadata(self, tmp_path):

@@ -1,6 +1,7 @@
 """Sine-basis transforms, derivatives, velocity law, and norms."""
 
 import importlib.machinery
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,8 @@ from scipy.fft._pocketfft import pypocketfft
 from msqglab import spectral
 from msqglab.spectral import (
     _eval_axis, _eval_midpoint_axis, _max_abs, _midpoint_slot,
-    VELOCITY_TERMS, GridField, GridMax, MixedParityField, SineField, Term, evaluate_midpoints,
-    evaluate_offgrid,
+    GRADIENT_TERMS, HESSIAN_TERMS, VALUE_TERMS, VELOCITY_TERMS, GridField, GridMax,
+    MixedParityField, SineField, Term, evaluate_midpoints, evaluate_offgrid,
     evaluate_points, dealias_grid, environment, forward_transform, fractional_inverse_laplacian,
     get_workers, grid_coordinates, grid_max_abs, hessian_sup_norm, inverse_transform, l2_norm,
     spectral_derivative, velocity_coefficients)
@@ -328,24 +329,157 @@ class TestGridMax:
 
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_nan_in_any_block_gives_nan(self, block, monkeypatch):
-        # a NaN in the first, the middle or the last of three blocks of
-        # rows, for every power
+        # a NaN in the first-axis rows of the first, the middle or the last
+        # of three blocks of rows, where a NaN coefficient arrives, for
+        # every power: a NaN row bound rules nothing out
         monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", 8)
         grid_max = GridMax(4, 24)
-        real, blocks = spectral._eval_axis, []
+        real = spectral._eval_axis
 
         def poisoned(coeffs, parity, n_grid, axis, *args, **kwargs):
             out = real(coeffs, parity, n_grid, axis, *args, **kwargs)
-            if axis == -1:              # the second axis, one call per block
-                if len(blocks) % 3 == block:
-                    out[3, 5] = np.nan
-                blocks.append(out.shape)
+            if axis == -2:              # the first axis, one call per term
+                out[8 * block + 3, 2] = np.nan
             return out
 
         monkeypatch.setattr(spectral, "_eval_axis", poisoned)
         for powers in self.POWERS:
             assert math.isnan(grid_max(np.ones((1, 4, 4)), [Term(0, ("sin", "sin"), powers)]))
-        assert blocks == [(8, 24)] * 3 * len(self.POWERS)
+
+    @staticmethod
+    def decaying_stack(n_modes, seed):
+        # two entries whose spectra fall off at different rates, so that the
+        # bounds rule terms and rows out
+        rng = np.random.default_rng(seed)
+        m = np.arange(1.0, n_modes + 1)
+        decay = np.stack([1.0 / np.multiply.outer(m, m) ** 2, 0.7 / np.multiply.outer(m, m) ** 1.5])
+        return rng.normal(size=(2, n_modes, n_modes)) * decay
+
+    def exhaustive(self, stack, terms, n_grid):
+        # np.max, unlike the builtin, keeps a NaN wherever it comes
+        return float(np.max([self.reference(stack[t.entry], t.parity, t.powers, n_grid)
+                             for t in terms], initial=0.0))
+
+    @pytest.mark.parametrize("n_grid", [27, 64, 160])
+    @pytest.mark.parametrize("rows", [1, 7, 128, 160])
+    def test_pruned_maxima_are_the_exhaustive_ones(self, n_grid, rows, monkeypatch):
+        # every parity and power alone, then with a term on the other entry
+        # in both orders, then three terms in every order: the exhaustive
+        # maximum, bit for bit
+        monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", rows)
+        n_modes = n_grid // 3
+        stack = self.decaying_stack(n_modes, n_grid + rows)
+        grid_max = GridMax(n_modes, n_grid)
+        kinds = [(parity, powers) for parity in self.ORDER[:4] for powers in self.POWERS]
+        for k, kind in enumerate(kinds):
+            term, other = Term(0, *kind), Term(1, *kinds[(5 * k + 3) % len(kinds)])
+            assert grid_max(stack, [term]) == self.exhaustive(stack, [term], n_grid)
+            want = self.exhaustive(stack, [term, other], n_grid)
+            assert grid_max(stack, [term, other]) == want
+            assert grid_max(stack[::-1].copy(), [other._replace(entry=0), term._replace(entry=1)]
+                            ) == want
+        three = [Term(0, *kinds[3]), Term(0, *kinds[10]), Term(0, *kinds[17])]
+        want = self.exhaustive(stack, three, n_grid)
+        for order in itertools.permutations(three):
+            assert grid_max(stack, list(order)) == want
+
+    @pytest.fixture(scope="class")
+    def plateau(self):
+        # the delta=0.35 plateau at N=64, Ng=128 and its state after a short
+        # run: omega and the stream function whose velocity the CFL step takes
+        from msqglab.evolution import ExperimentConfig, run
+        from msqglab.initial_data import InitialDataSpec, build_omega0
+
+        omega0 = build_omega0(InitialDataSpec(delta=0.35, n_modes=64, n_grid=128))
+        later = run(ExperimentConfig(alpha=0.5, n_modes=64, n_grid=128, t_final=0.02,
+                                     delta=0.35), omega0).state.omega
+        symbol = spectral._laplacian_power(64, 0.5)
+        return [np.stack([om.coeffs, om.coeffs / symbol]) for om in (omega0, later)]
+
+    @pytest.mark.parametrize("rows", [7, 128])
+    def test_plateau_maxima_are_the_exhaustive_ones(self, plateau, rows, monkeypatch):
+        monkeypatch.setattr(spectral, "_GRID_MAX_ROWS", rows)
+        grid_max = GridMax(64, 128)
+        for stack in plateau:
+            for terms in (VALUE_TERMS, GRADIENT_TERMS, HESSIAN_TERMS):
+                assert grid_max(stack, terms) == self.exhaustive(stack, terms, 128)
+            velocity = [t._replace(entry=1) for t in VELOCITY_TERMS]
+            assert grid_max(stack, velocity) == self.exhaustive(stack, velocity, 128)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The shapes of every _eval_axis call, by axis."""
+        real, calls = spectral._eval_axis, {-2: [], -1: []}
+
+        def counted(coeffs, parity, n_grid, axis, *args, **kwargs):
+            calls[axis].append(coeffs.shape)
+            return real(coeffs, parity, n_grid, axis, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_eval_axis", counted)
+        return calls
+
+    def test_plateau_hessian_transforms_a_quarter_of_its_rows(self, plateau, monkeypatch):
+        # of the 3 Ng second-axis rows that the three Hessian entries hold,
+        # at most a quarter are transformed, at the start and after the run
+        # (32 of 384 measured: d12's bound is below d11's maximum, and one
+        # run of 32 rows holds every row bound of d11 and d22 above it)
+        grid_max = GridMax(64, 128)
+        for stack in plateau:
+            want = self.exhaustive(stack, HESSIAN_TERMS, 128)
+            calls = self.spy(monkeypatch)
+            assert grid_max(stack, HESSIAN_TERMS) == want
+            assert sum(shape[0] for shape in calls[-1]) <= 3 * 128 // 4
+
+    def test_term_bounded_by_the_running_maximum_makes_no_transform(self, monkeypatch):
+        # entry 1's bound, 1, is below entry 0's maximum, 2 at x = (pi/2, pi/2),
+        # in whichever order the terms come
+        stack = np.zeros((2, 4, 4))
+        stack[0, 0, 0], stack[1, 0, 0] = 2.0, 1.0
+        grid_max = GridMax(4, 8)
+        for terms in ([Term(0, ("sin", "sin")), Term(1, ("sin", "sin"))],
+                      [Term(1, ("sin", "sin")), Term(0, ("sin", "sin"))]):
+            calls = self.spy(monkeypatch)
+            assert grid_max(stack, terms) == 2.0
+            assert calls[-2] == [(4, 4)]
+
+    def test_bound_just_above_the_maximum_is_not_ruled_out(self):
+        # entry 1 holds one mode whose bound is its grid maximum, 1e-7 above
+        # entry 0's maximum but below entry 0's bound, so entry 0 goes first
+        # and entry 1 must still be transformed: a margin short by 1e-7 fails
+        stack = np.zeros((2, 4, 4))
+        stack[0, 0, 0], stack[0, 1, 0] = 1.0, 0.5
+        first = self.reference(stack[0], ("sin", "sin"), (0, 0), 16)
+        stack[1, 0, 0] = first * (1.0 + 1e-7)
+        terms = [Term(0, ("sin", "sin")), Term(1, ("sin", "sin"))]
+        want = self.exhaustive(stack, terms, 16)
+        assert want > first and GridMax(4, 16)(stack, terms) == want
+
+    def test_rule_out_only_finite_bounds_below_the_ceiling(self):
+        # a bound at most the maximum rules out; NaN, inf and any bound above
+        # the ceiling do not, whatever the maximum, inf and NaN included
+        ceiling = spectral._BOUND_CEILING
+        assert spectral._ruled_out(2.0, 2.0) and spectral._ruled_out(ceiling, math.inf)
+        assert not spectral._ruled_out(2.0, 1.5)
+        for limit in (math.nan, math.inf, 2.0 * ceiling):
+            for best in (0.0, 1e308, math.inf, math.nan):
+                assert not spectral._ruled_out(limit, best)
+        assert not spectral._ruled_out(1.0, math.nan)
+
+    def test_overflowing_bound_rules_nothing_out(self):
+        # coefficients of about 1e306 whose l1 bounds overflow to inf, alone
+        # and beside a finite entry in both orders: the exhaustive maximum
+        rng = np.random.default_rng(21)
+        big = 1e306 * rng.choice([-1.0, 1.0], size=(16, 16))
+        small = self.decaying_stack(16, 21)[0]
+        grid_max = GridMax(16, 32)
+        for stack in (np.stack([big, small]), np.stack([small, big])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isinf(np.abs(stack).sum(axis=(1, 2))).any()
+                for parity in self.ORDER[:4]:
+                    for powers in self.POWERS:
+                        terms = [Term(0, parity, powers), Term(1, parity, powers)]
+                        got, want = grid_max(stack, terms), self.exhaustive(stack, terms, 32)
+                        assert got == want or (math.isnan(got) and math.isnan(want))
 
     def test_one_off_scratch_is_one_block_of_rows(self):
         # (Ng+1)(N+128) doubles at N=256, Ng=512, 1.58 MB; the whole

@@ -458,7 +458,8 @@ def test_allocation_check_sees_scopes_and_none_guards():
 # values.  A benchmark repeats identical passes in one process, so a cache
 # of anything computed from a field would show a gain that no single run of
 # the program gets
-MODULE_CACHES = {"spectral._scipy_version", "spectral._term_layout", "spectral._laplacian_power"}
+MODULE_CACHES = {"spectral._scipy_version", "spectral._term_layout", "spectral._laplacian_power",
+                 "spectral._mode_power"}
 CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
 MUTATORS = {"append", "add", "update", "setdefault", "extend", "insert", "__setitem__"}
 
