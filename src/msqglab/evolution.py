@@ -1,34 +1,25 @@
 """Pseudo-spectral time integration of the active-scalar transport law.
 
 d_t omega + (u . grad) omega = 0 with u = grad^perp (-Lap)^(-1+alpha) omega,
-advanced by classical RK4 on the sine coefficients.  The nonlinear term is
-formed pointwise on a staggered grid, the M = dealias_grid(N) midpoints
-pi*(j+1/2)/M per axis, and projected back onto the N x N band: DST-III/
-DCT-III evaluate velocity and gradient there, a DST-II projects the
-product.  Sine mode k aliases to 2M - k on that grid, so with M > 3N/2 (the
-3/2 rule) the retained band is alias-free and equal to the tendency on any
-finer grid.  The configured n_grid (>= 2N) is the diagnostic grid: the CFL
-step, the grid maxima in diagnostics.csv and the snapshot headers use it.
-The odd-odd symmetry class is exact by representation.
+advanced by classical RK4 on the sine coefficients.  The tendency is
+spectral.Tendency on the M = dealias_grid(N) midpoints per axis, where the
+retained band is alias-free (the 3/2 rule).  The configured n_grid (>= 2N)
+is the diagnostic grid: the CFL step, the grid maxima in diagnostics.csv
+and the snapshot headers use it.  The odd-odd symmetry class is exact by
+representation.
 
 A step runs in an _Rk4Workspace, which holds the Laplacian symbol, the
-current stage tendency, the stage input and one flat scratch: the tendency
-evaluator's three M x M grids live there during a step, and run()'s GridMax
+current stage tendency, the stage input and one flat scratch: the
+Tendency's three M x M grids live there during a step, and run()'s GridMax
 buffers between steps.  The step sums its four stage tendencies into one
 fresh array, which becomes the new coefficients, so a step allocates no
 other grid-sized array.  run() builds one workspace and holds it for the
 whole run.  Between steps it divides omega by the symbol into the stage
 array, and takes the CFL speed from one call of the workspace's GridMax on
 that psi with VELOCITY_TERMS; each diagnostic record takes omega-max and
-hessian_sup_norm from the same GridMax on omega's own coefficients.  The
-GridMax weights the coefficients by the terms' mode numbers in its own
-buffers, so no velocity or Hessian coefficients are staged, and it
-transforms the grid in blocks of min(128, Ng) rows.  These maxima are
-pruned: the GridMax skips each term and each run of grid rows whose l1
-bound shows it cannot beat the maximum found so far, and returns the
-exhaustive maximum bit for bit.  At N=256, Ng=512 on the plateau, the CFL
-speed costs 3.9 ms and a record's Hessian maximum 2.6 ms, where every row
-of every term cost 5.2 and 7.8 ms (one thread).  The workspace holds
+hessian_sup_norm from the same GridMax on omega's own coefficients, which
+skips the terms and grid rows that cannot hold the maximum (GridMax).  The
+workspace holds
 
     8 * (max(3 M^2, (Ng+1)(N + min(128, Ng))) + 3 N^2 + Ng) bytes,
 
@@ -65,13 +56,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .initial_data import (InitialDataSpec, _project_degeneracy, build_omega0, check_degeneracy,
-                           recorded_warnings)
+from .initial_data import InitialDataSpec, build_omega0, check_degeneracy, recorded_warnings
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import (VALUE_TERMS, VELOCITY_TERMS, GridMax, SineField, _check_finite,
-                       _eval_midpoint_axis, _laplacian_power, _midpoint_slot, _mode_numbers,
-                       _pocketfft, _velocity_into, dealias_grid, environment, get_workers,
-                       hessian_sup_norm, l2_norm)
+from .spectral import (VALUE_TERMS, VELOCITY_TERMS, GridMax, SineField, Tendency, dealias_grid,
+                       environment, hessian_sup_norm, l2_norm)
 from .trajectories import growth_fit
 
 __all__ = ["ExperimentConfig", "SimState", "DiagnosticsRecord", "RunResult",
@@ -119,10 +107,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown dt policy {self.dt_policy!r}")
         if self.dt_policy == "cfl" and not 0.0 < self.cfl_safety <= 0.5:
             raise ValueError(f"cfl safety must be in (0, 0.5], got {self.cfl_safety}")
-        if self.dt_policy == "fixed" and self.dt <= 0:
-            raise ValueError("fixed policy requires dt > 0")
-        if self.t_final < 0:
-            raise ValueError("t_final must be >= 0")
+        # written so that a NaN fails them too
+        if self.dt_policy == "fixed" and not 0.0 < self.dt < np.inf:
+            raise ValueError(f"fixed policy requires a finite dt > 0, got {self.dt}")
+        if not 0.0 <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.diag_every < 1 or self.snapshot_every < 1:
             raise ValueError("cadences must be >= 1")
 
@@ -174,119 +163,11 @@ class RunResult:
     notes: list = field(default_factory=list)
 
 
-class _Rhs:
-    """Tendency evaluator bound to (alpha, N, n_grid), with its own workspace.
-
-    n_grid is the number M of midpoints pi*(j+1/2)/M per axis on which the
-    pointwise product u . grad omega is formed; above 3N/2 the truncated
-    product is alias-free (step_rk4 uses dealias_grid(N)).  Velocity and
-    gradient are evaluated there by type-III transforms, and the product is
-    projected by a type-II DST, along the last axis for all M rows and then
-    along the first axis for the N kept columns only.  The unnormalised
-    transforms double every mode on each axis; those four factors 2 and the
-    1/M per axis of the projection meet in one final division by -16 M^2.
-
-    Every grid of a call lives in three M x M grids, views of scratch, a
-    flat float64 array of at least scratch_size(M) = 3 M^2 entries (3.84 MB
-    at N=256, 61 MB at N=1024), allocated when None.  Each transform runs
-    in place there.  [u1, d2 omega] are evaluated as one stack in the first
-    two grids and u2 alone in the third, which then takes u2 * d2 omega;
-    d1 omega goes into the second grid, freed by that product, and the
-    third adds d1 omega * u1 and is projected.  The coefficients are
-    copied into the mode slots of the first axis, whose output lands in
-    the mode slots of the second.  The one finiteness test is on the
-    advection product, where the transforms carry a NaN or an infinity
-    among the coefficients to every node (and a SineField checks its own
-    coefficients, so run() steps finite ones); it writes into a bool mask
-    laid over the second grid.  The products with the mode
-    numbers are formed before that copy in C-contiguous N x N arrays: out,
-    and the first N^2 entries of a grid while it is free, which also take
-    the _mode_numbers operand.  So no ufunc of a call takes a numpy
-    iteration buffer, a call allocates no grid-sized array, and with out=
-    not the tendency either; out must not share memory with coeffs.  A
-    call writes every entry of the grids it reads, so nothing passes from
-    one call to the next, and the scratch may serve other work between
-    calls; an _Rk4Workspace lends it to run()'s GridMax.
-
-    With preserve_degeneracy, each tendency is projected onto the subspace
-    where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
-    column).  The continuous transport law conserves that degeneracy
-    exactly; band truncation of the product breaks it, and since RK4
-    preserves linear invariants of the tendency, projecting the tendency
-    restores the conservation law to rounding.
-    """
-
-    def __init__(self, alpha: float, n_modes: int, n_grid: int,
-                 preserve_degeneracy: bool = False, scratch: np.ndarray | None = None):
-        self.n_modes = n_modes
-        self.n_grid = n_grid
-        self.preserve_degeneracy = preserve_degeneracy
-        n, m = n_modes, n_grid
-        self.symbol = _laplacian_power(n, alpha)        # psi = omega / symbol
-        self._workers = get_workers()
-        if scratch is None:
-            scratch = np.empty(self.scratch_size(m))
-        self._grids = grids = scratch[:self.scratch_size(m)].reshape(3, m, m)
-        # a bool mask over the first M^2 bytes of the second grid, which is
-        # free when the finiteness test runs
-        self._finite = grids[1].reshape(-1).view(np.bool_)[:m * m].reshape(m, m)
-        # the first N^2 entries of each grid as an N x N array, for the
-        # products with the mode numbers and their factor
-        self._squares = grids.reshape(3, -1)[:, :n * n].reshape(3, n, n)
-        # second-axis mode slots, where the first-axis transforms run, and
-        # their first-axis mode slots, where the coefficients go:
-        # [u1, d2 omega] in (sin, cos) in the first two grids, and
-        # [d1 omega, u2] in (cos, sin) in the last two
-        self._sc_cols = _midpoint_slot(grids[:2], "cos", n, -1)
-        self._sc_modes = _midpoint_slot(self._sc_cols, "sin", n, -2)
-        self._cs_cols = _midpoint_slot(grids[1:], "sin", n, -1)
-        self._cs_modes = _midpoint_slot(self._cs_cols, "cos", n, -2)
-
-    @staticmethod
-    def scratch_size(n_grid: int) -> int:
-        return 3 * n_grid * n_grid
-
-    def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        n, m, w = self.n_modes, self.n_grid, self._workers
-        if out is None:
-            out = np.empty_like(coeffs)
-        elif np.may_share_memory(out, coeffs):
-            raise ValueError("out must not share memory with the coefficients")
-        u1_grid, grad, adv = grids = self._grids
-        # velocity and gradient as velocity_coefficients / spectral_derivative
-        # form them, in out and the third grid's square, then their slots
-        (u1, d2), (d1, u2) = self._sc_modes, self._cs_modes
-        _, factor, product = self._squares
-        _velocity_into(coeffs, self.symbol, product, out, factor)
-        np.copyto(u1, product)
-        np.copyto(d2, np.multiply(coeffs, factor, out=product))
-        np.copyto(u2, out)
-        _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
-        _eval_midpoint_axis(grids[:2], "cos", n, -1, w)
-        _eval_midpoint_axis(self._cs_cols[1], "cos", n, -2, w)
-        _eval_midpoint_axis(adv, "sin", n, -1, w)
-        adv *= grad                                   # u2 * d2 omega
-        np.copyto(d1, np.multiply(coeffs, _mode_numbers(n, 0, factor), out=out))
-        _eval_midpoint_axis(self._cs_cols[0], "cos", n, -2, w)
-        _eval_midpoint_axis(grad, "sin", n, -1, w)
-        grad *= u1_grid                               # d1 omega * u1
-        adv += grad
-        _check_finite(adv, "advection product", self._finite)
-        _pocketfft.dst(adv, 2, (-1,), inorm=0, out=adv, nthreads=w)
-        kept = adv[:, :n]
-        _pocketfft.dst(kept, 2, (0,), inorm=0, out=kept, nthreads=w)
-        np.copyto(out, kept[:n])
-        out /= -16.0 * m * m
-        if self.preserve_degeneracy:
-            _project_degeneracy(out, scratch=self._squares[:2])
-        return out
-
-
 class _Rk4Workspace:
     """Every array an RK4 step writes except the new coefficients, and run()'s GridMax.
 
     For one (alpha, N, preserve_degeneracy), and the n_grid of run()'s
-    grid maxima: the tendency evaluator (its Laplacian symbol and its three
+    grid maxima: the Tendency (its Laplacian symbol and its three
     M x M grids, M = dealias_grid(N)), the current stage tendency and the
     stage input, which also holds the stream function of run()'s CFL speed
     between steps.  The tendency's grids and the GridMax buffers are views
@@ -299,8 +180,8 @@ class _Rk4Workspace:
     def __init__(self, alpha: float, n_modes: int, n_grid: int, preserve_degeneracy: bool):
         self.key = (alpha, n_modes, preserve_degeneracy)
         m = dealias_grid(n_modes)
-        scratch = np.empty(max(_Rhs.scratch_size(m), GridMax.scratch_size(n_modes, n_grid)))
-        self.rhs = _Rhs(alpha, n_modes, m, preserve_degeneracy, scratch)
+        scratch = np.empty(max(Tendency.scratch_size(m), GridMax.scratch_size(n_modes, n_grid)))
+        self.rhs = Tendency(alpha, n_modes, m, preserve_degeneracy, scratch)
         self.grid_max = GridMax(n_modes, n_grid, scratch)
         self.stage = np.empty((n_modes, n_modes))
         self.stage_input = np.empty((n_modes, n_modes))
@@ -317,7 +198,7 @@ def nonlinear_term(omega: SineField, alpha: float, n_grid: int,
     if 2 * n_grid <= 3 * omega.n_modes:
         raise ValueError(f"n_grid={n_grid} <= 3N/2={1.5 * omega.n_modes:g}: "
                          "the product aliases into the retained band")
-    return SineField(_Rhs(alpha, omega.n_modes, n_grid, preserve_degeneracy)(omega.coeffs))
+    return SineField(Tendency(alpha, omega.n_modes, n_grid, preserve_degeneracy)(omega.coeffs))
 
 
 def cfl_dt(umax: float, n_grid: int, safety: float,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (GRADIENT_TERMS, GridField, GridMax, SineField, _eval_axis, _max_abs,
-                       _mode_numbers, forward_transform, grid_coordinates)
+                       _project_degeneracy, forward_transform, grid_coordinates)
 
 __all__ = ["InitialDataSpec", "smoothstep", "build_omega0", "check_degeneracy",
            "gradient_sup_norm", "plateau_deficit_fraction", "recorded_warnings"]
@@ -109,25 +109,6 @@ def _axis_profile(t: np.ndarray, delta: float, order: int, power: int) -> np.nda
     out = np.where(t < delta, rise * (1.0 - s) + s, 1.0)
     fall = smoothstep((np.pi - t) / delta, order)
     return np.where(t > np.pi - delta, fall, out)
-
-
-def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -> None:
-    """Project each column, in place, onto sum_m m a[m,n] = 0 (d_x1 omega = 0 at x1 = 0).
-
-    d1 f(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2), so this removes the
-    component of each coefficient column along the mode-number vector.
-    scratch, if given, is a pair of C-contiguous arrays shaped like coeffs,
-    which receive the correction np.outer(m, m @ coeffs) and the
-    _mode_numbers it is formed with, so that no product takes an iteration
-    buffer.
-    """
-    n = coeffs.shape[0]
-    m = np.arange(1, n + 1, dtype=np.float64)
-    corr, factor = (np.empty_like(coeffs), None) if scratch is None else scratch
-    np.copyto(corr, m @ coeffs)
-    corr *= _mode_numbers(n, 0, factor)
-    corr /= float(np.sum(m * m))
-    coeffs -= corr
 
 
 def build_omega0(spec: InitialDataSpec) -> SineField:

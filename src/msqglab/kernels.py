@@ -177,7 +177,7 @@ class RegionSpec:
     def __post_init__(self):
         if self.kind not in ("near", "medium", "far", "full"):
             raise ValueError(f"unknown region kind {self.kind!r}")
-        if self.kind in ("near", "medium") and self.L < 2.0:
+        if self.kind in ("near", "medium") and not self.L >= 2.0:
             raise ValueError(f"{self.kind} region requires L >= 2, got {self.L}")
 
 

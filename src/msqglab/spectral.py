@@ -43,56 +43,32 @@ linearization (omega and its gradient) and transport_defect pass theirs.
 
 Every max|f| on the collocation grid is a GridMax call on the same stack
 and Terms: the largest |value| of any term, from _eval_axis in two buffers
-that the GridMax holds, the first axis's output and a block of
-_GRID_MAX_ROWS grid rows, (n_grid+1)(N+128) doubles, 1.6 MB at N=256,
-n_grid=512 and 19 MB at N=1024, n_grid=2048.  A term's weights live in the
-first of them: its entry is weighted in the mode slot, rows 1..N, by mode
-numbers filled into rows N+1..2N, which n_grid >= 2N leaves free until the
-transform zeroes them, so no product takes a numpy iteration buffer.  A
-call skips every transform that cannot raise the maximum it has found,
-by two upper bounds.  A term's values are bounded by the l1 norm of its
-weighted coefficients, sum m^p1 n^p2 |a_mn|; the terms are visited in
-descending order of it, with the maximum carried from term to term, and
-a term whose bound times 1 + _BOUND_MARGIN (1e-9) is at most that
-maximum runs no transform.  After a term's first-axis transform, grid
-row i is bounded by the l1 norm of its row modes; the rows are ranked in
-runs of _GRID_MAX_RUN (32), and only the runs whose bound, with the same
-margin, could beat the maximum are transformed along the second axis,
-highest first.  The margin lies far above the relative rounding of the
-l1 sums and of a length-2 N_g type-I transform, about 1e-13, so a skipped
-transform could not have raised the maximum: the result is the float of
-the exhaustive maximum, bit for bit, as a maximum does not depend on the
-order it is taken in.  A bound that is NaN, infinite or above
-_BOUND_CEILING rules nothing out, so a NaN or an overflow comes out as
-it did without the bounds.  On the plateau at N=256, n_grid=512 (one
-thread, 2-core x86-64, numpy 2.4.6), a HESSIAN_TERMS call fell from 7.8 to
-2.6 ms (the mixed entry's bound lies below the pure entries' maximum,
-and 4 % of the second-axis rows are transformed), a call on the stream
-function's VELOCITY_TERMS from 5.2 to 3.9 ms and a GRADIENT_TERMS call from
-5.2 to 2.8 ms, while omega-max, whose plateau holds its maximum in most
-rows, rose from 2.6 to 2.9 ms, the bounds' cost.  The grid maxima are
-omega-max (grid_max_abs), hessian_sup_norm, the gradient_sup_norm of
-make-data and the time stepper's CFL speed; a caller that keeps a
-GridMax, as the time stepper does for its CFL speed and its diagnostics,
-allocates no grid-sized array per maximum, and the stepper's runs,
-between steps, in the scratch that its RK4 tendency uses during them.
-Only that tendency, on the midpoint grid below, still forms derivative
-coefficient arrays, because its transforms run on them in place.
+that the GridMax holds.  It skips every transform that cannot raise the
+maximum found so far and still returns the exhaustive maximum bit for
+bit; GridMax's docstring states the rule.  The grid maxima are omega-max
+(grid_max_abs), hessian_sup_norm, the gradient_sup_norm of make-data and
+the time stepper's CFL speed; a caller that keeps a GridMax, as the time
+stepper does for its CFL speed and its diagnostics, allocates no
+grid-sized array per maximum, and the stepper's runs, between steps, in
+the scratch that its Tendency uses during them.  Only that tendency, on
+the midpoint grid below, still forms derivative coefficient arrays,
+because its transforms run on them in place.
 
-The pointwise products of the time stepper are formed on a second,
-staggered grid: the M midpoints x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.
-There a sine or cosine series is evaluated by a DST-III/DCT-III and a grid
-function is projected onto sine modes by a DST-II, all real FFTs of length
-M.  Sine mode k aliases to 2M - k on that grid, so a product of two band-N
-fields keeps its band exact once M > 3N/2 (the 3/2 rule); dealias_grid
-picks the smallest such M that is 5-smooth (no prime factor above 5;
-pocketfft's good_size, as scipy.fft.next_fast_len(real=True)).
-evaluate_midpoints samples a sine series of any band on M midpoints per
-axis the same way, for the quadrature oracle's whole cells (the central
-cell and the image cells' base grid): the DST-III takes
-mode M once where it doubles the others, so mode M goes in at twice their
-weight, and the modes above M are folded onto the grid, where
-sin((2Mq + r) x_j) = (-1)^q sin(r x_j).
+Tendency, the time stepper's right-hand side -(u . grad) omega, forms its
+pointwise product on a second, staggered grid: the M midpoints
+x_j = pi*(j+1/2)/M, j = 0..M-1, per axis.  There a sine or cosine series
+is evaluated by a DST-III/DCT-III (_eval_midpoint_axis, on the mode slot
+that _midpoint_slot names) and a grid function is projected onto sine
+modes by a DST-II, all real FFTs of length M.  Sine mode k aliases to
+2M - k on that grid, so a product of two band-N fields keeps its band
+exact once M > 3N/2 (the 3/2 rule, Orszag 1971); dealias_grid picks the
+smallest such M that is 5-smooth (no prime factor above 5; pocketfft's
+good_size, as scipy.fft.next_fast_len(real=True)).  evaluate_midpoints
+samples a sine series of any band on M midpoints per axis the same way,
+for the quadrature oracle's whole cells (the central cell and the image
+cells' base grid): the DST-III takes mode M once where it doubles the
+others, so mode M goes in at twice their weight, and the modes above M
+are folded onto the grid, where sin((2Mq + r) x_j) = (-1)^q sin(r x_j).
 """
 
 from __future__ import annotations
@@ -112,6 +88,7 @@ __all__ = [
     "GridField",
     "MixedParityField",
     "GridMax",
+    "Tendency",
     "dealias_grid",
     "forward_transform",
     "inverse_transform",
@@ -663,8 +640,136 @@ def evaluate_offgrid(field: SineField, x) -> np.ndarray:
     return MixedParityField(field.coeffs, ("sin", "sin")).evaluate_at(x)
 
 
-# Grid rows per block of GridMax's second-axis transform, and per run of
-# rows that its row bounds rank
+def _project_degeneracy(coeffs: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """Project each column, in place, onto sum_m m a[m,n] = 0 (d_x1 omega = 0 at x1 = 0).
+
+    d1 f(0, x2) = sum_n (sum_m m a[m,n]) sin(n x2), so this removes the
+    component of each coefficient column along the mode-number vector.
+    scratch, if given, is a pair of C-contiguous arrays shaped like coeffs,
+    which receive the correction np.outer(m, m @ coeffs) and the
+    _mode_numbers it is formed with, so that no product takes an iteration
+    buffer.
+    """
+    n = coeffs.shape[0]
+    m = np.arange(1, n + 1, dtype=np.float64)
+    corr, factor = (np.empty_like(coeffs), None) if scratch is None else scratch
+    np.copyto(corr, m @ coeffs)
+    corr *= _mode_numbers(n, 0, factor)
+    corr /= float(np.sum(m * m))
+    coeffs -= corr
+
+
+class Tendency:
+    """The tendency -(u . grad) omega bound to (alpha, N, n_grid), with its own workspace.
+
+    n_grid is the number M of midpoints pi*(j+1/2)/M per axis on which the
+    pointwise product u . grad omega is formed; above 3N/2 the truncated
+    product is alias-free (the time stepper uses dealias_grid(N)), and the
+    retained band equals the tendency on any finer grid.  Velocity and
+    gradient are evaluated there by type-III transforms, and the product is
+    projected by a type-II DST, along the last axis for all M rows and then
+    along the first axis for the N kept columns only.  The unnormalised
+    transforms double every mode on each axis; those four factors 2 and the
+    1/M per axis of the projection meet in one final division by -16 M^2.
+
+    Every grid of a call lives in three M x M grids, views of scratch, a
+    flat float64 array of at least scratch_size(M) = 3 M^2 entries (3.84 MB
+    at N=256, 61 MB at N=1024), allocated when None.  Each transform runs
+    in place there.  [u1, d2 omega] are evaluated as one stack in the first
+    two grids and u2 alone in the third, which then takes u2 * d2 omega;
+    d1 omega goes into the second grid, freed by that product, and the
+    third adds d1 omega * u1 and is projected.  The coefficients are
+    copied into the mode slots of the first axis, whose output lands in
+    the mode slots of the second.  The one finiteness test is on the
+    advection product, where the transforms carry a NaN or an infinity
+    among the coefficients to every node (and a SineField checks its own
+    coefficients, so the time stepper steps finite ones); it writes into a
+    bool mask laid over the second grid.  The products with the mode
+    numbers are formed before that copy in C-contiguous N x N arrays: out,
+    and the first N^2 entries of a grid while it is free, which also take
+    the _mode_numbers operand.  So no ufunc of a call takes a numpy
+    iteration buffer, a call allocates no grid-sized array, and with out=
+    not the tendency either; out must not share memory with coeffs.  A
+    call writes every entry of the grids it reads, so nothing passes from
+    one call to the next, and the scratch may serve other work between
+    calls; the time stepper's workspace lends it to a GridMax.
+
+    With preserve_degeneracy, each tendency is projected onto the subspace
+    where the x1-derivative vanishes on the x2-axis (sum_m m a[m,n] = 0 per
+    column).  The continuous transport law conserves that degeneracy
+    exactly; band truncation of the product breaks it, and since RK4
+    preserves linear invariants of the tendency, projecting the tendency
+    restores the conservation law to rounding.
+    """
+
+    def __init__(self, alpha: float, n_modes: int, n_grid: int,
+                 preserve_degeneracy: bool = False, scratch: np.ndarray | None = None):
+        self.n_modes = n_modes
+        self.n_grid = n_grid
+        self.preserve_degeneracy = preserve_degeneracy
+        n, m = n_modes, n_grid
+        self.symbol = _laplacian_power(n, alpha)        # psi = omega / symbol
+        self._workers = get_workers()
+        if scratch is None:
+            scratch = np.empty(self.scratch_size(m))
+        self._grids = grids = scratch[:self.scratch_size(m)].reshape(3, m, m)
+        # a bool mask over the first M^2 bytes of the second grid, which is
+        # free when the finiteness test runs
+        self._finite = grids[1].reshape(-1).view(np.bool_)[:m * m].reshape(m, m)
+        # the first N^2 entries of each grid as an N x N array, for the
+        # products with the mode numbers and their factor
+        self._squares = grids.reshape(3, -1)[:, :n * n].reshape(3, n, n)
+        # second-axis mode slots, where the first-axis transforms run, and
+        # their first-axis mode slots, where the coefficients go:
+        # [u1, d2 omega] in (sin, cos) in the first two grids, and
+        # [d1 omega, u2] in (cos, sin) in the last two
+        self._sc_cols = _midpoint_slot(grids[:2], "cos", n, -1)
+        self._sc_modes = _midpoint_slot(self._sc_cols, "sin", n, -2)
+        self._cs_cols = _midpoint_slot(grids[1:], "sin", n, -1)
+        self._cs_modes = _midpoint_slot(self._cs_cols, "cos", n, -2)
+
+    @staticmethod
+    def scratch_size(n_grid: int) -> int:
+        return 3 * n_grid * n_grid
+
+    def __call__(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        n, m, w = self.n_modes, self.n_grid, self._workers
+        if out is None:
+            out = np.empty_like(coeffs)
+        elif np.may_share_memory(out, coeffs):
+            raise ValueError("out must not share memory with the coefficients")
+        u1_grid, grad, adv = grids = self._grids
+        # velocity and gradient as velocity_coefficients / spectral_derivative
+        # form them, in out and the third grid's square, then their slots
+        (u1, d2), (d1, u2) = self._sc_modes, self._cs_modes
+        _, factor, product = self._squares
+        _velocity_into(coeffs, self.symbol, product, out, factor)
+        np.copyto(u1, product)
+        np.copyto(d2, np.multiply(coeffs, factor, out=product))
+        np.copyto(u2, out)
+        _eval_midpoint_axis(self._sc_cols, "sin", n, -2, w)
+        _eval_midpoint_axis(grids[:2], "cos", n, -1, w)
+        _eval_midpoint_axis(self._cs_cols[1], "cos", n, -2, w)
+        _eval_midpoint_axis(adv, "sin", n, -1, w)
+        adv *= grad                                   # u2 * d2 omega
+        np.copyto(d1, np.multiply(coeffs, _mode_numbers(n, 0, factor), out=out))
+        _eval_midpoint_axis(self._cs_cols[0], "cos", n, -2, w)
+        _eval_midpoint_axis(grad, "sin", n, -1, w)
+        grad *= u1_grid                               # d1 omega * u1
+        adv += grad
+        _check_finite(adv, "advection product", self._finite)
+        _pocketfft.dst(adv, 2, (-1,), inorm=0, out=adv, nthreads=w)
+        kept = adv[:, :n]
+        _pocketfft.dst(kept, 2, (0,), inorm=0, out=kept, nthreads=w)
+        np.copyto(out, kept[:n])
+        out /= -16.0 * m * m
+        if self.preserve_degeneracy:
+            _project_degeneracy(out, scratch=self._squares[:2])
+        return out
+
+
+# Grid rows of GridMax's second-axis buffer, and per run of rows that its
+# row bounds rank and that it transforms at a time
 _GRID_MAX_ROWS = 128
 _GRID_MAX_RUN = 32
 # A bound rules out a term or a run of rows only if the bound times
@@ -704,10 +809,10 @@ class GridMax:
     halved; n_grid >= 2N leaves those rows free until the transform zeroes
     them.  So every operand has the slot's shape, and no product takes a
     numpy iteration buffer or any array but the buffer.  The second-axis
-    transform runs on up to _GRID_MAX_ROWS grid rows at a time in a
+    transform runs on one run of grid rows at a time in a
     (min(_GRID_MAX_ROWS, n_grid), n_grid+1) buffer; each row's transform is
-    the same arithmetic in a block as in the whole grid.  Both buffers fit
-    every parity pair, so one instance serves a whole run.
+    the same arithmetic in a run as in the whole grid.  Both buffers fit
+    every parity pair, so one instance serves a whole simulation.
 
     A call transforms only what could raise the maximum found so far:
     - per term, |f| <= sum m^p1 n^p2 |a_mn|, the l1 norm of the weighted
@@ -718,11 +823,9 @@ class GridMax:
     - per row, after a term's first-axis transform, grid row i is bounded
       by twice the l1 norm of its halved row modes, formed by chunks in the
       second-axis buffer into an n_grid array the GridMax holds.  The rows
-      go in runs of _GRID_MAX_RUN, each bounded by its largest row bound,
-      and the runs are visited from the highest bound down: the first one
-      alone, then each with the contiguous runs beside it that its bound
-      does not rule out either, as far as the buffer holds.  A run whose
-      bound is ruled out by then is not transformed.
+      go in runs of _GRID_MAX_RUN (32), each bounded by its largest row
+      bound, and the runs are visited from the highest bound down, each
+      alone; a run whose bound is ruled out by then is not transformed.
     A bound is ruled out when, times 1 + _BOUND_MARGIN (1e-9), it is at most
     the running maximum.  The margin lies far above the relative rounding of
     an l1 sum and of a length-2 n_grid type-I transform, about 1e-13, so a
@@ -730,13 +833,15 @@ class GridMax:
     not depend on the order it is taken in: the result is the exhaustive
     one's float.  A bound that is NaN, infinite or above _BOUND_CEILING is
     never ruled out, so a NaN and an overflow come out as they would
-    without the bounds.  Measured on the plateau at N=256, n_grid=512, one
-    thread: HESSIAN_TERMS 7.8 -> 2.6 ms a call, VELOCITY_TERMS on the
-    stream function 5.2 -> 3.9 ms, GRADIENT_TERMS 5.2 -> 2.8 ms and
-    VALUE_TERMS 2.6 -> 2.9 ms, where most rows hold the maximum and the
-    bounds cost about 0.3 ms.  A call allocates no grid-sized array and
-    takes no iteration buffer, as the first axis's output is halved in place
-    and each block's maximum runs over its whole contiguous buffer.
+    without the bounds.  Measured on the plateau at N=256, n_grid=512 (one
+    thread, 2-core x86-64, numpy 2.4.6): HESSIAN_TERMS 2.5 ms a call (the
+    mixed entry's bound lies below the pure entries' maximum, and 4 % of
+    the second-axis rows are transformed), VELOCITY_TERMS on the stream
+    function 4.0 ms, GRADIENT_TERMS 2.6 ms and VALUE_TERMS 2.9 ms, where most
+    rows hold the maximum and the bounds are pure cost.  A call allocates no
+    grid-sized array and takes no iteration buffer, as the first axis's
+    output is halved in place and each run's maximum runs over its whole
+    contiguous buffer.
 
     The two buffers are views of scratch, a flat float64 array of at least
     scratch_size(N, n_grid) = (n_grid+1)(N + min(_GRID_MAX_ROWS, n_grid))
@@ -806,35 +911,20 @@ class GridMax:
             np.abs(part, out=flat[:part.size].reshape(part.shape)).sum(axis=1,
                                                                        out=bounds[r:r + len(part)])
         run = min(_GRID_MAX_RUN, len(self._grid))
-        per_block = len(self._grid) // run
         limits = (np.maximum.reduceat(bounds, np.arange(0, g, run))
                   * (2.0 * (1.0 + _BOUND_MARGIN))).tolist()
-        done = [False] * len(limits)
-
-        def wanted(k):
-            # against best as it stands when asked
-            return 0 <= k < len(limits) and not done[k] and not _ruled_out(limits[k], best)
-
-        # the run of the highest bound goes alone, so that its maximum rules
-        # out what it can before any run is taken along with another
-        order = sorted(range(len(limits)), key=limits.__getitem__, reverse=True)
-        for k in order:
-            if not wanted(k):
+        # continue, not break: a NaN bound sorts anywhere and is never ruled out
+        for k in sorted(range(len(limits)), key=limits.__getitem__, reverse=True):
+            if _ruled_out(limits[k], best):
                 continue
-            lo, hi = k, k + 1
-            while k != order[0] and hi - lo < per_block and wanted(hi):
-                hi += 1
-            while k != order[0] and hi - lo < per_block and wanted(lo - 1):
-                lo -= 1
-            done[lo:hi] = [True] * (hi - lo)
-            part = rows[lo * run:hi * run]
+            part = rows[k * run:(k + 1) * run]
             buf = self._grid[:len(part)]
             _eval_axis(part, parity, g, -1, buf, self._workers, halved=True)
             # over the rows' whole contiguous buffer, which numpy reduces
             # without an iteration buffer: a zero in the column past the
             # grid leaves max(max, -min), which is never negative, as it is
             buf[:, g] = 0.0
-            # np.maximum, unlike the builtin, keeps a NaN of any block
+            # np.maximum, unlike the builtin, keeps a NaN of any run
             best = np.maximum(best, _max_abs(buf))
         return best
 
@@ -846,15 +936,8 @@ def hessian_sup_norm(omega: SineField, n_grid: int, grid_max: GridMax | None = N
     converges as n_grid grows.  One call of grid_max, a GridMax on n_grid,
     on HESSIAN_TERMS; one is built when none is given.  The call takes no
     array but the GridMax's scratch, which it writes the weighted
-    coefficients into.  The GridMax visits the three entries in descending
-    order of their l1 bounds sum m^p1 n^p2 |a_mn|, skips an entry whose
-    bound times 1 + 1e-9 is at most the maximum found so far, and
-    transforms along the second axis only the runs of 32 grid rows whose
-    row bounds could beat it; a NaN or infinite bound is never skipped,
-    and the result is the exhaustive maximum bit for bit (GridMax).  On the
-    plateau at N=256, n_grid=512 the mixed entry d12 runs no transform, 4 %
-    of the rows are transformed, and a call fell from 7.8 to 2.6 ms on one
-    thread.
+    coefficients into, and skips the entries and grid rows whose bounds
+    show they cannot hold the maximum (GridMax).
     """
     if grid_max is None:
         grid_max = GridMax(omega.n_modes, n_grid)

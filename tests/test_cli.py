@@ -307,6 +307,20 @@ class TestUsageErrors:
             "error: dt must be >= 0 (0 selects the default step), got -0.01\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_horizon(self, tmp_path, capsys, value):
+        rc = cli.main(["simulate", "--T", value, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: t_final must be finite and >= 0, got {float(value)}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_medium_scale(self, tmp_path, capsys):
+        rc = cli.main(["verify", "--which", "background", "--L", "nan", "--N", "16",
+                       "--Ng", "32", "--out", str(tmp_path / "v")])
+        assert rc == cli.EXIT_USAGE
+        assert "L >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["-1", "nan", "1.5"])
     def test_bad_monitor_scale(self, tmp_path, capsys, value):
         # 0 turns the monitor off and a scale is at least 2; anything else,

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from msqglab import evolution
-from msqglab.evolution import (ExperimentConfig, SimState, _Rhs, _Rk4Workspace, cfl_dt,
-                               nonlinear_term, read_run_dir, run, step_rk4)
+from msqglab.evolution import (ExperimentConfig, SimState, _Rk4Workspace, cfl_dt, nonlinear_term,
+                               read_run_dir, run, step_rk4)
 from msqglab.initial_data import InitialDataSpec, build_omega0
 from msqglab.snapshots import read_snapshot, write_snapshot
-from msqglab.spectral import (GridMax, SineField, Term, _max_abs, dealias_grid,
+from msqglab.spectral import (GridMax, SineField, Tendency, Term, _max_abs, dealias_grid,
                               velocity_coefficients)
 
 
@@ -41,6 +41,20 @@ class TestConfigValidation:
     def test_fixed_needs_dt(self):
         with pytest.raises(ValueError, match="dt"):
             make_config(dt_policy="fixed", dt=0.0)
+
+    @pytest.mark.parametrize("dt", [-1e-3, math.nan, math.inf])
+    def test_fixed_needs_a_finite_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            make_config(dt_policy="fixed", dt=dt)
+
+    @pytest.mark.parametrize("t_final", [-1.0, math.nan, math.inf])
+    def test_horizon_must_be_finite_and_nonnegative(self, t_final):
+        # a NaN horizon would end at once as "horizon", an infinite one never
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            make_config(t_final=t_final)
+
+    def test_zero_horizon_allowed(self):
+        assert make_config(t_final=0.0).t_final == 0.0
 
 
 class TestNonlinearTerm:
@@ -127,7 +141,7 @@ class TestDealiasGrid:
         with pytest.raises(ValueError, match="aliases"):
             nonlinear_term(om, 0.5, m)
         ref = nonlinear_term(om, 0.5, 2 * n_modes).coeffs
-        aliased = _Rhs(0.5, n_modes, m)(om.coeffs)
+        aliased = Tendency(0.5, n_modes, m)(om.coeffs)
         assert np.abs(aliased - ref).max() > 1e-8 * np.abs(ref).max()
 
     def test_step_matches_rk4_on_double_grid(self):
@@ -178,7 +192,7 @@ class TestRhsWorkspace:
         rng = np.random.default_rng(n_modes)
         a, b = rng.normal(size=(2, n_modes, n_modes))
         m = dealias_grid(n_modes)
-        rhs = _Rhs(0.5, n_modes, m, preserve_degeneracy)
+        rhs = Tendency(0.5, n_modes, m, preserve_degeneracy)
         first, second, again = rhs(a), rhs(b), rhs(a)
         np.testing.assert_array_equal(again, first)
         for got, c in ((first, a), (second, b)):
@@ -195,14 +209,14 @@ class TestRhsWorkspace:
         rng = np.random.default_rng(n_mid)
         c = rng.normal(size=(8, 8))
         ref = midpoint_tendency(c, 0.3, n_mid, False)
-        got = _Rhs(0.3, 8, n_mid)(c)
+        got = Tendency(0.3, 8, n_mid)(c)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_nonfinite_input_rejected(self):
         c = np.zeros((8, 8))
         c[2, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            _Rhs(0.5, 8, dealias_grid(8))(c)
+            Tendency(0.5, 8, dealias_grid(8))(c)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_coefficient_reaches_the_product_test(self, bad):
@@ -211,14 +225,14 @@ class TestRhsWorkspace:
         c = np.random.default_rng(4).normal(size=(8, 8))
         c[2, 3] = bad
         with pytest.raises(ValueError, match="advection product contains 225 non-finite"):
-            _Rhs(0.5, 8, dealias_grid(8))(c)
+            Tendency(0.5, 8, dealias_grid(8))(c)
 
 
 class TestStepRK4:
     def test_in_place_sums_match_expression(self):
         om = build_omega0(InitialDataSpec(delta=0.35, n_modes=32, n_grid=80))
         cfg = make_config(n_modes=32, n_grid=64)
-        rhs = _Rhs(cfg.alpha, 32, dealias_grid(32), True)
+        rhs = Tendency(cfg.alpha, 32, dealias_grid(32), True)
         dt, c = 2e-3, om.coeffs
         k1 = rhs(c)
         k2 = rhs(c + 0.5 * dt * k1)
@@ -310,7 +324,7 @@ class TestRk4Workspace:
         ws = _Rk4Workspace(0.5, n_modes, n_grid, True)
         assert np.shares_memory(ws.grid_max._grid, ws.rhs._grids)
         rng = np.random.default_rng(n_modes)
-        fresh_rhs, fresh_max = _Rhs(0.5, n_modes, dealias_grid(n_modes), True), \
+        fresh_rhs, fresh_max = Tendency(0.5, n_modes, dealias_grid(n_modes), True), \
             GridMax(n_modes, n_grid)
         for parity in (("sin", "sin"), ("sin", "cos"), ("cos", "sin"), ("cos", "cos")):
             for _ in range(2):      # tendency, max, tendency, max

@@ -134,6 +134,10 @@ class TestVelocityQuadrature:
     def test_region_validation(self):
         with pytest.raises(ValueError, match="L >= 2"):
             RegionSpec("near", 1.0)
+        # NaN < 2 is False; a medium call at L = NaN would have no frames
+        for kind in ("near", "medium"):
+            with pytest.raises(ValueError, match="L >= 2"):
+                RegionSpec(kind, float("nan"))
         with pytest.raises(ValueError, match="region kind"):
             RegionSpec("everything")
 

@@ -895,7 +895,7 @@ class TestPocketfftSeam:
         assert spectral._pocketfft.__name__ == "pypocketfft"
 
     # every transform type and parity along both axes of a strided view of a
-    # stack, in place, as _eval_axis, _eval_midpoint_axis and _Rhs run them
+    # stack, in place, as _eval_axis, _eval_midpoint_axis and Tendency run them
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("axis", [-2, -1])
     @pytest.mark.parametrize("kind", ["dst", "dct"])

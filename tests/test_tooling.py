@@ -3,12 +3,13 @@ are used, the package imports nothing beyond the standard library, numpy
 and scipy's pocketfft extension (and importing the command line loads
 neither scipy.fft nor what its import chain brings), it reaches no LAPACK
 routine through numpy, only the point evaluator takes np.sin or np.cos of
-a series' angles, only the transform layer and the time stepper call
-pocketfft's transforms, the time stepper allocates its arrays in its
-workspace only, the config objects and public entry points take the pinned
-options only, no cache outlives a call but three that hold no field
-values, one module names the run directory's files, and every package name
-the benchmark imports or wraps exists."""
+a series' angles, only the transform layer calls pocketfft's transforms
+or names its private midpoint and velocity routines, the time stepper
+imports no private name and allocates its arrays in its workspace only,
+the config objects and public entry points take the pinned options only,
+no cache outlives a call but four that hold no field values, one module
+names the run directory's files, and every package name the benchmark
+imports or wraps exists."""
 
 import ast
 import dataclasses
@@ -203,10 +204,11 @@ def test_trig_check_sees_references_imports_and_their_function():
     assert sorted(_trig_uses(tree), key=lambda use: use[1]) == [(None, 2), (None, 3), ("f", 5)]
 
 
-# the modules that may call pocketfft's transforms: the transform layer and
-# the time stepper's tendency; the quadrature samples the central cell
-# through spectral's midpoint evaluator, not by a transform of its own
-TRANSFORM_OWNERS = ("spectral", "evolution")
+# the modules that may call pocketfft's transforms: the transform layer
+# alone, the time stepper's tendency included; the quadrature samples the
+# central cell through spectral's midpoint evaluator, not by a transform of
+# its own
+TRANSFORM_OWNERS = ("spectral",)
 
 
 def _transform_uses(tree: ast.Module):
@@ -232,6 +234,54 @@ def test_transform_check_sees_attributes_and_imports():
         ("_pocketfft.dst", 3), ("spectral._pocketfft.dct", 4),
         ("scipy.fft._pocketfft.pypocketfft.dst", 5)]
     assert len(list(_transform_uses(_tree("spectral")))) > 0
+
+
+# the transform layer's own names: the pocketfft module, the midpoint-grid
+# layout and the arrays the tendency forms; a module that named one would
+# know that layout a second time
+TRANSFORM_INTERNALS = ("_pocketfft", "_midpoint_slot", "_eval_midpoint_axis", "_velocity_into",
+                       "_mode_numbers")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "spectral"])
+def test_transform_internals_named_in_spectral_only(name):
+    # a name or an attribute; an import that no code uses fails
+    # test_top_level_imports_used
+    used = [(node.lineno, ast.unparse(node)) for node in ast.walk(_tree(name))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) in TRANSFORM_INTERNALS]
+    assert not used, f"msqglab/{name}.py names spectral's transform internals: {used}"
+
+
+def _private_imports(tree: ast.Module, modules):
+    """(module, name, line) of every underscore name imported from one of
+    the package's modules, relatively or as msqglab.module, or taken as an
+    attribute of a name bound to one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if node.level else (node.module or "").removeprefix("msqglab.")
+            if module in modules:
+                yield from ((module, a.name, node.lineno) for a in node.names
+                            if a.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")):
+            yield node.value.id, node.attr, node.lineno
+
+
+def test_evolution_imports_public_names_only():
+    # the time stepper takes its tendency and initial data by their public
+    # names; a private one would make it a second owner of their layout
+    private = list(_private_imports(_tree("evolution"), ("spectral", "initial_data")))
+    assert not private, f"msqglab/evolution.py imports private names: {private}"
+
+
+def test_private_import_check_sees_imports_and_attributes():
+    tree = ast.parse("from .spectral import A, _b\nfrom .initial_data import _c\n"
+                     "from .kernels import _d\nfrom . import spectral\nspectral._e\n"
+                     "from msqglab.spectral import _f\n")
+    assert sorted(_private_imports(tree, ("spectral", "initial_data"))) == [
+        ("initial_data", "_c", 2), ("spectral", "_b", 1), ("spectral", "_e", 5),
+        ("spectral", "_f", 6)]
 
 
 def test_principal_value_leaves_scipy_integrate_unloaded():
@@ -363,7 +413,7 @@ def test_derivatives_named_in_one_module():
     assert list(_terms_with_powers(_tree("spectral")))
     sites = sorted((name, owner) for name in MODULES
                    for owner, _ in _calls_of(_tree(name), "_velocity_into"))
-    assert sites == [("evolution", "__call__"), ("spectral", "velocity_coefficients")]
+    assert sites == [("spectral", "__call__"), ("spectral", "velocity_coefficients")]
     assert not [(name, site) for name in MODULES
                 for site in _calls_of(_tree(name), "spectral_derivative")]
 
@@ -428,12 +478,12 @@ def _allocations(tree: ast.Module):
 
 # where the time stepper may allocate an array, and the name that must be
 # None there: every array it allocates is an N x N or a grid-sized one, and
-# run() holds them all in one _Rk4Workspace, whose tendency evaluator takes
-# its grids from the workspace's scratch; a _Rhs allocates its own only
-# when built without one, for nonlinear_term, and a tendency only when
-# given no out, as step_rk4's first stage is for the new coefficients
-EVOLUTION_ALLOCATIONS = {"_Rk4Workspace.__init__": None, "_Rhs.__init__": "scratch",
-                         "_Rhs.__call__": "out"}
+# run() holds them all in one _Rk4Workspace, whose spectral.Tendency takes
+# its grids from the workspace's scratch; a Tendency allocates its own
+# only when built without one, for nonlinear_term, and a tendency only
+# when given no out, as step_rk4's first stage is for the new coefficients
+EVOLUTION_ALLOCATIONS = {"_Rk4Workspace.__init__": None}
+TENDENCY_ALLOCATIONS = {"Tendency.__init__": "scratch", "Tendency.__call__": "out"}
 
 
 def test_evolution_allocates_only_in_its_workspace():
@@ -441,6 +491,15 @@ def test_evolution_allocates_only_in_its_workspace():
              if scope not in EVOLUTION_ALLOCATIONS
              or EVOLUTION_ALLOCATIONS[scope] not in guards | {None}]
     assert not stray, f"msqglab/evolution.py allocates outside its workspace (def, line): {stray}"
+
+
+def test_tendency_allocates_only_what_it_is_not_given():
+    found = [(scope, guards, line) for scope, guards, line in _allocations(_tree("spectral"))
+             if scope.split(".")[0] == "Tendency"]
+    assert {scope for scope, _, _ in found} == set(TENDENCY_ALLOCATIONS)
+    stray = [(scope, line) for scope, guards, line in found
+             if TENDENCY_ALLOCATIONS.get(scope) not in guards]
+    assert not stray, f"spectral.Tendency allocates an array it was given (def, line): {stray}"
 
 
 def test_allocation_check_sees_scopes_and_none_guards():
